@@ -5,8 +5,9 @@
 //! figure. Binaries print the same rows/series the paper reports; scales
 //! default to laptop-friendly sizes and grow with `--scale`/`--rows`.
 //!
-//! See `EXPERIMENTS.md` at the workspace root for the paper-vs-measured
-//! record produced from these binaries.
+//! These drivers reproduce the paper's figures; speed claims about this
+//! implementation come from the benchmark described in
+//! `perfbench/README.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,10 +6,21 @@
 //! maximal set of tuples that can be kept; its complement is a *minimal*
 //! removal set (Theorem 3.3).
 //!
-//! The implementation is the classic patience/Fredman tails algorithm
-//! [Fredman '75] with parent pointers so the actual subsequence (as indices)
-//! can be reconstructed, not just its length. The paper's `Ω(m log m)` lower
-//! bound (Theorem 3.4) makes this optimal.
+//! Two forms of the patience/Fredman tails algorithm [Fredman '75] live
+//! here:
+//!
+//! * [`subsequence_length_within`] — the length kernel on the discovery
+//!   path. `tails` holds *values* (the smallest tail of each pile), so a
+//!   binary-search probe reads the tails array and nothing else; a value
+//!   that extends the longest pile is appended without a search; and the
+//!   kernel stops with `None` as soon as the prefix already read proves
+//!   that more than `budget` elements must go. [`lnds_length`] and
+//!   [`lis_length`] are its unlimited-budget calls.
+//! * [`lnds_indices`] / [`lis_indices`] — index tails plus parent pointers,
+//!   so one optimal subsequence can be rebuilt (removal-set reporting, off
+//!   the discovery path).
+//!
+//! The paper's `Ω(m log m)` lower bound (Theorem 3.4) makes both optimal.
 
 /// Strictness of the subsequence order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,38 +50,77 @@ pub fn lis_indices<T: Ord>(seq: &[T]) -> Vec<u32> {
 
 /// Length of the longest non-decreasing subsequence, without
 /// reconstructing it (saves the parent-pointer array; used when only the
-/// removal-set *size* matters, e.g. threshold checks).
-pub fn lnds_length<T: Ord>(seq: &[T]) -> usize {
-    lnds_length_with(seq, &mut Vec::new())
-}
-
-/// [`lnds_length`] against caller-provided scratch, for hot loops that
-/// compute one LNDS per candidate class and must not allocate per call.
-/// `tails` is cleared on entry; its capacity is reused across calls.
-pub fn lnds_length_with<T: Ord>(seq: &[T], tails: &mut Vec<u32>) -> usize {
-    tails_only(seq, Monotonicity::NonDecreasing, tails)
+/// removal-set *size* matters).
+pub fn lnds_length<T: Ord + Copy>(seq: &[T]) -> usize {
+    unbounded_length(seq, Monotonicity::NonDecreasing)
 }
 
 /// Length of the longest strictly increasing subsequence.
-pub fn lis_length<T: Ord>(seq: &[T]) -> usize {
-    tails_only(seq, Monotonicity::Strict, &mut Vec::new())
+pub fn lis_length<T: Ord + Copy>(seq: &[T]) -> usize {
+    unbounded_length(seq, Monotonicity::Strict)
 }
 
-/// Patience algorithm computing only the tails array; returns the LIS/LNDS
-/// length.
-fn tails_only<T: Ord>(seq: &[T], mode: Monotonicity, tails: &mut Vec<u32>) -> usize {
-    // tails[k] = index of the smallest possible tail value of a subsequence
-    // of length k+1 seen so far.
+fn unbounded_length<T: Ord + Copy>(seq: &[T], mode: Monotonicity) -> usize {
+    subsequence_length_within(seq, mode, usize::MAX, &mut Vec::new())
+        .expect("an unlimited budget is never exceeded")
+}
+
+/// Length of the longest subsequence of `seq` under `mode`, provided at
+/// most `budget` elements lie outside it; `None` otherwise.
+///
+/// Returns `Some(k)` exactly when `seq.len() - k <= budget`. It stops
+/// early: after reading `seq[..=i]`, at least `i + 1 - tails.len()`
+/// elements of that prefix are outside every optimal subsequence of it,
+/// and the longest subsequence of the whole sequence keeps no more of the
+/// prefix than that, so the kernel returns `None` as soon as this
+/// lower bound exceeds `budget`. Pass `usize::MAX` for the plain length.
+///
+/// `tails` is caller-provided scratch, cleared on entry, so a hot loop
+/// computing one length per context class reuses its capacity and does
+/// not allocate per call. It holds at most `seq.len()` values.
+pub fn subsequence_length_within<T: Ord + Copy>(
+    seq: &[T],
+    mode: Monotonicity,
+    budget: usize,
+    tails: &mut Vec<T>,
+) -> Option<usize> {
+    // One monomorphised loop per mode keeps the comparison out of the
+    // per-probe branch.
+    match mode {
+        Monotonicity::NonDecreasing => value_tails(seq, budget, tails, |tail, v| tail <= v),
+        Monotonicity::Strict => value_tails(seq, budget, tails, |tail, v| tail < v),
+    }
+}
+
+/// The bounded value-tails loop behind [`subsequence_length_within`];
+/// `extends(tail, v)` says whether `v` may follow `tail`.
+#[inline(always)]
+fn value_tails<T: Copy>(
+    seq: &[T],
+    budget: usize,
+    tails: &mut Vec<T>,
+    extends: impl Fn(&T, &T) -> bool,
+) -> Option<usize> {
+    // tails[k] = smallest tail value of a subsequence of length k+1 seen
+    // so far; non-decreasing in k.
     tails.clear();
     for (i, v) in seq.iter().enumerate() {
-        let pos = insertion_point(seq, tails, v, mode);
-        if pos == tails.len() {
-            tails.push(i as u32);
-        } else {
-            tails[pos] = i as u32;
+        match tails.last() {
+            Some(last) if !extends(last, v) => {
+                // `v` cannot extend the longest pile: it replaces the first
+                // tail it cannot follow, which exists because the last
+                // tail is one. The length stays, so the prefix's removal
+                // lower bound grows by one; only this branch can bust it.
+                let pos = tails.partition_point(|tail| extends(tail, v));
+                tails[pos] = *v;
+                if i + 1 - tails.len() > budget {
+                    return None;
+                }
+            }
+            _ => tails.push(*v),
         }
     }
-    tails.len()
+    Some(tails.len())
 }
 
 /// Full patience algorithm with parent pointers; returns indices of one
@@ -221,18 +271,22 @@ mod tests {
 
     #[test]
     fn brute_force_agreement_small_exhaustive() {
-        // Every sequence over {0,1,2} of length <= 7.
+        // Every sequence over {0,1,2} of length <= 7, against every
+        // removal budget of the bounded kernel.
+        let mut tails = Vec::new();
         for len in 0..=7usize {
             let mut seq = vec![0u32; len];
             loop {
                 for mode in [Monotonicity::NonDecreasing, Monotonicity::Strict] {
+                    let brute = lnds_length_brute(&seq, mode);
                     let fast = subsequence_indices(&seq, mode);
                     assert_valid_subsequence(&seq, &fast, mode);
-                    assert_eq!(
-                        fast.len(),
-                        lnds_length_brute(&seq, mode),
-                        "length mismatch on {seq:?} ({mode:?})"
-                    );
+                    assert_eq!(fast.len(), brute, "length mismatch on {seq:?} ({mode:?})");
+                    for budget in 0..=len {
+                        let bounded = subsequence_length_within(&seq, mode, budget, &mut tails);
+                        let expected = (len - brute <= budget).then_some(brute);
+                        assert_eq!(bounded, expected, "budget {budget} on {seq:?} ({mode:?})");
+                    }
                 }
                 // next sequence in base-3 counting
                 let mut i = 0;

@@ -467,7 +467,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Theorem 3.3: Algorithm 2 finds a *minimal* removal set.
+        /// Theorem 3.3: Algorithm 2 finds a *minimal* removal set, and its
+        /// early exit (between and inside classes) answers every limit.
         #[test]
         fn optimal_oc_matches_brute_force((a, b, ctx_vals) in small_instance()) {
             let n = a.len();
@@ -477,9 +478,14 @@ mod tests {
             let brute = brute_min_removal_oc(&ctx, &a, &b);
             prop_assert_eq!(fast, brute);
             prop_assert!(fast <= n);
+            for limit in 0..=brute + 1 {
+                let bounded = v.min_removal_optimal(&ctx, &a, &b, limit);
+                prop_assert_eq!(bounded, (brute <= limit).then_some(brute), "limit {}", limit);
+            }
         }
 
-        /// The OD variant (desc tie-break) is minimal for swap+split removal.
+        /// The OD variant (desc tie-break) is minimal for swap+split
+        /// removal, under every limit.
         #[test]
         fn optimal_od_matches_brute_force((a, b, ctx_vals) in small_instance()) {
             let ctx = aod_partition::Partition::from_ranks(&ctx_vals, 3);
@@ -487,6 +493,10 @@ mod tests {
             let fast = v.min_removal_od(&ctx, &a, &b, usize::MAX).unwrap();
             let brute = brute_min_removal_od(&ctx, &a, &b);
             prop_assert_eq!(fast, brute);
+            for limit in 0..=brute + 1 {
+                let bounded = v.min_removal_od(&ctx, &a, &b, limit);
+                prop_assert_eq!(bounded, (brute <= limit).then_some(brute), "limit {}", limit);
+            }
         }
 
         /// The iterative baseline never *under*estimates (it may overestimate).

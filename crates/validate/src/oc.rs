@@ -8,6 +8,8 @@
 //! * **exact** — scan: the OC holds iff the projection is non-decreasing;
 //! * **optimal** — LNDS: the complement of a longest non-decreasing
 //!   subsequence is a *minimal* removal set (Theorem 3.3), `O(m log m)`;
+//!   the length kernel stops inside a class once the removal budget left
+//!   over from earlier classes is spent;
 //! * **iterative** — the PVLDB'17 baseline: repeatedly drop a tuple with the
 //!   most swaps, `O(m log m + ε m²)`, *not* minimal (Example 3.1).
 //!
@@ -15,7 +17,9 @@
 //! ODs `X: A |-> B` (Section 3.3) — see [`PairMode::OdDescB`].
 
 use crate::swap::{is_swap, pack_asc, pack_desc_b, unpack_a, unpack_b_asc, unpack_b_desc};
-use aod_lis::{lnds_indices, lnds_length_with, per_element_inversions_compressed};
+use aod_lis::{
+    lnds_indices, per_element_inversions_compressed, subsequence_length_within, Monotonicity,
+};
 use aod_partition::Partition;
 
 /// How `(A, B)` pairs are ordered before the projection step.
@@ -128,8 +132,9 @@ impl OcValidator {
     /// `ctx: A ~ B`, with early exit.
     ///
     /// Returns `Some(count)` when a minimal removal set of size
-    /// `count <= limit` exists, `None` as soon as the accumulated count
-    /// exceeds `limit` (pass `usize::MAX` for the exact minimum).
+    /// `count <= limit` exists, `None` as soon as the count is known to
+    /// exceed `limit` — possibly in the middle of a class (pass
+    /// `usize::MAX` for the exact minimum).
     pub fn min_removal_optimal(
         &mut self,
         ctx: &Partition,
@@ -163,11 +168,16 @@ impl OcValidator {
         let mut removed = 0usize;
         for class in ctx.classes() {
             self.gather_class(class, a_ranks, b_ranks, mode, false);
-            // Disjoint field borrows: the LNDS reads `bbuf`, reuses `tails`.
-            removed += class.len() - lnds_length_with(&self.bbuf, &mut self.tails);
-            if removed > limit {
-                return None;
-            }
+            // The class may spend what earlier classes left of `limit`; the
+            // kernel stops inside the class once it needs more. Disjoint
+            // field borrows: the LNDS reads `bbuf`, reuses `tails`.
+            let kept = subsequence_length_within(
+                &self.bbuf,
+                Monotonicity::NonDecreasing,
+                limit - removed,
+                &mut self.tails,
+            )?;
+            removed += class.len() - kept;
         }
         Some(removed)
     }
