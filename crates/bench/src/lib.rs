@@ -182,75 +182,15 @@ impl ParallelSample {
     }
 }
 
-/// One measured run in the hybrid-vs-optimal dirty-data sweep — the
-/// record format of `BENCH_hybrid.json` (emitted by the `exp_hybrid`
-/// binary).
-#[derive(Debug, Clone)]
-pub struct HybridSample {
-    /// Dataset family name.
-    pub dataset: String,
-    /// Row count of the generated table.
-    pub tuples: usize,
-    /// Column count of the generated table.
-    pub cols: usize,
-    /// Approximation threshold the run used.
-    pub epsilon: f64,
-    /// Strategy label ("optimal" or "hybrid").
-    pub strategy: String,
-    /// Initial sample stride (`None` for the optimal baseline).
-    pub stride: Option<usize>,
-    /// End-to-end discovery wall time in milliseconds.
-    pub wall_ms: f64,
-    /// OCs found — must match the optimal baseline exactly (the sweep
-    /// self-checks full dependency-list equality, not just the count).
-    pub n_ocs: usize,
-    /// Candidates the sampling pre-check rejected outright.
-    pub sample_hits: usize,
-    /// Candidates whose sample passed (full validation ran anyway).
-    pub sample_misses: usize,
-}
-
-impl HybridSample {
-    fn to_json(&self) -> String {
-        let mut obj = aod_core::json::JsonObject::new();
-        obj.str("dataset", &self.dataset)
-            .num_u64("tuples", self.tuples as u64)
-            .num_u64("cols", self.cols as u64)
-            .num_f64("epsilon", self.epsilon)
-            .str("strategy", &self.strategy)
-            .opt_u64("stride", self.stride.map(|s| s as u64))
-            .raw("wall_ms", &format!("{:.3}", self.wall_ms))
-            .num_u64("n_ocs", self.n_ocs as u64)
-            .num_u64("sample_hits", self.sample_hits as u64)
-            .num_u64("sample_misses", self.sample_misses as u64);
-        obj.finish()
-    }
-}
-
-/// Renders pre-encoded JSON object rows as one indented JSON array — the
-/// shared shape of every `BENCH_*.json` emitter.
-fn json_array_of(rows: impl Iterator<Item = String>) -> String {
-    let rows: Vec<String> = rows.map(|r| format!("  {r}")).collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Serialises the hybrid sweep as a JSON array (same shape discipline as
-/// [`parallel_json`]; parseable by `aod_core::json`).
-pub fn hybrid_json(samples: &[HybridSample]) -> String {
-    json_array_of(samples.iter().map(HybridSample::to_json))
-}
-
-/// Writes the hybrid sweep to `path` (conventionally `BENCH_hybrid.json`
-/// at the workspace root).
-pub fn write_hybrid_json(path: &str, samples: &[HybridSample]) -> std::io::Result<()> {
-    std::fs::write(path, hybrid_json(samples))
-}
-
 /// Serialises samples as a JSON array (built on the shared
 /// `aod_core::json` writer — the offline dependency policy excludes serde,
 /// and the record is flat).
 pub fn parallel_json(samples: &[ParallelSample]) -> String {
-    json_array_of(samples.iter().map(ParallelSample::to_json))
+    let rows: Vec<String> = samples
+        .iter()
+        .map(|s| format!("  {}", s.to_json()))
+        .collect();
+    format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
 /// Writes the sweep to `path` (conventionally `BENCH_parallel.json` at the
@@ -430,45 +370,6 @@ mod tests {
         assert_eq!(json.matches("\"dataset\":\"flight\"").count(), 2);
         // Exactly one comma between the two records: valid JSON by shape.
         assert_eq!(json.matches("},\n").count(), 1);
-    }
-
-    #[test]
-    fn hybrid_json_is_machine_readable() {
-        let samples = vec![
-            HybridSample {
-                dataset: "flight-dirty".into(),
-                tuples: 20_000,
-                cols: 8,
-                epsilon: 0.05,
-                strategy: "optimal".into(),
-                stride: None,
-                wall_ms: 900.5,
-                n_ocs: 17,
-                sample_hits: 0,
-                sample_misses: 0,
-            },
-            HybridSample {
-                dataset: "flight-dirty".into(),
-                tuples: 20_000,
-                cols: 8,
-                epsilon: 0.05,
-                strategy: "hybrid".into(),
-                stride: Some(8),
-                wall_ms: 500.25,
-                n_ocs: 17,
-                sample_hits: 40,
-                sample_misses: 12,
-            },
-        ];
-        let json = hybrid_json(&samples);
-        let parsed = aod_core::json::JsonValue::parse(&json).unwrap();
-        let rows = parsed.as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].get("stride").unwrap().is_null());
-        assert_eq!(rows[1].get("stride").unwrap().as_u64(), Some(8));
-        assert_eq!(rows[1].get("sample_hits").unwrap().as_u64(), Some(40));
-        assert_eq!(rows[0].get("strategy").unwrap().as_str(), Some("optimal"));
-        assert_eq!(rows[1].get("wall_ms").unwrap().as_f64(), Some(500.25));
     }
 
     #[test]

@@ -23,7 +23,6 @@ const BOOL_FLAGS: &[&str] = &[
 const VALUE_OPTIONS: &[&str] = &[
     "epsilon",
     "strategy",
-    "sample-stride",
     "max-level",
     "timeout",
     "top",
@@ -261,16 +260,8 @@ mod tests {
 
     #[test]
     fn strategy_options_parse_strictly() {
-        let a = parse(&[
-            "discover",
-            "f.csv",
-            "--strategy",
-            "hybrid",
-            "--sample-stride",
-            "16",
-        ]);
-        assert_eq!(a.value("strategy"), Some("hybrid"));
-        assert_eq!(a.int("sample-stride").unwrap(), Some(16));
+        let a = parse(&["discover", "f.csv", "--strategy", "iterative"]);
+        assert_eq!(a.value("strategy"), Some("iterative"));
         // Value-swallowing stays an error for the new options.
         let argv: Vec<String> = ["discover", "--strategy", "--progress", "f.csv"]
             .iter()

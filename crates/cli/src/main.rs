@@ -39,8 +39,8 @@ const USAGE: &str = "\
 aod — approximate order dependency discovery (EDBT 2021 reproduction)
 
 USAGE:
-  aod discover <file.csv> [--epsilon E] [--strategy S] [--sample-stride N]
-               [--iterative] [--exact]
+  aod discover <file.csv> [--epsilon E] [--strategy S] [--iterative]
+               [--exact]
                [--max-level N] [--timeout S] [--top K] [--top-k K]
                [--threads N] [--columns C1,C2,...] [--progress] [--ofds]
                [--trace FILE] [--no-header]
@@ -54,13 +54,10 @@ USAGE:
 
 OPTIONS:
   --epsilon E       approximation threshold in [0,1] (default 0.1)
-  --exact           discover exact ODs (epsilon = 0, linear validators)
-  --strategy S      AOC validator: optimal (Algorithm 2, default),
-                    iterative (Algorithm 1) or hybrid (sampling pre-check
-                    in front of optimal; identical results, faster on
-                    dirty data)
-  --sample-stride N hybrid only: initial sample stride >= 1 (default 8;
-                    1 disables the pre-check)
+  --exact           discover exact ODs (epsilon = 0, linear validators;
+                    excludes --epsilon, --strategy and --iterative)
+  --strategy S      AOC validator: optimal (Algorithm 2, default) or
+                    iterative (Algorithm 1)
   --iterative       shorthand for --strategy iterative
   --max-level N     cap the lattice level
   --timeout S       wall-clock budget in seconds (partial results after)
@@ -139,18 +136,17 @@ fn load_table(args: &Args) -> Result<Table, String> {
     read_path(path, &options).map_err(|e| format!("reading `{path}`: {e}"))
 }
 
-/// `--strategy`/`--sample-stride`/`--iterative` resolved to an
-/// [`AocStrategy`] through the shared [`AocStrategy::from_name`] parser,
-/// with usage errors for conflicting spellings — including the
-/// exact-mode conflict, so `--exact --strategy hybrid` errors instead of
-/// silently ignoring the strategy (matching the HTTP boundary's 400).
+/// `--strategy`/`--iterative` resolved to an [`AocStrategy`] through the
+/// shared [`AocStrategy::from_name`] parser, with usage errors for
+/// conflicting spellings — including the exact-mode conflict, so
+/// `--exact --iterative` or `--exact --epsilon 0.3` errors instead of
+/// silently running exact discovery (matching the HTTP boundary's 400).
 fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
-    let stride = args.int("sample-stride")?;
     let name = args.value("strategy");
-    if args.flag("exact") && (name.is_some() || stride.is_some()) {
-        return Err("--strategy/--sample-stride are meaningless with --exact \
-             (exact discovery uses the linear validators)"
-            .into());
+    if args.flag("exact")
+        && (name.is_some() || args.flag("iterative") || args.value("epsilon").is_some())
+    {
+        return Err("--strategy/--iterative/--epsilon are meaningless with --exact".into());
     }
     if let Some(name) = name {
         if args.flag("iterative") && name != "iterative" {
@@ -162,7 +158,7 @@ fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
     } else {
         "optimal"
     });
-    AocStrategy::from_name(effective, stride)
+    AocStrategy::from_name(effective)
 }
 
 fn cmd_discover(args: &Args) -> Result<(), String> {
@@ -278,14 +274,6 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
             "time"
         },
     );
-    if matches!(strategy, AocStrategy::Hybrid { .. }) && !args.flag("exact") {
-        println!(
-            "sampling pre-check: {} candidates rejected on the sample, {} passed to \
-             full validation",
-            result.stats.n_sample_hits(),
-            result.stats.n_sample_misses(),
-        );
-    }
     println!("\norder compatibilities (most interesting first):");
     for dep in result.ranked_ocs().into_iter().take(top) {
         println!("  {}", dep.display(&names));

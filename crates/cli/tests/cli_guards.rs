@@ -1,7 +1,7 @@
-//! Boundary regression tests for the `aod` binary: bad `--epsilon` and
-//! bad `--strategy`/`--sample-stride` spellings must exit with a clean
-//! usage error (never a panic/abort), and the hybrid strategy must run end
-//! to end from the command line.
+//! Boundary regression tests for the `aod` binary: bad `--epsilon`,
+//! `--strategy` and option spellings must exit with a clean usage error
+//! (never a panic/abort), and discovery must run end to end from the
+//! command line.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -55,37 +55,22 @@ fn epsilon_out_of_range_is_a_clean_error_not_a_panic() {
 
 #[test]
 fn unknown_strategy_and_bad_stride_are_usage_errors() {
-    let out = aod(&["discover", sample_csv(), "--strategy", "sorta"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("unknown strategy"),
-        "{:?}",
-        stderr(&out)
-    );
-
-    let out = aod(&[
-        "discover",
-        sample_csv(),
-        "--strategy",
-        "hybrid",
-        "--sample-stride",
-        "0",
-    ]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("must be at least 1"),
-        "{:?}",
-        stderr(&out)
-    );
-
-    // A stride without the hybrid strategy is meaningless.
-    let out = aod(&["discover", sample_csv(), "--sample-stride", "4"]);
-    assert!(!out.status.success());
-    assert!(
-        stderr(&out).contains("only applies with the hybrid strategy"),
-        "{:?}",
-        stderr(&out)
-    );
+    // Unknown strategies, including the removed sampling `hybrid` and
+    // its `--sample-stride` option, fail with the generic errors.
+    for (extra, needle) in [
+        (&["--strategy", "sorta"][..], "unknown strategy"),
+        (&["--strategy", "hybrid"][..], "unknown strategy"),
+        (
+            &["--sample-stride", "8"][..],
+            "unknown option `--sample-stride`",
+        ),
+    ] {
+        let out = aod(&[&["discover", sample_csv()], extra].concat());
+        assert!(!out.status.success(), "{extra:?} must fail");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{extra:?}: {err:?}");
+        assert!(!err.contains("panicked"), "{extra:?} panicked: {err}");
+    }
 
     // So is combining the legacy flag with a contradicting strategy.
     let out = aod(&[
@@ -93,16 +78,17 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
         sample_csv(),
         "--iterative",
         "--strategy",
-        "hybrid",
+        "optimal",
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("conflicts"), "{:?}", stderr(&out));
 
-    // And exact mode rejects strategy options instead of silently
+    // And exact mode rejects approximate-only options instead of silently
     // ignoring them (parity with the HTTP boundary's 400).
     for extra in [
-        &["--exact", "--strategy", "hybrid"][..],
-        &["--exact", "--sample-stride", "8"][..],
+        &["--exact", "--strategy", "optimal"][..],
+        &["--exact", "--iterative"][..],
+        &["--exact", "--epsilon", "0.3"][..],
     ] {
         let out = aod(&[&["discover", sample_csv()], extra].concat());
         assert!(!out.status.success(), "{extra:?} must fail");
@@ -115,39 +101,11 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
 }
 
 #[test]
-fn hybrid_strategy_runs_and_matches_optimal_from_the_cli() {
-    // Scope to a handful of columns so the debug-profile run stays fast;
-    // the strategies' full-width equivalence is covered by the release
-    // suites (`tests/hybrid_equivalence.rs`).
+fn optimal_discovery_runs_from_the_cli() {
+    // Scope to a handful of columns so the debug-profile run stays fast.
     const SCOPE: &[&str] = &["--columns", "year,month,dayOfWeek,flightNum,arrDelay"];
     let optimal = aod(&[&["discover", sample_csv(), "--epsilon", "0.1"], SCOPE].concat());
     assert!(optimal.status.success(), "{optimal:?}");
-    let hybrid = aod(&[
-        &[
-            "discover",
-            sample_csv(),
-            "--epsilon",
-            "0.1",
-            "--strategy",
-            "hybrid",
-            "--sample-stride",
-            "8",
-        ],
-        SCOPE,
-    ]
-    .concat());
-    assert!(hybrid.status.success(), "{hybrid:?}");
-    let out = String::from_utf8_lossy(&hybrid.stdout).into_owned();
-    assert!(out.contains("sampling pre-check:"), "{out}");
-
-    // The dependency listings are identical (the hybrid pre-check is
-    // sound); only the extra sampling summary line differs.
-    let deps = |raw: &[u8]| -> Vec<String> {
-        String::from_utf8_lossy(raw)
-            .lines()
-            .filter(|l| l.starts_with("  "))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(deps(&optimal.stdout), deps(&hybrid.stdout));
+    let out = String::from_utf8_lossy(&optimal.stdout).into_owned();
+    assert!(out.contains("order compatibilities"), "{out}");
 }

@@ -38,18 +38,6 @@ impl Mode {
         }
     }
 
-    /// Convenience constructor for the hybrid (sampling pre-check)
-    /// approximate mode at the given initial stride. Results are
-    /// bit-identical to [`Mode::approximate`]; only the validation cost
-    /// differs.
-    #[must_use]
-    pub fn approximate_hybrid(epsilon: f64, stride: usize) -> Mode {
-        Mode::Approximate {
-            epsilon,
-            strategy: AocStrategy::Hybrid { stride },
-        }
-    }
-
     /// The threshold (0 for exact mode).
     pub fn epsilon(&self) -> f64 {
         match self {
@@ -163,18 +151,6 @@ impl DiscoveryConfig {
     pub fn approximate_iterative(epsilon: f64) -> DiscoveryConfig {
         DiscoveryConfig {
             mode: Mode::approximate_iterative(epsilon),
-            ..DiscoveryConfig::exact()
-        }
-    }
-
-    /// Approximate discovery with the hybrid sampling pre-check at the
-    /// given initial stride (see
-    /// [`AocStrategy::Hybrid`]): same results as
-    /// [`DiscoveryConfig::approximate`], cheaper on dirty data.
-    #[must_use]
-    pub fn approximate_hybrid(epsilon: f64, stride: usize) -> DiscoveryConfig {
-        DiscoveryConfig {
-            mode: Mode::approximate_hybrid(epsilon, stride),
             ..DiscoveryConfig::exact()
         }
     }

@@ -10,11 +10,8 @@
 //! point with [`result`](DiscoverySession::result).
 //!
 //! The per-candidate OC validation is delegated to a pluggable
-//! [`OcValidatorBackend`], so the paper's exact scan, Algorithm 2,
-//! Algorithm 1 and the hybrid sampling pre-check (adaptive, retuned at
-//! each level barrier through
-//! [`level_feedback`](OcValidatorBackend::level_feedback) from the
-//! merged per-level sample counters) all run behind the same driver.
+//! [`OcValidatorBackend`], so the paper's exact scan, Algorithm 2 and
+//! Algorithm 1 all run behind the same driver.
 //!
 //! Sessions are built with [`DiscoveryBuilder`](crate::DiscoveryBuilder);
 //! the one-shot [`discover`](crate::discover) is a thin compat wrapper
@@ -70,7 +67,7 @@ use aod_exec::Executor;
 use aod_obs::trace::{span_id, Span, TraceSink};
 use aod_partition::{AttrSet, PartitionCache, MAX_ATTRS};
 use aod_table::RankedTable;
-use aod_validate::{min_removal_ofd, removal_budget, OcValidatorBackend, SampleVerdict};
+use aod_validate::{min_removal_ofd, removal_budget, OcValidatorBackend};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -416,16 +413,6 @@ impl<'t> DiscoverySession<'t> {
                 self.finish(reason);
             }
             None => {
-                // Level barrier: hand adaptive backends the level's merged
-                // sample counters. Both drivers pass through here with
-                // bit-identical counters, so the stride schedule — and
-                // with it every later counter — is thread-count
-                // independent (see the determinism contract above).
-                let (hits, misses) = {
-                    let ls = self.stats.level_mut(level);
-                    (ls.n_sample_hits, ls.n_sample_misses)
-                };
-                self.backend.level_feedback(hits, misses);
                 if self.config.max_level.is_some_and(|m| level >= m) {
                     self.finish(StopReason::MaxLevel);
                 } else {
@@ -642,13 +629,8 @@ impl<'t> DiscoverySession<'t> {
             for (cand, oc) in eval.ocs {
                 match oc {
                     OcEval::Pruned(rule) => self.prune_event(level, cand, rule),
-                    OcEval::Validated {
-                        removed,
-                        coverage,
-                        sample,
-                    } => {
+                    OcEval::Validated { removed, coverage } => {
                         self.stats.level_mut(level).n_oc_candidates += 1;
-                        self.record_sample(level, sample);
                         let Some(removed) = removed else { continue };
                         self.stats.level_mut(level).n_oc_found += 1;
                         let dep = OcDep {
@@ -865,8 +847,6 @@ impl<'t> DiscoverySession<'t> {
         let removed = self.backend.min_removal(ctx, ar, br, self.budget);
         let coverage = ctx.n_grouped_rows() as f64 / self.coverage_denominator;
         self.stats.oc_validation += t0.elapsed();
-        let sample = self.backend.last_sample();
-        self.record_sample(level, sample);
         let Some(removed) = removed else {
             return;
         };
@@ -885,18 +865,6 @@ impl<'t> DiscoverySession<'t> {
         }
         self.ocs.push(dep);
         self.prune.record_oc(a, b, ctx_set);
-    }
-
-    /// Bumps the level's sampling hit/miss counters from one candidate's
-    /// pre-check verdict (no-op for backends without a sampling pre-check).
-    fn record_sample(&mut self, level: usize, sample: Option<SampleVerdict>) {
-        match sample {
-            Some(SampleVerdict::ProvenInvalid) => self.stats.level_mut(level).n_sample_hits += 1,
-            Some(SampleVerdict::NeedFullValidation) => {
-                self.stats.level_mut(level).n_sample_misses += 1;
-            }
-            None => {}
-        }
     }
 
     fn prune_event(&mut self, level: usize, cand: crate::candidates::OcCandidate, rule: PruneRule) {

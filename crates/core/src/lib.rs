@@ -90,6 +90,4 @@ pub use wire::SCHEMA_VERSION;
 // Re-exports so callers can configure runs and inspect lattices with one import.
 pub use aod_exec::Executor;
 pub use aod_partition::{prefix_join, JoinedChild};
-pub use aod_validate::{
-    AocStrategy, HybridOcBackend, OcValidatorBackend, SampleVerdict, DEFAULT_SAMPLE_STRIDE,
-};
+pub use aod_validate::{AocStrategy, OcValidatorBackend, SampleVerdict};

@@ -39,7 +39,7 @@ use crate::prune_state::{PruneRule, PruneState};
 use aod_obs::Clock;
 use aod_partition::FrozenPartitions;
 use aod_table::RankedTable;
-use aod_validate::{min_removal_ofd, OcValidatorBackend, SampleVerdict};
+use aod_validate::{min_removal_ofd, OcValidatorBackend};
 use std::time::{Duration, Instant};
 
 /// Immutable level-wide inputs shared by every worker.
@@ -76,11 +76,6 @@ pub(crate) enum OcEval {
     Validated {
         removed: Option<usize>,
         coverage: f64,
-        /// The backend's sampling-pre-check verdict for this candidate
-        /// (`None` unless a sampling backend ran). Carried per candidate
-        /// so the merge reproduces the sequential hit/miss counters
-        /// exactly, including under mid-node top-k cuts.
-        sample: Option<SampleVerdict>,
     },
 }
 
@@ -180,11 +175,7 @@ pub(crate) fn eval_node(
                         let removed = backend.min_removal(ctx_part, ar, br, ctx.budget);
                         let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
                         oc_time += t0.elapsed();
-                        OcEval::Validated {
-                            removed,
-                            coverage,
-                            sample: backend.last_sample(),
-                        }
+                        OcEval::Validated { removed, coverage }
                     }
                 };
             ocs.push((cand, eval));

@@ -24,12 +24,6 @@ pub struct LevelStats {
     pub n_ofd_candidates: usize,
     /// Valid OFDs found.
     pub n_ofd_found: usize,
-    /// OC candidates a sampling pre-check proved invalid without full
-    /// validation (hybrid strategy; 0 for every other backend).
-    pub n_sample_hits: usize,
-    /// OC candidates whose sample passed, requiring the full validation
-    /// anyway (the pre-check's overhead cases).
-    pub n_sample_misses: usize,
     /// Sorted-partition products computed to *materialize* this level
     /// (the `Frontier::advance` work that built its nodes). Level 1 is
     /// seeded from single columns, so its count is 0. Deterministic
@@ -100,18 +94,6 @@ impl DiscoveryStats {
     /// Total OFDs found across levels.
     pub fn n_ofds(&self) -> usize {
         self.per_level.iter().map(|l| l.n_ofd_found).sum()
-    }
-
-    /// Total sampling-pre-check hits (candidates rejected on the sample
-    /// alone) across levels — non-zero only under the hybrid strategy.
-    pub fn n_sample_hits(&self) -> usize {
-        self.per_level.iter().map(|l| l.n_sample_hits).sum()
-    }
-
-    /// Total sampling-pre-check misses (sample passed, full validation
-    /// ran) across levels.
-    pub fn n_sample_misses(&self) -> usize {
-        self.per_level.iter().map(|l| l.n_sample_misses).sum()
     }
 
     /// Total partition products computed across all `Frontier::advance`

@@ -21,7 +21,7 @@
 //! |------|--------|
 //! | [`OcDep`] | `context`, `a`, `b`, `removed`, `factor`, `level`, `coverage` |
 //! | [`OfdDep`] | `context`, `rhs`, `removed`, `factor`, `level`, `coverage` |
-//! | [`LevelStats`] | `level`, `n_nodes`, `n_oc_candidates`, `n_oc_pruned`, `n_oc_found`, `n_ofd_candidates`, `n_ofd_found`, `n_sample_hits`, `n_sample_misses`, `n_products` |
+//! | [`LevelStats`] | `level`, `n_nodes`, `n_oc_candidates`, `n_oc_pruned`, `n_oc_found`, `n_ofd_candidates`, `n_ofd_found`, `n_products` |
 //! | [`DiscoveryStats`] | `total_ms`, `oc_validation_ms`, `ofd_validation_ms`, `partitioning_ms`, `timed_out`, `stopped_early`, `threads_used`, `per_level` |
 //! | [`DiscoveryResult`] | `schema_version`, `n_rows`, `n_attrs`, `ocs`, `ofds`, `stats` |
 //! | [`DiscoveryEvent`] | `event` tag + per-variant payload (see [`DiscoveryEvent::to_json`]) |
@@ -40,8 +40,9 @@ use aod_partition::AttrSet;
 use std::time::Duration;
 
 /// Version of the wire encoding documented in this module. Bumped whenever
-/// a field is renamed, removed, or re-encoded.
-pub const SCHEMA_VERSION: u64 = 1;
+/// a field is renamed, removed, or re-encoded. Version 2 dropped the two
+/// sampling pre-check counters from [`LevelStats`].
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// An attribute set as a JSON array of ascending column indices.
 fn attrs_json(set: AttrSet) -> String {
@@ -123,8 +124,6 @@ impl LevelStats {
             .num_u64("n_oc_found", self.n_oc_found as u64)
             .num_u64("n_ofd_candidates", self.n_ofd_candidates as u64)
             .num_u64("n_ofd_found", self.n_ofd_found as u64)
-            .num_u64("n_sample_hits", self.n_sample_hits as u64)
-            .num_u64("n_sample_misses", self.n_sample_misses as u64)
             .num_u64("n_products", self.n_products as u64);
         obj.finish()
     }
@@ -320,14 +319,31 @@ mod tests {
             n_oc_found: 5,
             n_ofd_candidates: 12,
             n_ofd_found: 2,
-            n_sample_hits: 9,
-            n_sample_misses: 3,
             n_products: 20,
         };
         let v = JsonValue::parse(&stats.to_json()).unwrap();
+        // Exactly the fields of the module's field table, in order.
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "level",
+                "n_nodes",
+                "n_oc_candidates",
+                "n_oc_pruned",
+                "n_oc_found",
+                "n_ofd_candidates",
+                "n_ofd_found",
+                "n_products"
+            ]
+        );
         assert_eq!(v.get("level").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("n_products").unwrap().as_u64(), Some(20));
-        assert_eq!(v.get("n_sample_misses").unwrap().as_u64(), Some(3));
         // The additive field also flows through a real run's encoding.
         let result = DiscoveryBuilder::new().approximate(0.1).run(&employee());
         let run = JsonValue::parse(&result.to_json()).unwrap();

@@ -10,7 +10,7 @@
 //! `.to_vec()` / `.clone()` / `format!` / `String::from` / `Box::new`.
 //!
 //! The scratch-buffer pattern (`…_with_scratch` taking `&mut` buffers,
-//! as in `SampleScratch` / `ProductScratch`) is the standard fix;
+//! as in `ProductScratch`) is the standard fix;
 //! output buffers that are handed to the caller are waived at the site
 //! with that reasoning. Growth-only calls (`with_capacity`, `resize`,
 //! `collect` into a reused buffer) are deliberately not flagged: the

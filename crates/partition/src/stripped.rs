@@ -126,38 +126,6 @@ impl Partition {
         part
     }
 
-    /// Assembles a partition from raw CSR parts. Used by tooling that
-    /// derives sub-partitions (e.g. the sampling pre-check in
-    /// `aod-validate`); the caller is responsible for the representation
-    /// invariants, which are checked in debug builds.
-    ///
-    /// # Panics
-    /// In debug builds, if `bounds` is not a monotone offset list covering
-    /// `elems`, or a class has fewer than 2 rows.
-    pub fn from_parts(elems: Vec<u32>, bounds: Vec<u32>, n_rows: usize) -> Partition {
-        debug_assert!(!bounds.is_empty() && bounds[0] == 0);
-        debug_assert_eq!(*bounds.last().expect("non-empty") as usize, elems.len());
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] + 2 <= w[1]),
-            "classes need >= 2 rows"
-        );
-        debug_assert!(elems.iter().all(|&r| (r as usize) < n_rows));
-        Partition {
-            elems,
-            bounds,
-            n_rows,
-        }
-    }
-
-    /// Decomposes the partition into its raw CSR parts
-    /// `(elems, bounds, n_rows)` — the inverse of
-    /// [`Partition::from_parts`], letting scratch-reusing callers (e.g.
-    /// the sampling pre-check in `aod-validate`) recover their buffers
-    /// instead of reallocating per candidate.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>, usize) {
-        (self.elems, self.bounds, self.n_rows)
-    }
-
     /// Number of (non-singleton) classes.
     pub fn n_classes(&self) -> usize {
         self.bounds.len() - 1

@@ -85,7 +85,6 @@ impl JobSpec {
             "mode",
             "epsilon",
             "strategy",
-            "sample_stride",
             "max_level",
             "timeout_ms",
             "top_k",
@@ -149,22 +148,16 @@ impl JobSpec {
             }
         };
 
-        let sample_stride = uint("sample_stride")?.map(|v| v as usize);
-        if sample_stride.is_some_and(|s| s > 4096) {
-            // Request-controlled work bound; the shared parser handles the
-            // lower bound and the hybrid-only coupling.
-            return Err("`sample_stride` must be at most 4096".to_string());
-        }
         // One shared name→strategy mapping with the CLI
         // (`AocStrategy::from_name`), so the accepted set can't drift
         // between surfaces.
         let strategy = match config.get("strategy") {
-            None => AocStrategy::from_name("optimal", sample_stride)?,
+            None => AocStrategy::Optimal,
             Some(v) => {
-                let name = v.as_str().ok_or_else(|| {
-                    "`strategy` must be \"optimal\", \"iterative\" or \"hybrid\"".to_string()
-                })?;
-                AocStrategy::from_name(name, sample_stride)?
+                let name = v
+                    .as_str()
+                    .ok_or_else(|| "`strategy` must be \"optimal\" or \"iterative\"".to_string())?;
+                AocStrategy::from_name(name)?
             }
         };
         if epsilon.is_none() && config.get("strategy").is_some() {
@@ -247,29 +240,17 @@ impl JobSpec {
     /// The canonicalized config: every field present, fixed order,
     /// defaults resolved, columns as sorted indices. Two requests mean the
     /// same run iff their canonical forms are byte-equal — this is the
-    /// config half of the result-cache key. The strategy *and* the hybrid
-    /// sample stride are part of the form, so hybrid and optimal runs (or
-    /// hybrid runs at different strides) never share a cache entry even
-    /// though their results are identical by construction.
+    /// config half of the result-cache key. The strategy is part of the
+    /// form, so optimal and iterative runs never share a cache entry.
     pub fn canonical(&self) -> String {
         let mut obj = JsonObject::new();
         match self.epsilon {
-            None => {
-                obj.str("mode", "exact")
-                    .null("epsilon")
-                    .null("strategy")
-                    .null("sample_stride");
-            }
-            Some(e) => {
-                obj.str("mode", "approximate")
-                    .num_f64("epsilon", e)
-                    .str("strategy", self.strategy.name());
-                match self.strategy {
-                    AocStrategy::Hybrid { stride } => obj.num_u64("sample_stride", stride as u64),
-                    AocStrategy::Optimal | AocStrategy::Iterative => obj.null("sample_stride"),
-                };
-            }
-        }
+            None => obj.str("mode", "exact").null("epsilon").null("strategy"),
+            Some(e) => obj
+                .str("mode", "approximate")
+                .num_f64("epsilon", e)
+                .str("strategy", self.strategy.name()),
+        };
         obj.opt_u64("max_level", self.max_level.map(|v| v as u64))
             .opt_u64("timeout_ms", self.timeout_ms)
             .opt_u64("top_k", self.top_k.map(|v| v as u64))
@@ -812,7 +793,6 @@ mod tests {
         assert_eq!(
             spec.canonical(),
             "{\"mode\":\"approximate\",\"epsilon\":0.15,\"strategy\":\"optimal\",\
-             \"sample_stride\":null,\
              \"max_level\":null,\"timeout_ms\":null,\"top_k\":null,\"threads\":2,\
              \"columns\":null,\"level_delay_ms\":0,\"trace\":false}"
         );
@@ -848,12 +828,6 @@ mod tests {
             r#"{"mode":"sorta"}"#,
             r#"{"strategy":"fast"}"#,
             r#"{"mode":"exact","strategy":"optimal"}"#,
-            r#"{"mode":"exact","strategy":"hybrid"}"#,
-            r#"{"epsilon":0.1,"strategy":"hybrid","sample_stride":0}"#,
-            r#"{"epsilon":0.1,"strategy":"hybrid","sample_stride":5000}"#,
-            r#"{"epsilon":0.1,"strategy":"optimal","sample_stride":8}"#,
-            r#"{"epsilon":0.1,"sample_stride":8}"#,
-            r#"{"epsilon":0.1,"strategy":"hybrid","sample_stride":-4}"#,
             r#"{"max_level":0}"#,
             r#"{"columns":[]}"#,
             r#"{"columns":["nope"]}"#,
@@ -867,73 +841,18 @@ mod tests {
         ] {
             assert!(parse_spec(bad, &d).is_err(), "{bad} should be rejected");
         }
-    }
-
-    #[test]
-    fn hybrid_specs_canonicalize_with_their_stride() {
-        let d = employee_dataset();
-        let spec = parse_spec(r#"{"epsilon":0.1,"strategy":"hybrid"}"#, &d).unwrap();
-        assert!(
-            spec.canonical()
-                .contains("\"strategy\":\"hybrid\",\"sample_stride\":8"),
-            "{}",
-            spec.canonical()
-        );
-        let wide = parse_spec(
-            r#"{"epsilon":0.1,"strategy":"hybrid","sample_stride":16}"#,
-            &d,
-        )
-        .unwrap();
-        assert!(
-            wide.canonical().contains("\"sample_stride\":16"),
-            "{}",
-            wide.canonical()
-        );
-        // The stride is part of the cache key: hybrid-at-8, hybrid-at-16
-        // and optimal all canonicalize differently even though their
-        // results are identical.
-        let optimal = parse_spec(r#"{"epsilon":0.1,"strategy":"optimal"}"#, &d).unwrap();
-        assert_ne!(spec.canonical(), wide.canonical());
-        assert_ne!(spec.canonical(), optimal.canonical());
-    }
-
-    #[test]
-    fn hybrid_jobs_serve_the_same_dependencies_as_optimal() {
-        let d = employee_dataset();
-        let manager = JobManager::new(2);
-        let optimal = manager
-            .submit(
-                d.clone(),
-                parse_spec(r#"{"epsilon":0.15,"strategy":"optimal"}"#, &d).unwrap(),
-            )
-            .unwrap();
-        let hybrid = manager
-            .submit(
-                d.clone(),
-                parse_spec(
-                    r#"{"epsilon":0.15,"strategy":"hybrid","sample_stride":4}"#,
-                    &d,
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        optimal.wait_done();
-        hybrid.wait_done();
-        assert_eq!(optimal.status(), JobStatus::Done);
-        assert_eq!(hybrid.status(), JobStatus::Done);
-        // No cache crosstalk: both executed.
-        assert_eq!(manager.executed(), 2);
-        // Identical dependency payloads (the wire `ocs`/`ofds` arrays);
-        // stats may differ in timings and sampling counters.
-        let deps = |job: &Job| {
-            let v = JsonValue::parse(&job.result_json().unwrap()).unwrap();
+        // The removed sampling strategy and its stride fail through the
+        // generic unknown-name errors.
+        for (bad, needle) in [
+            (r#"{"epsilon":0.1,"strategy":"hybrid"}"#, "unknown strategy"),
             (
-                v.get("ocs").unwrap().to_json(),
-                v.get("ofds").unwrap().to_json(),
-            )
-        };
-        assert_eq!(deps(&optimal), deps(&hybrid));
-        manager.shutdown();
+                r#"{"epsilon":0.1,"sample_stride":8}"#,
+                "unknown config field",
+            ),
+        ] {
+            let err = parse_spec(bad, &d).unwrap_err();
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! removal set within a budget. [`OcValidatorBackend`] captures exactly that
 //! contract, so the three paper configurations (exact scan, **Algorithm 2**
 //! optimal LNDS, **Algorithm 1** iterative baseline) become interchangeable
-//! values, and future backends (parallel, sampled, GPU) plug into the
-//! driver without touching it.
+//! values, and future backends plug into the driver without touching it.
 //!
 //! ```
 //! use aod_partition::Partition;
@@ -21,9 +20,22 @@
 //! ```
 
 use crate::oc::OcValidator;
-use crate::sampled::{presample_with_scratch, SampleScratch, SampleVerdict};
 use crate::AocStrategy;
 use aod_partition::Partition;
+
+/// The verdict type of [`OcValidatorBackend::last_sample`].
+///
+/// No backend in this workspace runs a sampling pre-check any more; the
+/// type remains only because the benchmark harness's timing decorator
+/// (`perfbench/src/layers.rs`) names it when forwarding that hook, and
+/// goes when the decorator is next revised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleVerdict {
+    /// A sample alone proved the candidate invalid.
+    ProvenInvalid,
+    /// The sample was inconclusive and the full validator ran.
+    NeedFullValidation,
+}
 
 /// A strategy object validating order-compatibility candidates.
 ///
@@ -69,23 +81,17 @@ pub trait OcValidatorBackend: Send {
     /// threading contract).
     fn fork(&self) -> Box<dyn OcValidatorBackend>;
 
-    /// The sampling pre-check verdict of the most recent
-    /// [`min_removal`](OcValidatorBackend::min_removal) call:
-    /// `Some(ProvenInvalid)` when the sample alone rejected the candidate,
-    /// `Some(NeedFullValidation)` when the full validator had to run after
-    /// the sample passed, `None` when no pre-check ran. The discovery
-    /// engine polls this after every candidate to maintain the per-level
-    /// hit/miss counters. Backends without a pre-check keep the default.
+    /// Always `None`: the discovery engine never calls this. It remains
+    /// only for the benchmark harness's timing decorator
+    /// (`perfbench/src/layers.rs`), which forwards it, and goes when that
+    /// decorator is next revised.
     fn last_sample(&self) -> Option<SampleVerdict> {
         None
     }
 
-    /// Level-barrier feedback from the discovery engine: the *merged*
-    /// sample hit/miss counters of the level that just completed.
-    /// Adaptive backends (the hybrid sampler) retune their configuration
-    /// here — and only here, so within a level the configuration is
-    /// fixed and forks behave identically across thread counts. Default:
-    /// no-op.
+    /// A no-op the discovery engine never calls. It remains only for the
+    /// benchmark harness's timing decorator (`perfbench/src/layers.rs`),
+    /// which forwards it, and goes when that decorator is next revised.
     fn level_feedback(&mut self, hits: usize, misses: usize) {
         let _ = (hits, misses);
     }
@@ -175,121 +181,11 @@ impl OcValidatorBackend for IterativeOcBackend {
     }
 }
 
-/// When a level's sample hit rate (`hits / (hits + misses)`) falls below
-/// this floor, [`HybridOcBackend`] halves its stride: a sample that almost
-/// never rejects is pure overhead at its current coarseness, so it is made
-/// denser (stronger lower bound) until, at stride 1, the pre-check turns
-/// itself off.
-pub const SAMPLE_HIT_RATE_FLOOR: f64 = 0.25;
-
-/// The **hybrid** backend: [`presample`](crate::presample) quick-reject in front of
-/// **Algorithm 2** (the paper's future-work "hybrid sampling" direction).
-///
-/// Every candidate is first validated on a systematic every-`stride`-th-row
-/// sample of its context classes; by the lower-bound lemma the sample can
-/// *soundly* prove dirty candidates invalid in `O((m/stride)·log)` instead
-/// of `O(m log m)`. Candidates that pass the sample get the full optimal
-/// validation, so verdicts — and therefore discovered dependency sets,
-/// events and prune decisions — are bit-identical to
-/// [`OptimalOcBackend`]'s.
-///
-/// The stride adapts **per discovery level**, driven by the engine through
-/// [`level_feedback`](OcValidatorBackend::level_feedback): it starts at the
-/// configured coarseness and halves whenever the level's hit rate drops
-/// below [`SAMPLE_HIT_RATE_FLOOR`], bottoming out at 1 (pre-check
-/// disabled). Adapting only at level barriers — from counters the engine
-/// merges deterministically — keeps the stride schedule, and with it every
-/// counter, identical across thread counts.
-#[derive(Debug)]
-pub struct HybridOcBackend {
-    validator: OcValidator,
-    scratch: SampleScratch,
-    stride: usize,
-    last_sample: Option<SampleVerdict>,
-}
-
-impl HybridOcBackend {
-    /// A hybrid backend starting at the given sample stride (`≥ 1`;
-    /// 1 disables the pre-check and degenerates to plain optimal).
-    pub fn new(stride: usize) -> HybridOcBackend {
-        HybridOcBackend {
-            validator: OcValidator::new(),
-            scratch: SampleScratch::default(),
-            stride: stride.max(1),
-            last_sample: None,
-        }
-    }
-
-    /// The current (possibly adapted) sample stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-}
-
-impl OcValidatorBackend for HybridOcBackend {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn min_removal(
-        &mut self,
-        ctx: &Partition,
-        a_ranks: &[u32],
-        b_ranks: &[u32],
-        limit: usize,
-    ) -> Option<usize> {
-        if self.stride < 2 {
-            // Pre-check disabled: plain Algorithm 2, no counter traffic.
-            self.last_sample = None;
-            return self
-                .validator
-                .min_removal_optimal(ctx, a_ranks, b_ranks, limit);
-        }
-        let verdict = presample_with_scratch(
-            &mut self.validator,
-            ctx,
-            a_ranks,
-            b_ranks,
-            limit,
-            self.stride,
-            &mut self.scratch,
-        );
-        self.last_sample = Some(verdict);
-        match verdict {
-            SampleVerdict::ProvenInvalid => None,
-            SampleVerdict::NeedFullValidation => self
-                .validator
-                .min_removal_optimal(ctx, a_ranks, b_ranks, limit),
-        }
-    }
-
-    fn fork(&self) -> Box<dyn OcValidatorBackend> {
-        // Configuration (the current stride) is inherited; scratch and the
-        // last-sample latch are not.
-        Box::new(HybridOcBackend::new(self.stride))
-    }
-
-    fn last_sample(&self) -> Option<SampleVerdict> {
-        self.last_sample
-    }
-
-    fn level_feedback(&mut self, hits: usize, misses: usize) {
-        let total = hits + misses;
-        if total == 0 || self.stride < 2 {
-            return;
-        }
-        if (hits as f64) / (total as f64) < SAMPLE_HIT_RATE_FLOOR {
-            self.stride /= 2;
-        }
-    }
-}
-
 /// The backend implementing a configured [`AocStrategy`].
 pub fn strategy_backend(strategy: AocStrategy) -> Box<dyn OcValidatorBackend> {
     match strategy {
         AocStrategy::Optimal => Box::new(OptimalOcBackend::default()),
         AocStrategy::Iterative => Box::new(IterativeOcBackend::default()),
-        AocStrategy::Hybrid { stride } => Box::new(HybridOcBackend::new(stride)),
     }
 }
 
@@ -311,14 +207,12 @@ mod tests {
             exact_backend(),
             strategy_backend(AocStrategy::Optimal),
             strategy_backend(AocStrategy::Iterative),
-            strategy_backend(AocStrategy::Hybrid { stride: 4 }),
         ]
     }
 
     #[test]
     fn backends_agree_with_their_validators() {
-        // e(sal ~ tax) = 4/9: exact says no, optimal 4, iterative 5, and
-        // hybrid — being optimal behind a sound pre-check — 4 again.
+        // e(sal ~ tax) = 4/9: exact says no, optimal 4, iterative 5.
         let t = RankedTable::from_table(&employee_table());
         let ctx = Partition::unit(9);
         let (a, b) = (t.column(SAL).ranks(), t.column(TAX).ranks());
@@ -326,100 +220,13 @@ mod tests {
             .iter_mut()
             .map(|v| v.min_removal(&ctx, a, b, usize::MAX))
             .collect();
-        assert_eq!(results, vec![None, Some(4), Some(5), Some(4)]);
+        assert_eq!(results, vec![None, Some(4), Some(5)]);
     }
 
     #[test]
     fn names_are_stable() {
         let names: Vec<&str> = backends().iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["exact", "optimal", "iterative", "hybrid"]);
-    }
-
-    #[test]
-    fn hybrid_matches_optimal_on_all_pairs_and_limits() {
-        let t = RankedTable::from_table(&employee_table());
-        let ctx = Partition::unit(9);
-        for stride in [1usize, 2, 4, 16] {
-            let mut hybrid = HybridOcBackend::new(stride);
-            let mut optimal = OptimalOcBackend::default();
-            for a in 0..t.n_cols() {
-                for b in 0..t.n_cols() {
-                    if a == b {
-                        continue;
-                    }
-                    let (ar, br) = (t.column(a).ranks(), t.column(b).ranks());
-                    for limit in [0usize, 2, 4, usize::MAX] {
-                        assert_eq!(
-                            hybrid.min_removal(&ctx, ar, br, limit),
-                            optimal.min_removal(&ctx, ar, br, limit),
-                            "stride {stride}, pair ({a},{b}), limit {limit}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_latches_the_sample_verdict_per_call() {
-        // Fully anti-correlated pair: every sampled sub-instance of size
-        // ≥ 2 still contains swaps, so the thin sample provably rejects.
-        let n = 10usize;
-        let asc: Vec<u32> = (0..n as u32).collect();
-        let desc: Vec<u32> = (0..n as u32).rev().collect();
-        let ctx = Partition::unit(n);
-        let mut hybrid = HybridOcBackend::new(2);
-        assert_eq!(hybrid.last_sample(), None, "nothing validated yet");
-        assert_eq!(hybrid.min_removal(&ctx, &asc, &desc, 0), None);
-        assert_eq!(hybrid.last_sample(), Some(SampleVerdict::ProvenInvalid));
-        // A clean pair: the sample passes, the full validator confirms.
-        assert_eq!(hybrid.min_removal(&ctx, &asc, &asc, 0), Some(0));
-        assert_eq!(
-            hybrid.last_sample(),
-            Some(SampleVerdict::NeedFullValidation)
-        );
-        // Stride 1 disables the pre-check — no verdict latched.
-        let mut plain = HybridOcBackend::new(1);
-        assert_eq!(plain.min_removal(&ctx, &asc, &desc, 0), None);
-        assert_eq!(plain.last_sample(), None);
-    }
-
-    #[test]
-    fn hybrid_adapts_stride_only_on_poor_hit_rates() {
-        let mut b = HybridOcBackend::new(16);
-        b.level_feedback(0, 0); // empty level: no signal, no change
-        assert_eq!(b.stride(), 16);
-        b.level_feedback(8, 2); // 80% hits: sample is earning its keep
-        assert_eq!(b.stride(), 16);
-        b.level_feedback(1, 9); // 10% hits: halve
-        assert_eq!(b.stride(), 8);
-        b.level_feedback(0, 5);
-        assert_eq!(b.stride(), 4);
-        b.level_feedback(0, 5);
-        assert_eq!(b.stride(), 2);
-        b.level_feedback(0, 5);
-        assert_eq!(b.stride(), 1, "bottoms out at 1 (pre-check off)");
-        b.level_feedback(0, 5);
-        assert_eq!(b.stride(), 1, "never drops below 1");
-    }
-
-    #[test]
-    fn hybrid_forks_inherit_the_adapted_stride() {
-        let t = RankedTable::from_table(&employee_table());
-        let ctx = Partition::unit(9);
-        let (a, b) = (t.column(SAL).ranks(), t.column(TAX).ranks());
-        let mut parent = HybridOcBackend::new(8);
-        parent.level_feedback(0, 10); // adapt: 8 -> 4
-        assert_eq!(parent.stride(), 4);
-        let mut fork = parent.fork();
-        assert_eq!(fork.name(), "hybrid");
-        for limit in [0, 3, usize::MAX] {
-            assert_eq!(
-                fork.min_removal(&ctx, a, b, limit),
-                OcValidatorBackend::min_removal(&mut parent, &ctx, a, b, limit),
-            );
-            assert_eq!(fork.last_sample(), parent.last_sample(), "limit {limit}");
-        }
+        assert_eq!(names, vec!["exact", "optimal", "iterative"]);
     }
 
     #[test]

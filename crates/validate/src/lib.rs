@@ -7,15 +7,10 @@
 //!   exact swap scan, **Algorithm 2** (LNDS-based, minimal and optimal) and
 //!   **Algorithm 1** (the iterative PVLDB'17 baseline, quadratic and
 //!   non-minimal), plus the descending-tie-break variant for canonical ODs.
-//! * [`presample`] / [`HybridOcBackend`] — the **hybrid sampling**
-//!   direction from the paper's future work: a sound every-`stride`-th-row
-//!   quick-reject in front of Algorithm 2 ([`AocStrategy::Hybrid`]),
-//!   answer-identical to the optimal validator but cheaper on dirty
-//!   candidates.
 //! * [`OcValidatorBackend`] — the pluggable strategy-object form of the
 //!   same three validators ([`exact_backend`], [`strategy_backend`]); the
 //!   `aod-core` discovery engine dispatches through this trait, so custom
-//!   (parallel, sampled, …) backends drop in without touching the driver.
+//!   backends drop in without touching the driver.
 //! * [`min_removal_ofd`] and friends — linear approximate OFD validation
 //!   (TANE's `g₃`).
 //! * [`list_od_holds`] / [`list_od_min_removal`] — list-based `X |-> Y`
@@ -50,12 +45,11 @@ mod brute;
 mod oc;
 mod od;
 mod ofd;
-mod sampled;
 mod swap;
 
 pub use backend::{
-    exact_backend, strategy_backend, ExactOcBackend, HybridOcBackend, IterativeOcBackend,
-    OcValidatorBackend, OptimalOcBackend, SAMPLE_HIT_RATE_FLOOR,
+    exact_backend, strategy_backend, ExactOcBackend, IterativeOcBackend, OcValidatorBackend,
+    OptimalOcBackend, SampleVerdict,
 };
 pub use bidirectional::{
     best_direction, bidirectional_oc_holds, is_mixed_swap, min_removal_bidirectional, Direction,
@@ -70,9 +64,6 @@ pub use od::{
     projection_ranks,
 };
 pub use ofd::{exact_ofd_holds, min_removal_ofd, removal_set_ofd};
-pub use sampled::{
-    min_removal_with_presample, presample, presample_with_scratch, SampleScratch, SampleVerdict,
-};
 pub use swap::{
     count_swaps_brute, is_split, is_swap, pack_asc, pack_desc_b, sorted_pairs_swap_free,
 };
@@ -114,10 +105,6 @@ pub fn try_removal_budget(n_rows: usize, epsilon: f64) -> Result<usize, String> 
     Ok(removal_budget(n_rows, epsilon))
 }
 
-/// Default systematic-sample stride for [`AocStrategy::Hybrid`]: every
-/// 8th grouped row enters the pre-check sample.
-pub const DEFAULT_SAMPLE_STRIDE: usize = 8;
-
 /// Which AOC validation algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AocStrategy {
@@ -127,69 +114,30 @@ pub enum AocStrategy {
     /// Algorithm 1 — iterative max-swap removal, `O(n log n + εn²)`,
     /// may overestimate.
     Iterative,
-    /// Algorithm 2 behind a sampling quick-reject (the hybrid direction
-    /// from the paper's future work): a systematic every-`stride`-th-row
-    /// sample is validated first, and — by the lower-bound lemma in
-    /// [`presample`] — can prove dirty candidates invalid at a fraction
-    /// of the cost. Candidates that pass the sample get the full optimal
-    /// validation, so verdicts (and discovered dependency sets) are
-    /// identical to [`AocStrategy::Optimal`].
-    Hybrid {
-        /// Initial sample stride (≥ 1; `1` disables the pre-check). The
-        /// discovery engine adapts it downward level by level when the
-        /// sample stops rejecting (see `HybridOcBackend`).
-        stride: usize,
-    },
 }
 
 impl AocStrategy {
-    /// The hybrid strategy at [`DEFAULT_SAMPLE_STRIDE`].
-    #[must_use]
-    pub fn hybrid() -> AocStrategy {
-        AocStrategy::Hybrid {
-            stride: DEFAULT_SAMPLE_STRIDE,
-        }
-    }
-
-    /// Short stable name ("optimal", "iterative", "hybrid") for logs,
-    /// wire encodings and experiment tables.
+    /// Short stable name ("optimal", "iterative") for logs, wire
+    /// encodings and experiment tables.
     pub fn name(&self) -> &'static str {
         match self {
             AocStrategy::Optimal => "optimal",
             AocStrategy::Iterative => "iterative",
-            AocStrategy::Hybrid { .. } => "hybrid",
         }
     }
 
-    /// The inverse of [`name`](AocStrategy::name): parses a strategy from
-    /// its stable name plus an optional sample stride. This is the one
-    /// shared name→strategy mapping for every validation boundary (CLI
-    /// flags, HTTP job specs), so the accepted set can't drift between
-    /// surfaces.
+    /// The inverse of [`name`](AocStrategy::name). This is the one shared
+    /// name→strategy mapping for every validation boundary (CLI flags,
+    /// HTTP job specs), so the accepted set can't drift between surfaces.
     ///
     /// # Errors
-    /// Unknown names, a stride of 0, and a stride combined with a
-    /// non-hybrid strategy are user-facing errors.
-    pub fn from_name(name: &str, sample_stride: Option<usize>) -> Result<AocStrategy, String> {
-        if sample_stride == Some(0) {
-            return Err("sample stride must be at least 1".to_string());
+    /// An unknown name is a user-facing error.
+    pub fn from_name(name: &str) -> Result<AocStrategy, String> {
+        match name {
+            "optimal" => Ok(AocStrategy::Optimal),
+            "iterative" => Ok(AocStrategy::Iterative),
+            other => Err(format!("unknown strategy `{other}` (optimal|iterative)")),
         }
-        let strategy = match name {
-            "optimal" => AocStrategy::Optimal,
-            "iterative" => AocStrategy::Iterative,
-            "hybrid" => AocStrategy::Hybrid {
-                stride: sample_stride.unwrap_or(DEFAULT_SAMPLE_STRIDE),
-            },
-            other => {
-                return Err(format!(
-                    "unknown strategy `{other}` (optimal|iterative|hybrid)"
-                ))
-            }
-        };
-        if sample_stride.is_some() && !matches!(strategy, AocStrategy::Hybrid { .. }) {
-            return Err("sample stride only applies with the hybrid strategy".to_string());
-        }
-        Ok(strategy)
     }
 }
 
@@ -238,9 +186,6 @@ pub fn validate_aoc(
     let removed = match strategy {
         AocStrategy::Optimal => v.min_removal_optimal(&ctx, ar, br, budget),
         AocStrategy::Iterative => v.min_removal_iterative(&ctx, ar, br, budget),
-        AocStrategy::Hybrid { stride } => {
-            min_removal_with_presample(&mut v, &ctx, ar, br, budget, stride)
-        }
     };
     Outcome {
         removed,
@@ -329,67 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_and_hybrid_default() {
+    fn strategy_from_name_round_trips_and_validates() {
         assert_eq!(AocStrategy::Optimal.name(), "optimal");
         assert_eq!(AocStrategy::Iterative.name(), "iterative");
-        assert_eq!(AocStrategy::hybrid().name(), "hybrid");
-        assert_eq!(
-            AocStrategy::hybrid(),
-            AocStrategy::Hybrid {
-                stride: DEFAULT_SAMPLE_STRIDE
-            }
-        );
-    }
-
-    #[test]
-    fn strategy_from_name_round_trips_and_validates() {
         // Round trip: every strategy parses back from its own name.
-        for s in [
-            AocStrategy::Optimal,
-            AocStrategy::Iterative,
-            AocStrategy::hybrid(),
-        ] {
-            let stride = match s {
-                AocStrategy::Hybrid { stride } => Some(stride),
-                _ => None,
-            };
-            assert_eq!(AocStrategy::from_name(s.name(), stride), Ok(s));
+        for s in [AocStrategy::Optimal, AocStrategy::Iterative] {
+            assert_eq!(AocStrategy::from_name(s.name()), Ok(s));
         }
-        assert_eq!(
-            AocStrategy::from_name("hybrid", None),
-            Ok(AocStrategy::hybrid())
-        );
-        assert_eq!(
-            AocStrategy::from_name("hybrid", Some(16)),
-            Ok(AocStrategy::Hybrid { stride: 16 })
-        );
         // Boundary errors, shared by CLI and HTTP surfaces.
-        assert!(AocStrategy::from_name("fast", None)
-            .unwrap_err()
-            .contains("unknown strategy"));
-        assert!(AocStrategy::from_name("hybrid", Some(0))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(AocStrategy::from_name("optimal", Some(8))
-            .unwrap_err()
-            .contains("only applies"));
-        assert!(AocStrategy::from_name("iterative", Some(8)).is_err());
-    }
-
-    #[test]
-    fn validate_aoc_hybrid_matches_optimal() {
-        let t = RankedTable::from_table(&employee_table());
-        for (eps, stride) in [(0.5, 4), (0.4, 8), (0.0, 2), (0.45, 1)] {
-            let opt = validate_aoc(&t, AttrSet::EMPTY, 2, 5, eps, AocStrategy::Optimal);
-            let hyb = validate_aoc(
-                &t,
-                AttrSet::EMPTY,
-                2,
-                5,
-                eps,
-                AocStrategy::Hybrid { stride },
-            );
-            assert_eq!(opt, hyb, "eps {eps}, stride {stride}");
+        for bad in ["fast", "hybrid"] {
+            assert!(AocStrategy::from_name(bad)
+                .unwrap_err()
+                .contains("unknown strategy"));
         }
     }
 

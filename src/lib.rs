@@ -11,7 +11,7 @@
 //! | [`lis`] | LNDS/LIS (patience), inversion counting |
 //! | [`exec`] | work-stealing scoped thread pool for per-level parallelism |
 //! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |
-//! | [`validate`] | exact + approximate OC/OFD/OD validators (Algorithms 1 & 2, hybrid sampling) |
+//! | [`validate`] | exact + approximate OC/OFD/OD validators (Algorithms 1 & 2) |
 //! | [`core`] | the set-based lattice discovery framework |
 //! | [`tane`] | TANE-style (approximate) FD discovery baseline |
 //! | [`datagen`] | synthetic `flight`/`ncvoter`-shaped workloads |

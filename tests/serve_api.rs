@@ -242,12 +242,14 @@ fn malformed_bodies_are_400s() {
             "within [0, 1]",
         ),
         (
-            r#"{"dataset":"emp","config":{"epsilon":0.1,"strategy":"hybrid","sample_stride":0}}"#,
-            "at least 1",
+            // The removed sampling strategy and its stride fail through
+            // the generic unknown-name errors.
+            r#"{"dataset":"emp","config":{"epsilon":0.1,"strategy":"hybrid"}}"#,
+            "unknown strategy",
         ),
         (
             r#"{"dataset":"emp","config":{"epsilon":0.1,"sample_stride":8}}"#,
-            "only applies",
+            "unknown config field",
         ),
         (
             r#"{"dataset":"emp","config":{"frobnicate":true}}"#,
@@ -380,7 +382,7 @@ fn identical_requests_hit_the_result_cache() {
 }
 
 #[test]
-fn hybrid_jobs_match_optimal_but_never_share_cache_entries() {
+fn optimal_and_iterative_jobs_never_share_cache_entries() {
     let handle = start_server();
     let addr = handle.addr();
     register_employee(addr, "emp");
@@ -389,14 +391,14 @@ fn hybrid_jobs_match_optimal_but_never_share_cache_entries() {
         r#"{"dataset":"emp","config":{"epsilon":0.15,"strategy":"optimal"}}"#,
     );
     wait_done(addr, optimal);
-    let hybrid = submit_job(
+    let iterative = submit_job(
         addr,
-        r#"{"dataset":"emp","config":{"epsilon":0.15,"strategy":"hybrid","sample_stride":4}}"#,
+        r#"{"dataset":"emp","config":{"epsilon":0.15,"strategy":"iterative"}}"#,
     );
-    wait_done(addr, hybrid);
+    wait_done(addr, iterative);
 
-    // The strategy (and stride) is part of the cache key: despite
-    // identical dependency output, the hybrid job executed a fresh run.
+    // The strategy is part of the cache key: the iterative job executed
+    // a fresh run instead of hitting the optimal job's entry.
     let stats = request(addr, "GET", "/stats", None)
         .unwrap()
         .json()
@@ -404,24 +406,11 @@ fn hybrid_jobs_match_optimal_but_never_share_cache_entries() {
     assert_eq!(stats.get("jobs_executed").unwrap().as_u64(), Some(2));
     assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(0));
 
-    // And the dependency payloads agree bit for bit (the hybrid pre-check
-    // is reject-only and sound) — only stats (timings, sampling
-    // counters) may differ between the two results.
-    let deps = |id: u64| {
-        let r = request(addr, "GET", &format!("/jobs/{id}/result"), None).unwrap();
-        assert_eq!(r.status, 200);
-        let v = r.json().unwrap();
-        (
-            v.get("ocs").unwrap().to_json(),
-            v.get("ofds").unwrap().to_json(),
-        )
-    };
-    assert_eq!(deps(optimal), deps(hybrid));
-
-    // Resubmitting the same hybrid spelling *is* a cache hit.
+    // Resubmitting the same iterative config with its keys reordered
+    // *is* a cache hit.
     let again = submit_job(
         addr,
-        r#"{"dataset":"emp","config":{"strategy":"hybrid","sample_stride":4,"epsilon":0.15}}"#,
+        r#"{"dataset":"emp","config":{"strategy":"iterative","epsilon":0.15}}"#,
     );
     wait_done(addr, again);
     let stats = request(addr, "GET", "/stats", None)

@@ -4,8 +4,8 @@
 //!
 //! 1. **Byte-stable exports** — under a [`ManualClock`], the Chrome
 //!    trace-event and NDJSON exports of a traced run are *byte-identical*
-//!    across thread counts and AOC strategies; timing enters only through
-//!    the injected clock, never through wall time.
+//!    across thread counts; timing enters only through the injected
+//!    clock, never through wall time.
 //! 2. **Passive tracing** — attaching a trace sink changes nothing about
 //!    the discovery itself: the event stream, the dependency lists and the
 //!    order-insensitive counters match an untraced run bit for bit.
@@ -39,36 +39,31 @@ fn traced_run(
 }
 
 /// Byte-stable exports: the employee-dataset golden trace is identical
-/// across threads {1, 4} and across the optimal/hybrid strategies (the
-/// hybrid pre-check changes validation internals, never the candidate
-/// loops the batches count).
+/// across threads {1, 4}.
 #[test]
-fn manual_clock_trace_is_byte_identical_across_threads_and_strategies() {
+fn manual_clock_trace_is_byte_identical_across_threads() {
     let ranked = RankedTable::from_table(&employee_table());
     let mut exports = Vec::new();
-    for strategy in [AocStrategy::Optimal, AocStrategy::hybrid()] {
-        for threads in [1usize, 4] {
-            let (spans, result) =
-                traced_run(&ranked, strategy, threads, Arc::new(ManualClock::new()));
-            assert!(!spans.is_empty(), "trace recorded no spans");
-            assert!(result.n_ocs() > 0, "discovery found nothing");
-            exports.push((
-                strategy,
-                threads,
-                chrome_trace(&spans),
-                trace_ndjson(&spans),
-            ));
-        }
+    for threads in [1usize, 4] {
+        let (spans, result) = traced_run(
+            &ranked,
+            AocStrategy::Optimal,
+            threads,
+            Arc::new(ManualClock::new()),
+        );
+        assert!(!spans.is_empty(), "trace recorded no spans");
+        assert!(result.n_ocs() > 0, "discovery found nothing");
+        exports.push((threads, chrome_trace(&spans), trace_ndjson(&spans)));
     }
-    let (_, _, golden_chrome, golden_ndjson) = &exports[0];
-    for (strategy, threads, chrome, ndjson) in &exports {
+    let (_, golden_chrome, golden_ndjson) = &exports[0];
+    for (threads, chrome, ndjson) in &exports {
         assert_eq!(
             chrome, golden_chrome,
-            "chrome export diverged at strategy {strategy:?}, {threads} threads"
+            "chrome export diverged at {threads} threads"
         );
         assert_eq!(
             ndjson, golden_ndjson,
-            "ndjson export diverged at strategy {strategy:?}, {threads} threads"
+            "ndjson export diverged at {threads} threads"
         );
     }
 }
