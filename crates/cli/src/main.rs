@@ -59,10 +59,11 @@ OPTIONS:
   --strategy S      AOC validator: optimal (Algorithm 2, default) or
                     iterative (Algorithm 1)
   --iterative       shorthand for --strategy iterative
-  --max-level N     cap the lattice level
+  --max-level N     cap the lattice level (at least 1)
   --timeout S       wall-clock budget in seconds (partial results after)
   --top K           print only the K most interesting dependencies
-  --top-k K         stop discovery as soon as K OCs are found (early exit)
+  --top-k K         stop discovery once K OCs are found (early exit after
+                    the lattice level holding the K-th)
   --threads N       worker threads for parallel validation (0 = all cores,
                     default 1; results are identical for any N)
   --columns C1,...  discover only over these columns
@@ -173,6 +174,9 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
     };
     builder = builder.strategy(strategy);
     if let Some(level) = args.int("max-level")? {
+        if level == 0 {
+            return Err("--max-level must be at least 1".into());
+        }
         builder = builder.max_level(level);
     }
     if let Some(secs) = args.int("timeout")? {
@@ -223,7 +227,7 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
             .event_sink(metrics.as_sink())
             .queue_depth_gauge(registry.gauge(
                 "aod_exec_queue_depth",
-                "Work items remaining in the current parallel batch.",
+                "Work items remaining in the executor's current batch.",
                 &[],
             ));
         run_with_progress(builder.build(&ranked), &metrics, &clock)

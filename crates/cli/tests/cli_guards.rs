@@ -64,6 +64,7 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
             &["--sample-stride", "8"][..],
             "unknown option `--sample-stride`",
         ),
+        (&["--max-level", "0"][..], "must be at least 1"),
     ] {
         let out = aod(&[&["discover", sample_csv()], extra].concat());
         assert!(!out.status.success(), "{extra:?} must fail");
@@ -104,8 +105,21 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
 fn optimal_discovery_runs_from_the_cli() {
     // Scope to a handful of columns so the debug-profile run stays fast.
     const SCOPE: &[&str] = &["--columns", "year,month,dayOfWeek,flightNum,arrDelay"];
-    let optimal = aod(&[&["discover", sample_csv(), "--epsilon", "0.1"], SCOPE].concat());
+    const RUN: &[&str] = &["--epsilon", "0.1", "--ofds"];
+    let optimal = aod(&[&["discover", sample_csv()], RUN, SCOPE].concat());
     assert!(optimal.status.success(), "{optimal:?}");
     let out = String::from_utf8_lossy(&optimal.stdout).into_owned();
     assert!(out.contains("order compatibilities"), "{out}");
+
+    // A thread count far beyond the work runs at most one worker per work
+    // item: no per-thread allocation, no overflow, the same dependencies.
+    const WIDE: &[&str] = &["--threads", "18446744073709551615"];
+    let wide = aod(&[&["discover", sample_csv()], WIDE, RUN, SCOPE].concat());
+    assert!(wide.status.success(), "{wide:?}");
+    let wide_out = String::from_utf8_lossy(&wide.stdout).into_owned();
+    let deps = |out: &str| {
+        out.split_once("order compatibilities")
+            .map(|(_, listing)| listing.to_string())
+    };
+    assert_eq!(deps(&wide_out), deps(&out));
 }

@@ -136,7 +136,13 @@ impl DiscoveryBuilder {
     }
 
     /// Aborts gracefully (partial results, flagged `timed_out`) once the
-    /// run exceeds this wall-clock budget.
+    /// run has used this budget. The budget runs on the session clock —
+    /// the [`trace_sink`](DiscoveryBuilder::trace_sink)'s clock when one is
+    /// attached, else a monotonic clock started at
+    /// [`build`](DiscoveryBuilder::build) — from the end of level-1
+    /// seeding, and is checked before each lattice node: the run stops at
+    /// the first check whose elapsed time is at least the budget, so a
+    /// zero budget validates nothing and [`Duration::MAX`] never fires.
     pub fn timeout(mut self, timeout: Duration) -> DiscoveryBuilder {
         self.timeout = Some(timeout);
         self
@@ -177,12 +183,14 @@ impl DiscoveryBuilder {
         self
     }
 
-    /// Worker threads for per-level parallel validation: `1` (the
-    /// default) runs the classic sequential driver, `0` resolves to one
-    /// worker per available core, `n > 1` spawns `n` workers per lattice
-    /// level. Any setting yields **bit-identical** events, dependency
-    /// lists and statistics counters — see the determinism contract on
-    /// [`DiscoverySession`] — so this is purely a wall-clock knob.
+    /// Worker threads per lattice level: `1` (the default) evaluates the
+    /// level's nodes in order on the calling thread, `0` resolves to one
+    /// worker per available core, `n > 1` runs up to `n` workers (never
+    /// more than the level has nodes or products). Every setting runs
+    /// the same per-node evaluation and node-order merge, so all yield
+    /// **bit-identical** events, dependency lists and statistics counters
+    /// — see the determinism contract on [`DiscoverySession`] — and this
+    /// is purely a wall-clock knob.
     pub fn parallelism(mut self, threads: usize) -> DiscoveryBuilder {
         self.parallelism = threads;
         self
@@ -201,8 +209,8 @@ impl DiscoveryBuilder {
     }
 
     /// Attaches a gauge tracking the executor's outstanding per-level work
-    /// items (queue depth). Only parallel runs
-    /// ([`parallelism`](DiscoveryBuilder::parallelism) ≠ 1) update it.
+    /// items (queue depth): each level's node batch and product batch
+    /// fill it and drain it to zero, at every thread count.
     pub fn queue_depth_gauge(mut self, gauge: aod_obs::Gauge) -> DiscoveryBuilder {
         self.queue_gauge = Some(gauge);
         self

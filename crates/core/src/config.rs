@@ -103,17 +103,20 @@ pub struct DiscoveryConfig {
     /// cut in Figure 5.
     pub max_level: Option<usize>,
     /// Abort (gracefully, returning partial results flagged `timed_out`)
-    /// once the run exceeds this wall-clock budget — the experiments use it
-    /// to emulate the paper's 24-hour cap on the iterative baseline.
+    /// once the run has used this budget on the session clock (see
+    /// [`DiscoveryBuilder::timeout`](crate::DiscoveryBuilder::timeout)) —
+    /// the experiments use it to emulate the paper's 24-hour cap on the
+    /// iterative baseline.
     pub timeout: Option<Duration>,
     /// Pruning-rule toggles (all on by default).
     pub prune: PruneConfig,
-    /// Worker threads for per-level parallel validation: `1` (the
-    /// default) runs the classic sequential driver, `0` resolves to
-    /// [`std::thread::available_parallelism`], `n > 1` spawns `n` workers
-    /// per level. Results are bit-identical across all settings — see the
-    /// determinism contract on
-    /// [`DiscoverySession`](crate::DiscoverySession).
+    /// Worker threads per lattice level: `1` (the default) evaluates the
+    /// level's nodes in order on the calling thread, `0` resolves to
+    /// [`std::thread::available_parallelism`], `n > 1` runs up to `n`
+    /// workers (never more than a level has work items). Every setting
+    /// runs the same per-node evaluation and node-order merge, so results
+    /// are bit-identical across all settings — see the determinism
+    /// contract on [`DiscoverySession`](crate::DiscoverySession).
     pub threads: usize,
 }
 
@@ -229,7 +232,7 @@ mod tests {
         assert_eq!(d.max_level, None);
         assert_eq!(d.timeout, None);
         assert_eq!(d.prune, PruneConfig::default());
-        assert_eq!(d.threads, 1, "sequential unless asked otherwise");
+        assert_eq!(d.threads, 1, "one worker unless asked otherwise");
     }
 
     #[test]

@@ -193,6 +193,8 @@ mod tests {
         let cfg = DiscoveryConfig::exact().with_timeout(std::time::Duration::ZERO);
         let result = discover(&t, &cfg);
         assert!(result.stats.timed_out);
+        // A zero budget is spent before the first node: nothing validated.
+        assert_eq!(result.ocs.len() + result.ofds.len(), 0);
     }
 
     #[test]

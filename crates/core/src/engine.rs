@@ -19,24 +19,39 @@
 //!
 //! ## Threading and determinism contract
 //!
-//! With [`DiscoveryBuilder::parallelism`](crate::DiscoveryBuilder::parallelism)
-//! `> 1` (or `0` = one worker per core) each lattice level's nodes are
-//! validated concurrently on an [`aod_exec::Executor`]: the engine
-//! freezes the partition cache into an `Arc`-shared read view, forks the
-//! [`OcValidatorBackend`] once per worker, and lets the workers claim
-//! nodes from work-stealing deques. Per-node results are then **merged at
-//! the level barrier in node order**, replaying found-dependency
-//! recordings, pruning facts and events exactly as the sequential driver
-//! would have produced them. The guarantee: for every configuration the
-//! event stream, the dependency lists (including `f64` factors and
-//! coverage), and all order-insensitive statistics counters are
-//! **bit-identical** across thread counts — only the `Duration` phase
-//! timers (which sum per-worker CPU time) and
-//! [`DiscoveryStats::threads_used`] differ. Early stops keep the same
-//! shape: `top_k` truncates the merge at exactly the candidate the
-//! sequential run would have stopped at, and cancellation/timeout drop a
-//! suffix of nodes at the interruption point (their timing is inherently
-//! racy in both modes).
+//! Every session owns an [`aod_exec::Executor`] with
+//! [`DiscoveryBuilder::parallelism`](crate::DiscoveryBuilder::parallelism)
+//! workers (`0` = one per core), and every level runs the same two steps
+//! on it, whatever the worker count. First the engine freezes the
+//! partition cache into an `Arc`-shared read view, forks the
+//! [`OcValidatorBackend`] once per worker the level runs, and evaluates
+//! each node against the frozen state: one worker walks the nodes in
+//! order on the calling thread, more workers claim them from
+//! work-stealing deques. Then it **merges the per-node results in node
+//! order at the level barrier**, replaying found-dependency recordings,
+//! pruning facts and events. Results enter the session only through that
+//! merge, so for every configuration the event stream, the dependency
+//! lists (including `f64` factors and coverage) and all statistics
+//! counters are **bit-identical** across thread counts. Only the
+//! `Duration` timers (which sum per-worker time) and
+//! [`DiscoveryStats::threads_used`] differ, and under a
+//! [`ManualClock`](aod_obs::ManualClock) the timers agree as well.
+//!
+//! Early stops keep the same shape at every thread count. `top_k` cuts the
+//! merge at the candidate that reaches `k`, once the level holding it has
+//! been evaluated in full. Cancellation and timeout are checked before
+//! each node and drop the interrupted node and every node after it (their
+//! timing is inherently racy). A cancel fired from an [`EventSink`]
+//! callback runs during the merge, so it lands at the next level's first
+//! check.
+//!
+//! ## One clock
+//!
+//! A session reads time from one [`Clock`]: the attached
+//! [`TraceSink`]'s, or else a [`MonotonicClock`] made when the session is
+//! built. The [`DiscoveryStats`] timers, the [`EventSink::on_phase`]
+//! micros, the trace spans and the timeout all come from its readings, in
+//! whole microseconds.
 //!
 //! ```
 //! use aod_core::{DiscoveryBuilder, DiscoveryEvent};
@@ -54,10 +69,10 @@
 //! assert_eq!(session.into_result().n_ocs(), found);
 //! ```
 
-use crate::candidates::{oc_candidates, ofd_candidates};
+use crate::candidates::OcCandidate;
 use crate::config::{DiscoveryConfig, Mode};
 use crate::dep::{OcDep, OfdDep};
-use crate::frontier::{Frontier, Node};
+use crate::frontier::Frontier;
 use crate::parallel::{eval_node, stop_check, LevelCtx, NodeEval, NodeResult, OcEval};
 use crate::prune_state::{PruneRule, PruneState};
 use crate::result::DiscoveryResult;
@@ -65,13 +80,14 @@ use crate::sink::{EventSink, Phase};
 use crate::stats::{DiscoveryStats, LevelStats};
 use aod_exec::Executor;
 use aod_obs::trace::{span_id, Span, TraceSink};
+use aod_obs::{Clock, MonotonicClock};
 use aod_partition::{AttrSet, PartitionCache, MAX_ATTRS};
 use aod_table::RankedTable;
-use aod_validate::{min_removal_ofd, removal_budget, OcValidatorBackend};
+use aod_validate::{removal_budget, OcValidatorBackend};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// A cloneable handle that cancels a running [`DiscoverySession`].
 ///
@@ -181,23 +197,23 @@ pub(crate) struct SessionOptions {
     pub top_k: Option<usize>,
     /// Shared cancellation handle.
     pub cancel: CancelToken,
-    /// The OC validation backend.
+    /// The OC validation backend: the template the engine forks once per
+    /// worker per level.
     pub backend: Box<dyn OcValidatorBackend>,
     /// Whether events are buffered (one-shot runs disable this).
     pub record_events: bool,
     /// Observability tap; `None` keeps the hot path to a single branch.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Queue-depth gauge handed to the executor (parallel runs only).
+    /// Queue-depth gauge handed to the executor.
     pub queue_gauge: Option<aod_obs::Gauge>,
     /// Span-trace sink; `None` keeps every tracing site to a single branch.
     pub trace: Option<Arc<TraceSink>>,
 }
 
-/// Per-node trace timings collected on the driving thread while a level
-/// runs, then laid out as candidate-batch spans at the level barrier.
-/// Entries exist only for **fully processed** nodes (an interruption cut
-/// skips the cut node in both drivers), keeping the recorded spans
-/// identical across thread counts.
+/// Per-node timings collected by the merge while a level runs, then laid
+/// out as candidate-batch spans at the level barrier. Entries exist only
+/// for **fully merged** nodes (an interruption or top-k cut skips the cut
+/// node), like the stats timers they mirror.
 struct NodeTrace {
     node: usize,
     ofd_us: u64,
@@ -226,9 +242,10 @@ pub struct DiscoverySession<'t> {
     cache: PartitionCache,
     frontier: Frontier,
     prune: PruneState,
-    /// `Some` when the resolved thread count exceeds 1 — per-level node
-    /// validation and partition products then run on the executor.
-    executor: Option<Executor>,
+    /// Runs each level's node evaluation and partition products.
+    executor: Executor,
+    /// The session's only time source (see "One clock" above).
+    clock: Arc<dyn Clock>,
     stats: DiscoveryStats,
     ocs: Vec<OcDep>,
     ofds: Vec<OfdDep>,
@@ -236,13 +253,13 @@ pub struct DiscoverySession<'t> {
     record_events: bool,
     sink: Option<Arc<dyn EventSink>>,
     trace: Option<Arc<TraceSink>>,
-    /// Trace-clock reading at session construction (job span start).
-    trace_started_us: u64,
+    /// Clock reading once level 1 is seeded: the origin of `total` and the
+    /// timeout, and the job span's start.
+    started_us: u64,
     /// Latest span end recorded so far; the job span must enclose it.
     trace_end_us: u64,
     /// Per-node timings of the level in flight (cleared each step).
     level_trace: Vec<NodeTrace>,
-    start: Instant,
     finished: Option<StopReason>,
 }
 
@@ -274,17 +291,19 @@ impl<'t> DiscoverySession<'t> {
         };
         let mut cache = PartitionCache::new();
         let frontier = Frontier::seed(table, scope, &mut cache);
-        let mut exec = Executor::new(config.threads);
+        let mut executor = Executor::new(config.threads);
         if let Some(gauge) = options.queue_gauge {
-            exec = exec.with_queue_gauge(gauge);
+            executor = executor.with_queue_gauge(gauge);
         }
         if let Some(trace) = &options.trace {
-            exec = exec.with_trace(Arc::clone(trace));
+            executor = executor.with_trace(Arc::clone(trace));
         }
-        let threads_used = exec.threads();
-        let executor = (threads_used > 1).then_some(exec);
+        let clock: Arc<dyn Clock> = match &options.trace {
+            Some(trace) => Arc::clone(trace.clock()),
+            None => Arc::new(MonotonicClock::new()),
+        };
         let stats = DiscoveryStats {
-            threads_used,
+            threads_used: executor.threads(),
             ..DiscoveryStats::default()
         };
         DiscoverySession {
@@ -300,17 +319,17 @@ impl<'t> DiscoverySession<'t> {
             frontier,
             prune: PruneState::new(n_attrs, n_rows),
             executor,
+            started_us: clock.now_us(),
+            clock,
             stats,
             ocs: Vec::new(),
             ofds: Vec::new(),
             events: VecDeque::new(),
             record_events: options.record_events,
-            trace_started_us: options.trace.as_ref().map_or(0, |t| t.now_us()),
             trace_end_us: 0,
             level_trace: Vec::new(),
             trace: options.trace,
             sink: options.sink,
-            start: Instant::now(),
             finished: None,
         }
     }
@@ -379,7 +398,7 @@ impl<'t> DiscoverySession<'t> {
         if let Some(sink) = &self.sink {
             sink.on_level_start(level, n_nodes);
         }
-        let trace_level_start = self.trace.as_ref().map(|t| t.now_us());
+        let level_start = self.clock.now_us();
         self.level_trace.clear();
         // Baseline for per-phase deltas: the cumulative phase timers grow
         // monotonically, so this level's share is (after − before).
@@ -388,10 +407,7 @@ impl<'t> DiscoverySession<'t> {
             self.stats.ofd_validation,
             self.stats.partitioning,
         ];
-        let stop = match self.executor.clone() {
-            Some(exec) => self.process_level_parallel(level, &exec),
-            None => self.process_level_sequential(level),
-        };
+        let stop = self.process_level(level);
 
         let mut outcome = LevelOutcome {
             level,
@@ -400,7 +416,7 @@ impl<'t> DiscoverySession<'t> {
             stop: None,
         };
 
-        let mut partition_trace_us = 0u64;
+        let mut partition_us = 0u64;
         match stop {
             Some(reason) => {
                 match reason {
@@ -416,18 +432,18 @@ impl<'t> DiscoverySession<'t> {
                 if self.config.max_level.is_some_and(|m| level >= m) {
                     self.finish(StopReason::MaxLevel);
                 } else {
-                    let trace_part_t0 = self.trace.as_ref().map(|t| t.now_us());
+                    // One bracket feeds both the stats timer and the span.
+                    let t0 = self.clock.now_us();
                     self.frontier.advance(
                         &self.config.prune,
                         &self.prune,
                         self.scope,
                         &mut self.cache,
                         &mut self.stats,
-                        self.executor.as_ref(),
+                        &self.executor,
                     );
-                    if let (Some(trace), Some(t0)) = (&self.trace, trace_part_t0) {
-                        partition_trace_us = trace.now_us().saturating_sub(t0);
-                    }
+                    partition_us = self.clock.now_us().saturating_sub(t0);
+                    self.stats.partitioning += Duration::from_micros(partition_us);
                     if self.frontier.is_empty() {
                         self.finish(StopReason::Exhausted);
                     }
@@ -451,8 +467,8 @@ impl<'t> DiscoverySession<'t> {
                 );
             }
         }
-        if let (Some(trace), Some(level_start)) = (self.trace.clone(), trace_level_start) {
-            self.record_level_trace(&trace, level, level_start, n_nodes, partition_trace_us);
+        if let Some(trace) = self.trace.clone() {
+            self.record_level_trace(&trace, level, level_start, n_nodes, partition_us);
         }
         if self.finished.is_some() {
             // The session finished during this step (it was unfinished on
@@ -463,89 +479,20 @@ impl<'t> DiscoverySession<'t> {
         if outcome.completed {
             self.emit(DiscoveryEvent::LevelComplete(outcome.clone()));
         }
-        self.stats.total = self.start.elapsed();
+        self.stats.total = self.elapsed();
         Some(outcome)
     }
 
-    /// The sequential per-level driver: validate every node's candidates
-    /// in deterministic order, stopping at the first cancel/timeout/top-k
-    /// trigger.
-    fn process_level_sequential(&mut self, level: usize) -> Option<StopReason> {
-        let mut stop: Option<StopReason> = None;
-        'nodes: for idx in 0..self.frontier.nodes.len() {
-            if self.cancel.is_cancelled() {
-                stop = Some(StopReason::Cancelled);
-                break;
-            }
-            if let Some(t) = self.config.timeout {
-                if self.start.elapsed() > t {
-                    stop = Some(StopReason::TimedOut);
-                    break;
-                }
-            }
-            let set = self.frontier.nodes[idx].set;
-            let trace_t0 = self.trace.as_ref().map(|t| t.now_us());
-            let (mut n_ofd, mut n_oc) = (0usize, 0usize);
-
-            // --- OFD candidates: X\{A}: [] |-> A for A in X ∩ Cc+(X) ---
-            for a in ofd_candidates(&self.frontier.nodes[idx]) {
-                n_ofd += 1;
-                if self.validate_ofd(level, set, a) {
-                    // TANE pruning: Cc+(X) := (Cc+(X) ∩ X) \ {A}.
-                    let node = &mut self.frontier.nodes[idx];
-                    node.rhs = node.rhs.intersect(set).without(a);
-                }
-            }
-            let trace_t1 = self.trace.as_ref().map(|t| t.now_us());
-
-            // --- OC candidates: X\{A,B}: A ~ B for pairs {A,B} ⊆ X ---
-            if level >= 2 {
-                for cand in oc_candidates(set) {
-                    n_oc += 1;
-                    self.validate_oc(level, cand);
-                    if self.top_k.is_some_and(|k| self.ocs.len() >= k) {
-                        // The cut node gets no trace entry — the parallel
-                        // merge cuts before its entry too, keeping the
-                        // recorded spans thread-count identical.
-                        stop = Some(StopReason::TopK);
-                        break 'nodes;
-                    }
-                }
-            }
-            let trace_t2 = self.trace.as_ref().map(|t| t.now_us());
-
-            // Record key-ness for R4 lookups and deadness checks.
-            if self
-                .cache
-                .get(set)
-                .expect("node partition is cached")
-                .is_key()
-            {
-                self.prune.record_key(set);
-            }
-
-            if let (Some(t0), Some(t1), Some(t2)) = (trace_t0, trace_t1, trace_t2) {
-                self.level_trace.push(NodeTrace {
-                    node: idx,
-                    ofd_us: t1.saturating_sub(t0),
-                    oc_us: t2.saturating_sub(t1),
-                    n_ofd,
-                    n_oc,
-                });
-            }
-        }
-        stop
+    /// Session-clock time since the session was built.
+    fn elapsed(&self) -> Duration {
+        Duration::from_micros(self.clock.now_us().saturating_sub(self.started_us))
     }
 
-    /// The parallel per-level driver: freeze the cache, fan the nodes out
-    /// to forked backends on the executor, then merge the per-node
-    /// verdicts in node order — bit-identical to the sequential path (see
-    /// the module-level determinism contract).
-    fn process_level_parallel(&mut self, level: usize, exec: &Executor) -> Option<StopReason> {
+    /// Runs one level: freeze the cache, evaluate every node on the
+    /// executor with a backend forked per worker, then merge the per-node
+    /// results in node order (see the module-level determinism contract).
+    fn process_level(&mut self, level: usize) -> Option<StopReason> {
         let view = self.cache.freeze();
-        let nodes: Vec<Node> = self.frontier.nodes.clone();
-        let backends: Vec<Box<dyn OcValidatorBackend>> =
-            (0..exec.threads()).map(|_| self.backend.fork()).collect();
         let lctx = LevelCtx {
             table: self.table,
             view: &view,
@@ -557,51 +504,38 @@ impl<'t> DiscoverySession<'t> {
             level,
             cancel: &self.cancel,
             timeout: self.config.timeout,
-            start: self.start,
-            clock: self.trace.as_ref().map(|t| t.clock().as_ref()),
+            clock: self.clock.as_ref(),
+            started_us: self.started_us,
         };
-        let results = exec.par_map_with_state(backends, &nodes, |backend, _idx, node| {
-            // Same per-node stop checks as the sequential driver; an
-            // interrupted node (and, after the merge cut, everything
-            // beyond it) counts as unprocessed.
-            match stop_check(&lctx) {
-                Some(reason) => NodeResult::Interrupted(reason),
-                None => NodeResult::Done(eval_node(&lctx, node, backend.as_mut())),
-            }
-        });
+        let template = &self.backend;
+        let results = self.executor.par_map_with_state(
+            || template.fork(),
+            &self.frontier.nodes,
+            |backend, _idx, node| {
+                // An interrupted node (and, after the merge cut,
+                // everything beyond it) counts as unprocessed.
+                match stop_check(&lctx) {
+                    Some(reason) => NodeResult::Interrupted(reason),
+                    None => NodeResult::Done(eval_node(&lctx, node, backend.as_mut())),
+                }
+            },
+        );
         drop(view);
-        self.merge_level(level, &nodes, results)
+        self.merge_level(level, results)
     }
 
     /// Replays per-node evaluations in node order: pushes found
     /// dependencies and events, applies TANE `Cc⁺` shrinking, records
-    /// pruning facts, and enforces the top-k / interruption cut exactly
-    /// where the sequential driver would have stopped.
-    fn merge_level(
-        &mut self,
-        level: usize,
-        nodes: &[Node],
-        results: Vec<NodeResult>,
-    ) -> Option<StopReason> {
-        let mut stop: Option<StopReason> = None;
-        'nodes: for (idx, result) in results.into_iter().enumerate() {
+    /// pruning facts and node timings, and stops at the first interrupted
+    /// node or at the candidate that reaches `top_k`.
+    fn merge_level(&mut self, level: usize, results: Vec<NodeResult>) -> Option<StopReason> {
+        for (idx, result) in results.into_iter().enumerate() {
             let eval: NodeEval = match result {
-                NodeResult::Interrupted(reason) => {
-                    stop = Some(reason);
-                    break;
-                }
+                NodeResult::Interrupted(reason) => return Some(reason),
                 NodeResult::Done(eval) => eval,
             };
-            let set = nodes[idx].set;
-            self.stats.ofd_validation += eval.ofd_time;
-            self.stats.oc_validation += eval.oc_time;
-            let node_trace = self.trace.is_some().then_some(NodeTrace {
-                node: idx,
-                ofd_us: eval.ofd_clock_us,
-                oc_us: eval.oc_clock_us,
-                n_ofd: eval.ofds.len(),
-                n_oc: eval.ocs.len(),
-            });
+            let set = self.frontier.nodes[idx].set;
+            let (n_ofd, n_oc) = (eval.ofds.len(), eval.ocs.len());
 
             for ofd in eval.ofds {
                 self.stats.level_mut(level).n_ofd_candidates += 1;
@@ -648,8 +582,7 @@ impl<'t> DiscoverySession<'t> {
                         self.ocs.push(dep);
                         self.prune.record_oc(cand.a, cand.b, cand.context);
                         if self.top_k.is_some_and(|k| self.ocs.len() >= k) {
-                            stop = Some(StopReason::TopK);
-                            break 'nodes;
+                            return Some(StopReason::TopK);
                         }
                     }
                 }
@@ -659,25 +592,36 @@ impl<'t> DiscoverySession<'t> {
                 self.prune.record_key(set);
             }
 
-            // Reached only for fully merged nodes: the top-k cut above
-            // breaks first, mirroring the sequential driver's skipped
-            // trace entry for the cut node.
-            if let Some(entry) = node_trace {
-                self.level_trace.push(entry);
+            // Reached only for fully merged nodes: the cut node above
+            // returns first, so its time counts neither in the stats nor
+            // in the trace.
+            self.stats.ofd_validation += Duration::from_micros(eval.ofd_us);
+            self.stats.oc_validation += Duration::from_micros(eval.oc_us);
+            if self.trace.is_some() {
+                self.level_trace.push(NodeTrace {
+                    node: idx,
+                    ofd_us: eval.ofd_us,
+                    oc_us: eval.oc_us,
+                    n_ofd,
+                    n_oc,
+                });
             }
         }
-        stop
+        None
     }
 
     /// Lays out this level's spans at the level barrier, from the
-    /// [`NodeTrace`] entries both drivers collect identically.
+    /// [`NodeTrace`] entries the merge collected.
     ///
     /// Layout is the *sequential attribution view*: phase spans sit
     /// end-to-end from the level start in [`Phase::ALL`] order, each
-    /// phase's candidate-batch spans sit end-to-end within it, and every
-    /// parent's end is pushed to `max(own bracket, children)` — so
-    /// child-within-parent nesting holds by construction under any clock,
-    /// even when parallel per-node CPU sums exceed the level's wall time.
+    /// phase's candidate-batch spans sit at their node's offset within it,
+    /// and every parent's end is pushed to `max(own bracket, children)` —
+    /// so child-within-parent nesting holds by construction under any
+    /// clock, even when per-node time summed over workers exceeds the
+    /// level's wall time. A phase lasts the sum of its nodes' times (nodes
+    /// without candidates get no batch span but keep their share), which
+    /// is exactly the level's share of the matching stats timer.
     /// Recording order is parent-first and fully deterministic.
     fn record_level_trace(
         &mut self,
@@ -704,6 +648,8 @@ impl<'t> DiscoverySession<'t> {
                         } else {
                             (entry.ofd_us, entry.n_ofd)
                         };
+                        let start_us = phase_start + phase_us;
+                        phase_us += us;
                         if candidates == 0 {
                             continue;
                         }
@@ -713,14 +659,13 @@ impl<'t> DiscoverySession<'t> {
                             name: "candidates",
                             cat: "batch",
                             tid: 0,
-                            start_us: phase_start + phase_us,
+                            start_us,
                             dur_us: us,
                             args: vec![
                                 ("node", entry.node as u64),
                                 ("candidates", candidates as u64),
                             ],
                         });
-                        phase_us += us;
                     }
                 }
                 Phase::Partitioning => phase_us = partition_us,
@@ -768,8 +713,8 @@ impl<'t> DiscoverySession<'t> {
             name: "discover",
             cat: "job",
             tid: 0,
-            start_us: self.trace_started_us,
-            dur_us: end.saturating_sub(self.trace_started_us),
+            start_us: self.started_us,
+            dur_us: end.saturating_sub(self.started_us),
             args: vec![
                 ("ocs", self.ocs.len() as u64),
                 ("ofds", self.ofds.len() as u64),
@@ -777,97 +722,7 @@ impl<'t> DiscoverySession<'t> {
         });
     }
 
-    /// Validates one OFD candidate; returns `true` when it holds (the
-    /// caller then applies TANE's `Cc⁺` shrinking).
-    fn validate_ofd(&mut self, level: usize, set: AttrSet, a: usize) -> bool {
-        let ctx_set = set.without(a);
-        self.stats.level_mut(level).n_ofd_candidates += 1;
-        let col = self.table.column(a);
-        let t0 = Instant::now();
-        let ctx = self.cache.get(ctx_set).expect("parent partition is cached");
-        let removed = match self.config.mode {
-            Mode::Exact => {
-                // FD X\{A} -> A holds iff |Π_{X\{A}}| == |Π_X|
-                // (class-count check; both partitions are cached).
-                let node_part = self.cache.get(set).expect("node partition is cached");
-                (ctx.n_classes_unstripped() == node_part.n_classes_unstripped()).then_some(0)
-            }
-            Mode::Approximate { .. } => {
-                min_removal_ofd(ctx, col.ranks(), col.n_distinct(), self.budget)
-            }
-        };
-        let coverage = ctx.n_grouped_rows() as f64 / self.coverage_denominator;
-        self.stats.ofd_validation += t0.elapsed();
-        let Some(removed) = removed else {
-            return false;
-        };
-        self.stats.level_mut(level).n_ofd_found += 1;
-        let dep = OfdDep {
-            context: ctx_set,
-            rhs: a,
-            removed,
-            factor: removed as f64 / self.coverage_denominator,
-            level,
-            coverage,
-        };
-        if self.observing() {
-            self.emit(DiscoveryEvent::OfdFound(dep.clone()));
-        }
-        self.ofds.push(dep);
-        self.prune.record_constant(a, ctx_set);
-        true
-    }
-
-    /// Validates (or prunes) one OC candidate.
-    fn validate_oc(&mut self, level: usize, cand: crate::candidates::OcCandidate) {
-        let (a, b, ctx_set) = (cand.a, cand.b, cand.context);
-        // R2: implied by an OC found in a sub-context.
-        if self.config.prune.r2_context_implication && self.prune.oc_implied(a, b, ctx_set) {
-            self.prune_event(level, cand, PruneRule::ContextImplication);
-            return;
-        }
-        // R3: implied by a constant attribute.
-        if self.config.prune.r3_constancy_implication && self.prune.constancy_implied(a, b, ctx_set)
-        {
-            self.prune_event(level, cand, PruneRule::ConstancyImplication);
-            return;
-        }
-        let ctx = self
-            .cache
-            .get(ctx_set)
-            .expect("context partition is cached");
-        // R4: keyed context — trivially holds.
-        if self.config.prune.r4_key_pruning && ctx.is_key() {
-            self.prune_event(level, cand, PruneRule::KeyPruning);
-            return;
-        }
-        self.stats.level_mut(level).n_oc_candidates += 1;
-        let (ar, br) = (self.table.column(a).ranks(), self.table.column(b).ranks());
-        let t0 = Instant::now();
-        let removed = self.backend.min_removal(ctx, ar, br, self.budget);
-        let coverage = ctx.n_grouped_rows() as f64 / self.coverage_denominator;
-        self.stats.oc_validation += t0.elapsed();
-        let Some(removed) = removed else {
-            return;
-        };
-        self.stats.level_mut(level).n_oc_found += 1;
-        let dep = OcDep {
-            context: ctx_set,
-            a,
-            b,
-            removed,
-            factor: removed as f64 / self.coverage_denominator,
-            level,
-            coverage,
-        };
-        if self.observing() {
-            self.emit(DiscoveryEvent::OcFound(dep.clone()));
-        }
-        self.ocs.push(dep);
-        self.prune.record_oc(a, b, ctx_set);
-    }
-
-    fn prune_event(&mut self, level: usize, cand: crate::candidates::OcCandidate, rule: PruneRule) {
+    fn prune_event(&mut self, level: usize, cand: OcCandidate, rule: PruneRule) {
         self.stats.level_mut(level).n_oc_pruned += 1;
         self.emit(DiscoveryEvent::Pruned {
             level,
@@ -900,7 +755,7 @@ impl<'t> DiscoverySession<'t> {
             StopReason::Cancelled | StopReason::TopK => self.stats.stopped_early = true,
             StopReason::Exhausted | StopReason::MaxLevel => {}
         }
-        self.stats.total = self.start.elapsed();
+        self.stats.total = self.elapsed();
         if let Some(sink) = &self.sink {
             sink.on_finish(&self.stats);
         }
@@ -920,7 +775,7 @@ impl<'t> DiscoverySession<'t> {
     pub fn result(&self) -> DiscoveryResult {
         let mut stats = self.stats.clone();
         if self.finished.is_none() {
-            stats.total = self.start.elapsed();
+            stats.total = self.elapsed();
         }
         DiscoveryResult {
             ocs: self.ocs.clone(),
@@ -935,7 +790,7 @@ impl<'t> DiscoverySession<'t> {
     /// without cloning the dependency lists.
     pub fn into_result(mut self) -> DiscoveryResult {
         if self.finished.is_none() {
-            self.stats.total = self.start.elapsed();
+            self.stats.total = self.elapsed();
         }
         DiscoveryResult {
             ocs: self.ocs,
@@ -985,6 +840,7 @@ mod tests {
     use crate::builder::DiscoveryBuilder;
     use crate::engine::DiscoveryEvent;
     use crate::sink::{DiscoveryMetrics, EventSink, NoopSink, Phase};
+    use aod_obs::{MonotonicClock, TraceSink};
     use aod_table::{employee_table, RankedTable};
     use std::sync::Arc;
 
@@ -1022,7 +878,7 @@ mod tests {
     }
 
     /// `parallelism(0)` resolves to the machine's available parallelism
-    /// and still reproduces the sequential run.
+    /// and still reproduces the one-thread run.
     #[test]
     fn auto_parallelism_resolves_and_matches() {
         let t = employee();
@@ -1108,14 +964,15 @@ mod tests {
 
     /// A recording sink sees exactly the event stream the iterator yields,
     /// in the same order — including on buffer-less (`record_events(false)`)
-    /// runs, where the sink is the only observer.
+    /// runs, where the sink is the only observer — and its per-phase micros
+    /// are the durations of the trace's phase spans, at every thread count.
     #[test]
     fn sink_sees_the_exact_event_stream() {
         #[derive(Default)]
         struct Recorder {
             events: std::sync::Mutex<Vec<DiscoveryEvent>>,
             levels: std::sync::Mutex<Vec<(usize, usize)>>,
-            phases: std::sync::Mutex<Vec<(usize, Phase)>>,
+            phases: std::sync::Mutex<Vec<(usize, Phase, u64)>>,
             finishes: std::sync::atomic::AtomicUsize,
         }
         impl EventSink for Recorder {
@@ -1125,8 +982,8 @@ mod tests {
             fn on_event(&self, event: &DiscoveryEvent) {
                 self.events.lock().unwrap().push(event.clone());
             }
-            fn on_phase(&self, level: usize, phase: Phase, _micros: u64) {
-                self.phases.lock().unwrap().push((level, phase));
+            fn on_phase(&self, level: usize, phase: Phase, micros: u64) {
+                self.phases.lock().unwrap().push((level, phase, micros));
             }
             fn on_finish(&self, _stats: &crate::stats::DiscoveryStats) {
                 self.finishes
@@ -1138,27 +995,48 @@ mod tests {
         let mut reference = DiscoveryBuilder::new().approximate(0.15).build(&t);
         let expected: Vec<DiscoveryEvent> = reference.by_ref().collect();
 
-        let recorder = Arc::new(Recorder::default());
-        let result = DiscoveryBuilder::new()
-            .approximate(0.15)
-            .event_sink(recorder.clone())
-            .record_events(false)
-            .build(&t)
-            .run();
+        for threads in [1usize, 4] {
+            let recorder = Arc::new(Recorder::default());
+            let trace = Arc::new(TraceSink::new(Arc::new(MonotonicClock::new())));
+            let result = DiscoveryBuilder::new()
+                .approximate(0.15)
+                .parallelism(threads)
+                .event_sink(recorder.clone())
+                .trace_sink(Arc::clone(&trace))
+                .record_events(false)
+                .build(&t)
+                .run();
 
-        assert_eq!(*recorder.events.lock().unwrap(), expected);
-        let levels = recorder.levels.lock().unwrap();
-        assert_eq!(levels.len(), result.stats.per_level.len());
-        assert!(levels.windows(2).all(|w| w[0].0 + 1 == w[1].0));
-        // Three phase reports per processed level, grouped by level.
-        assert_eq!(
-            recorder.phases.lock().unwrap().len(),
-            3 * result.stats.per_level.len()
-        );
-        assert_eq!(
-            recorder.finishes.load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+            assert_eq!(*recorder.events.lock().unwrap(), expected);
+            let levels = recorder.levels.lock().unwrap();
+            assert_eq!(levels.len(), result.stats.per_level.len());
+            assert!(levels.windows(2).all(|w| w[0].0 + 1 == w[1].0));
+            // Three phase reports per processed level, grouped by level,
+            // each read from the same clock brackets as its phase span.
+            let phases = recorder.phases.lock().unwrap();
+            assert_eq!(phases.len(), 3 * result.stats.per_level.len());
+            let spans = trace.spans();
+            for &(level, phase, micros) in phases.iter() {
+                let span = spans
+                    .iter()
+                    .find(|s| {
+                        s.cat == "phase"
+                            && s.name == phase.name()
+                            && s.args.contains(&("level", level as u64))
+                    })
+                    .expect("one phase span per reported phase");
+                assert_eq!(
+                    span.dur_us,
+                    micros,
+                    "level {level} {} at threads = {threads}",
+                    phase.name()
+                );
+            }
+            assert_eq!(
+                recorder.finishes.load(std::sync::atomic::Ordering::Relaxed),
+                1
+            );
+        }
     }
 
     /// The standard metrics sink converges on exactly the deterministic

@@ -17,7 +17,6 @@ use aod_partition::{
     prefix_join, AttrSet, AttrSetMap, JoinedChild, Partition, PartitionCache, ProductScratch,
 };
 use aod_table::RankedTable;
-use std::time::Instant;
 
 /// A lattice node: the attribute set plus its TANE RHS-candidate set.
 #[derive(Debug, Clone, Copy)]
@@ -68,11 +67,11 @@ impl Frontier {
     /// Evicts cached partitions below level `ℓ−1` afterwards so peak
     /// memory stays at two lattice levels.
     ///
-    /// With an executor, the partition products — the `partitioning`
-    /// phase of the stats breakdown — are computed in parallel against a
-    /// frozen cache view with per-worker [`ProductScratch`], and merged
-    /// back in deterministic child order; the resulting cache contents and
-    /// product counts are identical to the sequential path.
+    /// The partition products run on the executor against a frozen cache
+    /// view, one [`ProductScratch`] per worker the map runs, and are
+    /// merged back in child order, so the cache contents and product
+    /// counts do not depend on the worker count. The caller times the
+    /// call (the `partitioning` phase).
     pub fn advance(
         &mut self,
         prune_cfg: &PruneConfig,
@@ -80,7 +79,7 @@ impl Frontier {
         scope: AttrSet,
         cache: &mut PartitionCache,
         stats: &mut DiscoveryStats,
-        executor: Option<&Executor>,
+        exec: &Executor,
     ) {
         let retained: Vec<AttrSet> = self
             .nodes
@@ -116,44 +115,29 @@ impl Frontier {
             stats.level_mut(self.level + 1).n_products += joins.len();
         }
 
-        let t0 = Instant::now();
+        let view = cache.freeze();
+        let products = exec.par_map_with_state(
+            ProductScratch::default,
+            &joins,
+            |scratch, _i, (join, _rhs)| {
+                let l = view
+                    .get(join.parent_a)
+                    .expect("parent partition is in the frozen view");
+                let r = view
+                    .get(join.parent_b)
+                    .expect("parent partition is in the frozen view");
+                l.product_with_scratch(r, scratch)
+            },
+        );
+        drop(view);
         let mut next = Vec::with_capacity(joins.len());
-        match executor {
-            Some(exec) if joins.len() > 1 => {
-                let view = cache.freeze();
-                let scratches: Vec<ProductScratch> = (0..exec.threads())
-                    .map(|_| ProductScratch::default())
-                    .collect();
-                let products =
-                    exec.par_map_with_state(scratches, &joins, |scratch, _i, (join, _rhs)| {
-                        let l = view
-                            .get(join.parent_a)
-                            .expect("parent partition is in the frozen view");
-                        let r = view
-                            .get(join.parent_b)
-                            .expect("parent partition is in the frozen view");
-                        l.product_with_scratch(r, scratch)
-                    });
-                drop(view);
-                for ((join, rhs), product) in joins.into_iter().zip(products) {
-                    cache.insert_product(join.child, product);
-                    next.push(Node {
-                        set: join.child,
-                        rhs,
-                    });
-                }
-            }
-            _ => {
-                for (join, rhs) in joins {
-                    cache.product_into(join.parent_a, join.parent_b);
-                    next.push(Node {
-                        set: join.child,
-                        rhs,
-                    });
-                }
-            }
+        for ((join, rhs), product) in joins.into_iter().zip(products) {
+            cache.insert_product(join.child, product);
+            next.push(Node {
+                set: join.child,
+                rhs,
+            });
         }
-        stats.partitioning += t0.elapsed();
 
         // Keep levels ℓ-1 (contexts at level ℓ+1), ℓ (parents) and ℓ+1.
         cache.retain_min_level(self.level.saturating_sub(1));
@@ -195,7 +179,7 @@ mod tests {
             scope,
             &mut cache,
             &mut stats,
-            None,
+            &Executor::new(1),
         );
         assert_eq!(f.level, 2);
         assert_eq!(f.nodes.len(), 3); // {0,1}, {0,2}, {1,2}
@@ -205,49 +189,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_advance_matches_sequential() {
+    fn advance_matches_across_worker_counts() {
         let t = RankedTable::from_table(&employee_table());
         let scope = AttrSet::full(t.n_cols());
         let prune = PruneState::new(t.n_cols(), t.n_rows());
-        let exec = Executor::new(4);
+        let (one, four) = (Executor::new(1), Executor::new(4));
 
-        let mut seq_cache = PartitionCache::new();
-        let mut seq = Frontier::seed(&t, scope, &mut seq_cache);
-        let mut par_cache = PartitionCache::new();
-        let mut par = Frontier::seed(&t, scope, &mut par_cache);
+        let mut one_cache = PartitionCache::new();
+        let mut one_f = Frontier::seed(&t, scope, &mut one_cache);
+        let mut four_cache = PartitionCache::new();
+        let mut four_f = Frontier::seed(&t, scope, &mut four_cache);
         let mut stats = DiscoveryStats::default();
         for _ in 0..3 {
-            seq.advance(
-                &PruneConfig::default(),
-                &prune,
-                scope,
-                &mut seq_cache,
-                &mut stats,
-                None,
-            );
-            par.advance(
-                &PruneConfig::default(),
-                &prune,
-                scope,
-                &mut par_cache,
-                &mut stats,
-                Some(&exec),
-            );
-            assert_eq!(par.level, seq.level);
-            assert_eq!(par.nodes.len(), seq.nodes.len());
-            for (p, s) in par.nodes.iter().zip(&seq.nodes) {
+            for (f, cache, exec) in [
+                (&mut one_f, &mut one_cache, &one),
+                (&mut four_f, &mut four_cache, &four),
+            ] {
+                f.advance(
+                    &PruneConfig::default(),
+                    &prune,
+                    scope,
+                    cache,
+                    &mut stats,
+                    exec,
+                );
+            }
+            assert_eq!(four_f.level, one_f.level);
+            assert_eq!(four_f.nodes.len(), one_f.nodes.len());
+            for (p, s) in four_f.nodes.iter().zip(&one_f.nodes) {
                 assert_eq!(p.set, s.set);
                 assert_eq!(p.rhs, s.rhs);
             }
             // Identical cache contents and product accounting.
-            assert_eq!(par_cache.n_products(), seq_cache.n_products());
-            let mut p_sets = par_cache.cached_sets();
-            let mut s_sets = seq_cache.cached_sets();
+            assert_eq!(four_cache.n_products(), one_cache.n_products());
+            let mut p_sets = four_cache.cached_sets();
+            let mut s_sets = one_cache.cached_sets();
             p_sets.sort_unstable();
             s_sets.sort_unstable();
             assert_eq!(p_sets, s_sets);
             for &set in &s_sets {
-                assert_eq!(par_cache.get(set), seq_cache.get(set), "{set}");
+                assert_eq!(four_cache.get(set), one_cache.get(set), "{set}");
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Per-node evaluation for the parallel level driver.
+//! Per-node evaluation: the body of every lattice level, at every thread
+//! count.
 //!
 //! The level-wise traversal makes every lattice node of level `ℓ`
 //! independent *within the level*: validation reads only the frozen
@@ -17,19 +18,22 @@
 //!   not the recorded set, and node deletion only consults sets two
 //!   levels down.
 //!
-//! [`eval_node`] therefore computes, against immutable snapshots, exactly
-//! what the sequential driver would compute for one node; the engine
+//! The engine therefore runs [`eval_node`] over a level's nodes on its
+//! executor — inline on the caller's thread for one worker, on
+//! work-stealing workers otherwise — against immutable snapshots, and
 //! merges the per-node [`NodeEval`]s **in node order** at the level
-//! barrier, replaying recordings, events and counters so the parallel run
-//! is bit-identical to the sequential one.
+//! barrier, replaying recordings, events and counters. The output is the
+//! same at every thread count because every thread count runs this code
+//! and that merge.
 //!
-//! That bit-identical contract is machine-checked: `aod-lint` rule D1
+//! The determinism this rests on is machine-checked: `aod-lint` rule D1
 //! forbids hash-map/set iteration in this module (and the rest of the
 //! determinism-critical set listed in the workspace `lint.toml`), D2
-//! keeps wall-clock reads confined to the registered timing code, and
-//! the executor's steal/publish protocol this module runs under is
-//! model-checked in `crates/exec/tests/loom_models.rs`. See the
-//! "Static analysis & invariants" section of the README.
+//! keeps wall-clock reads out of it (time comes only from the session's
+//! injected [`Clock`]), and the executor's steal/publish protocol this
+//! module runs under is model-checked in
+//! `crates/exec/tests/loom_models.rs`. See the "Static analysis &
+//! invariants" section of the README.
 
 use crate::candidates::{oc_candidates, ofd_candidates, OcCandidate};
 use crate::config::{Mode, PruneConfig};
@@ -40,7 +44,7 @@ use aod_obs::Clock;
 use aod_partition::FrozenPartitions;
 use aod_table::RankedTable;
 use aod_validate::{min_removal_ofd, OcValidatorBackend};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Immutable level-wide inputs shared by every worker.
 pub(crate) struct LevelCtx<'a> {
@@ -54,11 +58,10 @@ pub(crate) struct LevelCtx<'a> {
     pub level: usize,
     pub cancel: &'a CancelToken,
     pub timeout: Option<Duration>,
-    pub start: Instant,
-    /// The trace sink's clock when tracing; per-node trace timing brackets
-    /// come from here (never from the `Instant`-based stats timers, which
-    /// stay nondeterministic even under a manual clock).
-    pub clock: Option<&'a dyn Clock>,
+    /// The session clock: node timings and the timeout read it.
+    pub clock: &'a dyn Clock,
+    /// Session-clock reading at construction, the timeout's origin.
+    pub started_us: u64,
 }
 
 /// One OFD candidate's verdict (`removed.is_some()` ⇔ it holds).
@@ -84,14 +87,14 @@ pub(crate) struct NodeEval {
     pub ofds: Vec<OfdEval>,
     pub ocs: Vec<(OcCandidate, OcEval)>,
     pub is_key: bool,
-    pub ofd_time: Duration,
-    pub oc_time: Duration,
-    /// Trace-clock micros the OFD section took (0 unless tracing). Under a
-    /// manual clock every worker reads the same value, so these fields —
-    /// unlike the `Instant`-based timers above — are thread-count stable.
-    pub ofd_clock_us: u64,
-    /// Trace-clock micros the OC section took (0 unless tracing).
-    pub oc_clock_us: u64,
+    /// Session-clock micros of the node's OFD section. Feeds both
+    /// `DiscoveryStats::ofd_validation` and the node's batch span, so the
+    /// two agree; under a manual clock it is the same at every thread
+    /// count.
+    pub ofd_us: u64,
+    /// Session-clock micros of the node's OC section, R2–R4 checks
+    /// included.
+    pub oc_us: u64,
 }
 
 /// A worker's result for one claimed node.
@@ -100,35 +103,34 @@ pub(crate) enum NodeResult {
     Done(NodeEval),
     /// The worker observed a stop condition *before* starting the node;
     /// the merge treats this node — and everything after it — as
-    /// unprocessed, exactly like the sequential per-node stop checks.
+    /// unprocessed.
     Interrupted(StopReason),
 }
 
-/// Evaluates one node against the frozen snapshots — the parallel twin of
-/// the sequential driver's per-node body, kept computation-for-computation
-/// identical (same candidate order, same early exits, same coverage math).
+/// Evaluates one node against the frozen snapshots: its OFD candidates,
+/// then its OC candidates (R2–R4 first, the backend for the survivors),
+/// bracketed by three session-clock reads.
 pub(crate) fn eval_node(
     ctx: &LevelCtx<'_>,
     node: &Node,
     backend: &mut dyn OcValidatorBackend,
 ) -> NodeEval {
     let set = node.set;
-    let mut ofd_time = Duration::ZERO;
-    let mut oc_time = Duration::ZERO;
-    let trace_t0 = ctx.clock.map(Clock::now_us);
+    let t0 = ctx.clock.now_us();
 
     // --- OFD candidates: X\{A}: [] |-> A for A in X ∩ Cc+(X) ---
     let mut ofds = Vec::new();
     for a in ofd_candidates(node) {
         let ctx_set = set.without(a);
         let col = ctx.table.column(a);
-        let t0 = Instant::now();
         let ctx_part = ctx
             .view
             .get(ctx_set)
             .expect("parent partition is in the frozen view");
         let removed = match ctx.mode {
             Mode::Exact => {
+                // FD X\{A} -> A holds iff |Π_{X\{A}}| == |Π_X|
+                // (class-count check; both partitions are cached).
                 let node_part = ctx
                     .view
                     .get(set)
@@ -140,7 +142,6 @@ pub(crate) fn eval_node(
             }
         };
         let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
-        ofd_time += t0.elapsed();
         ofds.push(OfdEval {
             a,
             removed,
@@ -148,7 +149,7 @@ pub(crate) fn eval_node(
         });
     }
 
-    let trace_t1 = ctx.clock.map(Clock::now_us);
+    let t1 = ctx.clock.now_us();
 
     // --- OC candidates: X\{A,B}: A ~ B for pairs {A,B} ⊆ X ---
     let mut ocs = Vec::new();
@@ -171,10 +172,8 @@ pub(crate) fn eval_node(
                         OcEval::Pruned(PruneRule::KeyPruning)
                     } else {
                         let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
-                        let t0 = Instant::now();
                         let removed = backend.min_removal(ctx_part, ar, br, ctx.budget);
                         let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
-                        oc_time += t0.elapsed();
                         OcEval::Validated { removed, coverage }
                     }
                 };
@@ -182,7 +181,7 @@ pub(crate) fn eval_node(
         }
     }
 
-    let trace_t2 = ctx.clock.map(Clock::now_us);
+    let t2 = ctx.clock.now_us();
 
     let is_key = ctx
         .view
@@ -190,32 +189,25 @@ pub(crate) fn eval_node(
         .expect("node partition is in the frozen view")
         .is_key();
 
-    let (mut ofd_clock_us, mut oc_clock_us) = (0, 0);
-    if let (Some(t0), Some(t1), Some(t2)) = (trace_t0, trace_t1, trace_t2) {
-        ofd_clock_us = t1.saturating_sub(t0);
-        oc_clock_us = t2.saturating_sub(t1);
-    }
-
     NodeEval {
         ofds,
         ocs,
         is_key,
-        ofd_time,
-        oc_time,
-        ofd_clock_us,
-        oc_clock_us,
+        ofd_us: t1.saturating_sub(t0),
+        oc_us: t2.saturating_sub(t1),
     }
 }
 
-/// The stop condition a worker must honour before claiming a node —
-/// checked in the same order as the sequential driver (cancellation
-/// first, then the wall clock).
+/// The stop condition a worker must honour before claiming a node:
+/// cancellation first, then the timeout, which fires once the session
+/// clock has run `timeout` or more since the session was built.
 pub(crate) fn stop_check(ctx: &LevelCtx<'_>) -> Option<StopReason> {
     if ctx.cancel.is_cancelled() {
         return Some(StopReason::Cancelled);
     }
-    if let Some(t) = ctx.timeout {
-        if ctx.start.elapsed() > t {
+    if let Some(timeout) = ctx.timeout {
+        let elapsed_us = ctx.clock.now_us().saturating_sub(ctx.started_us);
+        if Duration::from_micros(elapsed_us) >= timeout {
             return Some(StopReason::TimedOut);
         }
     }

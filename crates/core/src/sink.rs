@@ -22,7 +22,7 @@ use aod_obs::{Counter, Gauge, Histogram, Registry};
 use crate::engine::DiscoveryEvent;
 use crate::stats::DiscoveryStats;
 
-/// The engine phases whose per-level wall time is reported to sinks.
+/// The engine phases whose per-level time is reported to sinks.
 ///
 /// These mirror the three duration fields of [`DiscoveryStats`]: OC
 /// validation, OFD validation, and partition-product construction.
@@ -81,7 +81,10 @@ pub trait EventSink: Send + Sync {
         let _ = event;
     }
 
-    /// Wall time one engine phase consumed while processing `level`.
+    /// Session-clock micros one engine phase consumed while processing
+    /// `level`, summed over workers: the level's share of the matching
+    /// [`DiscoveryStats`] timer, and the duration of the level's phase
+    /// span when a trace sink is attached.
     ///
     /// Reported once per phase per level, before that level's
     /// `LevelComplete` event, so a sink-driven renderer has the split
@@ -117,7 +120,7 @@ impl EventSink for NoopSink {}
 /// | `aod_discovery_oc_candidates_total` | counter | OC candidates validated |
 /// | `aod_discovery_oc_pruned_total` | counter | OC candidates pruned by axioms |
 /// | `aod_discovery_levels_completed_total` | counter | levels fully processed |
-/// | `aod_discovery_phase_duration_us{phase=...}` | histogram | per-level phase wall time |
+/// | `aod_discovery_phase_duration_us{phase=...}` | histogram | per-level phase time (summed over workers) |
 ///
 /// Candidate totals are folded in at each `LevelComplete` (from the
 /// level's deterministic counters); found/pruned counters tick per event,

@@ -32,18 +32,25 @@ pub struct LevelStats {
 }
 
 /// Aggregated statistics for a discovery run.
+///
+/// Every `Duration` here is read from the session's one clock (the trace
+/// sink's, or a monotonic clock made at build) in whole microseconds; the
+/// per-level [`EventSink::on_phase`](crate::EventSink::on_phase) micros and
+/// the trace's phase spans are the same readings.
 #[derive(Debug, Clone, Default)]
 pub struct DiscoveryStats {
-    /// Total wall time.
+    /// Session-clock time from the end of level-1 seeding to the last step.
     pub total: Duration,
-    /// Time inside OC validation (exact or approximate). Summed across
-    /// workers, so in parallel runs (`threads_used > 1`) this is
-    /// aggregate CPU time and can exceed `total`.
+    /// Time in the OC section of each fully processed node: the R2–R4
+    /// pruning checks plus the backend's validations. Summed across
+    /// workers, so with `threads_used > 1` this is aggregate worker time
+    /// and can exceed `total`.
     pub oc_validation: Duration,
-    /// Time inside OFD validation (CPU-summed across workers, like
-    /// `oc_validation`).
+    /// Time in the OFD section of each fully processed node (summed
+    /// across workers, like `oc_validation`).
     pub ofd_validation: Duration,
-    /// Time computing partition products.
+    /// Time advancing the frontier: retention, prefix join and partition
+    /// products, one bracket per level.
     pub partitioning: Duration,
     /// Per-level counters, index 0 = level 1.
     pub per_level: Vec<LevelStats>,
@@ -53,10 +60,10 @@ pub struct DiscoveryStats {
     /// reason other than the timeout — a fired
     /// [`CancelToken`](crate::CancelToken) or a reached `top_k` target.
     pub stopped_early: bool,
-    /// Resolved worker-thread count the run used (`1` = the sequential
-    /// driver; `n > 1` = the per-level parallel validator with `n`
-    /// workers). Everything else in the stats except the `Duration`
-    /// phase timers is independent of this value.
+    /// Resolved worker count of the session's executor (`0` requested
+    /// resolves to the core count). A level runs at most one worker per
+    /// node. Every other field is independent of this value, and under a
+    /// manual clock the `Duration`s are too.
     pub threads_used: usize,
 }
 
@@ -68,9 +75,10 @@ impl DiscoveryStats {
         self.timed_out || self.stopped_early
     }
     /// Share of total runtime spent validating OC candidates — within
-    /// `[0, 1]` for sequential runs; parallel runs divide CPU-summed
-    /// validation time by wall time, so the share can exceed 1 (that
-    /// excess is exactly the parallel speedup of the validation phase).
+    /// `[0, 1]` for one-thread runs; multi-thread runs divide
+    /// worker-summed validation time by wall time, so the share can exceed
+    /// 1 (that excess is exactly the parallel speedup of the validation
+    /// phase).
     pub fn oc_validation_share(&self) -> f64 {
         if self.total.is_zero() {
             return 0.0;

@@ -13,14 +13,20 @@
 //!   class on one node) cannot idle the other cores;
 //! * **deterministic output** — [`Executor::par_map_indexed`] returns
 //!   results in **input order** regardless of which worker computed what,
-//!   which is what lets the discovery engine merge per-node results into a
-//!   bit-identical replay of the sequential run;
+//!   which is what lets the discovery engine merge per-node results in
+//!   node order and give the same output at every worker count;
 //! * **panic propagation** — a panicking closure aborts the whole map and
 //!   the original payload is re-raised on the caller's thread (no wedged
 //!   workers, no swallowed assertion failures);
-//! * **per-worker state** — [`Executor::par_map_with_state`] threads one
-//!   owned state value (validator scratch, partition scratch) through each
-//!   worker, so hot-path buffers are reused across items without locking.
+//! * **per-worker state** — [`Executor::par_map_with_state`] builds one
+//!   owned state value (validator scratch, partition scratch) per worker
+//!   it runs and threads it through that worker's items, so hot-path
+//!   buffers are reused across items without locking.
+//!
+//! A map never runs more workers than it has items, and a one-worker map
+//! (one thread, or a single item) runs the items in order on the caller's
+//! thread without queues or spawns — so the discovery engine sends every
+//! thread count, one included, through the same map.
 //!
 //! Threads are spawned per call inside [`std::thread::scope`], which is
 //! what allows closures to borrow the caller's stack (tables, caches,
@@ -120,44 +126,45 @@ impl Executor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let states: Vec<()> = vec![(); self.threads.max(1)];
-        self.par_map_with_state(states, items, |(), i, item| f(i, item))
+        self.par_map_with_state(|| (), items, |(), i, item| f(i, item))
     }
 
     /// Like [`par_map_indexed`](Executor::par_map_indexed), but each worker
-    /// owns one element of `states` (scratch buffers, forked validators)
-    /// for the duration of the map. `states` must provide at least one
-    /// state per worker; surplus states are unused.
+    /// owns one state value (scratch buffers, forked validators) for the
+    /// duration of the map. `make_state` runs on the caller's thread, once
+    /// per worker the map runs: `min(threads, items.len())` times, and not
+    /// at all for an empty slice.
     ///
     /// # Panics
-    /// If `states.len() < self.threads()`, or (re-raised) when an
-    /// invocation of `f` panics.
-    pub fn par_map_with_state<S, T, R, F>(&self, mut states: Vec<S>, items: &[T], f: F) -> Vec<R>
+    /// Re-raises the first panic any invocation of `f` produced.
+    pub fn par_map_with_state<S, T, R, F>(
+        &self,
+        mut make_state: impl FnMut() -> S,
+        items: &[T],
+        f: F,
+    ) -> Vec<R>
     where
         S: Send,
         T: Sync,
         R: Send,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        assert!(
-            states.len() >= self.threads.max(1),
-            "need one worker state per thread ({} < {})",
-            states.len(),
-            self.threads
-        );
         if let Some(gauge) = &self.queue_gauge {
             gauge.set(items.len() as u64);
         }
-        // Never spawn more workers than items; a 1-worker map degenerates
-        // to the plain sequential loop (no queues, no slots).
-        let n_workers = self.threads.min(items.len()).max(1);
+        if items.is_empty() {
+            return Vec::new();
+        }
+        // Never run more workers than items; a 1-worker map degenerates
+        // to the plain in-order loop (no queues, no slots, no spawn).
+        let n_workers = self.threads.min(items.len());
         if n_workers == 1 {
-            let state = &mut states[0];
+            let mut state = make_state();
             return items
                 .iter()
                 .enumerate()
                 .map(|(i, item)| {
-                    let r = f(state, i, item);
+                    let r = f(&mut state, i, item);
                     if let Some(gauge) = &self.queue_gauge {
                         gauge.sub(1);
                     }
@@ -165,7 +172,7 @@ impl Executor {
                 })
                 .collect();
         }
-        states.truncate(n_workers);
+        let states: Vec<S> = (0..n_workers).map(|_| make_state()).collect();
 
         let queues: Vec<StealQueue> = deal(items.len(), n_workers);
         let slots = Slots::new(items.len());
@@ -173,7 +180,7 @@ impl Executor {
         let panic_payload: Mutex<Option<Payload>> = Mutex::new(None);
 
         std::thread::scope(|scope| {
-            for (w, state) in states.drain(..).enumerate() {
+            for (w, state) in states.into_iter().enumerate() {
                 let queues = &queues;
                 let slots = &slots;
                 let abort = &abort;
@@ -368,16 +375,32 @@ mod tests {
 
     #[test]
     fn per_worker_state_is_threaded_through() {
-        let exec = Executor::new(4);
         let items: Vec<u64> = (0..256).collect();
-        // Each worker tags results with its own state; the tag must be a
-        // valid worker id and every result must carry one.
-        let states: Vec<Vec<u64>> = (0..4).map(|w| vec![w as u64]).collect();
-        let out = exec.par_map_with_state(states, &items, |state, _i, &x| {
-            state.push(x); // scratch mutation must be allowed
-            state[0]
-        });
-        assert!(out.iter().all(|&tag| tag < 4));
+        // One state per worker the map runs, however wide the executor:
+        // each worker tags results with its own state, so every tag must
+        // be a valid worker id.
+        for (threads, n_items, workers) in [(4, 256, 4), (usize::MAX, 3, 3), (1, 256, 1)] {
+            let exec = Executor::new(threads);
+            let mut made = 0u64;
+            let out = exec.par_map_with_state(
+                || {
+                    made += 1;
+                    vec![made - 1]
+                },
+                &items[..n_items],
+                |state, _i, &x| {
+                    state.push(x); // scratch mutation must be allowed
+                    state[0]
+                },
+            );
+            assert_eq!(made, workers, "threads = {threads}");
+            assert_eq!(out.len(), n_items);
+            assert!(out.iter().all(|&tag| tag < workers));
+        }
+        let mut made = 0;
+        let none = Executor::new(4).par_map_with_state(|| made += 1, &items[..0], |_, _, &x| x);
+        assert!(none.is_empty());
+        assert_eq!(made, 0, "an empty map builds no state");
     }
 
     #[test]
@@ -427,13 +450,6 @@ mod tests {
             assert_eq!(out, items);
             assert_eq!(gauge.get(), 0, "threads={threads}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one worker state per thread")]
-    fn too_few_states_is_a_caller_bug() {
-        let exec = Executor::new(4);
-        let _ = exec.par_map_with_state(vec![(); 2], &[1, 2, 3], |(), _, &x: &i32| x);
     }
 
     #[test]

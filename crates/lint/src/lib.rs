@@ -10,7 +10,8 @@
 //! * **D1** — no hash-map/set iteration in determinism-critical modules
 //!   ([`rules::d1_hash_iteration`]).
 //! * **D2** — no `Instant::now` / `SystemTime` outside the registered
-//!   timing allowlist ([`rules::d2_time_sources`]).
+//!   timing allowlist, and no allowlist entry that covers no such read
+//!   ([`rules::d2_time_sources`]).
 //! * **W1** — wire-schema additivity against the committed
 //!   `wire_schema.lock` ([`rules::w1_wire_schema`]).
 //! * **P1** — no `unwrap` / `expect` / `panic!` / slice-indexing in
@@ -57,6 +58,8 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     let mut waivers = WaiverSet::default();
     let mut parsed: Vec<syntax::ParsedFile> = Vec::new();
+    // Per `[rules.D2] allow` entry: does any file under it read the clock?
+    let mut d2_covered = vec![false; policy.d2_allow.len()];
 
     // Phase 1: lexical rules per file; files in any semantic scope are
     // parsed into items for phase 2.
@@ -66,6 +69,7 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
                 root,
                 &rel,
                 &policy,
+                &mut d2_covered,
                 &mut waivers,
                 &mut parsed,
                 &mut findings,
@@ -75,6 +79,8 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
             rules::v1_vendor_hygiene::check_manifest(&rel, &text, &mut findings);
         }
     }
+
+    rules::d2_time_sources::check_allowlist(&policy.d2_allow, &d2_covered, &mut findings);
 
     // Phase 2: semantic rules over the item graph.
     let item_graph = graph::Graph::build(&parsed);
@@ -126,6 +132,7 @@ fn scan_source(
     root: &Path,
     rel: &str,
     policy: &Policy,
+    d2_covered: &mut [bool],
     waiver_set: &mut WaiverSet,
     parsed: &mut Vec<syntax::ParsedFile>,
     findings: &mut Vec<Finding>,
@@ -134,21 +141,23 @@ fn scan_source(
         return Ok(());
     }
     let d1 = in_scope(rel, &policy.d1_paths);
-    let d2 = !in_scope(rel, &policy.d2_allow);
     let p1 = in_scope(rel, &policy.p1_paths) && !in_scope(rel, &policy.p1_exclude);
     let v1 = in_scope(rel, &policy.v1_paths);
     let parse = policy.needs_parse(rel);
-    if !(d1 || d2 || p1 || v1 || parse) {
-        return Ok(());
-    }
+    // Every scanned file is D2's business: outside the allowlist it must
+    // not read the clock, inside it marks the entries that cover it.
     let text = read(root, rel)?;
     let lines = lexer::lex(&text);
     let waivers = waiver::Waivers::parse(rel, &lines, findings);
     if d1 {
         rules::d1_hash_iteration::check(rel, &lines, &waivers, findings);
     }
-    if d2 {
+    if !in_scope(rel, &policy.d2_allow) {
         rules::d2_time_sources::check(rel, &lines, &waivers, findings);
+    } else if rules::d2_time_sources::reads_time(&lines) {
+        for (prefix, covered) in policy.d2_allow.iter().zip(d2_covered.iter_mut()) {
+            *covered |= rel.starts_with(prefix.as_str());
+        }
     }
     if p1 {
         rules::p1_panic_paths::check(rel, &lines, &waivers, findings);

@@ -13,7 +13,7 @@
 //!
 //! ## Frozen view vs. pending writes
 //!
-//! For the parallel per-level validator the cache is split in two:
+//! For the discovery engine's per-level workers the cache is split in two:
 //!
 //! * a **frozen** map behind an `Arc` — the partitions of completed
 //!   levels. [`PartitionCache::freeze`] publishes every pending write into
@@ -24,9 +24,9 @@
 //!   next level's products, merged back from per-worker shards at the
 //!   level barrier via [`PartitionCache::insert_product`]).
 //!
-//! Single-threaded callers never notice the split: [`PartitionCache::get`]
-//! reads through both maps and [`PartitionCache::product_into`] writes to
-//! the pending side exactly as before.
+//! Callers that never freeze (the TANE baseline, one-off validation) never
+//! notice the split: [`PartitionCache::get`] reads through both maps and
+//! [`PartitionCache::product_into`] writes to the pending side.
 
 use crate::attrset::{AttrSet, AttrSetMap};
 use crate::stripped::{Partition, ProductScratch};

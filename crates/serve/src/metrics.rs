@@ -136,12 +136,13 @@ impl ServeMetrics {
 
     /// The per-dataset executor queue-depth gauge
     /// (`aod_exec_queue_depth{dataset=...}`), attached to every job's
-    /// discovery session. Idempotent per dataset; parallel batches fill
-    /// it and drain it back to zero as their items complete.
+    /// discovery session. Idempotent per dataset; each lattice level's node
+    /// batch and product batch fill it and drain it back to zero as their
+    /// items complete, at every thread count.
     pub fn queue_depth_gauge(&self, dataset: &str) -> Gauge {
         self.registry.gauge(
             "aod_exec_queue_depth",
-            "Work items remaining in the executor's current parallel batch.",
+            "Work items remaining in the executor's current batch (a level's nodes or products).",
             &[("dataset", dataset)],
         )
     }

@@ -40,20 +40,21 @@ pub enum SampleVerdict {
 /// A strategy object validating order-compatibility candidates.
 ///
 /// Implementations are stateful (they may keep scratch buffers across
-/// candidates — the discovery engine reuses one backend for the entire
-/// run) and must be [`Send`] so sessions can migrate across threads.
+/// candidates — a fork validates every candidate its worker claims in one
+/// level) and must be [`Send`] so they can move to worker threads.
 ///
 /// ## Threading contract
 ///
-/// The parallel per-level validator does **not** share one backend across
-/// workers (that would serialise the hot path behind a lock). Instead it
-/// calls [`fork`](OcValidatorBackend::fork) once per worker thread at the
-/// start of each level and hands every worker its own instance. A fork
-/// must therefore behave *identically* to its parent on every
-/// `min_removal` call — same algorithm, same verdicts — but needs no
-/// shared mutable state: scratch buffers start empty and refill on first
-/// use. This is what keeps parallel discovery bit-identical to the
-/// sequential run.
+/// The discovery engine never validates with the backend it was given:
+/// that one is the template. At the start of each level the engine calls
+/// [`fork`](OcValidatorBackend::fork) once per worker the level runs —
+/// one fork for a one-thread session — and hands every worker its own
+/// instance, so no backend is shared across threads (that would serialise
+/// the hot path behind a lock). A fork must therefore behave
+/// *identically* to its parent on every `min_removal` call — same
+/// algorithm, same verdicts — but needs no shared mutable state: scratch
+/// buffers start empty and refill on first use. This is what keeps
+/// discovery bit-identical across thread counts.
 pub trait OcValidatorBackend: Send {
     /// A short stable identifier ("exact", "optimal", "iterative", …) for
     /// logs and experiment tables.
@@ -74,7 +75,7 @@ pub trait OcValidatorBackend: Send {
         limit: usize,
     ) -> Option<usize>;
 
-    /// A fresh backend of the same kind for a parallel worker thread.
+    /// A fresh backend of the same kind for one worker of one level.
     ///
     /// Forks carry configuration but not scratch state, and must return
     /// the same verdict as `self` for every candidate (see the trait-level

@@ -22,8 +22,8 @@ fn main() {
     // The session emits an event per found dependency and per completed
     // lattice level; long runs stay observable and cancellable.
     // `.parallelism(0)` validates each lattice level on one worker per
-    // core — results (and this event stream) are bit-identical to the
-    // sequential run, so parallelism is purely a wall-clock knob.
+    // core — results (and this event stream) are bit-identical to a
+    // one-thread run, so parallelism is purely a wall-clock knob.
     println!("=== approximate ODs (ε = 25%), streaming ===");
     let mut session = DiscoveryBuilder::new()
         .approximate(0.25)

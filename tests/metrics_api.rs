@@ -266,7 +266,7 @@ fn admission_rejections_are_counted_in_stats_and_metrics() {
 /// A traced job serves its Chrome trace on `GET /jobs/{id}/trace`
 /// (byte-stable across fetches), an untraced job answers 404, a running
 /// job answers 409 — and the per-dataset executor queue-depth gauge
-/// drains back to zero once the parallel batches complete.
+/// drains back to zero once the level batches complete.
 #[test]
 fn traced_jobs_serve_their_trace_and_the_queue_gauge_drains() {
     let handle = start_server();
@@ -294,7 +294,7 @@ fn traced_jobs_serve_their_trace_and_the_queue_gauge_drains() {
     let second = request(addr, "GET", &format!("/jobs/{id}/trace"), None).unwrap();
     assert_eq!(second.body, first.body);
 
-    // The job's parallel batches filled and drained the dataset's
+    // The job's level batches filled and drained the dataset's
     // executor queue-depth gauge; after completion it must read zero.
     let metrics = scrape(addr);
     assert_eq!(

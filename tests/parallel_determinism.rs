@@ -1,12 +1,16 @@
-//! The parallel executor's determinism contract: for every configuration,
+//! The executor's determinism contract: for every configuration,
 //! discovery with `parallelism(4)` must be **bit-identical** to
 //! `parallelism(1)` — the event stream, the dependency lists (including
-//! their `f64` factors/coverage) and every order-insensitive statistics
-//! counter. Only the `Duration` phase timers and `threads_used` may
-//! differ.
+//! their `f64` factors/coverage) and every statistics counter. Only
+//! `threads_used` and the `Duration` timers may differ, and under a
+//! `ManualClock` the timers agree too, as do timeout cut points.
 
+use aod::core::EventSink;
+use aod::obs::{ManualClock, TraceSink};
 use aod::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A small random table: two payload columns and a low-cardinality
 /// context column, so lattice contexts have multiple classes.
@@ -69,7 +73,7 @@ proptest! {
     }
 
     /// The parallel run also matches the one-shot compat `discover()`
-    /// (which runs sequentially), transitively pinning all three paths.
+    /// (one thread by default), transitively pinning all three paths.
     #[test]
     fn parallel_matches_one_shot_discover(table in small_table()) {
         for config in configs() {
@@ -81,8 +85,8 @@ proptest! {
     }
 }
 
-/// `top_k` cuts the parallel merge at exactly the candidate where the
-/// sequential run stops: the early-exit prefix is identical.
+/// `top_k` cuts the merge at the same candidate at every thread count:
+/// the early-exit prefix is identical.
 #[test]
 fn parallel_top_k_serves_the_same_prefix() {
     let ranked = RankedTable::from_table(&employee_table());
@@ -107,7 +111,7 @@ fn parallel_top_k_serves_the_same_prefix() {
 }
 
 /// A pre-cancelled parallel session stops before validating anything and
-/// reports well-formed flagged partials, like the sequential one.
+/// reports well-formed flagged partials, like a one-thread one.
 #[test]
 fn parallel_pre_cancelled_session_is_empty_and_flagged() {
     let ranked = RankedTable::from_table(&employee_table());
@@ -124,8 +128,8 @@ fn parallel_pre_cancelled_session_is_empty_and_flagged() {
 }
 
 /// Cancelling between levels lands the parallel session on the same level
-/// boundary as the sequential one (the acceptance scenario of the
-/// session API, re-run with 4 workers).
+/// boundary as a one-thread one (the acceptance scenario of the session
+/// API, re-run with 4 workers).
 #[test]
 fn parallel_cancel_after_level_two_equals_max_level_two() {
     let ranked = RankedTable::from_table(&employee_table());
@@ -161,4 +165,99 @@ fn config_threads_plumb_through_from_config() {
     assert_eq!(par.stats.threads_used, 4);
     assert_eq!(par.ocs, seq.ocs);
     assert_eq!(par.ofds, seq.ofds);
+}
+
+/// Advances a manual clock as one lattice level starts, so a timeout
+/// expires at an exact point that does not depend on the thread count.
+struct AdvanceAtLevel {
+    clock: Arc<ManualClock>,
+    level: usize,
+    us: u64,
+}
+
+impl EventSink for AdvanceAtLevel {
+    fn on_level_start(&self, level: usize, _n_nodes: usize) {
+        if level == self.level {
+            self.clock.advance_us(self.us);
+        }
+    }
+}
+
+/// A 100 µs budget and a clock that jumps 101 µs as level 3 starts: the
+/// first node check of level 3 times out at every thread count, leaving
+/// exactly the dependencies of a run capped at level 2.
+#[test]
+fn manual_clock_timeout_cuts_at_level_three() {
+    let ranked = RankedTable::from_table(&employee_table());
+    let capped = DiscoveryBuilder::new()
+        .approximate(0.15)
+        .max_level(2)
+        .run(&ranked);
+    assert!(capped.n_ocs() > 0, "need level-2 OCs for the scenario");
+    for threads in [1usize, 4] {
+        let clock = Arc::new(ManualClock::new());
+        let mut session = DiscoveryBuilder::new()
+            .approximate(0.15)
+            .parallelism(threads)
+            .timeout(Duration::from_micros(100))
+            .trace_sink(Arc::new(TraceSink::new(clock.clone())))
+            .event_sink(Arc::new(AdvanceAtLevel {
+                clock,
+                level: 3,
+                us: 101,
+            }))
+            .build(&ranked);
+        let events: Vec<DiscoveryEvent> = session.by_ref().collect();
+        assert_eq!(
+            session.stop_reason(),
+            Some(StopReason::TimedOut),
+            "threads = {threads}"
+        );
+        assert_eq!(
+            events.last(),
+            Some(&DiscoveryEvent::TimedOut { level: 3 }),
+            "threads = {threads}"
+        );
+        let partial = session.into_result();
+        assert!(partial.stats.timed_out);
+        assert_eq!(partial.ocs, capped.ocs, "threads = {threads}");
+        assert_eq!(partial.ofds, capped.ofds, "threads = {threads}");
+    }
+}
+
+/// The session clock is the engine's only time source: with a manual
+/// clock that never moves, every `Duration` in the stats is zero at every
+/// thread count. A `Duration::MAX` budget never fires.
+#[test]
+fn manual_clock_leaves_every_timer_at_zero() {
+    let ranked = RankedTable::from_table(&employee_table());
+    let full = DiscoveryBuilder::new().approximate(0.15).run(&ranked);
+    for threads in [1usize, 4] {
+        let result = DiscoveryBuilder::new()
+            .approximate(0.15)
+            .parallelism(threads)
+            .trace_sink(Arc::new(TraceSink::new(Arc::new(ManualClock::new()))))
+            .run(&ranked);
+        let stats = &result.stats;
+        assert_eq!(
+            [
+                stats.total,
+                stats.oc_validation,
+                stats.ofd_validation,
+                stats.partitioning
+            ],
+            [Duration::ZERO; 4],
+            "threads = {threads}"
+        );
+        assert_eq!(result.ocs, full.ocs);
+
+        let unbounded = DiscoveryBuilder::new()
+            .approximate(0.15)
+            .parallelism(threads)
+            .timeout(Duration::MAX)
+            .run(&ranked);
+        assert!(!unbounded.is_partial(), "threads = {threads}");
+        assert_eq!(unbounded.ocs, full.ocs);
+        assert_eq!(unbounded.ofds, full.ofds);
+    }
 }

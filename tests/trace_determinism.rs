@@ -100,7 +100,7 @@ fn chrome_export_self_parses_with_the_expected_shape() {
 
 /// Attaching a trace sink is observationally free: events, dependencies
 /// and order-insensitive stats are bit-identical with tracing on or off,
-/// sequentially and in parallel.
+/// at one thread and at four.
 #[test]
 fn tracing_leaves_discovery_output_bit_identical() {
     let ranked = RankedTable::from_table(&employee_table());
