@@ -1,4 +1,5 @@
-//! Ablation of the discovery framework's pruning rules (DESIGN.md §3.4).
+//! Ablation of the discovery framework's pruning rules (their soundness
+//! arguments are in the module docs of `aod-core`'s `prune_state.rs`).
 //!
 //! The paper attributes AOD discovery's surprising speed ("up to 76%
 //! faster than exact discovery") to pruning firing earlier when

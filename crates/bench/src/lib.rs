@@ -1,9 +1,11 @@
-//! # aod-bench — experiment harness reproducing the paper's evaluation
+//! # aod-bench — experiment drivers reproducing the paper's evaluation
 //!
 //! One binary per experiment (`exp1`..`exp6`, mapping to Figures 2–5 and
-//! the Exp-1..Exp-6 discussion of Section 4) plus Criterion benches per
-//! figure. Binaries print the same rows/series the paper reports; scales
-//! default to laptop-friendly sizes and grow with `--scale`/`--rows`.
+//! the Exp-1..Exp-6 discussion of Section 4) plus `ablation` for the
+//! pruning rules. Binaries print the same rows/series the paper reports;
+//! scales default to laptop-friendly sizes and grow with `--scale`/`--rows`.
+//! The one criterion bench, `validators`, times single-candidate
+//! validation for Section 3's complexity claims.
 //!
 //! These drivers reproduce the paper's figures; speed claims about this
 //! implementation come from the benchmark described in
@@ -143,63 +145,11 @@ pub fn run_three_modes(table: &RankedTable, epsilon: f64, iterative_timeout: Dur
     ]
 }
 
-/// One measured discovery run in the parallel-scaling sweep — the record
-/// format of `BENCH_parallel.json`, the machine-readable perf trajectory
-/// tracked across PRs.
-#[derive(Debug, Clone)]
-pub struct ParallelSample {
-    /// Dataset family name ("flight" / "ncvoter").
-    pub dataset: String,
-    /// Row count of the generated table.
-    pub tuples: usize,
-    /// Column count of the generated table.
-    pub cols: usize,
-    /// Approximation threshold the run used.
-    pub epsilon: f64,
-    /// Worker-thread count (`DiscoveryStats::threads_used`).
-    pub threads: usize,
-    /// End-to-end discovery wall time in milliseconds.
-    pub wall_ms: f64,
-    /// OCs found — a changed count across PRs flags a correctness drift,
-    /// not just a perf one.
-    pub n_ocs: usize,
-}
-
-impl ParallelSample {
-    fn to_json(&self) -> String {
-        // The shared escape-correct writer (`aod_core::json`): a dataset
-        // name containing `"` or `\` stays valid JSON. `wall_ms` keeps its
-        // fixed 3-decimal formatting via the raw-field escape hatch.
-        let mut obj = aod_core::json::JsonObject::new();
-        obj.str("dataset", &self.dataset)
-            .num_u64("tuples", self.tuples as u64)
-            .num_u64("cols", self.cols as u64)
-            .num_f64("epsilon", self.epsilon)
-            .num_u64("threads", self.threads as u64)
-            .raw("wall_ms", &format!("{:.3}", self.wall_ms))
-            .num_u64("n_ocs", self.n_ocs as u64);
-        obj.finish()
-    }
-}
-
-/// Serialises samples as a JSON array (built on the shared
-/// `aod_core::json` writer — the offline dependency policy excludes serde,
-/// and the record is flat).
-pub fn parallel_json(samples: &[ParallelSample]) -> String {
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| format!("  {}", s.to_json()))
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Writes the sweep to `path` (conventionally `BENCH_parallel.json` at the
-/// workspace root) so successive PRs can diff the perf trajectory.
-pub fn write_parallel_json(path: &str, samples: &[ParallelSample]) -> std::io::Result<()> {
-    std::fs::write(path, parallel_json(samples))
-}
-
 /// Minimal `--key value` argument parsing for the experiment binaries.
+///
+/// Every option takes a value. A missing or malformed value, or a stray
+/// positional argument, is a usage error: the driver prints it and exits
+/// with status 2 instead of running with a default it was not asked for.
 pub struct ExpArgs {
     args: Vec<(String, String)>,
 }
@@ -216,53 +166,45 @@ impl ExpArgs {
                  \x20 --rows N       override the row count where applicable\n\
                  \x20 --epsilon E    approximation threshold in [0,1] (default 0.1)\n\
                  \x20 --timeout S    wall-clock cap in seconds for iterative runs\n\
+                 every option takes a value: a missing or malformed value exits 2.\n\
                  unknown --key value options are ignored; see the binary's\n\
                  module docs for which options it reads"
             );
             std::process::exit(0);
         }
         let mut args = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            if let Some(name) = argv[i].strip_prefix("--") {
-                let value = argv.get(i + 1).cloned().unwrap_or_default();
-                args.push((name.to_string(), value));
-                i += 2;
-            } else {
-                i += 1;
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                usage_error(&format!("unexpected argument `{arg}`"));
+            };
+            match argv.next() {
+                Some(value) if !value.starts_with("--") => args.push((name.to_string(), value)),
+                _ => usage_error(&format!("--{name}: missing value")),
             }
         }
         ExpArgs { args }
     }
 
-    /// Integer option with default.
-    pub fn usize(&self, name: &str, default: usize) -> usize {
-        self.args
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+    /// The last value given for `--name` parsed as `T`, or `default` when
+    /// the option is absent. A value that does not parse is a usage error.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T, what: &str) -> T {
+        match self.args.iter().rev().find(|(k, _)| k == name) {
+            None => default,
+            Some((_, v)) => v
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("--{name}: `{v}` is not {what}"))),
+        }
     }
 
-    /// String option with default.
-    pub fn string(&self, name: &str, default: &str) -> String {
-        self.args
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| default.to_string())
+    /// Integer option with default.
+    pub fn usize(&self, name: &str, default: usize) -> usize {
+        self.parsed(name, default, "an integer")
     }
 
     /// Float option with default.
     pub fn f64(&self, name: &str, default: f64) -> f64 {
-        self.args
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(name, default, "a number")
     }
 
     /// `--epsilon` with range validation: a bad threshold is a usage error
@@ -270,11 +212,16 @@ impl ExpArgs {
     pub fn epsilon(&self, default: f64) -> f64 {
         let epsilon = self.f64("epsilon", default);
         if !(0.0..=1.0).contains(&epsilon) {
-            eprintln!("error: --epsilon: `{epsilon}` is not within [0, 1]");
-            std::process::exit(2);
+            usage_error(&format!("--epsilon: `{epsilon}` is not within [0, 1]"));
         }
         epsilon
     }
+}
+
+/// Reports a command-line mistake and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
 }
 
 /// Prints a markdown table: a header row then aligned data rows.
@@ -338,60 +285,6 @@ mod tests {
         // must simply produce non-trivial output here.
         assert!(runs[0].result.n_ocs() + runs[0].result.n_ofds() > 0);
         assert!(runs[1].result.n_ocs() + runs[1].result.n_ofds() > 0);
-    }
-
-    #[test]
-    fn parallel_json_is_machine_readable() {
-        let samples = vec![
-            ParallelSample {
-                dataset: "flight".into(),
-                tuples: 50_000,
-                cols: 12,
-                epsilon: 0.1,
-                threads: 1,
-                wall_ms: 1234.5678,
-                n_ocs: 42,
-            },
-            ParallelSample {
-                dataset: "flight".into(),
-                tuples: 50_000,
-                cols: 12,
-                epsilon: 0.1,
-                threads: 4,
-                wall_ms: 345.6,
-                n_ocs: 42,
-            },
-        ];
-        let json = parallel_json(&samples);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("\n]\n"));
-        assert!(json.contains("\"threads\":4"));
-        assert!(json.contains("\"wall_ms\":1234.568")); // 3 decimals
-        assert_eq!(json.matches("\"dataset\":\"flight\"").count(), 2);
-        // Exactly one comma between the two records: valid JSON by shape.
-        assert_eq!(json.matches("},\n").count(), 1);
-    }
-
-    #[test]
-    fn parallel_json_escapes_hostile_dataset_names() {
-        // Regression: the old `format!` emitter wrote names containing `"`
-        // or `\` verbatim, producing unparseable output.
-        let samples = vec![ParallelSample {
-            dataset: "fli\"ght\\v2".into(),
-            tuples: 10,
-            cols: 2,
-            epsilon: 0.1,
-            threads: 1,
-            wall_ms: 1.0,
-            n_ocs: 0,
-        }];
-        let json = parallel_json(&samples);
-        let parsed = aod_core::json::JsonValue::parse(&json).unwrap();
-        let rows = parsed.as_array().unwrap();
-        assert_eq!(
-            rows[0].get("dataset").unwrap().as_str(),
-            Some("fli\"ght\\v2")
-        );
     }
 
     #[test]

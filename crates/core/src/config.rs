@@ -47,8 +47,8 @@ impl Mode {
     }
 }
 
-/// Which pruning rules the lattice driver applies (see `discover.rs` module
-/// docs for the rules and their soundness arguments).
+/// Which pruning rules the lattice driver applies (see the `prune_state.rs`
+/// module docs for the rules and their soundness arguments).
 ///
 /// Defaults to everything on — the paper-faithful configuration. Disabling
 /// rules exists for **ablation measurements** (`aod-bench`'s `ablation`

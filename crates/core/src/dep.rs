@@ -48,9 +48,9 @@ pub struct OfdDep {
 }
 
 impl OcDep {
-    /// Interestingness score (see `DESIGN.md` §3.5): context coverage damped
-    /// by lattice level — dependencies in lower levels with broad contexts
-    /// rank first, matching the ranking intuition of the paper's Section 4.3.
+    /// Interestingness score: context coverage damped by lattice level —
+    /// dependencies in lower levels with broad contexts rank first,
+    /// matching the ranking intuition of the paper's Section 4.3.
     pub fn interestingness(&self) -> f64 {
         self.coverage * (2f64).powi(-(self.level as i32))
     }

@@ -13,7 +13,7 @@
 //!
 //! [`Generator`] builds tables from a list of [`ColumnKind`]s that express
 //! exactly those properties; the `flight`/`ncvoter` presets compose them
-//! into schemas shaped like the paper's datasets (see `DESIGN.md` §5).
+//! into schemas shaped like the paper's datasets.
 
 use aod_table::{RankedTable, Table, Value};
 use rand::rngs::SmallRng;

@@ -8,7 +8,7 @@
 //! including the specific approximate OCs the paper calls out by name
 //! (`arrDelay ~ lateAircraftDelay` ≈ 9.5%, `originAirport ~ IATACode` ≈ 8%,
 //! `municipalityAbbrv ~ municipalityDesc`, `streetAddress ~ mailAddress` ≈
-//! 18%). See `DESIGN.md` §5 for the substitution rationale.
+//! 18%).
 //!
 //! * [`Generator`] / [`ColumnKind`] — the composable column model.
 //! * [`flight::flight`] and [`ncvoter::ncvoter`] — the two presets.

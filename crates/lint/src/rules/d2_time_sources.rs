@@ -3,9 +3,9 @@
 //! `Instant::now` / `SystemTime` on an unregistered path is how
 //! nondeterminism sneaks into output (timestamps in wire JSON, timing-
 //! dependent branching in pruning decisions). The modules that
-//! legitimately read the clock — the observability `Clock` module, the
-//! TANE baseline's self-timing, the vendored criterion stub — are listed
-//! in `lint.toml` under `[rules.D2] allow`; everything else is flagged.
+//! legitimately read the clock — the observability `Clock` module and the
+//! vendored criterion stub — are listed in `lint.toml` under
+//! `[rules.D2] allow`; everything else is flagged.
 //!
 //! The allowlist is kept tight from the other side too: an entry under
 //! which no non-test line names a time source is reported, like A1's

@@ -24,9 +24,9 @@
 //!   next level's products, merged back from per-worker shards at the
 //!   level barrier via [`PartitionCache::insert_product`]).
 //!
-//! Callers that never freeze (the TANE baseline, one-off validation) never
-//! notice the split: [`PartitionCache::get`] reads through both maps and
-//! [`PartitionCache::product_into`] writes to the pending side.
+//! Callers that never freeze (`aod-core`'s outlier repair) never notice
+//! the split: [`PartitionCache::get`] reads through both maps and
+//! [`PartitionCache::ensure`] writes to the pending side.
 
 use crate::attrset::{AttrSet, AttrSetMap};
 use crate::stripped::{Partition, ProductScratch};
@@ -117,26 +117,6 @@ impl PartitionCache {
         FrozenPartitions {
             map: Arc::clone(&self.frozen),
         }
-    }
-
-    /// Computes (and caches) the product of two cached sets.
-    ///
-    /// # Panics
-    /// If either operand is missing from the cache — the level-wise driver
-    /// guarantees parents are present before children are built.
-    pub fn product_into(&mut self, lhs: AttrSet, rhs: AttrSet) -> &Partition {
-        let target = lhs.union(rhs);
-        if !self.contains(target) {
-            self.n_products += 1;
-            // Field-level lookups keep the immutable map borrows disjoint
-            // from the `&mut self.scratch` borrow below.
-            let lookup = |set: AttrSet| self.pending.get(&set).or_else(|| self.frozen.get(&set));
-            let l = lookup(lhs).expect("lhs partition must be cached");
-            let r = lookup(rhs).expect("rhs partition must be cached");
-            let p = l.product_with_scratch(r, &mut self.scratch);
-            self.pending.insert(target, p);
-        }
-        self.get(target).expect("just ensured")
     }
 
     /// Ensures `Π_X` is cached, computing it bottom-up from singleton
@@ -269,21 +249,6 @@ mod tests {
         // Intermediate results are cached too.
         assert!(cache.get(AttrSet::from_attrs([1, 3])).is_some());
         assert!(cache.get(AttrSet::singleton(0)).is_some());
-    }
-
-    #[test]
-    fn product_into_caches_target() {
-        let r = ranked();
-        let mut cache = PartitionCache::new();
-        cache.ensure(&r, AttrSet::singleton(0));
-        cache.ensure(&r, AttrSet::singleton(3));
-        let before = cache.n_products();
-        cache.product_into(AttrSet::singleton(0), AttrSet::singleton(3));
-        assert_eq!(cache.n_products(), before + 1);
-        // second call is a cache hit
-        cache.product_into(AttrSet::singleton(0), AttrSet::singleton(3));
-        assert_eq!(cache.n_products(), before + 1);
-        assert!(cache.get(AttrSet::from_attrs([0, 3])).is_some());
     }
 
     #[test]

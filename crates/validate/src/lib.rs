@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod bidirectional;
 mod brute;
 mod oc;
 mod od;
@@ -50,9 +49,6 @@ mod swap;
 pub use backend::{
     exact_backend, strategy_backend, ExactOcBackend, IterativeOcBackend, OcValidatorBackend,
     OptimalOcBackend, SampleVerdict,
-};
-pub use bidirectional::{
-    best_direction, bidirectional_oc_holds, is_mixed_swap, min_removal_bidirectional, Direction,
 };
 pub use brute::{
     brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs, ViolationKind,
@@ -64,9 +60,7 @@ pub use od::{
     projection_ranks,
 };
 pub use ofd::{exact_ofd_holds, min_removal_ofd, removal_set_ofd};
-pub use swap::{
-    count_swaps_brute, is_split, is_swap, pack_asc, pack_desc_b, sorted_pairs_swap_free,
-};
+pub use swap::{is_split, is_swap, pack_asc, pack_desc_b};
 
 use aod_partition::{AttrSet, Partition};
 use aod_table::RankedTable;

@@ -56,33 +56,6 @@ pub fn is_split(s: (u32, u32), t: (u32, u32)) -> bool {
     s.0 == t.0 && s.1 != t.1
 }
 
-/// Counts swaps among `pairs` by brute force (`O(m²)`, test oracle).
-pub fn count_swaps_brute(pairs: &[(u32, u32)]) -> u64 {
-    let mut count = 0;
-    for i in 0..pairs.len() {
-        for j in i + 1..pairs.len() {
-            if is_swap(pairs[i], pairs[j]) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
-/// `true` iff a `[A ASC, B ASC]`-sorted slice of packed pairs contains no
-/// swap, i.e. its `B` projection is non-decreasing.
-///
-/// Correctness: if `B` decreases between adjacent sorted positions `i < i+1`
-/// the `A` values must differ (equal-`A` runs are `B`-ascending by the
-/// tie-break), giving a swap; conversely a swap `(s, t)` with
-/// `s.a < t.a, t.b < s.b` places `s` before `t` with a `B` descent somewhere
-/// between them.
-pub fn sorted_pairs_swap_free(sorted_keys: &[u64]) -> bool {
-    sorted_keys
-        .windows(2)
-        .all(|w| unpack_b_asc(w[0]) <= unpack_b_asc(w[1]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,26 +112,5 @@ mod tests {
         assert!(is_split((0, 1), (0, 2)));
         assert!(!is_split((0, 1), (1, 2)));
         assert!(!is_split((0, 1), (0, 1)));
-    }
-
-    #[test]
-    fn swap_free_check_on_sorted_pairs() {
-        let clean: Vec<u64> = [(0u32, 0u32), (0, 5), (1, 5), (2, 9)]
-            .iter()
-            .map(|&(a, b)| pack_asc(a, b))
-            .collect();
-        assert!(sorted_pairs_swap_free(&clean));
-        let dirty: Vec<u64> = [(0u32, 5u32), (1, 3)]
-            .iter()
-            .map(|&(a, b)| pack_asc(a, b))
-            .collect();
-        assert!(!sorted_pairs_swap_free(&dirty));
-    }
-
-    #[test]
-    fn brute_swap_count_matches_manual() {
-        // Example 2.7-style: the pair ((0,1),(1,0)) swaps.
-        let pairs = [(0, 1), (1, 0), (2, 2)];
-        assert_eq!(count_swaps_brute(&pairs), 1);
     }
 }

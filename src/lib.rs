@@ -13,7 +13,6 @@
 //! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |
 //! | [`validate`] | exact + approximate OC/OFD/OD validators (Algorithms 1 & 2) |
 //! | [`core`] | the set-based lattice discovery framework |
-//! | [`tane`] | TANE-style (approximate) FD discovery baseline |
 //! | [`datagen`] | synthetic `flight`/`ncvoter`-shaped workloads |
 //! | [`serve`] | HTTP discovery service: registry, jobs, NDJSON events, cache |
 //!
@@ -76,9 +75,6 @@ pub use aod_validate as validate;
 
 /// Discovery framework (re-export of `aod-core`).
 pub use aod_core as core;
-
-/// TANE baseline (re-export of `aod-tane`).
-pub use aod_tane as tane;
 
 /// Synthetic dataset generators (re-export of `aod-datagen`).
 pub use aod_datagen as datagen;

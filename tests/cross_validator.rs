@@ -1,10 +1,11 @@
 //! Cross-crate consistency at realistic scale: the two AOC validators, the
-//! exact validators, the discovery driver and the TANE baseline must agree
-//! wherever their specifications overlap, on generated flight/ncvoter data.
+//! exact validators and the discovery driver must agree wherever their
+//! specifications overlap, on generated flight/ncvoter data. The driver's
+//! OFDs are checked against a brute-force spec in
+//! `tests/discovery_completeness.rs`.
 
 use aod::datagen::{flight, ncvoter};
 use aod::prelude::*;
-use aod::tane::{tane, TaneConfig};
 use aod_bench::Dataset;
 use aod_validate::brute_min_removal_oc;
 use proptest::prelude::*;
@@ -28,30 +29,6 @@ fn validators_agree_on_generated_data() {
                 assert!(od >= opt, "{} ({a},{b})", ds.name());
             }
         }
-    }
-}
-
-#[test]
-fn discovery_ofds_match_tane_in_exact_mode() {
-    // The OFD side of the discovery driver is TANE; in exact mode, on the
-    // same table, both must produce the same (lhs, rhs) set.
-    for ds in [Dataset::Flight, Dataset::Ncvoter] {
-        let table = ds.ranked_10(1_000, 9);
-        let discovery = discover(&table, &DiscoveryConfig::exact());
-        let baseline = tane(&table, &TaneConfig::exact());
-        let mut a: Vec<(u64, usize)> = discovery
-            .ofds
-            .iter()
-            .map(|d| (d.context.bits(), d.rhs))
-            .collect();
-        let mut b: Vec<(u64, usize)> = baseline
-            .fds
-            .iter()
-            .map(|fd| (fd.lhs.bits(), fd.rhs))
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "{}", ds.name());
     }
 }
 
@@ -193,102 +170,6 @@ proptest! {
                 // ε = 1 admits any removal set: both must accept.
                 prop_assert!(opt.is_valid() && it.is_valid());
             }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Pins the (still unwired) bidirectional validator to the brute-force
-    /// oracle across all four direction combinations: reversing the rank
-    /// order of a side and validating with the ordinary machinery must
-    /// report exactly the brute-force minimal removal count of the
-    /// direction-transformed instance. This is the safety net for wiring
-    /// bidirectional discovery into the engine in a later PR.
-    #[test]
-    fn bidirectional_min_removal_matches_brute_oracle(
-        (a, b, ctx_vals) in small_instance()
-    ) {
-        use aod::validate::{min_removal_bidirectional, Direction};
-        let n_distinct = 5u32;
-        let ctx = Partition::from_ranks(&ctx_vals, 3);
-        let mut v = OcValidator::new();
-        for dir_a in [Direction::Asc, Direction::Desc] {
-            for dir_b in [Direction::Asc, Direction::Desc] {
-                let fast = min_removal_bidirectional(
-                    &mut v, &ctx, &a, n_distinct, dir_a, &b, n_distinct, dir_b, usize::MAX,
-                )
-                .expect("no limit");
-                // Independent oracle: transform the ranks per direction,
-                // then brute-force the ordinary OC.
-                let a2 = dir_a.apply(&a, n_distinct);
-                let b2 = dir_b.apply(&b, n_distinct);
-                let brute = brute_min_removal_oc(&ctx, &a2, &b2);
-                prop_assert_eq!(
-                    fast, brute,
-                    "dirs {:?}/{:?} on a={:?} b={:?} ctx={:?}",
-                    dir_a, dir_b, &a, &b, &ctx_vals
-                );
-            }
-        }
-    }
-
-    /// `best_direction` really is the argmin over the two orientations of
-    /// `B` (with `A` fixed ascending, which loses no generality), and its
-    /// reported count matches the brute oracle of the chosen orientation.
-    #[test]
-    fn best_direction_is_the_argmin_of_the_brute_oracles(
-        (a, b, ctx_vals) in small_instance()
-    ) {
-        use aod::validate::{best_direction, Direction};
-        let n_distinct = 5u32;
-        let ctx = Partition::from_ranks(&ctx_vals, 3);
-        let mut v = OcValidator::new();
-        let (dir, count) = best_direction(&mut v, &ctx, &a, &b, n_distinct);
-        let asc = brute_min_removal_oc(&ctx, &a, &b);
-        let desc = brute_min_removal_oc(&ctx, &a, &Direction::Desc.apply(&b, n_distinct));
-        prop_assert_eq!(count, asc.min(desc));
-        match dir {
-            Direction::Asc => prop_assert_eq!(count, asc),
-            Direction::Desc => prop_assert_eq!(count, desc),
-        }
-    }
-
-    /// Exactness coupling: `bidirectional_oc_holds` ⟺ the transformed
-    /// instance's minimal removal set is empty, and the `limit` early-exit
-    /// never changes a verdict (it only changes whether the count is
-    /// reported).
-    #[test]
-    fn bidirectional_exactness_and_limits_are_consistent(
-        (a, b, ctx_vals) in small_instance()
-    ) {
-        use aod::validate::{bidirectional_oc_holds, min_removal_bidirectional, Direction};
-        let n_distinct = 5u32;
-        let ctx = Partition::from_ranks(&ctx_vals, 3);
-        let mut v = OcValidator::new();
-        for dir_b in [Direction::Asc, Direction::Desc] {
-            let holds = bidirectional_oc_holds(
-                &mut v, &ctx, &a, n_distinct, Direction::Asc, &b, n_distinct, dir_b,
-            );
-            let full = min_removal_bidirectional(
-                &mut v, &ctx, &a, n_distinct, Direction::Asc, &b, n_distinct, dir_b, usize::MAX,
-            )
-            .expect("no limit");
-            prop_assert_eq!(holds, full == 0);
-            // Early exit: a limit below the true count yields None, at or
-            // above it yields the count.
-            if full > 0 {
-                let below = min_removal_bidirectional(
-                    &mut v, &ctx, &a, n_distinct, Direction::Asc, &b, n_distinct, dir_b,
-                    full - 1,
-                );
-                prop_assert_eq!(below, None);
-            }
-            let at = min_removal_bidirectional(
-                &mut v, &ctx, &a, n_distinct, Direction::Asc, &b, n_distinct, dir_b, full,
-            );
-            prop_assert_eq!(at, Some(full));
         }
     }
 }
