@@ -21,6 +21,7 @@
 //! protects against a name being deregistered and re-registered with
 //! different content.
 
+use crate::jobs::EventLog;
 use crate::sync::lock_or_recover;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +36,10 @@ pub type CacheKey = (String, u64, String);
 /// Everything needed to replay a completed run without recomputation.
 #[derive(Debug)]
 pub struct CachedRun {
-    /// The serialized NDJSON event lines (no trailing newline).
-    pub events: Arc<Vec<String>>,
+    /// The run's NDJSON event log, shared by `Arc` with the job that ran
+    /// it and with every job and replay answered from this entry: a hit
+    /// copies no event.
+    pub events: Arc<EventLog>,
     /// `DiscoveryResult::to_json` of the completed run.
     pub result_json: Arc<String>,
     /// `DiscoveryStats::to_json` of the completed run.
@@ -120,8 +123,10 @@ mod tests {
     use super::*;
 
     fn run() -> CachedRun {
+        let mut events = EventLog::default();
+        events.push("{\"event\":\"x\"}");
         CachedRun {
-            events: Arc::new(vec!["{\"event\":\"x\"}".to_string()]),
+            events: Arc::new(events),
             result_json: Arc::new("{}".to_string()),
             stats_json: Arc::new("{}".to_string()),
             levels_completed: 3,

@@ -6,8 +6,11 @@
 //! `std::net::TcpStream`s:
 //!
 //! * request line + headers + `Content-Length` bodies (with size limits),
-//! * fixed-length responses with `Connection: close` semantics,
-//! * `Transfer-Encoding: chunked` responses for streaming NDJSON events.
+//!   parsed from any [`Read`], so the parser is testable without sockets;
+//! * fixed-length responses with `Connection: close` semantics, written
+//!   head and body together in one write;
+//! * `Transfer-Encoding: chunked` responses for streaming NDJSON events,
+//!   one chunk per call through a fixed-size buffer.
 //!
 //! Every connection carries exactly one request/response exchange; clients
 //! that want another request open another connection. That keeps the
@@ -15,13 +18,17 @@
 //! machine) at the price of a TCP handshake per call — fine for a
 //! profiling service whose unit of work is a discovery job, not a byte.
 
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on request bodies (configs and registrations are small).
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Bytes [`read_request`] asks for per read.
+const READ_BUF_BYTES: usize = 1024;
+/// Capacity of a [`ChunkedWriter`]'s write buffer.
+const CHUNK_BUF_BYTES: usize = 8 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -75,16 +82,21 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-/// Reads and parses one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    // Read until the blank line terminating the head, byte-buffered; any
-    // body prefix read along the way is kept.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
+/// Reads and parses one request from `stream`. It only reads: at most
+/// the head limit plus one read buffer before the head is refused, and at
+/// most the head plus one read buffer before an oversized body is.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+    // Read until the blank line terminating the head; any body prefix
+    // read along the way is kept. Each search resumes where the last one
+    // stopped, so small reads cost no rescans.
+    let mut buf: Vec<u8> = Vec::with_capacity(READ_BUF_BYTES);
+    let mut chunk = [0u8; READ_BUF_BYTES];
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(&buf, scanned) {
             break pos;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD_BYTES {
             return Err(HttpError::TooLarge);
         }
@@ -162,8 +174,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     Ok(Request { body, ..request })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Where the head's terminating CRLFCRLF starts, searching from `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let pos = buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + pos)
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -183,22 +197,23 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Writes a complete fixed-length response, head and body in one write,
+/// and flushes it.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,
         status_text(status),
         content_type,
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -207,68 +222,206 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::R
     write_response(stream, status, "application/json", body)
 }
 
-/// A `Transfer-Encoding: chunked` response in progress; each
-/// [`chunk`](ChunkedWriter::chunk) is flushed immediately so clients
-/// observe events as they happen.
+/// A `Transfer-Encoding: chunked` response in progress. It writes through
+/// one buffer of fixed size: each [`chunk`](ChunkedWriter::chunk) call
+/// sends its data as one chunk (size line, data, CRLF) and flushes once,
+/// so clients observe events as they happen without a syscall per line.
 pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+    out: BufWriter<&'a mut TcpStream>,
 }
 
 impl<'a> ChunkedWriter<'a> {
-    /// Writes the response head and returns the chunk writer.
+    /// Writes and flushes the response head, then returns the chunk
+    /// writer.
     pub fn begin(
         stream: &'a mut TcpStream,
         status: u16,
         content_type: &str,
     ) -> std::io::Result<ChunkedWriter<'a>> {
-        let head = format!(
+        let mut out = BufWriter::with_capacity(CHUNK_BUF_BYTES, stream);
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             status_text(status),
             content_type
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
+        )?;
+        out.flush()?;
+        Ok(ChunkedWriter { out })
     }
 
-    /// Writes one chunk (empty data is skipped — an empty chunk would
-    /// terminate the stream).
+    /// Writes `data` as one chunk and flushes it (empty data is skipped —
+    /// an empty chunk would terminate the stream).
     pub fn chunk(&mut self, data: &str) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data.as_bytes())?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        write!(self.out, "{:x}\r\n", data.len())?;
+        self.out.write_all(data.as_bytes())?;
+        self.out.write_all(b"\r\n")?;
+        self.out.flush()
     }
 
     /// Terminates the stream with the zero-length chunk.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.out.write_all(b"0\r\n\r\n")?;
+        self.out.flush()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    /// Round-trips one raw request through a real socket pair.
     fn parse_raw(raw: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request(&mut conn);
-        writer.join().unwrap();
-        req
+        read_request(&mut &raw[..])
+    }
+
+    /// A reader that hands out `head`, then `tail` repeated forever (EOF
+    /// after `head` when `tail` is empty), in reads of the given sizes —
+    /// the last size repeats — and counts the bytes it handed out.
+    struct Feed {
+        head: Vec<u8>,
+        tail: Vec<u8>,
+        sizes: Vec<usize>,
+        reads: usize,
+        consumed: usize,
+    }
+
+    impl Feed {
+        fn new(head: Vec<u8>, tail: Vec<u8>, sizes: Vec<usize>) -> Feed {
+            assert!(sizes.iter().all(|&n| n > 0), "a zero-size read is EOF");
+            Feed {
+                head,
+                tail,
+                sizes,
+                reads: 0,
+                consumed: 0,
+            }
+        }
+    }
+
+    impl Read for Feed {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.reads.min(self.sizes.len() - 1)];
+            self.reads += 1;
+            let mut n = 0;
+            while n < size.min(out.len()) {
+                let byte = match self.head.get(self.consumed) {
+                    Some(&b) => b,
+                    None if self.tail.is_empty() => break,
+                    None => self.tail[(self.consumed - self.head.len()) % self.tail.len()],
+                };
+                out[n] = byte;
+                n += 1;
+                self.consumed += 1;
+            }
+            Ok(n)
+        }
+    }
+
+    /// Bytes that make up requests, so generated input reaches past the
+    /// head search into the request-line, header and body parsers.
+    const TOKENS: &[u8] = b"\r\n\r\n: GET POST /jobs HTTP/1.1 Content-Length: 0123456789 ?";
+
+    fn byte_of(v: u16) -> u8 {
+        match u8::try_from(v) {
+            Ok(b) => b,
+            Err(_) => TOKENS[usize::from(v) % TOKENS.len()],
+        }
+    }
+
+    fn ascii(bytes: &[u8]) -> String {
+        String::from_utf8(bytes.to_vec()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_bytes_in_arbitrary_reads_never_panic(
+            data in vec(0u16..512, 0..2048),
+            sizes in vec(1usize..1500, 1..8),
+        ) {
+            let data: Vec<u8> = data.into_iter().map(byte_of).collect();
+            let _ = read_request(&mut Feed::new(data, Vec::new(), sizes));
+        }
+
+        #[test]
+        fn endless_headers_are_refused_after_the_head_limit(
+            line in vec(32u8..127, 1..64),
+            sizes in vec(1usize..1500, 1..8),
+        ) {
+            // One header line repeated forever: the head never ends.
+            let mut tail = line;
+            tail.extend_from_slice(b"\r\n");
+            let mut feed = Feed::new(b"GET / HTTP/1.1\r\n".to_vec(), tail, sizes);
+            let outcome = read_request(&mut feed);
+            prop_assert!(matches!(outcome, Err(HttpError::TooLarge)), "{outcome:?}");
+            prop_assert!(
+                feed.consumed <= MAX_HEAD_BYTES + READ_BUF_BYTES,
+                "consumed {} bytes", feed.consumed
+            );
+        }
+
+        #[test]
+        fn oversized_bodies_are_refused_after_the_head(
+            bits in 0u32..44,
+            excess in 1u64..=1024,
+            sizes in vec(1usize..1500, 1..8),
+        ) {
+            let length = MAX_BODY_BYTES as u64 + (excess << bits);
+            let head = format!("POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            let head_len = head.len();
+            // The body never ends either: refusal must not wait for it.
+            let mut feed = Feed::new(head.into_bytes(), b"x".to_vec(), sizes);
+            let outcome = read_request(&mut feed);
+            prop_assert!(matches!(outcome, Err(HttpError::TooLarge)), "{outcome:?}");
+            prop_assert!(
+                feed.consumed <= head_len + READ_BUF_BYTES,
+                "consumed {} bytes of a {head_len}-byte head", feed.consumed
+            );
+        }
+
+        #[test]
+        fn well_formed_requests_round_trip_at_any_split(
+            method in vec(b'A'..=b'Z', 1..8),
+            segments in vec(vec(b'a'..=b'z', 0..6), 0..4),
+            query in vec(b'a'..=b'z', 0..6),
+            headers in vec((vec(b'A'..=b'z', 1..10), vec(32u8..127, 0..20)), 0..6),
+            body in vec(0u8..=255, 0..300),
+            cut in 0usize..10_000,
+        ) {
+            let method = ascii(&method);
+            let path = format!("/{}", segments.iter().map(|s| ascii(s)).collect::<Vec<_>>().join("/"));
+            let target = if query.is_empty() { path.clone() } else { format!("{path}?{}", ascii(&query)) };
+            let mut raw = format!("{method} {target} HTTP/1.1\r\n");
+            let mut expected = Vec::new();
+            for (name, value) in &headers {
+                // Letters and the punctuation between `Z` and `a`; the
+                // `X-` prefix keeps clear of the framing headers.
+                let name = format!("X-{}", ascii(name).replace(['[', '\\', ']', '^', '`'], "-"));
+                let value = ascii(value);
+                raw.push_str(&format!("{name}: {value}\r\n"));
+                expected.push((name.to_lowercase(), value.trim().to_string()));
+            }
+            raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+            expected.push(("content-length".to_string(), body.len().to_string()));
+            let mut raw = raw.into_bytes();
+            raw.extend_from_slice(&body);
+
+            // Two reads, split at any byte (the second capped by the
+            // parser's read buffer, so large rests take several).
+            let split = 1 + cut % raw.len();
+            let req = read_request(&mut Feed::new(raw, Vec::new(), vec![split, usize::MAX]));
+            let req = req.map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+            prop_assert_eq!(req.method, method);
+            prop_assert_eq!(req.path, path);
+            prop_assert_eq!(req.headers, expected);
+            prop_assert_eq!(req.body, body);
+        }
     }
 
     #[test]

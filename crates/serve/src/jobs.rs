@@ -7,9 +7,10 @@
 //! as a streaming `DiscoverySession`:
 //!
 //! * every emitted `DiscoveryEvent` is serialized once (via the stable
-//!   [`aod_core::wire`] encoding) into the job's event log, which
-//!   `GET /jobs/{id}/events` streams as NDJSON — including to clients that
-//!   attach mid-run or after completion (the log replays from the start);
+//!   [`aod_core::wire`] encoding) into the job's [`EventLog`], one NDJSON
+//!   buffer that `GET /jobs/{id}/events` streams — including to clients
+//!   that attach mid-run or after completion (the log replays from the
+//!   start);
 //! * `DELETE /jobs/{id}` fires the session's `CancelToken`; the engine
 //!   stops at the next node boundary and the job finishes with partial,
 //!   well-formed results flagged `stopped_early`;
@@ -293,15 +294,91 @@ impl JobSpec {
     }
 }
 
+/// A job's event log: append-only NDJSON text, every line ending in
+/// `\n`, plus the byte offset where each line ends.
+///
+/// A finished log is shared by `Arc` — between its job, its
+/// [`CachedRun`] and every replay — and never copied. Only the runner
+/// appends, and it stays the log's only owner while it does, because
+/// [`Job::events_after`] copies a live log's tail instead of sharing it.
+#[derive(Debug, Clone, Default)]
+pub struct EventLog {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl EventLog {
+    /// Appends one event line (`line` holds no newline).
+    pub fn push(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+        self.ends.push(self.text.len());
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when no line was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The NDJSON text of lines `from..` (empty past the end).
+    pub fn text_from(&self, from: usize) -> &str {
+        let start = match from.checked_sub(1) {
+            None => 0,
+            Some(last) => self.ends.get(last).copied().unwrap_or(self.text.len()),
+        };
+        self.text.get(start..).unwrap_or_default()
+    }
+}
+
+/// Event lines handed out by [`Job::events_after`], as NDJSON text.
+#[derive(Debug)]
+pub struct EventBatch {
+    text: BatchText,
+    lines: usize,
+}
+
+#[derive(Debug)]
+enum BatchText {
+    /// A finished log, shared: the batch is its lines from this index on.
+    Shared(Arc<EventLog>, usize),
+    /// The new tail of a live log, copied out.
+    Copied(String),
+}
+
+impl EventBatch {
+    /// The lines as NDJSON text, each ending in `\n`.
+    pub fn text(&self) -> &str {
+        match &self.text {
+            BatchText::Shared(log, from) => log.text_from(*from),
+            BatchText::Copied(text) => text,
+        }
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.lines
+    }
+
+    /// `true` when the batch holds no line.
+    pub fn is_empty(&self) -> bool {
+        self.lines == 0
+    }
+}
+
 #[derive(Debug)]
 struct JobState {
     status: JobStatus,
     cancel_requested: bool,
     levels_completed: usize,
-    /// `Arc` so cache-hit jobs *share* the cached run's log instead of
-    /// deep-copying it per job; a live runner is the unique owner, so
-    /// `Arc::make_mut` pushes in place.
-    events: Arc<Vec<String>>,
+    /// `Arc` so a finished log is shared, not copied, by the cache, by
+    /// cache-hit jobs and by replays; a live runner is the unique owner,
+    /// so `Arc::make_mut` appends in place.
+    events: Arc<EventLog>,
     events_done: bool,
     result_json: Option<Arc<String>>,
     stats_json: Option<Arc<String>>,
@@ -336,7 +413,7 @@ impl Job {
                 status: JobStatus::Running,
                 cancel_requested: false,
                 levels_completed: 0,
-                events: Arc::new(Vec::new()),
+                events: Arc::new(EventLog::default()),
                 events_done: false,
                 result_json: None,
                 stats_json: None,
@@ -388,16 +465,23 @@ impl Job {
     }
 
     /// Event lines from `from` onward, plus whether the log is complete.
-    /// Blocks up to `wait` for news when there is none yet.
-    pub fn events_after(&self, from: usize, wait: Duration) -> (Vec<String>, bool) {
+    /// Blocks up to `wait` for news when there is none yet. A finished
+    /// log's lines are handed out without copying; a live log's new tail
+    /// is copied, so the runner stays the log's only owner.
+    pub fn events_after(&self, from: usize, wait: Duration) -> (EventBatch, bool) {
         let state = lock_or_recover(&self.state);
         let state = if state.events.len() <= from && !state.events_done {
             wait_timeout_or_recover(&self.cond, state, wait)
         } else {
             state
         };
-        let lines = state.events.get(from..).unwrap_or(&[]).to_vec();
-        (lines, state.events_done)
+        let text = if state.events_done {
+            BatchText::Shared(Arc::clone(&state.events), from)
+        } else {
+            BatchText::Copied(state.events.text_from(from).to_string())
+        };
+        let lines = state.events.len().saturating_sub(from);
+        (EventBatch { text, lines }, state.events_done)
     }
 
     /// Blocks until the job leaves `Running` (test/smoke convenience).
@@ -408,7 +492,7 @@ impl Job {
         }
     }
 
-    fn push_event(&self, line: String, level_completed: bool) {
+    fn push_event(&self, line: &str, level_completed: bool) {
         let mut state = lock_or_recover(&self.state);
         Arc::make_mut(&mut state.events).push(line);
         if level_completed {
@@ -429,7 +513,7 @@ impl Job {
     fn adopt_cached(&self, run: &CachedRun) {
         let mut state = lock_or_recover(&self.state);
         state.status = JobStatus::Done;
-        state.events = run.events.clone();
+        state.events = Arc::clone(&run.events);
         state.events_done = true;
         state.levels_completed = run.levels_completed;
         state.result_json = Some(run.result_json.clone());
@@ -710,7 +794,7 @@ fn run_job(
         let mut session = builder.build(&dataset.table);
         for event in session.by_ref() {
             let level_completed = matches!(event, DiscoveryEvent::LevelComplete(_));
-            job.push_event(event.to_json(), level_completed);
+            job.push_event(&event.to_json(), level_completed);
             if level_completed && !delay.is_zero() {
                 // Pace between levels, staying responsive to cancellation.
                 let mut slept = Duration::ZERO;
@@ -896,6 +980,43 @@ mod tests {
         assert_eq!(stats.get("stopped_early").unwrap().as_bool(), Some(true));
         // Partial runs must not poison the cache.
         assert!(manager.cache.is_empty());
+        manager.shutdown();
+    }
+
+    #[test]
+    fn event_log_hands_out_ndjson_tails() {
+        let mut log = EventLog::default();
+        assert!(log.is_empty());
+        assert_eq!(log.text_from(0), "");
+        for line in ["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"] {
+            log.push(line);
+        }
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.text_from(0), "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n");
+        assert_eq!(log.text_from(2), "{\"c\":3}\n");
+        assert_eq!(log.text_from(3), "");
+        assert_eq!(log.text_from(9), "");
+    }
+
+    #[test]
+    fn live_batches_are_copied_and_finished_batches_shared() {
+        let d = employee_dataset();
+        let manager = JobManager::new(2);
+        let spec = parse_spec(r#"{"epsilon":0.1,"level_delay_ms":60000}"#, &d).unwrap();
+        let job = manager.submit(d.clone(), spec).unwrap();
+        let (first, done) = job.events_after(0, Duration::from_secs(30));
+        assert!(!done && !first.is_empty());
+        // A live batch is a copy: the runner still owns its log alone, so
+        // its next push appends in place.
+        assert_eq!(Arc::strong_count(&lock_or_recover(&job.state).events), 1);
+        job.cancel();
+        job.wait_done();
+        let (all, done) = job.events_after(0, Duration::ZERO);
+        assert!(done);
+        assert!(all.text().starts_with(first.text()));
+        assert_eq!(all.len(), all.text().lines().count());
+        // A finished batch shares the job's log.
+        assert_eq!(Arc::strong_count(&lock_or_recover(&job.state).events), 2);
         manager.shutdown();
     }
 

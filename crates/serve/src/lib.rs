@@ -71,7 +71,8 @@ mod sync;
 pub use cache::{CachedRun, ResultCache, MAX_CACHED_RUNS};
 pub use http::{status_text, ChunkedWriter, HttpError, Request};
 pub use jobs::{
-    Job, JobManager, JobSpec, JobStatus, TraceStore, MAX_RETAINED_JOBS, MAX_RETAINED_TRACES,
+    EventBatch, EventLog, Job, JobManager, JobSpec, JobStatus, TraceStore, MAX_RETAINED_JOBS,
+    MAX_RETAINED_TRACES,
 };
 pub use metrics::{ServeMetrics, ServeSnapshot};
 pub use registry::{Dataset, Registry, MAX_DATASETS};

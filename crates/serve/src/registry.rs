@@ -77,7 +77,7 @@ impl Registry {
     /// Registers a dataset loaded from a CSV file (header row expected;
     /// types inferred). Errors are user-facing strings for 4xx responses.
     pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, String> {
-        validate_name(name)?;
+        self.admit(name)?;
         let table = read_path(path, &CsvOptions::default())
             .map_err(|e| format!("reading `{path}`: {e}"))?;
         let columns: Vec<String> = table
@@ -99,7 +99,7 @@ impl Registry {
         rows: usize,
         seed: u64,
     ) -> Result<Arc<Dataset>, String> {
-        validate_name(name)?;
+        self.admit(name)?;
         let (ranked, columns) = match kind {
             "flight" => {
                 let g = flight::flight(seed);
@@ -135,6 +135,14 @@ impl Registry {
         )
     }
 
+    /// Refuses, before any table is loaded, a registration that would be
+    /// refused anyway; `insert` checks again under the lock, for
+    /// concurrent registrations.
+    fn admit(&self, name: &str) -> Result<(), String> {
+        validate_name(name)?;
+        vacancy(&lock_or_recover(&self.inner), name)
+    }
+
     fn insert(
         &self,
         name: &str,
@@ -151,14 +159,7 @@ impl Registry {
             source,
         });
         let mut map = lock_or_recover(&self.inner);
-        if map.contains_key(name) {
-            return Err(format!("dataset `{name}` is already registered"));
-        }
-        if map.len() >= MAX_DATASETS {
-            return Err(format!(
-                "registry is full ({MAX_DATASETS} datasets); deregister one first"
-            ));
-        }
+        vacancy(&map, name)?;
         map.insert(name.to_string(), dataset.clone());
         Ok(dataset)
     }
@@ -191,6 +192,19 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Whether `map` has room for a dataset called `name`.
+fn vacancy(map: &HashMap<String, Arc<Dataset>>, name: &str) -> Result<(), String> {
+    if map.contains_key(name) {
+        return Err(format!("dataset `{name}` is already registered"));
+    }
+    if map.len() >= MAX_DATASETS {
+        return Err(format!(
+            "registry is full ({MAX_DATASETS} datasets); deregister one first"
+        ));
+    }
+    Ok(())
 }
 
 fn validate_name(name: &str) -> Result<(), String> {
@@ -268,6 +282,31 @@ mod tests {
         assert_eq!(d.columns, vec!["a", "b"]);
         assert!(r.register_csv("miss", "/nonexistent/x.csv").is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_taken_name_is_refused_before_the_csv_is_read() {
+        let r = Registry::new();
+        r.register_generated("t", "employee", 0, 0).unwrap();
+        // The path does not exist: reading it first would answer 400.
+        let err = r.register_csv("t", "/nonexistent/x.csv").unwrap_err();
+        assert!(err.contains("already registered"), "{err}");
+    }
+
+    #[test]
+    fn a_full_registry_is_refused_before_the_csv_is_read() {
+        let r = Registry::new();
+        for i in 0..MAX_DATASETS {
+            r.register_generated(&format!("d{i}"), "employee", 0, 0)
+                .unwrap();
+        }
+        let err = r.register_csv("more", "/nonexistent/x.csv").unwrap_err();
+        assert!(err.contains("registry is full"), "{err}");
+        // Nor is a table generated for it.
+        let err = r
+            .register_generated("more", "flight", 1_000_000, 1)
+            .unwrap_err();
+        assert!(err.contains("registry is full"), "{err}");
     }
 
     #[test]

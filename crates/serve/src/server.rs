@@ -7,21 +7,29 @@
 //! Discovery itself never runs on an accept worker — the
 //! [`JobManager`](crate::jobs::JobManager) spawns one thread per job.
 //!
-//! Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`]) flips a flag;
-//! the nonblocking accept loops notice it within one poll interval,
-//! running jobs are cancelled through their `CancelToken`s, and every
-//! thread is joined before `run`/`join` returns — the "clean shutdown" the
-//! CI smoke job asserts.
+//! Workers block in `accept`. Shutdown (`POST /shutdown` or
+//! [`ServerHandle::shutdown`]) stores a flag and then opens one loopback
+//! connection per worker: each worker blocked in `accept` takes one, sees
+//! the flag and exits, and a worker busy with a request sees the flag when
+//! it returns to its loop. Running jobs are then cancelled through their
+//! `CancelToken`s, and every thread is joined before `run`/`join` returns
+//! — the "clean shutdown" the CI smoke job asserts.
 
 use crate::http::{read_request, write_json, write_response, ChunkedWriter, HttpError, Request};
 use crate::jobs::{JobManager, JobSpec, JobStatus};
 use crate::metrics::{ServeMetrics, ServeSnapshot};
 use crate::registry::{Registry, MAX_DATASETS};
 use aod_core::json::{JsonArray, JsonObject, JsonValue};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long an accept worker backs off after a failed `accept` (such as
+/// EMFILE), instead of spinning on the error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// Upper bound on one shutdown wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How to bind and size a [`Server`].
 #[derive(Debug, Clone)]
@@ -54,12 +62,28 @@ struct ServerCtx {
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
     requests: AtomicU64,
+    /// Accept-worker count: one wake connection each at shutdown.
+    workers: usize,
+    /// Where shutdown connects to wake the workers: the bound address,
+    /// with an unspecified IP mapped to the loopback address of its family.
+    wake_addr: SocketAddr,
+}
+
+impl ServerCtx {
+    /// Stores the shutdown flag, then opens one loopback connection per
+    /// accept worker, so every worker blocked in `accept` wakes, sees the
+    /// flag and exits. Connections nobody accepts close with the listener.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+        }
+    }
 }
 
 /// A bound (but not yet serving) discovery service.
 pub struct Server {
     listener: TcpListener,
-    threads: usize,
     ctx: Arc<ServerCtx>,
 }
 
@@ -68,27 +92,35 @@ impl Server {
     /// [`run`](Server::run) or [`spawn`](Server::spawn).
     pub fn bind(config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind((config.bind.as_str(), config.port))?;
-        let threads = if config.threads == 0 {
+        let workers = if config.threads == 0 {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         } else {
             config.threads
         };
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let metrics = Arc::new(ServeMetrics::new());
         Ok(Server {
             listener,
-            threads,
             ctx: Arc::new(ServerCtx {
                 registry: Registry::new(),
                 jobs: JobManager::new(config.max_jobs).with_metrics(metrics.clone()),
                 metrics,
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
+                workers,
+                wake_addr,
             }),
         })
     }
 
     /// The bound address (resolves port 0 for tests).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -109,10 +141,9 @@ impl Server {
     /// entry point).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
         let listener = Arc::new(self.listener);
-        let mut workers = Vec::with_capacity(self.threads);
-        for i in 0..self.threads {
+        let mut workers = Vec::with_capacity(self.ctx.workers);
+        for i in 0..self.ctx.workers {
             let listener = listener.clone();
             let ctx = self.ctx.clone();
             workers.push(
@@ -133,20 +164,20 @@ impl Server {
 /// [`shutdown`](ServerHandle::shutdown) + [`join`](ServerHandle::join) (or
 /// just [`join`](ServerHandle::join) to block until an HTTP shutdown).
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     ctx: Arc<ServerCtx>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Requests shutdown (same as `POST /shutdown`).
     pub fn shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.request_shutdown();
     }
 
     /// Blocks until every accept worker exited (i.e. until shutdown), then
@@ -159,31 +190,27 @@ impl ServerHandle {
     }
 }
 
-/// One accept worker: nonblocking accept, poll the shutdown flag. A panic
-/// while handling a request (a registry/engine bug, not I/O) drops that
-/// connection but must not kill the worker — the server keeps serving.
+/// One accept worker: blocks in `accept`, and re-checks the shutdown flag
+/// after every accept, so the wake connections of
+/// [`ServerCtx::request_shutdown`] end it. A panic while handling a
+/// request (a registry/engine bug, not I/O) drops that connection but must
+/// not kill the worker — the server keeps serving. A failed accept (such
+/// as EMFILE) backs off briefly instead of spinning.
 fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
     while !ctx.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if ctx.shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _)) => {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     handle_connection(stream, ctx);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
 fn handle_connection(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    // The listener is nonblocking; accepted sockets inherit that on some
-    // platforms, and request handling wants plain blocking I/O.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
     ctx.requests.fetch_add(1, Ordering::Relaxed);
@@ -240,7 +267,7 @@ fn route(stream: &mut TcpStream, ctx: &Arc<ServerCtx>, request: &Request) {
         },
         ["shutdown"] => match method {
             "POST" => {
-                ctx.shutdown.store(true, Ordering::SeqCst);
+                ctx.request_shutdown();
                 let mut obj = JsonObject::new();
                 obj.str("status", "shutting down");
                 write_json(stream, 202, &obj.finish())
@@ -486,7 +513,8 @@ fn parse_body(request: &Request) -> Result<JsonValue, String> {
 
 /// Streams the job's NDJSON event log as chunked transfer encoding: replay
 /// from the start, then follow live until the log completes (or the server
-/// shuts down, which ends the stream cleanly).
+/// shuts down, which ends the stream cleanly). Each `events_after` batch
+/// leaves as one chunk.
 fn stream_events(
     stream: &mut TcpStream,
     ctx: &Arc<ServerCtx>,
@@ -495,19 +523,13 @@ fn stream_events(
     let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
     let mut cursor = 0usize;
     loop {
-        let (lines, done) = job.events_after(cursor, Duration::from_millis(100));
-        for line in &lines {
-            writer.chunk(line)?;
-            writer.chunk("\n")?;
-        }
-        cursor += lines.len();
+        let (batch, done) = job.events_after(cursor, Duration::from_millis(100));
+        writer.chunk(batch.text())?;
+        cursor += batch.len();
         if done || ctx.shutdown.load(Ordering::SeqCst) {
             // Drain anything that landed between the last wait and `done`.
             let (rest, _) = job.events_after(cursor, Duration::ZERO);
-            for line in &rest {
-                writer.chunk(line)?;
-                writer.chunk("\n")?;
-            }
+            writer.chunk(rest.text())?;
             return writer.finish();
         }
     }
@@ -516,16 +538,202 @@ fn stream_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client;
+    use crate::client::{self, EventStream};
+    use aod_core::DiscoveryBuilder;
+    use std::io::{Read, Write};
+    use std::sync::mpsc;
+
+    /// How long a shutdown may take before the test calls the wake missed.
+    const JOIN_LIMIT: Duration = Duration::from_secs(10);
+    /// Time for freshly spawned workers to reach `accept`. A worker that
+    /// has not yet entered its loop sees the flag without blocking, so
+    /// shutting down sooner would leave the wake untested; waiting longer
+    /// never changes whether the test passes.
+    const SETTLE: Duration = Duration::from_millis(50);
 
     fn start() -> ServerHandle {
+        start_on("127.0.0.1", 2)
+    }
+
+    fn start_on(bind: &str, threads: usize) -> ServerHandle {
         let server = Server::bind(&ServeConfig {
+            bind: bind.to_string(),
             port: 0,
-            threads: 2,
+            threads,
             ..ServeConfig::default()
         })
         .unwrap();
         server.spawn().unwrap()
+    }
+
+    /// The address a client dials: the bound one, on loopback.
+    fn dial(handle: &ServerHandle) -> SocketAddr {
+        SocketAddr::new(Ipv4Addr::LOCALHOST.into(), handle.addr().port())
+    }
+
+    /// Joins the server on a helper thread and fails when that takes
+    /// longer than [`JOIN_LIMIT`], so a missed wake fails the test instead
+    /// of stalling the suite.
+    fn join_within_limit(handle: ServerHandle) {
+        let (done, joined) = mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            handle.join();
+            let _ = done.send(());
+        });
+        assert!(
+            joined.recv_timeout(JOIN_LIMIT).is_ok(),
+            "a worker still runs {JOIN_LIMIT:?} after shutdown"
+        );
+        joiner.join().unwrap();
+    }
+
+    fn post(addr: SocketAddr, path: &str, body: &str) -> JsonValue {
+        let r = client::request(addr, "POST", path, Some(body)).unwrap();
+        assert!(r.status == 201, "{} {}", r.status, r.body);
+        r.json().unwrap()
+    }
+
+    fn submit(addr: SocketAddr, body: &str) -> u64 {
+        post(addr, "/jobs", body)
+            .get("id")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+    }
+
+    /// A server whose workers all block in `accept`.
+    fn start_idle(bind: &str, threads: usize) -> ServerHandle {
+        let handle = start_on(bind, threads);
+        let health = client::request(dial(&handle), "GET", "/health", None).unwrap();
+        assert_eq!(health.status, 200);
+        std::thread::sleep(SETTLE);
+        handle
+    }
+
+    #[test]
+    fn shutdown_wakes_every_blocked_worker() {
+        for threads in [1, 4] {
+            for bind in ["127.0.0.1", "0.0.0.0"] {
+                let handle = start_idle(bind, threads);
+                handle.shutdown();
+                join_within_limit(handle);
+                // Through HTTP: the worker serving the request wakes the
+                // others and then leaves its own loop.
+                let handle = start_idle(bind, threads);
+                let bye = client::request(dial(&handle), "POST", "/shutdown", None).unwrap();
+                assert_eq!(bye.status, 202, "{threads} workers on {bind}");
+                join_within_limit(handle);
+            }
+        }
+    }
+
+    #[test]
+    fn http_shutdown_ends_a_live_event_stream() {
+        for bind in ["127.0.0.1", "0.0.0.0"] {
+            let handle = start_on(bind, 4);
+            let addr = dial(&handle);
+            post(
+                addr,
+                "/datasets",
+                r#"{"name":"emp","generate":{"dataset":"employee"}}"#,
+            );
+            let id = submit(
+                addr,
+                r#"{"dataset":"emp","config":{"epsilon":0.1,"level_delay_ms":60000}}"#,
+            );
+            let mut events = EventStream::open(addr, &format!("/jobs/{id}/events")).unwrap();
+            // A first line means a worker is streaming the paced job.
+            assert!(events.next_line().unwrap().is_some());
+            let bye = client::request(addr, "POST", "/shutdown", None).unwrap();
+            assert_eq!(bye.status, 202);
+            join_within_limit(handle);
+            // The stream was ended cleanly, with the terminating chunk.
+            events.collect_lines().unwrap();
+        }
+    }
+
+    /// Flight rows and columns for the replay tests: enough for an event
+    /// log larger than the chunk buffer and the client's 4 KiB reads.
+    const FLIGHT_ROWS: usize = 400;
+    const FLIGHT_COLS: usize = 6;
+
+    /// The in-process event lines of the flight job the replay tests run.
+    fn in_process_replay() -> Vec<String> {
+        let table = aod_datagen::flight::flight(1).ranked(FLIGHT_ROWS);
+        let mut session = DiscoveryBuilder::new()
+            .approximate(0.1)
+            .scope(0..FLIGHT_COLS)
+            .build(&table);
+        session.by_ref().map(|event| event.to_json()).collect()
+    }
+
+    fn flight_job(addr: SocketAddr, level_delay_ms: u64) -> u64 {
+        let columns: Vec<String> = (0..FLIGHT_COLS).map(|c| c.to_string()).collect();
+        submit(
+            addr,
+            &format!(
+                r#"{{"dataset":"fl","config":{{"epsilon":0.1,"columns":[{}],"level_delay_ms":{level_delay_ms}}}}}"#,
+                columns.join(",")
+            ),
+        )
+    }
+
+    /// Splits a raw chunked body into its data chunks; the terminating
+    /// zero-size chunk must end the body exactly.
+    fn chunks(mut body: &[u8]) -> Vec<&[u8]> {
+        let mut out = Vec::new();
+        loop {
+            let line_end = body.windows(2).position(|w| w == b"\r\n").unwrap();
+            let size_text = std::str::from_utf8(&body[..line_end]).unwrap();
+            let size = usize::from_str_radix(size_text, 16).unwrap();
+            body = &body[line_end + 2..];
+            if size == 0 {
+                assert_eq!(body, b"\r\n", "bytes after the terminating chunk");
+                return out;
+            }
+            out.push(&body[..size]);
+            assert_eq!(&body[size..size + 2], b"\r\n");
+            body = &body[size + 2..];
+        }
+    }
+
+    #[test]
+    fn a_finished_replay_is_one_chunk() {
+        let handle = start();
+        let addr = handle.addr();
+        post(
+            addr,
+            "/datasets",
+            &format!(
+                r#"{{"name":"fl","generate":{{"dataset":"flight","rows":{FLIGHT_ROWS},"seed":1}}}}"#
+            ),
+        );
+        let id = flight_job(addr, 0);
+        handle.ctx.jobs.get(id).unwrap().wait_done();
+        let replay = in_process_replay();
+
+        let mut raw_stream = TcpStream::connect(addr).unwrap();
+        write!(
+            raw_stream,
+            "GET /jobs/{id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        .unwrap();
+        let mut raw = Vec::new();
+        raw_stream.read_to_end(&mut raw).unwrap();
+        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let chunks = chunks(&raw[head_end + 4..]);
+        assert_eq!(chunks.len(), 1, "a finished replay is one data chunk");
+        let data = std::str::from_utf8(chunks[0]).unwrap();
+        assert!(data.len() > 8 * 1024, "log of {} bytes", data.len());
+        let lines: Vec<&str> = data.split_terminator('\n').collect();
+        assert_eq!(lines, replay, "replay != in-process run");
+
+        // A paced job, read while it runs, decodes to the same lines.
+        let live = flight_job(addr, 20);
+        let mut events = EventStream::open(addr, &format!("/jobs/{live}/events")).unwrap();
+        assert_eq!(events.collect_lines().unwrap(), replay);
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]
