@@ -13,9 +13,11 @@
 use crate::sync::lock_or_recover;
 use aod_core::json::{JsonArray, JsonObject};
 use aod_datagen::{flight, ncvoter};
-use aod_table::csv::{read_path, CsvOptions};
-use aod_table::{employee_table, RankedTable};
+use aod_table::csv::{read_str, CsvOptions};
+use aod_table::{employee_table, RankedTable, Table, TableError};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, Read};
 use std::sync::{Arc, Mutex};
 
 /// A registered dataset: the shared ranked table plus its metadata.
@@ -75,11 +77,12 @@ impl Registry {
     }
 
     /// Registers a dataset loaded from a CSV file (header row expected;
-    /// types inferred). Errors are user-facing strings for 4xx responses.
+    /// types inferred), which must be a regular file of at most 1 GiB.
+    /// Errors are user-facing strings for 4xx responses.
     pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, String> {
         self.admit(name)?;
-        let table = read_path(path, &CsvOptions::default())
-            .map_err(|e| format!("reading `{path}`: {e}"))?;
+        let table =
+            read_regular_file(path, MAX_CSV_BYTES).map_err(|e| format!("reading `{path}`: {e}"))?;
         let columns: Vec<String> = table
             .schema()
             .names()
@@ -194,6 +197,34 @@ impl Registry {
     }
 }
 
+/// The largest CSV file [`Registry::register_csv`] reads.
+const MAX_CSV_BYTES: u64 = 1 << 30;
+
+/// Reads a CSV table from `path`, which must name a regular file of at
+/// most `limit` bytes. The path comes from the client: opening a FIFO
+/// blocks until a writer comes, a device such as `/dev/zero` never ends,
+/// and a procfs file such as `/proc/self/pagemap` is regular, reports no
+/// length and reads on for hundreds of GiB.
+fn read_regular_file(path: &str, limit: u64) -> Result<Table, TableError> {
+    let not_regular = || io::Error::new(io::ErrorKind::InvalidInput, "not a regular file");
+    // `stat` does not block on a FIFO; the open handle is checked again
+    // in case the path changed in between.
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(not_regular().into());
+    }
+    let file = File::open(path)?;
+    if !file.metadata()?.is_file() {
+        return Err(not_regular().into());
+    }
+    let mut text = String::new();
+    file.take(limit + 1).read_to_string(&mut text)?;
+    if text.len() as u64 > limit {
+        let message = format!("larger than {limit} bytes");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message).into());
+    }
+    read_str(&text, &CsvOptions::default())
+}
+
 /// Whether `map` has room for a dataset called `name`.
 fn vacancy(map: &HashMap<String, Arc<Dataset>>, name: &str) -> Result<(), String> {
     if map.contains_key(name) {
@@ -281,6 +312,47 @@ mod tests {
         assert_eq!(d.table.n_rows(), 3);
         assert_eq!(d.columns, vec!["a", "b"]);
         assert!(r.register_csv("miss", "/nonexistent/x.csv").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn only_regular_files_are_read() {
+        let r = Registry::new();
+        for path in ["/dev/zero", "/"] {
+            let err = r.register_csv("z", path).unwrap_err();
+            assert!(err.contains("not a regular file"), "{path}: {err}");
+        }
+        assert!(r.is_empty());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn endless_and_blocking_files_are_refused() {
+        // Regular, length 0, and about 256 GiB of page entries. The
+        // kernel serves only whole 8-byte entries, so the limit is one
+        // short of a multiple of 8: every read, up to limit + 1, is whole.
+        let err = read_regular_file("/proc/self/pagemap", (1 << 20) - 1).unwrap_err();
+        assert!(
+            err.to_string().contains("larger than 1048575 bytes"),
+            "{err}"
+        );
+        let dir = std::env::temp_dir().join(format!("aod_serve_fifo_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("f.csv");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        if made.is_ok_and(|status| status.success()) {
+            // Opening a FIFO with no writer would block for good.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let path = fifo.to_str().unwrap().to_string();
+            let reader =
+                std::thread::spawn(move || tx.send(read_regular_file(&path, 1 << 20).map(drop)));
+            let result = rx.recv_timeout(std::time::Duration::from_secs(10));
+            let err = result.expect("the FIFO is refused unopened").unwrap_err();
+            let sent = reader.join().expect("the reader thread ends");
+            sent.expect("the receiver waits");
+            assert!(err.to_string().contains("not a regular file"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

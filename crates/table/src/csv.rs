@@ -4,12 +4,22 @@
 //! crate) but complete for the datasets this project handles: quoted fields,
 //! embedded separators/newlines/escaped quotes, configurable delimiter, CRLF
 //! tolerance, and per-column type inference through [`Value::parse`].
+//!
+//! The reader makes one pass over the input bytes. It copies each run of
+//! field text between two stop bytes (quote, CR, LF, delimiter) into one
+//! reused buffer, and each finished field goes through [`Value::parse`]
+//! straight into its column, so no per-field strings, no row vectors and
+//! no transpose are built. Columns grow as values arrive. A quote opens a
+//! quoted section only at the start of a field, a CR outside quotes is
+//! dropped, and blank lines are skipped. A non-ASCII delimiter byte never
+//! delimits, because it would split a character.
 
 use crate::error::TableError;
+use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Options controlling CSV parsing.
@@ -31,137 +41,178 @@ impl Default for CsvOptions {
     }
 }
 
-/// Parses CSV text into records of string fields.
-///
-/// # Errors
-/// [`TableError::Csv`] on an unterminated quoted field.
-pub fn parse_records(input: &str, delimiter: u8) -> Result<Vec<Vec<String>>, TableError> {
-    let bytes = input.as_bytes();
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut in_quotes = false;
-    let mut any_field_on_line = false;
-
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_quotes {
-            match b {
-                b'"' => {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                        field.push('"');
-                        i += 2;
-                    } else {
-                        in_quotes = false;
-                        i += 1;
-                    }
-                }
-                b'\n' => {
-                    field.push('\n');
-                    line += 1;
-                    i += 1;
-                }
-                _ => {
-                    // Push the full UTF-8 character, not just the byte.
-                    let ch_len = utf8_len(b);
-                    field.push_str(&input[i..i + ch_len]);
-                    i += ch_len;
-                }
-            }
-        } else {
-            match b {
-                b'"' if field.is_empty() => {
-                    in_quotes = true;
-                    any_field_on_line = true;
-                    i += 1;
-                }
-                b'\r' => {
-                    i += 1; // tolerate CRLF; the LF branch ends the record
-                }
-                b'\n' => {
-                    if any_field_on_line || !field.is_empty() || !record.is_empty() {
-                        record.push(std::mem::take(&mut field));
-                        records.push(std::mem::take(&mut record));
-                    }
-                    any_field_on_line = false;
-                    line += 1;
-                    i += 1;
-                }
-                d if d == delimiter => {
-                    record.push(std::mem::take(&mut field));
-                    any_field_on_line = true;
-                    i += 1;
-                }
-                _ => {
-                    let ch_len = utf8_len(b);
-                    field.push_str(&input[i..i + ch_len]);
-                    any_field_on_line = true;
-                    i += ch_len;
-                }
-            }
-        }
-    }
-    if in_quotes {
-        return Err(TableError::Csv {
-            line,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    if any_field_on_line || !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    Ok(records)
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 /// Reads a [`Table`] from CSV text.
+///
+/// Errors come in this order: an unterminated quoted field anywhere in
+/// the input, then the first record whose field count differs from the
+/// first record's, then a duplicate header name.
 ///
 /// # Errors
 /// [`TableError::Csv`] for malformed input, [`TableError::RowArity`] when a
-/// record's field count differs from the header's.
+/// record's field count differs from the header's,
+/// [`TableError::DuplicateColumn`] for a repeated header name.
 pub fn read_str(input: &str, options: &CsvOptions) -> Result<Table, TableError> {
-    let mut records = parse_records(input, options.delimiter)?;
-    if records.is_empty() {
-        return Table::from_rows::<&str>(&[], Vec::new());
-    }
-    let names: Vec<String> = if options.has_header {
-        records.remove(0)
+    let bytes = input.as_bytes();
+    // LF stands in for a non-ASCII delimiter: the LF branch claims it first.
+    let delimiter = if options.delimiter.is_ascii() {
+        options.delimiter
     } else {
-        (0..records[0].len()).map(|i| format!("c{i}")).collect()
+        b'\n'
     };
-    let expected = names.len();
-    let mut rows = Vec::with_capacity(records.len());
-    for (idx, rec) in records.into_iter().enumerate() {
-        if rec.len() != expected {
-            return Err(TableError::RowArity {
-                row: idx + if options.has_header { 2 } else { 1 },
-                found: rec.len(),
-                expected,
+    let mut stops = [false; 256];
+    for b in [b'"', b'\r', b'\n', delimiter] {
+        stops[usize::from(b)] = true;
+    }
+    let mut columns = Columns {
+        has_header: options.has_header,
+        ..Columns::default()
+    };
+    let mut field = String::new();
+    let mut line_has_field = false;
+    // Start of the next unquoted run of field text.
+    let mut run = 0;
+    loop {
+        // A quote after field text is text, unless it is the delimiter.
+        let mut end = run;
+        loop {
+            while end < bytes.len() && !stops[usize::from(bytes[end])] {
+                end += 1;
+            }
+            let quote_is_text = bytes.get(end) == Some(&b'"')
+                && delimiter != b'"'
+                && (end > run || !field.is_empty());
+            if !quote_is_text {
+                break;
+            }
+            end += 1;
+        }
+        line_has_field |= end > run;
+        field.push_str(&input[run..end]);
+        let Some(&stop) = bytes.get(end) else {
+            break;
+        };
+        run = end + 1;
+        match stop {
+            b'"' if field.is_empty() => {
+                line_has_field = true;
+                run = read_quoted(input, run, &mut field)?;
+            }
+            b'\r' => {}
+            b'\n' => {
+                if line_has_field {
+                    columns.field(&field);
+                    field.clear();
+                    columns.end_record();
+                }
+                line_has_field = false;
+            }
+            _ => {
+                columns.field(&field);
+                field.clear();
+                line_has_field = true;
+            }
+        }
+    }
+    if line_has_field {
+        columns.field(&field);
+        columns.end_record();
+    }
+    columns.finish()
+}
+
+/// Appends the text of a quoted section, which starts at `from` (just
+/// past the opening quote), to `field`, and returns the position after
+/// its closing quote. A doubled quote is one quote of text.
+fn read_quoted(input: &str, mut from: usize, field: &mut String) -> Result<usize, TableError> {
+    let bytes = input.as_bytes();
+    loop {
+        let Some(quote) = bytes[from..].iter().position(|&b| b == b'"') else {
+            return Err(TableError::Csv {
+                line: 1 + bytes.iter().filter(|&&b| b == b'\n').count(),
+                message: "unterminated quoted field".into(),
+            });
+        };
+        let quote = from + quote;
+        field.push_str(&input[from..quote]);
+        if bytes.get(quote + 1) != Some(&b'"') {
+            return Ok(quote + 1);
+        }
+        field.push('"');
+        from = quote + 2;
+    }
+}
+
+/// Receives fields in order and fills the columns. The first record
+/// names the columns (or, without a header, fixes their count and is the
+/// first row); every later record must have as many fields.
+#[derive(Default)]
+struct Columns {
+    has_header: bool,
+    names: Vec<String>,
+    values: Vec<Vec<Value>>,
+    /// Fields seen in the current record.
+    fields: usize,
+    /// Records ended so far, the header included.
+    records: usize,
+    /// The first record with the wrong field count; once set, values are
+    /// no longer parsed, but the rest of the input is still read for an
+    /// unterminated quote, which takes precedence.
+    arity: Option<TableError>,
+}
+
+impl Columns {
+    fn field(&mut self, text: &str) {
+        let f = self.fields;
+        self.fields += 1;
+        if self.records == 0 && self.has_header {
+            self.names.push(text.to_string());
+            return;
+        }
+        if self.records == 0 {
+            self.values.push(Vec::new());
+        }
+        if self.arity.is_none() && f < self.values.len() {
+            self.values[f].push(Value::parse(text));
+        }
+    }
+
+    /// Ends the current record.
+    fn end_record(&mut self) {
+        let found = std::mem::take(&mut self.fields);
+        if self.records == 0 && self.has_header {
+            self.values = vec![Vec::new(); found];
+        } else if found != self.values.len() && self.arity.is_none() {
+            self.arity = Some(TableError::RowArity {
+                row: self.records + 1,
+                found,
+                expected: self.values.len(),
             });
         }
-        rows.push(rec.iter().map(|f| Value::parse(f)).collect());
+        self.records += 1;
     }
-    Table::from_rows(&names, rows)
+
+    fn finish(self) -> Result<Table, TableError> {
+        if let Some(error) = self.arity {
+            return Err(error);
+        }
+        let names = if self.has_header {
+            self.names
+        } else {
+            (0..self.values.len()).map(|i| format!("c{i}")).collect()
+        };
+        let mut table = Table::new(Schema::from_names(&names)?, self.values)?;
+        table.infer_types();
+        Ok(table)
+    }
 }
 
 /// Reads a [`Table`] from any reader.
 ///
 /// # Errors
 /// Propagates I/O errors plus everything [`read_str`] returns.
-pub fn read_from<R: Read>(reader: R, options: &CsvOptions) -> Result<Table, TableError> {
+pub fn read_from<R: Read>(mut reader: R, options: &CsvOptions) -> Result<Table, TableError> {
     let mut buf = String::new();
-    BufReader::new(reader).read_to_string(&mut buf)?;
+    reader.read_to_string(&mut buf)?;
     read_str(&buf, options)
 }
 
@@ -203,7 +254,7 @@ pub fn write_to<W: Write>(
             .iter()
             .map(|n| quote_field(n, options.delimiter))
             .collect();
-        writeln!(w, "{}", header.join(&d.to_string()))?;
+        write_line(&mut w, &header.join(&d.to_string()), table.n_cols())?;
     }
     let mut line = String::new();
     for r in 0..table.n_rows() {
@@ -217,10 +268,20 @@ pub fn write_to<W: Write>(
                 options.delimiter,
             ));
         }
-        writeln!(w, "{line}")?;
+        write_line(&mut w, &line, table.n_cols())?;
     }
     w.flush()?;
     Ok(())
+}
+
+/// Writes one record. An empty line reads back as no record at all, so a
+/// record of one empty field is written as `""`.
+fn write_line(w: &mut impl Write, line: &str, n_fields: usize) -> std::io::Result<()> {
+    if line.is_empty() && n_fields == 1 {
+        writeln!(w, "\"\"")
+    } else {
+        writeln!(w, "{line}")
+    }
 }
 
 /// Writes a [`Table`] to a file path as CSV.
@@ -326,6 +387,15 @@ mod tests {
         assert_eq!(back.n_rows(), t.n_rows());
         assert_eq!(back.value(0, 0), &Value::from("a,b"));
         assert_eq!(back.value(1, 1), &Value::Int(4));
+    }
+
+    #[test]
+    fn a_lone_null_cell_survives_the_writer() {
+        let t = read_str("x\n3\n\"\"\n", &CsvOptions::default()).unwrap();
+        assert_eq!(t.n_rows(), 2);
+        let mut out = Vec::new();
+        write_to(&t, &mut out, &CsvOptions::default()).unwrap();
+        assert_eq!(out, b"x\n3\n\"\"\n");
     }
 
     #[test]

@@ -7,20 +7,29 @@
 //! `rank(v1) < rank(v2)` iff `v1 < v2` under the [`crate::value::Value`]
 //! total order.
 //!
+//! One routine ranks every column: it sorts the column's non-null
+//! `(key, row)` pairs, stably, and gives each run of equal keys the next
+//! rank, after the nulls at rank 0. A column whose non-null cells are all
+//! `Int`s, and every column from [`RankedTable::from_u32_columns`], gets
+//! an order-preserving `u64` key sorted by an LSD radix pass that skips
+//! the bytes all keys share. Any other column sorts its values by
+//! [`crate::value::Value`]'s own comparison.
+//!
 //! After encoding, all hot paths operate on flat `&[u32]` slices: cache
 //! friendly, branch-predictable comparisons, and no `Value` clones. This is
 //! the same trick the original FASTOD implementation and TANE use
 //! ("translating to integers" before building partitions).
 
 use crate::table::Table;
+use crate::value::Value;
 
 /// A single rank-encoded column.
 #[derive(Debug, Clone)]
 pub struct RankedColumn {
     ranks: Vec<u32>,
     n_distinct: u32,
-    /// For each rank, the index of one source row holding that rank
-    /// (used to decode ranks back into printable values).
+    /// For each rank, the lowest row holding that rank (used to decode
+    /// ranks back into printable values).
     witness: Vec<u32>,
 }
 
@@ -41,7 +50,7 @@ impl RankedColumn {
         self.ranks[row]
     }
 
-    /// One row index whose value has the given rank.
+    /// The lowest row index whose value has the given rank.
     pub fn witness_row(&self, rank: u32) -> usize {
         self.witness[rank as usize] as usize
     }
@@ -57,8 +66,9 @@ pub struct RankedTable {
 impl RankedTable {
     /// Rank-encodes every column of `table`.
     ///
-    /// Cost: `O(c · n log n)` for `c` columns and `n` rows (one sort per
-    /// column).
+    /// Cost: one radix pass of at most eight byte-wise counting sorts per
+    /// `Int` column, so `O(n)` for `n` rows; `O(n log n)` comparisons per
+    /// column holding a `Float` or a string.
     ///
     /// # Panics
     /// If the table exceeds [`crate::MAX_ROWS`] — unreachable for tables
@@ -70,37 +80,9 @@ impl RankedTable {
             crate::table::check_row_count(n).is_ok(),
             "table exceeds MAX_ROWS; row ids would wrap past u32"
         );
-        let mut columns = Vec::with_capacity(table.n_cols());
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        for c in 0..table.n_cols() {
-            let col = table.column(c);
-            order.sort_unstable_by(|&a, &b| col[a as usize].cmp(&col[b as usize]));
-            let mut ranks = vec![0u32; n];
-            let mut witness = Vec::new();
-            let mut next_rank: u32 = 0;
-            for (i, &row) in order.iter().enumerate() {
-                if i > 0 {
-                    let prev = order[i - 1] as usize;
-                    if col[prev] != col[row as usize] {
-                        next_rank += 1;
-                    }
-                }
-                if witness.len() == next_rank as usize {
-                    witness.push(row);
-                }
-                ranks[row as usize] = next_rank;
-            }
-            let n_distinct = if n == 0 { 0 } else { next_rank + 1 };
-            columns.push(RankedColumn {
-                ranks,
-                n_distinct,
-                witness,
-            });
-            // reset for next column
-            for (i, slot) in order.iter_mut().enumerate() {
-                *slot = i as u32;
-            }
-        }
+        let columns = (0..table.n_cols())
+            .map(|c| rank_values(table.column(c)))
+            .collect();
         RankedTable { columns, n_rows: n }
     }
 
@@ -117,29 +99,18 @@ impl RankedTable {
             crate::table::check_row_count(n).is_ok(),
             "table exceeds MAX_ROWS; row ids would wrap past u32"
         );
-        let mut columns = Vec::with_capacity(cols.len());
-        for col in cols {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by_key(|&r| col[r as usize]);
-            let mut ranks = vec![0u32; n];
-            let mut witness = Vec::new();
-            let mut next_rank: u32 = 0;
-            for (i, &row) in order.iter().enumerate() {
-                if i > 0 && col[order[i - 1] as usize] != col[row as usize] {
-                    next_rank += 1;
-                }
-                if witness.len() == next_rank as usize {
-                    witness.push(row);
-                }
-                ranks[row as usize] = next_rank;
-            }
-            let n_distinct = if n == 0 { 0 } else { next_rank + 1 };
-            columns.push(RankedColumn {
-                ranks,
-                n_distinct,
-                witness,
-            });
-        }
+        let columns = cols
+            .iter()
+            .map(|col| {
+                let mut keyed = col
+                    .iter()
+                    .zip(0u32..)
+                    .map(|(&v, row)| (u64::from(v), row))
+                    .collect();
+                radix_sort(&mut keyed);
+                rank_sorted(n, &[], &keyed)
+            })
+            .collect();
         RankedTable { columns, n_rows: n }
     }
 
@@ -209,6 +180,86 @@ impl RankedTable {
     }
 }
 
+/// Ranks one column: nulls at rank 0, then one rank per distinct value in
+/// [`Value`] order.
+fn rank_values(col: &[Value]) -> RankedColumn {
+    let mut nulls = Vec::new();
+    let mut ints = Vec::with_capacity(col.len());
+    let mut all_int = true;
+    for (value, row) in col.iter().zip(0u32..) {
+        match value {
+            Value::Null => nulls.push(row),
+            Value::Int(i) => ints.push((int_key(*i), row)),
+            Value::Float(_) | Value::Str(_) => all_int = false,
+        }
+    }
+    if all_int {
+        radix_sort(&mut ints);
+        return rank_sorted(col.len(), &nulls, &ints);
+    }
+    let mut values: Vec<(&Value, u32)> = col
+        .iter()
+        .zip(0u32..)
+        .filter(|(value, _)| !value.is_null())
+        .collect();
+    values.sort_by(|a, b| a.0.cmp(b.0));
+    rank_sorted(col.len(), &nulls, &values)
+}
+
+/// `i64` → `u64` preserving order: flipping the sign bit moves the
+/// negatives below the non-negatives.
+fn int_key(i: i64) -> u64 {
+    (i as u64) ^ (1 << 63)
+}
+
+/// Sorts `(key, row)` pairs by key, stably: one counting pass per key byte,
+/// least significant first, skipping every byte on which all keys agree.
+fn radix_sort(pairs: &mut Vec<(u64, u32)>) {
+    let Some(&(first, _)) = pairs.first() else {
+        return;
+    };
+    let varying = pairs.iter().fold(0, |bits, &(key, _)| bits | (key ^ first));
+    let mut buffer = Vec::new();
+    for shift in (0..64).step_by(8) {
+        if (varying >> shift) & 0xFF == 0 {
+            continue;
+        }
+        let mut slots = [0usize; 256];
+        for &(key, _) in pairs.iter() {
+            slots[(key >> shift) as usize & 0xFF] += 1;
+        }
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            (*slot, next) = (next, next + *slot);
+        }
+        buffer.resize(pairs.len(), (0, 0));
+        for &(key, row) in pairs.iter() {
+            let slot = &mut slots[(key >> shift) as usize & 0xFF];
+            buffer[*slot] = (key, row);
+            *slot += 1;
+        }
+        std::mem::swap(pairs, &mut buffer);
+    }
+}
+
+/// The ranks of `n` rows: `nulls` (ascending) at rank 0, then one rank per
+/// run of equal keys in `sorted`, whose equal keys are in row order.
+fn rank_sorted<K: PartialEq>(n: usize, nulls: &[u32], sorted: &[(K, u32)]) -> RankedColumn {
+    let mut ranks = vec![0u32; n];
+    let mut witness: Vec<u32> = nulls.first().copied().into_iter().collect();
+    for (i, (key, row)) in sorted.iter().enumerate() {
+        if i == 0 || sorted[i - 1].0 != *key {
+            witness.push(*row);
+        }
+        ranks[*row as usize] = witness.len() as u32 - 1;
+    }
+    RankedColumn {
+        ranks,
+        n_distinct: witness.len() as u32,
+        witness,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +326,15 @@ mod tests {
         .unwrap();
         let r = RankedTable::from_table(&t);
         assert_eq!(r.column(0).ranks(), &[2, 0, 1]);
+    }
+
+    #[test]
+    fn i64_max_and_two_to_the_63_rank_apart() {
+        let csv = "x\n9223372036854775807\n9223372036854775808\n";
+        let t = crate::csv::read_str(csv, &crate::csv::CsvOptions::default()).unwrap();
+        let r = RankedTable::from_table(&t);
+        assert_eq!(r.column(0).n_distinct(), 2);
+        assert_eq!(r.column(0).ranks(), &[0, 1]);
     }
 
     #[test]

@@ -113,7 +113,9 @@ fn cmp_int_float(i: i64, f: f64) -> Ordering {
     if fi < i64::MIN as f64 {
         return Ordering::Greater;
     }
-    if fi > i64::MAX as f64 {
+    // `i64::MAX as f64` rounds up to 2^63, which `fi as i64` would
+    // saturate back to `i64::MAX`: every float from 2^63 up is greater.
+    if fi >= i64::MAX as f64 {
         return Ordering::Less;
     }
     let fi_int = fi as i64;
@@ -282,6 +284,15 @@ mod tests {
         assert!(Value::Int(big) < Value::Float(((1i64 << 53) + 2) as f64));
         assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
         assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn i64_extremes_compare_exactly_with_their_float_neighbours() {
+        let two_63 = 9_223_372_036_854_775_808.0_f64;
+        assert!(Value::Int(i64::MAX) < Value::Float(two_63));
+        assert!(Value::Float(two_63) > Value::Int(i64::MAX));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-two_63));
+        assert!(Value::Int(i64::MIN) > Value::Float(-two_63 - 4096.0));
     }
 
     #[test]

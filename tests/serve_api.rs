@@ -275,6 +275,18 @@ fn malformed_bodies_are_400s() {
     )
     .unwrap();
     assert_eq!(r.status, 400);
+    // A device is never read: `/dev/zero` would fill memory.
+    if cfg!(unix) {
+        let r = request(
+            addr,
+            "POST",
+            "/datasets",
+            Some(r#"{"name":"z","csv":"/dev/zero"}"#),
+        )
+        .unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("not a regular file"), "{}", r.body);
+    }
     handle.shutdown();
     handle.join();
 }
