@@ -26,8 +26,8 @@
 //! partition cache into an `Arc`-shared read view, forks the
 //! [`OcValidatorBackend`] once per worker the level runs, and evaluates
 //! each node against the frozen state: one worker walks the nodes in
-//! order on the calling thread, more workers claim them from
-//! work-stealing deques. Then it **merges the per-node results in node
+//! order on the calling thread, more workers claim them one at a time
+//! from a shared counter. Then it **merges the per-node results in node
 //! order at the level barrier**, replaying found-dependency recordings,
 //! pruning facts and events. Results enter the session only through that
 //! merge, so for every configuration the event stream, the dependency

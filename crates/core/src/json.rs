@@ -252,6 +252,7 @@ impl JsonValue {
     /// Parses one complete JSON document (trailing garbage is an error).
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -365,6 +366,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -509,15 +511,19 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(ch) = rest.chars().next() else {
-                        return Err(self.err("truncated string"));
-                    };
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of unescaped bytes up to the next `"`,
+                    // `\` or control byte as one slice. Those delimiters
+                    // are ASCII, so the run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = self
+                        .text
+                        .get(self.pos..end)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -593,6 +599,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_escapes_everything() {
@@ -709,5 +717,128 @@ mod tests {
         let twice = JsonValue::parse(&once).unwrap().to_json();
         assert_eq!(once, twice);
         assert_eq!(once, text);
+    }
+
+    /// Characters generated strings are drawn from: the string delimiters
+    /// and escape letters, control characters, and multi-byte and non-BMP
+    /// characters.
+    const ALPHABET: &[char] = &[
+        '"',
+        '\\',
+        '/',
+        'u',
+        'd',
+        '8',
+        'a',
+        ' ',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '日',
+        '\u{ffff}',
+        '\u{10000}',
+        '😀',
+        '\u{10ffff}',
+    ];
+
+    fn generated_string(codes: &[u32]) -> String {
+        codes
+            .iter()
+            .map(|&c| match char::from_u32(c % 0x11_0000) {
+                Some(ch) if c % 4 == 0 => ch,
+                _ => ALPHABET[c as usize % ALPHABET.len()],
+            })
+            .collect()
+    }
+
+    /// `s` as a JSON string token, each character spelled the way
+    /// `styles` picks: raw where JSON allows it, a short escape where one
+    /// exists, or else `\uXXXX` (a surrogate pair beyond the BMP).
+    fn spelled(s: &str, styles: &[u8]) -> String {
+        let mut out = String::from("\"");
+        for (k, ch) in s.chars().enumerate() {
+            let short = match ch {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                _ => None,
+            };
+            match (styles[k % styles.len()], short) {
+                (0, _) if ch >= ' ' && ch != '"' && ch != '\\' => out.push(ch),
+                (1, Some(escape)) => out.push_str(escape),
+                (style, _) => {
+                    for unit in ch.encode_utf16(&mut [0; 2]) {
+                        if style % 2 == 0 {
+                            out.push_str(&format!("\\u{unit:04x}"));
+                        } else {
+                            out.push_str(&format!("\\u{unit:04X}"));
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Tokens arbitrary documents are built from: the JSON structure,
+    /// literal and number spellings, escapes, and multi-byte characters.
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", "\"", "\"", "\\", "\\u", "\\ud83d", "\\ude00", "u", "0", "7",
+        "-", ".", "e", "E", "+", "true", "fals", "null", " ", "\n", "\u{1}", "é", "😀",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn strings_round_trip_through_every_spelling(
+            codes in vec(0u32..u32::MAX, 0..200),
+            styles in vec(0u8..4, 1..16),
+        ) {
+            let s = generated_string(&codes);
+            let want = Ok(JsonValue::String(s.clone()));
+            prop_assert_eq!(JsonValue::parse(&quoted(&s)), want.clone());
+            prop_assert_eq!(JsonValue::parse(&spelled(&s, &styles)), want);
+        }
+
+        #[test]
+        fn arbitrary_text_never_panics(
+            picks in vec(0usize..TOKENS.len(), 0..120),
+            codes in vec(0u32..u32::MAX, 0..40),
+        ) {
+            let doc: String = picks.iter().map(|&k| TOKENS[k]).collect();
+            let _ = JsonValue::parse(&doc);
+            let _ = JsonValue::parse(&format!("\"{doc}"));
+            let _ = JsonValue::parse(&generated_string(&codes));
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_body_parses() {
+        // Just under the serve layer's 1 MiB body cap: one string of raw
+        // text broken up by escapes. Decoding is linear in its length.
+        let mut value = String::new();
+        while value.len() < 900_000 {
+            value.push_str("plain text, \"quotes\", back\\slashes,\ttabs, é 日 😀; ");
+        }
+        let body = format!("{{\"name\":{}}}", quoted(&value));
+        assert!(body.len() < 1 << 20, "{} bytes", body.len());
+        let parsed = JsonValue::parse(&body).expect("a well-formed body");
+        assert_eq!(
+            parsed.get("name").and_then(JsonValue::as_str),
+            Some(value.as_str())
+        );
     }
 }

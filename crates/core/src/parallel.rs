@@ -19,21 +19,21 @@
 //!   levels down.
 //!
 //! The engine therefore runs [`eval_node`] over a level's nodes on its
-//! executor — inline on the caller's thread for one worker, on
-//! work-stealing workers otherwise — against immutable snapshots, and
-//! merges the per-node [`NodeEval`]s **in node order** at the level
-//! barrier, replaying recordings, events and counters. The output is the
-//! same at every thread count because every thread count runs this code
-//! and that merge.
+//! executor — inline on the caller's thread for one worker, otherwise on
+//! scoped workers that claim nodes from one shared counter — against
+//! immutable snapshots, and merges the per-node [`NodeEval`]s **in node
+//! order** at the level barrier, replaying recordings, events and
+//! counters. The output is the same at every thread count because every
+//! thread count runs this code and that merge.
 //!
 //! The determinism this rests on is machine-checked: `aod-lint` rule D1
 //! forbids hash-map/set iteration in this module (and the rest of the
 //! determinism-critical set listed in the workspace `lint.toml`), D2
 //! keeps wall-clock reads out of it (time comes only from the session's
-//! injected [`Clock`]), and the executor's steal/publish protocol this
-//! module runs under is model-checked in
-//! `crates/exec/tests/loom_models.rs`. See the "Static analysis &
-//! invariants" section of the README.
+//! injected [`Clock`]), and the executor's claim loop, which hands each
+//! node to exactly one worker, is held to the sequential map by a
+//! property test in `aod-exec`. See the "Static analysis & invariants"
+//! section of the README.
 
 use crate::candidates::{oc_candidates, ofd_candidates, OcCandidate};
 use crate::config::{Mode, PruneConfig};

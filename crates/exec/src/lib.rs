@@ -1,4 +1,4 @@
-//! # aod-exec — scoped work-stealing executor for level-wise discovery
+//! # aod-exec — scoped claim-counter executor for level-wise discovery
 //!
 //! The level-wise lattice traversal validates every node of level `ℓ`
 //! independently given the cached level-`ℓ−1` partitions, so the paper's
@@ -7,17 +7,19 @@
 //! dependency-free (`std::thread` only — the build environment has no
 //! crates.io access, so no rayon) scoped executor with
 //!
-//! * **work stealing** — items are dealt to per-worker deques up front;
-//!   a worker that drains its own deque steals the back half of the
-//!   fullest remaining one, so skewed per-item costs (one giant partition
-//!   class on one node) cannot idle the other cores;
+//! * **one claim counter** — workers take the next unclaimed item index
+//!   from a shared atomic counter, one item at a time, so a worker that
+//!   finishes early simply claims more: skewed per-item costs (one giant
+//!   partition class on one node) cannot idle the other cores. A level
+//!   hands out a few hundred millisecond-scale items, so one
+//!   `fetch_add` per item is noise;
 //! * **deterministic output** — [`Executor::par_map_indexed`] returns
 //!   results in **input order** regardless of which worker computed what,
 //!   which is what lets the discovery engine merge per-node results in
 //!   node order and give the same output at every worker count;
-//! * **panic propagation** — a panicking closure aborts the whole map and
-//!   the original payload is re-raised on the caller's thread (no wedged
-//!   workers, no swallowed assertion failures);
+//! * **panic propagation** — a panicking closure stops every worker from
+//!   claiming further items, and the original payload is re-raised on the
+//!   caller's thread (no wedged workers, no swallowed assertion failures);
 //! * **per-worker state** — [`Executor::par_map_with_state`] builds one
 //!   owned state value (validator scratch, partition scratch) per worker
 //!   it runs and threads it through that worker's items, so hot-path
@@ -25,7 +27,7 @@
 //!
 //! A map never runs more workers than it has items, and a one-worker map
 //! (one thread, or a single item) runs the items in order on the caller's
-//! thread without queues or spawns — so the discovery engine sends every
+//! thread without counters or spawns — so the discovery engine sends every
 //! thread count, one included, through the same map.
 //!
 //! Threads are spawned per call inside [`std::thread::scope`], which is
@@ -41,20 +43,14 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, always
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod deque;
-pub mod sync;
-
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use aod_obs::trace::{span_id, Span, TraceSink};
-use deque::{deal, worker_loop, StealQueue};
-use sync::Mutex;
 
 /// A fixed-width scoped executor.
 ///
@@ -98,13 +94,12 @@ impl Executor {
         self
     }
 
-    /// Attaches a trace sink: multi-worker maps record one worker-lane
-    /// span per claimed item (`"run"` for an initially-dealt item,
-    /// `"steal"` for one claimed off another worker's block), carrying the
-    /// item index and — when a queue gauge is attached — the queue depth
-    /// observed at completion. Worker spans are scheduling-dependent by
-    /// nature, so they go to the sink's worker lane, which byte-stable
-    /// exports exclude (see [`aod_obs::trace`]). Purely observational.
+    /// Attaches a trace sink: multi-worker maps record one `"run"`
+    /// worker-lane span per item, carrying the item index and — when a
+    /// queue gauge is attached — the queue depth observed at completion.
+    /// Worker spans are scheduling-dependent by nature, so they go to the
+    /// sink's worker lane, which byte-stable exports exclude (see
+    /// [`aod_obs::trace`]). Purely observational.
     pub fn with_trace(mut self, trace: Arc<TraceSink>) -> Executor {
         self.trace = Some(trace);
         self
@@ -156,7 +151,7 @@ impl Executor {
             return Vec::new();
         }
         // Never run more workers than items; a 1-worker map degenerates
-        // to the plain in-order loop (no queues, no slots, no spawn).
+        // to the plain in-order loop (no counter, no spawn).
         let n_workers = self.threads.min(items.len());
         if n_workers == 1 {
             let mut state = make_state();
@@ -174,67 +169,59 @@ impl Executor {
         }
         let states: Vec<S> = (0..n_workers).map(|_| make_state()).collect();
 
-        let queues: Vec<StealQueue> = deal(items.len(), n_workers);
-        let slots = Slots::new(items.len());
+        // Workers claim indices from one shared counter: each `fetch_add`
+        // hands one index to exactly one worker. The counter publishes no
+        // data (results come back through `join`), so `Relaxed` suffices.
+        // `abort` stops further claims once a sibling has panicked.
+        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Payload>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for (w, state) in states.into_iter().enumerate() {
-                let queues = &queues;
-                let slots = &slots;
-                let abort = &abort;
-                let panic_payload = &panic_payload;
-                let f = &f;
-                let queue_gauge = self.queue_gauge.as_ref();
-                let trace = self.trace.as_deref();
-                let n_items = items.len();
-                scope.spawn(move || {
-                    let mut state = state;
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        worker_loop(w, queues, abort, |i| {
-                            let t0 = trace.map(TraceSink::now_us);
-                            let r = f(&mut state, i, &items[i]);
-                            // SAFETY: index `i` was claimed from exactly one
-                            // queue pop, so no other worker writes slot `i`,
-                            // and the caller only reads slots after `scope`
-                            // joined every worker.
-                            unsafe { slots.write(i, r) };
-                            if let Some(gauge) = queue_gauge {
-                                gauge.sub(1);
+        let workers: Vec<Result<Vec<(usize, R)>, Payload>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = states
+                .into_iter()
+                .enumerate()
+                .map(|(w, mut state)| {
+                    let (next, abort, f) = (&next, &abort, &f);
+                    let queue_gauge = self.queue_gauge.as_ref();
+                    let trace = self.trace.as_deref();
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        catch_unwind(AssertUnwindSafe(|| {
+                            while !abort.load(Ordering::Acquire) {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(item) = items.get(i) else { break };
+                                let t0 = trace.map(TraceSink::now_us);
+                                done.push((i, f(&mut state, i, item)));
+                                if let Some(gauge) = queue_gauge {
+                                    gauge.sub(1);
+                                }
+                                if let (Some(trace), Some(t0)) = (trace, t0) {
+                                    record_worker_span(trace, w, i, t0, queue_gauge);
+                                }
                             }
-                            if let (Some(trace), Some(t0)) = (trace, t0) {
-                                record_worker_span(
-                                    trace,
-                                    w,
-                                    i,
-                                    t0,
-                                    n_items,
-                                    n_workers,
-                                    queue_gauge,
-                                );
-                            }
-                        });
-                    }));
-                    if let Err(payload) = result {
-                        abort.store(true, Ordering::Release);
-                        let mut slot = panic_payload.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                });
-            }
+                        }))
+                        .map(|()| done)
+                        .map_err(|payload| {
+                            abort.store(true, Ordering::Release);
+                            payload
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(Err))
+                .collect()
         });
 
-        if let Some(payload) = panic_payload
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            resume_unwind(payload);
+        let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+        for done in workers {
+            for (i, r) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+                out[i] = Some(r);
+            }
         }
-        slots.into_vec()
+        out.into_iter()
+            .map(|r| r.expect("every index is claimed by exactly one worker"))
+            .collect()
     }
 }
 
@@ -247,30 +234,22 @@ impl Default for Executor {
 
 type Payload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Records one worker-lane span for a completed item: `"run"` when the
-/// item sat in worker `w`'s initially-dealt block, `"steal"` when the
-/// worker claimed it off another block.
+/// Records one `"run"` worker-lane span for a completed item.
 fn record_worker_span(
     trace: &TraceSink,
     w: usize,
     i: usize,
     t0: u64,
-    n_items: usize,
-    n_workers: usize,
     queue_gauge: Option<&aod_obs::Gauge>,
 ) {
-    // Worker `w`'s dealt block is [n·w/nw, n·(w+1)/nw) (see
-    // `deque::deal`); an item outside it reached this worker by stealing.
-    let own = n_items * w / n_workers..n_items * (w + 1) / n_workers;
-    let stolen = !own.contains(&i);
-    let mut args = vec![("item", i as u64), ("stolen", stolen as u64)];
+    let mut args = vec![("item", i as u64)];
     if let Some(gauge) = queue_gauge {
         args.push(("queue_depth", gauge.get()));
     }
     trace.record_worker(Span {
         id: span_id::worker(trace.next_worker_seq()),
         parent: 0,
-        name: if stolen { "steal" } else { "run" },
+        name: "run",
         cat: "worker",
         tid: (w + 1) as u32,
         start_us: t0,
@@ -279,62 +258,10 @@ fn record_worker_span(
     });
 }
 
-/// Write-once result slots, indexed by item position.
-///
-/// This is the one `unsafe` construction in the workspace (everything
-/// else carries `#![forbid(unsafe_code)]`). Its soundness rests on the
-/// exactly-once claim property of the deque protocol in [`deque`], which
-/// is model-checked under all 2–3-thread interleavings by
-/// `tests/loom_models.rs`.
-struct Slots<R> {
-    data: Vec<UnsafeCell<Option<R>>>,
-}
-
-// SAFETY: `Slots` is shared across worker threads only for calls to
-// `Slots::write`, whose contract requires distinct workers to write
-// *distinct* indices — each index is handed out exactly once via a
-// `StealQueue` pop (the exactly-once property model-checked in
-// `tests/loom_models.rs`) — so no two threads ever touch the same
-// `UnsafeCell`. Reads happen only in `into_vec`, after `thread::scope`
-// has joined every worker, so no write can be concurrent with a read.
-// `R: Send` suffices (no `R: Sync` needed) because no `&R` is ever
-// shared across threads: each cell's value is written by one thread and
-// moved out on the caller's thread.
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(n: usize) -> Slots<R> {
-        Slots {
-            data: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// # Safety
-    /// `i` must have been claimed by exactly one worker (no other thread
-    /// may call `write` with the same `i`), and no read of slot `i` may
-    /// be concurrent with this call.
-    unsafe fn write(&self, i: usize, value: R) {
-        // SAFETY: per this function's contract the caller is the unique
-        // writer of index `i` and no reader exists until after join, so
-        // the raw pointer is the only live access to this cell.
-        unsafe { *self.data[i].get() = Some(value) };
-    }
-
-    fn into_vec(self) -> Vec<R> {
-        self.data
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner()
-                    .expect("every item index was claimed and computed")
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use proptest::prelude::*;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -404,20 +331,57 @@ mod tests {
     }
 
     #[test]
-    fn stealing_covers_skewed_workloads() {
-        // Worker 0's block gets all the heavy items; the map still
+    fn skewed_workloads_complete_in_input_order() {
+        // The first quarter of the items is heavy; the map still
         // completes with every result present and ordered.
         let exec = Executor::new(4);
         let items: Vec<u64> = (0..64).map(|i| if i < 16 { 200_000 } else { 10 }).collect();
-        let out = exec.par_map_indexed(&items, |_, &spins| {
-            let mut acc = 0u64;
-            for k in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
-            spins
-        });
+        let out = exec.par_map_indexed(&items, |_, &spins| spin(spins));
         assert_eq!(out, items);
+    }
+
+    /// Burns `spins` rounds of arithmetic and returns `spins`.
+    fn spin(spins: u64) -> u64 {
+        let mut acc = 0u64;
+        for k in 0..spins {
+            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+        }
+        std::hint::black_box(acc);
+        spins
+    }
+
+    proptest! {
+        #[test]
+        fn claim_loop_matches_the_sequential_map(
+            pick in 0usize..9,
+            costs in proptest::collection::vec(0u32..1000, 0..=300),
+        ) {
+            // 1..=8 workers, or far more workers than items.
+            let threads = if pick == 8 { usize::MAX } else { pick + 1 };
+            // Skewed per-item cost: about one item in sixteen is heavy.
+            let items: Vec<u64> = costs
+                .iter()
+                .map(|&c| if c % 16 == 0 { 20_000 } else { u64::from(c % 64) })
+                .collect();
+            let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let mut states = 0usize;
+            let out = Executor::new(threads).par_map_with_state(
+                || states += 1,
+                &items,
+                |(), i, &spins| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    spin(spins) * 2 + i as u64
+                },
+            );
+            let sequential: Vec<u64> = items
+                .iter()
+                .enumerate()
+                .map(|(i, &spins)| spins * 2 + i as u64)
+                .collect();
+            prop_assert_eq!(out, sequential);
+            prop_assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+            prop_assert_eq!(states, threads.min(items.len()));
+        }
     }
 
     #[test]
@@ -438,6 +402,34 @@ mod tests {
             .copied()
             .expect("payload preserved");
         assert_eq!(msg, "unlucky item");
+    }
+
+    #[test]
+    fn a_panic_stops_the_remaining_claims() {
+        // Item 0 panics; 10,000 slow items follow, and none of them
+        // starts its work before item 0 has begun to panic. Without the
+        // abort flag the other workers would run all of them.
+        let exec = Executor::new(4);
+        let items: Vec<usize> = (0..10_001).collect();
+        let panicking = AtomicBool::new(false);
+        let ran = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            exec.par_map_indexed(&items, |i, _| {
+                if i == 0 {
+                    panicking.store(true, Ordering::Release);
+                    panic!("first item");
+                }
+                while !panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = result.expect_err("panic must cross par_map_indexed");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("first item"));
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran < 10_000, "{ran} slow items ran after the panic");
     }
 
     #[test]
@@ -470,7 +462,7 @@ mod tests {
         let mut seen: Vec<u64> = spans
             .iter()
             .map(|s| {
-                assert!(matches!(s.name, "run" | "steal"));
+                assert_eq!(s.name, "run");
                 assert_eq!(s.cat, "worker");
                 assert!((1..=4).contains(&s.tid));
                 assert!(s.args.iter().any(|&(k, _)| k == "queue_depth"));

@@ -21,7 +21,7 @@
 //!   fields carry real wall-clock values. This is the same isolation
 //!   discipline the wire layer applies to its `*_ms` fields: wall-clock
 //!   content lives in designated slots, never mixed into identity.
-//! * **Nondeterministic spans ride a separate lane.** Per-worker steal/run
+//! * **Nondeterministic spans ride a separate lane.** Per-worker `run`
 //!   spans (recorded by the executor) depend on scheduling; they are kept
 //!   in a worker lane ([`TraceSink::worker_spans`]) that byte-stable
 //!   exports exclude, exactly like `threads_used` is excluded from the
@@ -96,9 +96,9 @@ pub mod span_id {
         (3 << 60) | ((level as u64) << 40) | ((node as u64) << 8) | phase as u64
     }
 
-    /// A worker-lane span (steal/run); `seq` is a per-sink sequence
-    /// number. Worker spans are scheduling-dependent, so their ids only
-    /// promise uniqueness, not cross-run stability.
+    /// A worker-lane span (one executor item); `seq` is a per-sink
+    /// sequence number. Worker spans are scheduling-dependent, so their
+    /// ids only promise uniqueness, not cross-run stability.
     pub fn worker(seq: u64) -> u64 {
         (4 << 60) | seq
     }

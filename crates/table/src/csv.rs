@@ -399,6 +399,21 @@ mod tests {
     }
 
     #[test]
+    fn a_header_of_100_000_distinct_names_reads() {
+        const COLS: usize = 100_000;
+        let header = (0..COLS)
+            .map(|c| format!("c{c}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let row = vec!["1"; COLS].join(",");
+        let t = read_str(&format!("{header}\n{row}\n"), &CsvOptions::default()).unwrap();
+        assert_eq!((t.n_rows(), t.n_cols()), (1, COLS));
+        assert_eq!(t.schema().name(COLS - 1), "c99999");
+        let err = read_str(&format!("{header},c7\n"), &CsvOptions::default()).unwrap_err();
+        assert!(matches!(err, TableError::DuplicateColumn(n) if n == "c7"));
+    }
+
+    #[test]
     fn empty_input_yields_empty_table() {
         let t = read_str("", &CsvOptions::default()).unwrap();
         assert_eq!(t.n_rows(), 0);

@@ -2,6 +2,7 @@
 
 use crate::error::TableError;
 use crate::value::ValueType;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Metadata for a single column.
@@ -26,12 +27,12 @@ impl Schema {
     /// Creates a schema from column metadata.
     ///
     /// # Errors
-    /// Returns [`TableError::DuplicateColumn`] if two columns share a name.
+    /// Returns [`TableError::DuplicateColumn`] naming the first column
+    /// whose name appeared earlier.
     pub fn new(columns: Vec<ColumnMeta>) -> Result<Self, TableError> {
-        for (i, c) in columns.iter().enumerate() {
-            if columns[..i].iter().any(|p| p.name == c.name) {
-                return Err(TableError::DuplicateColumn(c.name.clone()));
-            }
+        let mut seen = HashSet::with_capacity(columns.len());
+        if let Some(dup) = columns.iter().find(|c| !seen.insert(c.name.as_str())) {
+            return Err(TableError::DuplicateColumn(dup.name.clone()));
         }
         Ok(Schema { columns })
     }
@@ -119,6 +120,9 @@ mod tests {
     #[test]
     fn rejects_duplicate_names() {
         let err = Schema::from_names(&["a", "b", "a"]).unwrap_err();
+        assert!(matches!(err, TableError::DuplicateColumn(n) if n == "a"));
+        // The first column whose name appeared earlier is the one named.
+        let err = Schema::from_names(&["a", "b", "a", "b"]).unwrap_err();
         assert!(matches!(err, TableError::DuplicateColumn(n) if n == "a"));
     }
 

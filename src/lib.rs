@@ -9,7 +9,7 @@
 //! | [`table`] | total-ordered values, columnar tables, CSV, rank encoding |
 //! | [`partition`] | attribute sets, stripped partitions, products, cache |
 //! | [`lis`] | LNDS/LIS (patience), inversion counting |
-//! | [`exec`] | work-stealing scoped thread pool for per-level parallelism |
+//! | [`exec`] | scoped thread pool with one claim counter for per-level parallelism |
 //! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |
 //! | [`validate`] | exact + approximate OC/OFD/OD validators (Algorithms 1 & 2) |
 //! | [`core`] | the set-based lattice discovery framework |
@@ -64,7 +64,7 @@ pub use aod_partition as partition;
 /// Subsequence algorithms (re-export of `aod-lis`).
 pub use aod_lis as lis;
 
-/// Work-stealing scoped executor (re-export of `aod-exec`).
+/// Scoped claim-counter executor (re-export of `aod-exec`).
 pub use aod_exec as exec;
 
 /// Metrics and structured observability (re-export of `aod-obs`).

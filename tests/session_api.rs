@@ -22,7 +22,7 @@ fn small_table() -> impl Strategy<Value = RankedTable> {
 
 /// Worker threads for the sessions under test. The CI parallel smoke job
 /// sets `AOD_TEST_THREADS=4` to re-run this whole suite on four
-/// work-stealing workers — every assertion must keep passing unchanged,
+/// executor workers — every assertion must keep passing unchanged,
 /// which is exactly the engine's determinism contract.
 fn test_threads() -> usize {
     std::env::var("AOD_TEST_THREADS")
