@@ -20,7 +20,7 @@
 //!         [--epsilon 0.1] [--max-level 6]`
 
 use aod_bench::{print_table, Dataset, ExpArgs};
-use aod_core::{discover, DiscoveryConfig, PruneConfig};
+use aod_core::{DiscoveryBuilder, PruneConfig};
 
 fn main() {
     let args = ExpArgs::from_env();
@@ -73,10 +73,11 @@ fn main() {
         let table = ds.ranked_10(rows, 42);
         let mut rows_out = Vec::new();
         for (label, prune) in &variants {
-            let config = DiscoveryConfig::approximate(epsilon)
-                .with_max_level(max_level)
-                .with_pruning(*prune);
-            let result = discover(&table, &config);
+            let result = DiscoveryBuilder::new()
+                .approximate(epsilon)
+                .max_level(max_level)
+                .prune(*prune)
+                .run(&table);
             let pruned: usize = result.stats.per_level.iter().map(|l| l.n_oc_pruned).sum();
             let validated: usize = result
                 .stats

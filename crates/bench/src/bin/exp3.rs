@@ -13,7 +13,7 @@
 //!         [--timeout 300]`
 
 use aod_bench::{print_table, Dataset, ExpArgs};
-use aod_core::{discover, DiscoveryConfig};
+use aod_core::{AocStrategy, DiscoveryBuilder};
 use std::time::Duration;
 
 fn main() {
@@ -32,11 +32,12 @@ fn main() {
         let mut iter_val_time = Duration::ZERO;
         for pct in [0usize, 5, 10, 15, 20, 25] {
             let eps = pct as f64 / 100.0;
-            let opt = discover(&table, &DiscoveryConfig::approximate(eps));
-            let iter = discover(
-                &table,
-                &DiscoveryConfig::approximate_iterative(eps).with_timeout(timeout),
-            );
+            let opt = DiscoveryBuilder::new().approximate(eps).run(&table);
+            let iter = DiscoveryBuilder::new()
+                .approximate(eps)
+                .strategy(AocStrategy::Iterative)
+                .timeout(timeout)
+                .run(&table);
             max_iter_share = max_iter_share.max(iter.stats.oc_validation_share());
             opt_val_time += opt.stats.oc_validation;
             iter_val_time += iter.stats.oc_validation;

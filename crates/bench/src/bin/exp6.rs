@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p aod-bench --bin exp6 [--rows 20000]`
 
 use aod_bench::{print_table, Dataset, ExpArgs};
-use aod_core::{discover, DiscoveryConfig, OcDep};
+use aod_core::{DiscoveryBuilder, OcDep};
 
 /// (pair-a, pair-b, printable label, planted dirt rate).
 type PlantedRule = (usize, usize, &'static str, f64);
@@ -57,8 +57,8 @@ fn main() {
         let table = ds.ranked_10(rows, 42);
         let names = ds.names_10();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let exact = discover(&table, &DiscoveryConfig::exact());
-        let approx = discover(&table, &DiscoveryConfig::approximate(epsilon));
+        let exact = DiscoveryBuilder::new().exact().run(&table);
+        let approx = DiscoveryBuilder::new().approximate(epsilon).run(&table);
 
         println!("## {} (ε = {epsilon})\n", ds.name());
         print_table(

@@ -21,8 +21,8 @@
 #![forbid(unsafe_code)]
 
 use aod_core::{
-    discover, outlier_report, AocStrategy, DiscoveryBuilder, DiscoveryConfig, DiscoveryEvent,
-    DiscoveryMetrics, DiscoveryResult, Phase,
+    outlier_report, AocStrategy, DiscoveryBuilder, DiscoveryEvent, DiscoveryMetrics,
+    DiscoveryResult, Phase,
 };
 use aod_datagen::{flight, ncvoter};
 use aod_partition::AttrSet;
@@ -45,7 +45,8 @@ USAGE:
                [--threads N] [--columns C1,C2,...] [--progress] [--ofds]
                [--trace FILE] [--no-header]
   aod validate <file.csv> --pair A,B [--context C1,C2,...] [--epsilon E]
-               [--od] [--iterative] [--show-removals] [--no-header]
+               [--od] [--strategy S] [--iterative] [--show-removals]
+               [--no-header]
   aod generate <flight|ncvoter|employee> [--rows N] [--seed S] [--out FILE]
   aod outliers <file.csv> [--epsilon E] [--top K] [--no-header]
   aod serve [file.csv ...] [--port P] [--bind ADDR] [--threads N]
@@ -54,8 +55,8 @@ USAGE:
 
 OPTIONS:
   --epsilon E       approximation threshold in [0,1] (default 0.1)
-  --exact           discover exact ODs (epsilon = 0, linear validators;
-                    excludes --epsilon, --strategy and --iterative)
+  --exact           discover exact ODs (epsilon = 0; excludes --epsilon,
+                    --strategy and --iterative)
   --strategy S      AOC validator: optimal (Algorithm 2, default) or
                     iterative (Algorithm 1)
   --iterative       shorthand for --strategy iterative
@@ -74,6 +75,7 @@ OPTIONS:
   --pair A,B        the candidate pair (column names)
   --context C1,...  context column names (default: empty context)
   --od              validate as OD (splits + swaps) instead of OC
+                    (Algorithm 2 only; excludes an iterative strategy)
   --show-removals   print the rows of the minimal removal set
   --rows N          rows to generate (default 1000)
   --seed S          RNG seed (default 42)
@@ -376,6 +378,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
     let table = load_table(args)?;
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
+    let strategy = strategy_arg(args)?;
     let pair = args.value("pair").ok_or("missing --pair A,B")?;
     let (a_name, b_name) = pair
         .split_once(',')
@@ -398,12 +401,13 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
     let budget = removal_budget(table.n_rows(), epsilon);
     let mut v = OcValidator::new();
     let (ar, br) = (ranked.column(a).ranks(), ranked.column(b).ranks());
-    let removal = if args.flag("od") {
-        v.removal_set_od(&ctx_partition, ar, br)
-    } else if args.flag("iterative") {
-        v.removal_set_iterative(&ctx_partition, ar, br)
-    } else {
-        v.removal_set_optimal(&ctx_partition, ar, br)
+    let removal = match (args.flag("od"), strategy) {
+        (true, AocStrategy::Optimal) => v.removal_set_od(&ctx_partition, ar, br),
+        (true, AocStrategy::Iterative) => {
+            return Err("--od has no iterative validator (Algorithm 1 checks OCs only)".into())
+        }
+        (false, AocStrategy::Optimal) => v.removal_set_optimal(&ctx_partition, ar, br),
+        (false, AocStrategy::Iterative) => v.removal_set_iterative(&ctx_partition, ar, br),
     };
     let kind = if args.flag("od") { "OD" } else { "OC" };
     let rel = if args.flag("od") { "|->" } else { "~" };
@@ -437,7 +441,7 @@ fn cmd_outliers(args: &Args) -> Result<(), String> {
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
     let top = args.int("top")?.unwrap_or(20);
-    let result = discover(&ranked, &DiscoveryConfig::approximate(epsilon));
+    let result = DiscoveryBuilder::new().approximate(epsilon).run(&ranked);
     let report = outlier_report(&ranked, &result);
     println!(
         "{} approximate dependencies contribute outlier evidence (ε = {epsilon})",

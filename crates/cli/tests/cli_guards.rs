@@ -35,6 +35,25 @@ fn sample_csv() -> &'static str {
     .unwrap()
 }
 
+/// The paper's employee table (Table 1) on disk, written once by the
+/// binary's `generate` subcommand.
+fn employee_csv() -> &'static str {
+    static CSV: OnceLock<PathBuf> = OnceLock::new();
+    CSV.get_or_init(|| {
+        let path =
+            std::env::temp_dir().join(format!("aod_cli_guards_emp_{}.csv", std::process::id()));
+        let out = aod(&["generate", "employee", "--out", path.to_str().unwrap()]);
+        assert!(out.status.success(), "generate failed: {out:?}");
+        path
+    })
+    .to_str()
+    .unwrap()
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
@@ -122,4 +141,56 @@ fn optimal_discovery_runs_from_the_cli() {
             .map(|(_, listing)| listing.to_string())
     };
     assert_eq!(deps(&wide_out), deps(&out));
+}
+
+/// `aod validate` runs the strategy it is given, whichever way it is
+/// spelled: Example 3.1's `sal ~ tax` needs 4 removals under Algorithm 2
+/// (valid at ε = 0.5) and 5 under Algorithm 1 (invalid).
+#[test]
+fn validate_runs_the_requested_strategy() {
+    const PAIR: &[&str] = &["--pair", "sal,tax", "--epsilon", "0.5"];
+    let run = |extra: &[&str]| aod(&[&["validate", employee_csv()], PAIR, extra].concat());
+    for (extra, size, verdict) in [
+        (&[][..], 4, "VALID"),
+        (&["--strategy", "optimal"][..], 4, "VALID"),
+        (&["--strategy", "iterative"][..], 5, "INVALID"),
+        (&["--iterative"][..], 5, "INVALID"),
+    ] {
+        let out = run(extra);
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let text = stdout(&out);
+        assert!(
+            text.contains(&format!("removal set size {size} ")),
+            "{extra:?}: {text}"
+        );
+        assert!(text.trim_end().ends_with(verdict), "{extra:?}: {text}");
+    }
+}
+
+/// There is no iterative OD validator, so `--od` with an iterative
+/// strategy is a usage error instead of silently running Algorithm 2.
+#[test]
+fn validate_od_with_an_iterative_strategy_is_a_usage_error() {
+    for extra in [&["--iterative"][..], &["--strategy", "iterative"][..]] {
+        let args = [
+            &["validate", employee_csv(), "--pair", "sal,taxGrp", "--od"],
+            extra,
+        ]
+        .concat();
+        let out = aod(&args);
+        assert!(!out.status.success(), "{extra:?} must fail");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--od has no iterative validator"),
+            "{extra:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{extra:?} panicked: {err}");
+    }
+    let od = aod(&["validate", employee_csv(), "--pair", "sal,taxGrp", "--od"]);
+    assert!(od.status.success(), "{od:?}");
+    assert!(
+        stdout(&od).contains("removal set size 0 "),
+        "{}",
+        stdout(&od)
+    );
 }

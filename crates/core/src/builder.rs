@@ -1,10 +1,10 @@
 //! Fluent construction of discovery runs.
 //!
-//! [`DiscoveryBuilder`] is the front door of the engine API: it collects a
-//! [`DiscoveryConfig`] plus session-level options (column scope, top-k
-//! target, cancellation handle, validation backend) and produces either a
-//! streaming [`DiscoverySession`] or, via [`run`](DiscoveryBuilder::run),
-//! a one-shot [`DiscoveryResult`].
+//! [`DiscoveryBuilder`] is the one way to configure a discovery run: it
+//! collects the threshold, validator, lattice limits, column scope, top-k
+//! target, cancellation handle and observability taps, and produces
+//! either a streaming [`DiscoverySession`] or, via
+//! [`run`](DiscoveryBuilder::run), a one-shot [`DiscoveryResult`].
 //!
 //! ```
 //! use aod_core::DiscoveryBuilder;
@@ -18,58 +18,25 @@
 //! assert!(result.n_ocs() > 0);
 //! ```
 
-use crate::config::{DiscoveryConfig, Mode, PruneConfig};
-use crate::engine::{CancelToken, DiscoverySession, SessionOptions};
+use crate::config::{PruneConfig, Settings};
+use crate::engine::{CancelToken, DiscoverySession};
 use crate::result::DiscoveryResult;
 use crate::sink::EventSink;
-use aod_partition::{AttrSet, MAX_ATTRS};
+use aod_partition::AttrSet;
 use aod_table::RankedTable;
-use aod_validate::{exact_backend, strategy_backend, AocStrategy, OcValidatorBackend};
+use aod_validate::{AocStrategy, OcValidatorBackend};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Fluent builder for [`DiscoverySession`]s.
 ///
-/// Defaults to exact discovery over all columns, full lattice, no timeout,
-/// all pruning rules on — the same defaults as
-/// [`DiscoveryConfig::exact`].
+/// Defaults to exact discovery (ε = 0) with Algorithm 2 over all columns,
+/// full lattice, no timeout, all pruning rules on.
 #[must_use = "a builder does nothing until `build` or `run` is called"]
+#[derive(Default)]
 pub struct DiscoveryBuilder {
-    epsilon: Option<f64>,
-    strategy: AocStrategy,
-    prune: PruneConfig,
-    max_level: Option<usize>,
-    timeout: Option<Duration>,
-    scope: Option<AttrSet>,
-    top_k: Option<usize>,
-    cancel: Option<CancelToken>,
-    backend: Option<Box<dyn OcValidatorBackend>>,
-    record_events: bool,
-    parallelism: usize,
-    sink: Option<Arc<dyn EventSink>>,
-    queue_gauge: Option<aod_obs::Gauge>,
-    trace: Option<Arc<aod_obs::TraceSink>>,
-}
-
-impl Default for DiscoveryBuilder {
-    fn default() -> Self {
-        DiscoveryBuilder {
-            epsilon: None,
-            strategy: AocStrategy::Optimal,
-            prune: PruneConfig::default(),
-            max_level: None,
-            timeout: None,
-            scope: None,
-            top_k: None,
-            cancel: None,
-            backend: None,
-            record_events: true,
-            parallelism: 1,
-            sink: None,
-            queue_gauge: None,
-            trace: None,
-        }
-    }
+    /// What [`build`](DiscoveryBuilder::build) hands to the session.
+    pub(crate) settings: Settings,
 }
 
 impl DiscoveryBuilder {
@@ -78,27 +45,14 @@ impl DiscoveryBuilder {
         DiscoveryBuilder::default()
     }
 
-    /// A builder preloaded from an existing [`DiscoveryConfig`].
-    pub fn from_config(config: DiscoveryConfig) -> DiscoveryBuilder {
-        let mut b = DiscoveryBuilder::new();
-        match config.mode {
-            Mode::Exact => b.epsilon = None,
-            Mode::Approximate { epsilon, strategy } => {
-                b.epsilon = Some(epsilon);
-                b.strategy = strategy;
-            }
-        }
-        b.prune = config.prune;
-        b.max_level = config.max_level;
-        b.timeout = config.timeout;
-        b.parallelism = config.threads;
-        b
-    }
-
-    /// Exact OD discovery (ε = 0 with the cheap linear validators).
-    pub fn exact(mut self) -> DiscoveryBuilder {
-        self.epsilon = None;
-        self
+    /// Exact OD discovery: the spelling of
+    /// [`approximate(0.0)`](DiscoveryBuilder::approximate), keeping the
+    /// configured [`strategy`](DiscoveryBuilder::strategy). With a removal
+    /// budget of 0 an OC is accepted iff no context class holds a swap
+    /// (Algorithm 2's bounded kernel stops at the first descent, which is
+    /// the swap scan) and an OFD iff `A` splits no context class.
+    pub fn exact(self) -> DiscoveryBuilder {
+        self.approximate(0.0)
     }
 
     /// Approximate discovery at the given threshold `ε ∈ [0, 1]`, keeping
@@ -111,27 +65,26 @@ impl DiscoveryBuilder {
             (0.0..=1.0).contains(&epsilon),
             "epsilon must be within [0, 1]"
         );
-        self.epsilon = Some(epsilon);
+        self.settings.epsilon = epsilon;
         self
     }
 
-    /// Which AOC validation algorithm approximate runs use (ignored in
-    /// exact mode and when a custom
+    /// Which AOC validation algorithm runs (ignored when a custom
     /// [`validator`](DiscoveryBuilder::validator) is set).
     pub fn strategy(mut self, strategy: AocStrategy) -> DiscoveryBuilder {
-        self.strategy = strategy;
+        self.settings.strategy = strategy;
         self
     }
 
     /// Overrides the pruning rules (ablation runs).
     pub fn prune(mut self, prune: PruneConfig) -> DiscoveryBuilder {
-        self.prune = prune;
+        self.settings.prune = prune;
         self
     }
 
     /// Stops after this lattice level (complete up to it).
     pub fn max_level(mut self, level: usize) -> DiscoveryBuilder {
-        self.max_level = Some(level);
+        self.settings.max_level = Some(level);
         self
     }
 
@@ -144,7 +97,7 @@ impl DiscoveryBuilder {
     /// the first check whose elapsed time is at least the budget, so a
     /// zero budget validates nothing and [`Duration::MAX`] never fires.
     pub fn timeout(mut self, timeout: Duration) -> DiscoveryBuilder {
-        self.timeout = Some(timeout);
+        self.settings.timeout = Some(timeout);
         self
     }
 
@@ -155,7 +108,7 @@ impl DiscoveryBuilder {
     /// [`build`](DiscoveryBuilder::build) panic rather than silently
     /// discover nothing.
     pub fn scope<I: IntoIterator<Item = usize>>(mut self, columns: I) -> DiscoveryBuilder {
-        self.scope = Some(AttrSet::from_attrs(columns));
+        self.settings.scope = Some(AttrSet::from_attrs(columns));
         self
     }
 
@@ -163,7 +116,7 @@ impl DiscoveryBuilder {
     /// `k` OCs have been found — early-exit serving for "give me the k
     /// most promising dependencies" workloads.
     pub fn top_k(mut self, k: usize) -> DiscoveryBuilder {
-        self.top_k = Some(k);
+        self.settings.top_k = Some(k);
         self
     }
 
@@ -171,15 +124,15 @@ impl DiscoveryBuilder {
     /// own, retrievable via
     /// [`DiscoverySession::cancel_token`].
     pub fn cancel_token(mut self, token: CancelToken) -> DiscoveryBuilder {
-        self.cancel = Some(token);
+        self.settings.cancel = token;
         self
     }
 
     /// Plugs in a custom OC-validation backend, overriding the
-    /// mode-derived choice (exact scan / Algorithm 2 / Algorithm 1). The
-    /// removal budget still follows the configured ε.
+    /// strategy's (Algorithm 2 / Algorithm 1). The removal budget still
+    /// follows the configured ε.
     pub fn validator(mut self, backend: Box<dyn OcValidatorBackend>) -> DiscoveryBuilder {
-        self.backend = Some(backend);
+        self.settings.backend = Some(backend);
         self
     }
 
@@ -192,7 +145,7 @@ impl DiscoveryBuilder {
     /// — see the determinism contract on [`DiscoverySession`] — and this
     /// is purely a wall-clock knob.
     pub fn parallelism(mut self, threads: usize) -> DiscoveryBuilder {
-        self.parallelism = threads;
+        self.settings.threads = threads;
         self
     }
 
@@ -204,7 +157,7 @@ impl DiscoveryBuilder {
     /// [`record_events`](DiscoveryBuilder::record_events), so a metrics
     /// sink works even on buffer-less one-shot runs.
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> DiscoveryBuilder {
-        self.sink = Some(sink);
+        self.settings.sink = Some(sink);
         self
     }
 
@@ -212,7 +165,7 @@ impl DiscoveryBuilder {
     /// items (queue depth): each level's node batch and product batch
     /// fill it and drain it to zero, at every thread count.
     pub fn queue_depth_gauge(mut self, gauge: aod_obs::Gauge) -> DiscoveryBuilder {
-        self.queue_gauge = Some(gauge);
+        self.settings.queue_gauge = Some(gauge);
         self
     }
 
@@ -225,7 +178,7 @@ impl DiscoveryBuilder {
     /// manual clock the recorded spans are byte-stable across thread
     /// counts.
     pub fn trace_sink(mut self, trace: Arc<aod_obs::TraceSink>) -> DiscoveryBuilder {
-        self.trace = Some(trace);
+        self.settings.trace = Some(trace);
         self
     }
 
@@ -234,57 +187,20 @@ impl DiscoveryBuilder {
     /// [`step`](DiscoverySession::step) so unobserved events don't
     /// accumulate.
     pub fn record_events(mut self, record: bool) -> DiscoveryBuilder {
-        self.record_events = record;
+        self.settings.record_events = record;
         self
-    }
-
-    /// The [`DiscoveryConfig`] this builder currently encodes.
-    #[must_use]
-    pub fn config(&self) -> DiscoveryConfig {
-        DiscoveryConfig {
-            mode: match self.epsilon {
-                None => Mode::Exact,
-                Some(epsilon) => Mode::Approximate {
-                    epsilon,
-                    strategy: self.strategy,
-                },
-            },
-            max_level: self.max_level,
-            timeout: self.timeout,
-            prune: self.prune,
-            threads: self.parallelism,
-        }
     }
 
     /// Builds the streaming session (level 1 seeded, nothing validated).
     ///
     /// # Panics
-    /// If the table has more than [`MAX_ATTRS`] columns, or the
+    /// If the table has more than [`MAX_ATTRS`](aod_partition::MAX_ATTRS)
+    /// columns, or the
     /// configured [`scope`](DiscoveryBuilder::scope) names a column the
     /// table doesn't have.
     #[must_use = "the session does nothing until stepped or iterated"]
     pub fn build<'t>(self, table: &'t RankedTable) -> DiscoverySession<'t> {
-        let config = self.config();
-        let backend = match self.backend {
-            Some(backend) => backend,
-            None => match config.mode {
-                Mode::Exact => exact_backend(),
-                Mode::Approximate { strategy, .. } => strategy_backend(strategy),
-            },
-        };
-        let options = SessionOptions {
-            scope: self
-                .scope
-                .unwrap_or_else(|| AttrSet::full(table.n_cols().min(MAX_ATTRS))),
-            top_k: self.top_k,
-            cancel: self.cancel.unwrap_or_default(),
-            backend,
-            record_events: self.record_events,
-            sink: self.sink,
-            queue_gauge: self.queue_gauge,
-            trace: self.trace,
-        };
-        DiscoverySession::new(table, config, options)
+        DiscoverySession::new(table, self.settings)
     }
 
     /// Convenience: builds the session and runs it to completion.
@@ -295,16 +211,17 @@ impl DiscoveryBuilder {
 
 impl std::fmt::Debug for DiscoveryBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = &self.settings;
         f.debug_struct("DiscoveryBuilder")
-            .field("epsilon", &self.epsilon)
-            .field("strategy", &self.strategy)
-            .field("max_level", &self.max_level)
-            .field("timeout", &self.timeout)
-            .field("scope", &self.scope)
-            .field("top_k", &self.top_k)
-            .field("parallelism", &self.parallelism)
-            .field("custom_backend", &self.backend.as_ref().map(|b| b.name()))
-            .field("has_sink", &self.sink.is_some())
+            .field("epsilon", &s.epsilon)
+            .field("strategy", &s.strategy)
+            .field("max_level", &s.max_level)
+            .field("timeout", &s.timeout)
+            .field("scope", &s.scope)
+            .field("top_k", &s.top_k)
+            .field("parallelism", &s.threads)
+            .field("custom_backend", &s.backend.as_ref().map(|b| b.name()))
+            .field("has_sink", &s.sink.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -320,21 +237,15 @@ mod tests {
 
     #[test]
     fn builder_encodes_configs() {
-        let c = DiscoveryBuilder::new().config();
-        assert_eq!(c.mode, Mode::Exact);
+        let c = DiscoveryBuilder::new().settings;
+        assert_eq!((c.epsilon, c.strategy), (0.0, AocStrategy::Optimal));
         let c = DiscoveryBuilder::new()
             .approximate(0.2)
             .strategy(AocStrategy::Iterative)
             .max_level(4)
             .timeout(Duration::from_secs(9))
-            .config();
-        assert_eq!(
-            c.mode,
-            Mode::Approximate {
-                epsilon: 0.2,
-                strategy: AocStrategy::Iterative
-            }
-        );
+            .settings;
+        assert_eq!((c.epsilon, c.strategy), (0.2, AocStrategy::Iterative));
         assert_eq!(c.max_level, Some(4));
         assert_eq!(c.timeout, Some(Duration::from_secs(9)));
     }
@@ -344,35 +255,18 @@ mod tests {
         let a = DiscoveryBuilder::new()
             .approximate(0.1)
             .strategy(AocStrategy::Iterative)
-            .config();
+            .settings;
         let b = DiscoveryBuilder::new()
             .strategy(AocStrategy::Iterative)
             .approximate(0.1)
-            .config();
-        assert_eq!(a.mode, b.mode);
+            .settings;
+        assert_eq!((a.epsilon, a.strategy), (b.epsilon, b.strategy));
     }
 
     #[test]
     #[should_panic(expected = "within [0, 1]")]
     fn bad_epsilon_panics_at_the_builder() {
         let _ = DiscoveryBuilder::new().approximate(1.5);
-    }
-
-    #[test]
-    fn from_config_round_trips() {
-        for config in [
-            DiscoveryConfig::exact().with_max_level(3),
-            DiscoveryConfig::approximate(0.25),
-            DiscoveryConfig::approximate_iterative(0.4)
-                .with_timeout(Duration::from_secs(1))
-                .with_pruning(PruneConfig::none()),
-        ] {
-            let round = DiscoveryBuilder::from_config(config.clone()).config();
-            assert_eq!(round.mode, config.mode);
-            assert_eq!(round.max_level, config.max_level);
-            assert_eq!(round.timeout, config.timeout);
-            assert_eq!(round.prune, config.prune);
-        }
     }
 
     #[test]

@@ -1,41 +1,16 @@
-//! The one-shot compat entry point over the streaming engine.
-//!
-//! [`discover`] is a thin wrapper that builds a
-//! [`DiscoverySession`](crate::DiscoverySession) from a
-//! [`DiscoveryConfig`] and runs it to completion — the level-wise driver
-//! itself (Section 3.1, Figure 1) lives in the
-//! [`engine`](crate::engine) module, split into frontier management,
-//! pruning state and candidate generation. Prefer
-//! [`DiscoveryBuilder`](crate::DiscoveryBuilder) for new code: it exposes
-//! the same run as an observable, cancellable session.
+//! End-to-end discovery runs on the paper's employee table, through
+//! [`DiscoveryBuilder`](crate::DiscoveryBuilder): the paper's examples are found at minimal
+//! contexts, reported dependencies are valid and minimal, exact discovery
+//! is ε = 0 on either strategy, and level caps, timeouts and tiny tables
+//! behave.
 
-use crate::builder::DiscoveryBuilder;
-use crate::config::DiscoveryConfig;
-use crate::result::DiscoveryResult;
-use aod_table::RankedTable;
-
-/// Runs dependency discovery over a rank-encoded table.
-///
-/// Returns all minimal (non-implied) canonical OCs and OFDs valid w.r.t.
-/// the configured mode, together with per-phase statistics. Equivalent to
-/// `DiscoveryBuilder::from_config(config.clone()).run(table)` — the
-/// streaming session replayed to completion yields bit-identical results.
-///
-/// # Panics
-/// If the table has more than [`MAX_ATTRS`](aod_partition::MAX_ATTRS)
-/// columns.
-pub fn discover(table: &RankedTable, config: &DiscoveryConfig) -> DiscoveryResult {
-    DiscoveryBuilder::from_config(config.clone()).run(table)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::DiscoveryConfig;
+    use crate::builder::DiscoveryBuilder;
     use crate::dep::{OcDep, OfdDep};
+    use crate::result::DiscoveryResult;
     use aod_partition::{AttrSet, Partition};
     use aod_table::{employee_table, RankedTable};
-    use aod_validate::{removal_budget, OcValidator};
+    use aod_validate::{removal_budget, AocStrategy, OcValidator};
 
     fn employee() -> RankedTable {
         RankedTable::from_table(&employee_table())
@@ -50,7 +25,7 @@ mod tests {
     #[test]
     fn exact_discovery_finds_paper_examples() {
         let t = employee();
-        let result = discover(&t, &DiscoveryConfig::exact());
+        let result = DiscoveryBuilder::new().exact().run(&t);
         // Example 2.4: {}: sal ~ taxGrp (taxGrp order compatible with sal).
         assert!(
             result
@@ -73,7 +48,7 @@ mod tests {
         // context if {}: sal ~ bonus holds. Verify the minimal reported
         // context for the pair (sal, bonus) is a subset of {pos}.
         let t = employee();
-        let result = discover(&t, &DiscoveryConfig::exact());
+        let result = DiscoveryBuilder::new().exact().run(&t);
         let dep = result
             .ocs
             .iter()
@@ -86,7 +61,7 @@ mod tests {
     fn reported_deps_are_valid_and_minimal() {
         let t = employee();
         let eps = 0.15;
-        let result = discover(&t, &DiscoveryConfig::approximate(eps));
+        let result = DiscoveryBuilder::new().approximate(eps).run(&t);
         let budget = removal_budget(9, eps);
         let mut v = OcValidator::new();
         for dep in &result.ocs {
@@ -117,8 +92,8 @@ mod tests {
     #[test]
     fn approximate_covers_every_exact_oc() {
         let t = employee();
-        let exact = discover(&t, &DiscoveryConfig::exact());
-        let approx = discover(&t, &DiscoveryConfig::approximate(0.12));
+        let exact = DiscoveryBuilder::new().exact().run(&t);
+        let approx = DiscoveryBuilder::new().approximate(0.12).run(&t);
         // With ε = 12% ≈ one tuple allowed, every exact OC is either still
         // reported (possibly in a smaller context) or *implied* by a
         // reported approximate OFD through rule R3 — the paper's Exp-4
@@ -140,11 +115,17 @@ mod tests {
         }
     }
 
+    /// Exact discovery runs on the configured strategy at a budget of 0,
+    /// where both validators are exact checks: the two strategies report
+    /// the same dependencies, and `exact()` spells `approximate(0.0)`.
     #[test]
     fn exact_mode_equals_epsilon_zero() {
         let t = employee();
-        let exact = discover(&t, &DiscoveryConfig::exact());
-        let zero = discover(&t, &DiscoveryConfig::approximate(0.0));
+        let exact = DiscoveryBuilder::new().exact().run(&t);
+        let zero = DiscoveryBuilder::new()
+            .approximate(0.0)
+            .strategy(AocStrategy::Iterative)
+            .run(&t);
         let key = |d: &OcDep| (d.context, d.a, d.b);
         let mut e: Vec<_> = exact.ocs.iter().map(key).collect();
         let mut z: Vec<_> = zero.ocs.iter().map(key).collect();
@@ -157,6 +138,8 @@ mod tests {
         eo.sort_unstable();
         zo.sort_unstable();
         assert_eq!(eo, zo);
+        assert!(exact.ocs.iter().chain(&zero.ocs).all(|d| d.removed == 0));
+        assert!(exact.ofds.iter().chain(&zero.ofds).all(|d| d.removed == 0));
     }
 
     #[test]
@@ -166,8 +149,11 @@ mod tests {
         // finds every pair/context the iterative run finds... the reverse
         // can differ through pruning cascades (per the paper's Exp-4 note).
         let t = employee();
-        let opt = discover(&t, &DiscoveryConfig::approximate(0.5));
-        let it = discover(&t, &DiscoveryConfig::approximate_iterative(0.5));
+        let opt = DiscoveryBuilder::new().approximate(0.5).run(&t);
+        let it = DiscoveryBuilder::new()
+            .approximate(0.5)
+            .strategy(AocStrategy::Iterative)
+            .run(&t);
         // Here, specifically: (sal, tax) with empty context is found by
         // optimal (e = 4/9 ≤ 0.5) but missed by iterative (5/9 > 0.5).
         let has = |r: &DiscoveryResult, a: usize, b: usize| {
@@ -182,7 +168,7 @@ mod tests {
     #[test]
     fn max_level_caps_traversal() {
         let t = employee();
-        let result = discover(&t, &DiscoveryConfig::exact().with_max_level(2));
+        let result = DiscoveryBuilder::new().exact().max_level(2).run(&t);
         assert!(result.stats.per_level.len() <= 2);
         assert!(result.ocs.iter().all(|d| d.level <= 2));
     }
@@ -190,8 +176,10 @@ mod tests {
     #[test]
     fn timeout_returns_partial_flagged() {
         let t = employee();
-        let cfg = DiscoveryConfig::exact().with_timeout(std::time::Duration::ZERO);
-        let result = discover(&t, &cfg);
+        let result = DiscoveryBuilder::new()
+            .exact()
+            .timeout(std::time::Duration::ZERO)
+            .run(&t);
         assert!(result.stats.timed_out);
         // A zero budget is spent before the first node: nothing validated.
         assert_eq!(result.ocs.len() + result.ofds.len(), 0);
@@ -204,7 +192,7 @@ mod tests {
                 (0..rows).collect::<Vec<u32>>(),
                 vec![0; rows as usize],
             ]);
-            let result = discover(&t, &DiscoveryConfig::approximate(0.1));
+            let result = DiscoveryBuilder::new().approximate(0.1).run(&t);
             if rows < 2 {
                 assert!(result.ocs.is_empty());
             }
@@ -214,7 +202,7 @@ mod tests {
     #[test]
     fn stats_track_counts() {
         let t = employee();
-        let result = discover(&t, &DiscoveryConfig::exact());
+        let result = DiscoveryBuilder::new().exact().run(&t);
         assert_eq!(result.stats.n_ocs(), result.ocs.len());
         assert_eq!(result.stats.n_ofds(), result.ofds.len());
         assert!(result.stats.per_level[0].n_nodes == 7);

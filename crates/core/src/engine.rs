@@ -10,24 +10,25 @@
 //! point with [`result`](DiscoverySession::result).
 //!
 //! The per-candidate OC validation is delegated to a pluggable
-//! [`OcValidatorBackend`], so the paper's exact scan, Algorithm 2 and
-//! Algorithm 1 all run behind the same driver.
+//! [`OcValidatorBackend`], so Algorithm 2 and Algorithm 1 run behind the
+//! same driver. Exact discovery is the same run at ε = 0: a removal budget
+//! of 0 makes every validator an exact check.
 //!
 //! Sessions are built with [`DiscoveryBuilder`](crate::DiscoveryBuilder);
-//! the one-shot [`discover`](crate::discover) is a thin compat wrapper
-//! that runs a session to completion.
+//! [`DiscoveryBuilder::run`](crate::DiscoveryBuilder::run) runs one to
+//! completion.
 //!
 //! ## Threading and determinism contract
 //!
 //! Every session owns an [`aod_exec::Executor`] with
 //! [`DiscoveryBuilder::parallelism`](crate::DiscoveryBuilder::parallelism)
 //! workers (`0` = one per core), and every level runs the same two steps
-//! on it, whatever the worker count. First the engine freezes the
-//! partition cache into an `Arc`-shared read view, forks the
-//! [`OcValidatorBackend`] once per worker the level runs, and evaluates
-//! each node against the frozen state: one worker walks the nodes in
-//! order on the calling thread, more workers claim them one at a time
-//! from a shared counter. Then it **merges the per-node results in node
+//! on it, whatever the worker count. First the engine forks the
+//! [`OcValidatorBackend`] once per worker the level runs and evaluates
+//! each node against the partition cache, which every worker borrows
+//! read-only for the level: one worker walks the nodes in order on the
+//! calling thread, more workers claim them one at a time from a shared
+//! counter. Then it **merges the per-node results in node
 //! order at the level barrier**, replaying found-dependency recordings,
 //! pruning facts and events. Results enter the session only through that
 //! merge, so for every configuration the event stream, the dependency
@@ -70,7 +71,7 @@
 //! ```
 
 use crate::candidates::OcCandidate;
-use crate::config::{DiscoveryConfig, Mode};
+use crate::config::{PruneConfig, Settings};
 use crate::dep::{OcDep, OfdDep};
 use crate::frontier::Frontier;
 use crate::parallel::{eval_node, stop_check, LevelCtx, NodeEval, NodeResult, OcEval};
@@ -83,7 +84,7 @@ use aod_obs::trace::{span_id, Span, TraceSink};
 use aod_obs::{Clock, MonotonicClock};
 use aod_partition::{AttrSet, PartitionCache, MAX_ATTRS};
 use aod_table::RankedTable;
-use aod_validate::{removal_budget, OcValidatorBackend};
+use aod_validate::{removal_budget, strategy_backend, OcValidatorBackend};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,28 +189,6 @@ pub enum DiscoveryEvent {
     },
 }
 
-/// Options a [`DiscoveryBuilder`](crate::DiscoveryBuilder) resolves beyond
-/// the plain [`DiscoveryConfig`].
-pub(crate) struct SessionOptions {
-    /// Columns to discover over (defaults to all).
-    pub scope: AttrSet,
-    /// Stop once this many OCs were found.
-    pub top_k: Option<usize>,
-    /// Shared cancellation handle.
-    pub cancel: CancelToken,
-    /// The OC validation backend: the template the engine forks once per
-    /// worker per level.
-    pub backend: Box<dyn OcValidatorBackend>,
-    /// Whether events are buffered (one-shot runs disable this).
-    pub record_events: bool,
-    /// Observability tap; `None` keeps the hot path to a single branch.
-    pub sink: Option<Arc<dyn EventSink>>,
-    /// Queue-depth gauge handed to the executor.
-    pub queue_gauge: Option<aod_obs::Gauge>,
-    /// Span-trace sink; `None` keeps every tracing site to a single branch.
-    pub trace: Option<Arc<TraceSink>>,
-}
-
 /// Per-node timings collected by the merge while a level runs, then laid
 /// out as candidate-batch spans at the level barrier. Entries exist only
 /// for **fully merged** nodes (an interruption or top-k cut skips the cut
@@ -232,10 +211,14 @@ struct NodeTrace {
 /// minimality invariants as a completed run's.
 pub struct DiscoverySession<'t> {
     table: &'t RankedTable,
-    config: DiscoveryConfig,
+    max_level: Option<usize>,
+    timeout: Option<Duration>,
+    prune_cfg: PruneConfig,
     scope: AttrSet,
     top_k: Option<usize>,
     cancel: CancelToken,
+    /// The OC validation backend: the template the engine forks once per
+    /// worker per level.
     backend: Box<dyn OcValidatorBackend>,
     budget: usize,
     coverage_denominator: f64,
@@ -269,36 +252,28 @@ impl<'t> DiscoverySession<'t> {
     /// # Panics
     /// If the table has more than [`MAX_ATTRS`] columns, or the scope
     /// names a column the table doesn't have.
-    pub(crate) fn new(
-        table: &'t RankedTable,
-        config: DiscoveryConfig,
-        options: SessionOptions,
-    ) -> DiscoverySession<'t> {
+    pub(crate) fn new(table: &'t RankedTable, settings: Settings) -> DiscoverySession<'t> {
         let n_rows = table.n_rows();
         let n_attrs = table.n_cols();
         assert!(
             n_attrs <= MAX_ATTRS,
             "at most {MAX_ATTRS} attributes supported"
         );
-        let scope = options.scope;
+        let scope = settings.scope.unwrap_or_else(|| AttrSet::full(n_attrs));
         assert!(
             scope.is_subset_of(AttrSet::full(n_attrs)),
             "scope contains column indices beyond the table's {n_attrs} columns"
         );
-        let budget = match config.mode {
-            Mode::Exact => 0,
-            Mode::Approximate { epsilon, .. } => removal_budget(n_rows, epsilon),
-        };
         let mut cache = PartitionCache::new();
         let frontier = Frontier::seed(table, scope, &mut cache);
-        let mut executor = Executor::new(config.threads);
-        if let Some(gauge) = options.queue_gauge {
+        let mut executor = Executor::new(settings.threads);
+        if let Some(gauge) = settings.queue_gauge {
             executor = executor.with_queue_gauge(gauge);
         }
-        if let Some(trace) = &options.trace {
+        if let Some(trace) = &settings.trace {
             executor = executor.with_trace(Arc::clone(trace));
         }
-        let clock: Arc<dyn Clock> = match &options.trace {
+        let clock: Arc<dyn Clock> = match &settings.trace {
             Some(trace) => Arc::clone(trace.clock()),
             None => Arc::new(MonotonicClock::new()),
         };
@@ -308,12 +283,16 @@ impl<'t> DiscoverySession<'t> {
         };
         DiscoverySession {
             table,
-            config,
+            max_level: settings.max_level,
+            timeout: settings.timeout,
+            prune_cfg: settings.prune,
             scope,
-            top_k: options.top_k,
-            cancel: options.cancel,
-            backend: options.backend,
-            budget,
+            top_k: settings.top_k,
+            cancel: settings.cancel,
+            backend: settings
+                .backend
+                .unwrap_or_else(|| strategy_backend(settings.strategy)),
+            budget: removal_budget(n_rows, settings.epsilon),
             coverage_denominator: n_rows.max(1) as f64,
             cache,
             frontier,
@@ -325,11 +304,11 @@ impl<'t> DiscoverySession<'t> {
             ocs: Vec::new(),
             ofds: Vec::new(),
             events: VecDeque::new(),
-            record_events: options.record_events,
+            record_events: settings.record_events,
             trace_end_us: 0,
             level_trace: Vec::new(),
-            trace: options.trace,
-            sink: options.sink,
+            trace: settings.trace,
+            sink: settings.sink,
             finished: None,
         }
     }
@@ -354,16 +333,6 @@ impl<'t> DiscoverySession<'t> {
     /// thread) to stop the run at the next node boundary.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    /// OCs found so far (streaming view of the partial result).
-    pub fn ocs_so_far(&self) -> &[OcDep] {
-        &self.ocs
-    }
-
-    /// OFDs found so far.
-    pub fn ofds_so_far(&self) -> &[OfdDep] {
-        &self.ofds
     }
 
     /// Statistics accumulated so far.
@@ -429,13 +398,13 @@ impl<'t> DiscoverySession<'t> {
                 self.finish(reason);
             }
             None => {
-                if self.config.max_level.is_some_and(|m| level >= m) {
+                if self.max_level.is_some_and(|m| level >= m) {
                     self.finish(StopReason::MaxLevel);
                 } else {
                     // One bracket feeds both the stats timer and the span.
                     let t0 = self.clock.now_us();
                     self.frontier.advance(
-                        &self.config.prune,
+                        &self.prune_cfg,
                         &self.prune,
                         self.scope,
                         &mut self.cache,
@@ -488,22 +457,20 @@ impl<'t> DiscoverySession<'t> {
         Duration::from_micros(self.clock.now_us().saturating_sub(self.started_us))
     }
 
-    /// Runs one level: freeze the cache, evaluate every node on the
-    /// executor with a backend forked per worker, then merge the per-node
-    /// results in node order (see the module-level determinism contract).
+    /// Runs one level: evaluate every node on the executor with a backend
+    /// forked per worker, then merge the per-node results in node order
+    /// (see the module-level determinism contract).
     fn process_level(&mut self, level: usize) -> Option<StopReason> {
-        let view = self.cache.freeze();
         let lctx = LevelCtx {
             table: self.table,
-            view: &view,
+            cache: &self.cache,
             prune: &self.prune,
-            prune_cfg: self.config.prune,
-            mode: self.config.mode,
+            prune_cfg: self.prune_cfg,
             budget: self.budget,
             coverage_denominator: self.coverage_denominator,
             level,
             cancel: &self.cancel,
-            timeout: self.config.timeout,
+            timeout: self.timeout,
             clock: self.clock.as_ref(),
             started_us: self.started_us,
         };
@@ -520,7 +487,6 @@ impl<'t> DiscoverySession<'t> {
                 }
             },
         );
-        drop(view);
         self.merge_level(level, results)
     }
 

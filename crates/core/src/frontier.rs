@@ -67,11 +67,11 @@ impl Frontier {
     /// Evicts cached partitions below level `ℓ−1` afterwards so peak
     /// memory stays at two lattice levels.
     ///
-    /// The partition products run on the executor against a frozen cache
-    /// view, one [`ProductScratch`] per worker the map runs, and are
-    /// merged back in child order, so the cache contents and product
-    /// counts do not depend on the worker count. The caller times the
-    /// call (the `partitioning` phase).
+    /// The partition products run on the executor, whose workers borrow
+    /// the cache read-only and own one [`ProductScratch`] each; the
+    /// products are inserted in child order once the map returns, so the
+    /// cache contents and product counts do not depend on the worker
+    /// count. The caller times the call (the `partitioning` phase).
     pub fn advance(
         &mut self,
         prune_cfg: &PruneConfig,
@@ -115,24 +115,19 @@ impl Frontier {
             stats.level_mut(self.level + 1).n_products += joins.len();
         }
 
-        let view = cache.freeze();
+        let parents: &PartitionCache = cache;
         let products = exec.par_map_with_state(
             ProductScratch::default,
             &joins,
             |scratch, _i, (join, _rhs)| {
-                let l = view
-                    .get(join.parent_a)
-                    .expect("parent partition is in the frozen view");
-                let r = view
-                    .get(join.parent_b)
-                    .expect("parent partition is in the frozen view");
+                let l = parents.get(join.parent_a).expect("parent is cached");
+                let r = parents.get(join.parent_b).expect("parent is cached");
                 l.product_with_scratch(r, scratch)
             },
         );
-        drop(view);
         let mut next = Vec::with_capacity(joins.len());
         for ((join, rhs), product) in joins.into_iter().zip(products) {
-            cache.insert_product(join.child, product);
+            cache.insert(join.child, product);
             next.push(Node {
                 set: join.child,
                 rhs,
@@ -199,20 +194,14 @@ mod tests {
         let mut one_f = Frontier::seed(&t, scope, &mut one_cache);
         let mut four_cache = PartitionCache::new();
         let mut four_f = Frontier::seed(&t, scope, &mut four_cache);
-        let mut stats = DiscoveryStats::default();
+        let (mut one_stats, mut four_stats) =
+            (DiscoveryStats::default(), DiscoveryStats::default());
         for _ in 0..3 {
-            for (f, cache, exec) in [
-                (&mut one_f, &mut one_cache, &one),
-                (&mut four_f, &mut four_cache, &four),
+            for (f, cache, stats, exec) in [
+                (&mut one_f, &mut one_cache, &mut one_stats, &one),
+                (&mut four_f, &mut four_cache, &mut four_stats, &four),
             ] {
-                f.advance(
-                    &PruneConfig::default(),
-                    &prune,
-                    scope,
-                    cache,
-                    &mut stats,
-                    exec,
-                );
+                f.advance(&PruneConfig::default(), &prune, scope, cache, stats, exec);
             }
             assert_eq!(four_f.level, one_f.level);
             assert_eq!(four_f.nodes.len(), one_f.nodes.len());
@@ -221,7 +210,7 @@ mod tests {
                 assert_eq!(p.rhs, s.rhs);
             }
             // Identical cache contents and product accounting.
-            assert_eq!(four_cache.n_products(), one_cache.n_products());
+            assert_eq!(four_stats.per_level, one_stats.per_level);
             let mut p_sets = four_cache.cached_sets();
             let mut s_sets = one_cache.cached_sets();
             p_sets.sort_unstable();

@@ -324,14 +324,6 @@ impl JsonValue {
         }
     }
 
-    /// Mutable access to the ordered fields, when this is an object.
-    pub fn as_object_mut(&mut self) -> Option<&mut Vec<(String, JsonValue)>> {
-        match self {
-            JsonValue::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     /// `true` for `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)

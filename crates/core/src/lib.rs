@@ -9,9 +9,10 @@
 //! level, emits [`DiscoveryEvent`]s, honours a [`CancelToken`] and serves
 //! well-formed partial results at any point. Swapping the AOC validator
 //! between **Algorithm 2** (optimal, LNDS-based) and **Algorithm 1** (the
-//! iterative baseline) — or running in exact mode, or plugging in a custom
-//! [`OcValidatorBackend`] — reproduces every experimental configuration
-//! from the same driver, so measured differences are purely algorithmic.
+//! iterative baseline), setting ε (exact discovery is ε = 0), or plugging
+//! in a custom [`OcValidatorBackend`] reproduces every experimental
+//! configuration from the same driver, so measured differences are purely
+//! algorithmic. The builder is the only way to configure a run.
 //!
 //! ## Builder quickstart
 //!
@@ -48,9 +49,6 @@
 //! let partial = session.into_result(); // well-formed at any stopping point
 //! assert!(partial.n_ocs() > 0);
 //! ```
-//!
-//! The one-shot [`discover`] is the compat shorthand for
-//! `DiscoveryBuilder::from_config(config.clone()).run(table)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +58,7 @@ mod candidates;
 mod canonical;
 mod config;
 mod dep;
+#[cfg(test)]
 mod discover;
 pub mod engine;
 mod frontier;
@@ -75,9 +74,8 @@ pub mod wire;
 
 pub use builder::DiscoveryBuilder;
 pub use canonical::{canonicalize, check_list_od, CanonicalDep};
-pub use config::{DiscoveryConfig, Mode, PruneConfig};
+pub use config::PruneConfig;
 pub use dep::{OcDep, OfdDep};
-pub use discover::discover;
 pub use engine::{CancelToken, DiscoveryEvent, DiscoverySession, LevelOutcome, StopReason};
 pub use prune_state::PruneRule;
 pub use repair::{cleaning_candidates, outlier_report, OutlierReport};

@@ -2,7 +2,7 @@
 //! count.
 //!
 //! The level-wise traversal makes every lattice node of level `ℓ`
-//! independent *within the level*: validation reads only the frozen
+//! independent *within the level*: validation reads only the cached
 //! partitions of levels `ℓ`/`ℓ−1`/`ℓ−2` and pruning facts recorded at
 //! levels `< ℓ` — facts recorded *during* level `ℓ` cannot influence the
 //! same level, because
@@ -21,9 +21,9 @@
 //! The engine therefore runs [`eval_node`] over a level's nodes on its
 //! executor — inline on the caller's thread for one worker, otherwise on
 //! scoped workers that claim nodes from one shared counter — against
-//! immutable snapshots, and merges the per-node [`NodeEval`]s **in node
-//! order** at the level barrier, replaying recordings, events and
-//! counters. The output is the same at every thread count because every
+//! shared borrows of the partition cache and pruning state, and merges
+//! the per-node [`NodeEval`]s **in node order** at the level barrier,
+//! replaying recordings, events and counters. The output is the same at every thread count because every
 //! thread count runs this code and that merge.
 //!
 //! The determinism this rests on is machine-checked: `aod-lint` rule D1
@@ -36,12 +36,12 @@
 //! section of the README.
 
 use crate::candidates::{oc_candidates, ofd_candidates, OcCandidate};
-use crate::config::{Mode, PruneConfig};
+use crate::config::PruneConfig;
 use crate::engine::{CancelToken, StopReason};
 use crate::frontier::Node;
 use crate::prune_state::{PruneRule, PruneState};
 use aod_obs::Clock;
-use aod_partition::FrozenPartitions;
+use aod_partition::PartitionCache;
 use aod_table::RankedTable;
 use aod_validate::{min_removal_ofd, OcValidatorBackend};
 use std::time::Duration;
@@ -49,10 +49,10 @@ use std::time::Duration;
 /// Immutable level-wide inputs shared by every worker.
 pub(crate) struct LevelCtx<'a> {
     pub table: &'a RankedTable,
-    pub view: &'a FrozenPartitions,
+    pub cache: &'a PartitionCache,
     pub prune: &'a PruneState,
     pub prune_cfg: PruneConfig,
-    pub mode: Mode,
+    /// Removal budget `⌊ε·n⌋`; 0 for exact discovery.
     pub budget: usize,
     pub coverage_denominator: f64,
     pub level: usize,
@@ -107,7 +107,7 @@ pub(crate) enum NodeResult {
     Interrupted(StopReason),
 }
 
-/// Evaluates one node against the frozen snapshots: its OFD candidates,
+/// Evaluates one node against the cached partitions: its OFD candidates,
 /// then its OC candidates (R2–R4 first, the backend for the survivors),
 /// bracketed by three session-clock reads.
 pub(crate) fn eval_node(
@@ -116,30 +116,28 @@ pub(crate) fn eval_node(
     backend: &mut dyn OcValidatorBackend,
 ) -> NodeEval {
     let set = node.set;
+    let node_part = ctx.cache.get(set).expect("node partition is cached");
     let t0 = ctx.clock.now_us();
 
     // --- OFD candidates: X\{A}: [] |-> A for A in X ∩ Cc+(X) ---
     let mut ofds = Vec::new();
     for a in ofd_candidates(node) {
-        let ctx_set = set.without(a);
-        let col = ctx.table.column(a);
         let ctx_part = ctx
-            .view
-            .get(ctx_set)
-            .expect("parent partition is in the frozen view");
-        let removed = match ctx.mode {
-            Mode::Exact => {
-                // FD X\{A} -> A holds iff |Π_{X\{A}}| == |Π_X|
-                // (class-count check; both partitions are cached).
-                let node_part = ctx
-                    .view
-                    .get(set)
-                    .expect("node partition is in the frozen view");
-                (ctx_part.n_classes_unstripped() == node_part.n_classes_unstripped()).then_some(0)
-            }
-            Mode::Approximate { .. } => {
-                min_removal_ofd(ctx_part, col.ranks(), col.n_distinct(), ctx.budget)
-            }
+            .cache
+            .get(set.without(a))
+            .expect("parent partition is cached");
+        // Each context class that A splits into k classes needs at least
+        // k − 1 removals, so |Π_X| − |Π_{X\A}| (unstripped class counts)
+        // bounds TANE's g₃ count from below and is 0 iff the OFD holds.
+        // At ε = 0 it decides every candidate on its own.
+        let lower = node_part.n_classes_unstripped() - ctx_part.n_classes_unstripped();
+        let removed = if lower == 0 {
+            Some(0)
+        } else if lower > ctx.budget {
+            None
+        } else {
+            let col = ctx.table.column(a);
+            min_removal_ofd(ctx_part, col.ranks(), col.n_distinct(), ctx.budget)
         };
         let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
         ofds.push(OfdEval {
@@ -164,10 +162,7 @@ pub(crate) fn eval_node(
                 {
                     OcEval::Pruned(PruneRule::ConstancyImplication)
                 } else {
-                    let ctx_part = ctx
-                        .view
-                        .get(ctx_set)
-                        .expect("context partition is in the frozen view");
+                    let ctx_part = ctx.cache.get(ctx_set).expect("context partition is cached");
                     if ctx.prune_cfg.r4_key_pruning && ctx_part.is_key() {
                         OcEval::Pruned(PruneRule::KeyPruning)
                     } else {
@@ -183,16 +178,10 @@ pub(crate) fn eval_node(
 
     let t2 = ctx.clock.now_us();
 
-    let is_key = ctx
-        .view
-        .get(set)
-        .expect("node partition is in the frozen view")
-        .is_key();
-
     NodeEval {
         ofds,
         ocs,
-        is_key,
+        is_key: node_part.is_key(),
         ofd_us: t1.saturating_sub(t0),
         oc_us: t2.saturating_sub(t1),
     }

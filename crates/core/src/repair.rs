@@ -117,14 +117,13 @@ pub fn cleaning_candidates(result: &DiscoveryResult, k: usize) -> (Vec<&OcDep>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DiscoveryConfig;
-    use crate::discover::discover;
+    use crate::DiscoveryBuilder;
     use aod_table::{employee_table, RankedTable};
 
     #[test]
     fn dirty_employee_rows_are_flagged() {
         let t = RankedTable::from_table(&employee_table());
-        let result = discover(&t, &DiscoveryConfig::approximate(0.45));
+        let result = DiscoveryBuilder::new().approximate(0.45).run(&t);
         let report = outlier_report(&t, &result);
         assert!(report.n_contributing > 0);
         assert_eq!(report.scores.len(), 9);
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn exact_dependencies_contribute_nothing() {
         let t = RankedTable::from_table(&employee_table());
-        let result = discover(&t, &DiscoveryConfig::exact());
+        let result = DiscoveryBuilder::new().exact().run(&t);
         let report = outlier_report(&t, &result);
         assert_eq!(report.n_contributing, 0);
         assert!(report.scores.iter().all(|&s| s == 0));
@@ -164,7 +163,7 @@ mod tests {
     #[test]
     fn cleaning_candidates_filters_exact_deps() {
         let t = RankedTable::from_table(&employee_table());
-        let result = discover(&t, &DiscoveryConfig::approximate(0.45));
+        let result = DiscoveryBuilder::new().approximate(0.45).run(&t);
         let (ocs, ofds) = cleaning_candidates(&result, 5);
         assert!(ocs.len() <= 5 && ofds.len() <= 5);
         assert!(ocs.iter().all(|d| d.removed > 0));

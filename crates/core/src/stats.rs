@@ -86,14 +86,6 @@ impl DiscoveryStats {
         self.oc_validation.as_secs_f64() / self.total.as_secs_f64()
     }
 
-    /// Share of total runtime spent in any validation (OC + OFD).
-    pub fn validation_share(&self) -> f64 {
-        if self.total.is_zero() {
-            return 0.0;
-        }
-        (self.oc_validation + self.ofd_validation).as_secs_f64() / self.total.as_secs_f64()
-    }
-
     /// Total OCs found across levels.
     pub fn n_ocs(&self) -> usize {
         self.per_level.iter().map(|l| l.n_oc_found).sum()
@@ -120,16 +112,6 @@ impl DiscoveryStats {
             count += l.n_oc_found;
         }
         (count > 0).then(|| weighted as f64 / count as f64)
-    }
-
-    /// `(level, n_oc_found)` pairs for levels that found at least one OC —
-    /// the series plotted in Figure 5.
-    pub fn oc_level_histogram(&self) -> Vec<(usize, usize)> {
-        self.per_level
-            .iter()
-            .filter(|l| l.n_oc_found > 0)
-            .map(|l| (l.level, l.n_oc_found))
-            .collect()
     }
 
     /// Mutable counters for a level, growing the vector as needed.
@@ -167,7 +149,6 @@ mod tests {
         s.level_mut(4).n_oc_found = 1;
         // (2*3 + 4*1) / 4 = 2.5
         assert_eq!(s.avg_oc_level(), Some(2.5));
-        assert_eq!(s.oc_level_histogram(), vec![(2, 3), (4, 1)]);
     }
 
     #[test]
@@ -175,7 +156,7 @@ mod tests {
         let s = DiscoveryStats::default();
         assert_eq!(s.avg_oc_level(), None);
         assert_eq!(s.n_ocs(), 0);
-        assert_eq!(s.validation_share(), 0.0);
+        assert_eq!(s.oc_validation_share(), 0.0);
     }
 
     #[test]
@@ -197,7 +178,7 @@ mod tests {
             ofd_validation: Duration::from_millis(10),
             ..DiscoveryStats::default()
         };
+        // OFD time does not count towards the OC share.
         assert!((s.oc_validation_share() - 0.8).abs() < 1e-9);
-        assert!((s.validation_share() - 0.9).abs() < 1e-9);
     }
 }

@@ -268,6 +268,8 @@ fn parse_value(text: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_registry_render_round_trip() {
@@ -349,5 +351,107 @@ mod tests {
         assert_eq!(scrape.family_type("m"), Some("counter"));
         assert_eq!(scrape.value("m", &[]), Some(3.0));
         assert_eq!(scrape.samples().len(), 1);
+    }
+
+    /// How generated lines start: metric names with and without a label
+    /// set, comment and metadata prefixes, and names the grammar rejects.
+    const HEADS: &[&str] = &[
+        "m",
+        "m{",
+        "m_x{le=\"",
+        "# TYPE ",
+        "# HELP ",
+        "#",
+        "",
+        " ",
+        "9m{",
+    ];
+
+    /// What follows a line's start: label, value and timestamp spellings,
+    /// the grammar's punctuation, escapes, line endings and multi-byte
+    /// characters.
+    const TOKENS: &[&str] = &[
+        "m",
+        "a=\"",
+        "\"}",
+        "} ",
+        "\",",
+        " 1",
+        " +Inf",
+        " 7 1712345678901",
+        "9",
+        " ",
+        "\t",
+        "{",
+        "}",
+        "\"",
+        "\\",
+        "=",
+        ",",
+        "#",
+        "NaN",
+        "-Inf",
+        "1.5e3",
+        "-",
+        ".",
+        "\n",
+        "\r",
+        "\r\n",
+        "\\n",
+        "\\\"",
+        "é",
+        "日",
+        "😀",
+    ];
+
+    /// Characters label values are drawn from: the three the writer
+    /// escapes, control and punctuation characters it passes through raw,
+    /// and multi-byte characters.
+    const LABEL_CHARS: &[char] = &[
+        '"', '\\', '\n', '\r', '\t', '{', '}', ',', '=', ' ', '#', 'a', 'Z', '0', 'é', '日', '😀',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Arbitrary text is answered with `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_text_never_panics(
+            lines in vec((0usize..HEADS.len(), vec(0usize..TOKENS.len(), 0..10)), 0..12),
+        ) {
+            let mut text = String::new();
+            for (head, picks) in &lines {
+                text.push_str(HEADS[*head]);
+                text.extend(picks.iter().map(|&k| TOKENS[k]));
+                text.push('\n');
+            }
+            let _ = Scrape::parse(&text);
+        }
+
+        /// A counter, a gauge and a histogram registered with generated
+        /// label values render and parse back to the same values.
+        #[test]
+        fn generated_label_values_round_trip(
+            picks in vec(vec(0usize..LABEL_CHARS.len(), 0..12), 3),
+            (c, g, h) in (0u64..1_000_000, 0u64..1_000_000, 0u64..100_000),
+        ) {
+            let v: Vec<String> = picks
+                .iter()
+                .map(|p| p.iter().map(|&k| LABEL_CHARS[k]).collect())
+                .collect();
+            let registry = crate::Registry::new();
+            registry.counter("aod_c_total", "A counter.", &[("v", &v[0])]).add(c);
+            registry.gauge("aod_g", "A gauge.", &[("v", &v[1]), ("w", &v[0])]).set(g);
+            registry.histogram("aod_h_us", "A histogram.", &[("v", &v[2])]).observe(h);
+            let scrape = Scrape::parse(&registry.render());
+            prop_assert!(scrape.is_ok(), "{:?}", scrape.err());
+            let scrape = scrape.unwrap();
+            prop_assert_eq!(scrape.value("aod_c_total", &[("v", &v[0])]), Some(c as f64));
+            prop_assert_eq!(scrape.value("aod_g", &[("v", &v[1]), ("w", &v[0])]), Some(g as f64));
+            prop_assert_eq!(scrape.value("aod_h_us_count", &[("v", &v[2])]), Some(1.0));
+            prop_assert_eq!(scrape.value("aod_h_us_sum", &[("v", &v[2])]), Some(h as f64));
+            let inf = scrape.value("aod_h_us_bucket", &[("v", &v[2]), ("le", "+Inf")]);
+            prop_assert_eq!(inf, Some(1.0));
+        }
     }
 }

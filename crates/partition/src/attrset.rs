@@ -108,12 +108,6 @@ impl AttrSet {
         }
     }
 
-    /// All subsets obtained by removing exactly one attribute
-    /// (the node's parents in the lattice).
-    pub fn subsets_one_smaller(self) -> impl Iterator<Item = AttrSet> {
-        self.iter().map(move |a| self.without(a))
-    }
-
     /// Formats with column names from a name table.
     pub fn display_with<'a>(self, names: &'a [&'a str]) -> DisplayAttrSet<'a> {
         DisplayAttrSet { set: self, names }
@@ -261,13 +255,6 @@ mod tests {
         assert_eq!(AttrSet::full(3).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(AttrSet::full(64).len(), 64);
         assert_eq!(AttrSet::full(0), AttrSet::EMPTY);
-    }
-
-    #[test]
-    fn parents_in_lattice() {
-        let s = AttrSet::from_attrs([1, 4]);
-        let parents: Vec<AttrSet> = s.subsets_one_smaller().collect();
-        assert_eq!(parents, vec![AttrSet::singleton(4), AttrSet::singleton(1)]);
     }
 
     #[test]

@@ -11,39 +11,21 @@
 //! implements that eviction so peak memory stays at two lattice levels
 //! rather than the whole lattice.
 //!
-//! ## Frozen view vs. pending writes
-//!
-//! For the discovery engine's per-level workers the cache is split in two:
-//!
-//! * a **frozen** map behind an `Arc` — the partitions of completed
-//!   levels. [`PartitionCache::freeze`] publishes every pending write into
-//!   it and hands out a [`FrozenPartitions`] handle, a cheap `Clone +
-//!   Send + Sync` read view that worker threads probe lock-free while the
-//!   level runs;
-//! * a **pending** map — everything written since the last freeze (the
-//!   next level's products, merged back from per-worker shards at the
-//!   level barrier via [`PartitionCache::insert_product`]).
-//!
-//! Callers that never freeze (`aod-core`'s outlier repair) never notice
-//! the split: [`PartitionCache::get`] reads through both maps and
-//! [`PartitionCache::ensure`] writes to the pending side.
+//! The cache is one map. The discovery engine's per-level workers read it
+//! through a shared borrow — each level's executor map runs inside
+//! [`std::thread::scope`], so workers can borrow the map the driver owns
+//! — and the driver inserts the next level's products once the map has
+//! returned.
 
 use crate::attrset::{AttrSet, AttrSetMap};
 use crate::stripped::{Partition, ProductScratch};
 use aod_table::RankedTable;
-use std::sync::Arc;
 
 /// Cache of `AttrSet → Partition` with level-based eviction.
 #[derive(Debug, Default)]
 pub struct PartitionCache {
-    /// Completed levels, shared read-only with worker threads.
-    frozen: Arc<AttrSetMap<Partition>>,
-    /// Writes since the last [`freeze`](PartitionCache::freeze). Invariant:
-    /// disjoint from `frozen`'s keys.
-    pending: AttrSetMap<Partition>,
+    map: AttrSetMap<Partition>,
     scratch: ProductScratch,
-    /// Statistics: product operations performed (for experiment reporting).
-    n_products: u64,
 }
 
 impl PartitionCache {
@@ -52,82 +34,27 @@ impl PartitionCache {
         PartitionCache::default()
     }
 
-    /// Number of cached partitions.
-    pub fn len(&self) -> usize {
-        self.frozen.len() + self.pending.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.frozen.is_empty() && self.pending.is_empty()
-    }
-
-    /// Number of partition products computed so far.
-    pub fn n_products(&self) -> u64 {
-        self.n_products
-    }
-
-    /// Looks up a cached partition (pending writes shadow nothing: the two
-    /// maps are key-disjoint).
+    /// Looks up a cached partition.
     pub fn get(&self, set: AttrSet) -> Option<&Partition> {
-        self.pending.get(&set).or_else(|| self.frozen.get(&set))
-    }
-
-    fn contains(&self, set: AttrSet) -> bool {
-        self.pending.contains_key(&set) || self.frozen.contains_key(&set)
+        self.map.get(&set)
     }
 
     /// Inserts a partition computed elsewhere. A set already cached is left
     /// untouched — partitions are canonical per attribute set, so the
     /// existing value is identical.
     pub fn insert(&mut self, set: AttrSet, partition: Partition) {
-        if !self.contains(set) {
-            self.pending.insert(set, partition);
-        }
-    }
-
-    /// Inserts one product computed by a parallel worker, counting it in
-    /// [`n_products`](PartitionCache::n_products). This is the merge half
-    /// of the freeze/merge protocol: workers compute products against a
-    /// [`FrozenPartitions`] view with private [`ProductScratch`], and the
-    /// driver merges the shards through this method at the level barrier
-    /// (in deterministic node order, though the cache itself is
-    /// order-insensitive).
-    pub fn insert_product(&mut self, set: AttrSet, partition: Partition) {
-        self.n_products += 1;
-        if !self.contains(set) {
-            self.pending.insert(set, partition);
-        }
-    }
-
-    /// Publishes all pending writes into the frozen map and returns a
-    /// shared read view of **everything** cached so far.
-    ///
-    /// The returned handle keeps the published partitions alive even
-    /// across [`retain_min_level`](PartitionCache::retain_min_level) /
-    /// [`clear`](PartitionCache::clear); drop it before the next mutation
-    /// to keep those operations allocation-free (a live view forces one
-    /// copy-on-write of the frozen map).
-    pub fn freeze(&mut self) -> FrozenPartitions {
-        if !self.pending.is_empty() {
-            let frozen = Arc::make_mut(&mut self.frozen);
-            // aod-lint: allow(D1) -- drained into another keyed map; iteration order is never observed
-            frozen.extend(self.pending.drain());
-        }
-        FrozenPartitions {
-            map: Arc::clone(&self.frozen),
-        }
+        self.map.entry(set).or_insert(partition);
     }
 
     /// Ensures `Π_X` is cached, computing it bottom-up from singleton
     /// columns if needed. Used by one-off validation entry points; the
     /// discovery driver populates the cache level-wise instead.
     pub fn ensure(&mut self, table: &RankedTable, set: AttrSet) -> &Partition {
-        if !self.contains(set) {
+        if !self.map.contains_key(&set) {
             let partition = self.build(table, set);
-            self.pending.insert(set, partition);
+            self.map.insert(set, partition);
         }
-        self.get(set).expect("just ensured")
+        &self.map[&set]
     }
 
     fn build(&mut self, table: &RankedTable, set: AttrSet) -> Partition {
@@ -136,23 +63,11 @@ impl PartitionCache {
             1 => Partition::from_ranked_column(table.column(set.first().expect("non-empty"))),
             _ => {
                 let a = set.first().expect("non-empty");
-                let rest = set.without(a);
+                let (rest, single) = (set.without(a), AttrSet::singleton(a));
                 // Recurse on the smaller pieces first (each is cached).
-                if !self.contains(rest) {
-                    let p = self.build(table, rest);
-                    self.pending.insert(rest, p);
-                }
-                let single = AttrSet::singleton(a);
-                if !self.contains(single) {
-                    let p = Partition::from_ranked_column(table.column(a));
-                    self.pending.insert(single, p);
-                }
-                self.n_products += 1;
-                let lookup =
-                    |set: AttrSet| self.pending.get(&set).or_else(|| self.frozen.get(&set));
-                let l = lookup(rest).expect("just built");
-                let r = lookup(single).expect("just built");
-                l.product_with_scratch(r, &mut self.scratch)
+                self.ensure(table, rest);
+                self.ensure(table, single);
+                self.map[&rest].product_with_scratch(&self.map[&single], &mut self.scratch)
             }
         }
     }
@@ -160,71 +75,15 @@ impl PartitionCache {
     /// Drops all cached partitions of level `< min_level`.
     pub fn retain_min_level(&mut self, min_level: usize) {
         // aod-lint: allow(D1) -- retain by per-key predicate, order-insensitive
-        self.pending.retain(|set, _| set.len() >= min_level);
-        // aod-lint: allow(D1) -- existence check (`any`), order-insensitive
-        if self.frozen.keys().any(|set| set.len() < min_level) {
-            Arc::make_mut(&mut self.frozen).retain(|set, _| set.len() >= min_level);
-        }
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.pending.clear();
-        if !self.frozen.is_empty() {
-            Arc::make_mut(&mut self.frozen).clear();
-        }
+        self.map.retain(|set, _| set.len() >= min_level);
     }
 
     /// The attribute sets currently cached, in no particular order. Used
     /// by the eviction-invariant tests to assert peak residency stays at
     /// two lattice levels.
     pub fn cached_sets(&self) -> Vec<AttrSet> {
-        self.frozen
-            .keys()
-            // aod-lint: allow(D1) -- documented unordered; the eviction tests sort before comparing
-            .chain(self.pending.keys())
-            .copied()
-            .collect()
-    }
-
-    /// Approximate resident bytes of cached partitions (for memory
-    /// reporting in experiments).
-    pub fn approx_bytes(&self) -> usize {
-        self.frozen
-            .values()
-            // aod-lint: allow(D1) -- commutative sum over values, order-insensitive
-            .chain(self.pending.values())
-            .map(|p| p.n_grouped_rows() * 4 + (p.n_classes() + 1) * 4)
-            .sum()
-    }
-}
-
-/// A frozen, `Arc`-shared read view of a [`PartitionCache`].
-///
-/// Produced by [`PartitionCache::freeze`]; cloning is one atomic
-/// increment, and lookups are plain hash-map probes with no locking —
-/// worker threads of the parallel validator each hold (or borrow) one
-/// while a lattice level runs. The view is a snapshot: writes to the
-/// cache after the freeze are not visible through it.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenPartitions {
-    map: Arc<AttrSetMap<Partition>>,
-}
-
-impl FrozenPartitions {
-    /// Looks up a partition in the snapshot.
-    pub fn get(&self, set: AttrSet) -> Option<&Partition> {
-        self.map.get(&set)
-    }
-
-    /// Number of partitions in the snapshot.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        // aod-lint: allow(D1) -- documented unordered; the eviction tests sort before comparing
+        self.map.keys().copied().collect()
     }
 }
 
@@ -267,24 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_reaches_frozen_partitions_too() {
-        let r = ranked();
-        let mut cache = PartitionCache::new();
-        cache.ensure(&r, AttrSet::EMPTY);
-        cache.ensure(&r, AttrSet::singleton(0));
-        cache.ensure(&r, AttrSet::from_attrs([0, 1]));
-        let view = cache.freeze(); // everything now on the frozen side
-        assert_eq!(cache.len(), 4); // {}, {0}, {1}, {0,1} ({1} built en route)
-        cache.retain_min_level(2);
-        assert!(cache.get(AttrSet::singleton(0)).is_none());
-        assert!(cache.get(AttrSet::from_attrs([0, 1])).is_some());
-        // The snapshot taken before eviction still serves the old levels —
-        // a worker mid-level never sees partitions vanish underneath it.
-        assert!(view.get(AttrSet::singleton(0)).is_some());
-        assert!(view.get(AttrSet::EMPTY).is_some());
-    }
-
-    #[test]
     fn eviction_keeps_context_level_two_below_frontier() {
         // While the driver processes level ℓ it needs level ℓ−2 context
         // partitions; `retain_min_level(ℓ−2)` (issued as `advance` moves
@@ -302,7 +143,6 @@ mod tests {
         for &set in &sets {
             cache.ensure(&r, set);
         }
-        cache.freeze();
         cache.retain_min_level(2);
         let surviving: Vec<usize> = cache.cached_sets().iter().map(|s| s.len()).collect();
         assert!(
@@ -317,67 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn freeze_publishes_pending_and_snapshots() {
-        let r = ranked();
-        let mut cache = PartitionCache::new();
-        cache.ensure(&r, AttrSet::singleton(0));
-        let view1 = cache.freeze();
-        assert_eq!(view1.len(), 1);
-        assert!(view1.get(AttrSet::singleton(0)).is_some());
-        // Writes after the freeze are invisible to the old view...
-        cache.ensure(&r, AttrSet::singleton(3));
-        assert!(view1.get(AttrSet::singleton(3)).is_none());
-        assert!(cache.get(AttrSet::singleton(3)).is_some());
-        // ...and visible to the next one. Freezing twice is idempotent.
-        let view2 = cache.freeze();
-        assert_eq!(view2.len(), 2);
-        let view3 = cache.freeze();
-        assert_eq!(view3.len(), 2);
-    }
-
-    #[test]
-    fn frozen_views_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync + Clone>() {}
-        assert_send_sync::<FrozenPartitions>();
-    }
-
-    #[test]
-    fn insert_product_counts_and_deduplicates() {
-        let r = ranked();
-        let mut cache = PartitionCache::new();
-        let a = Partition::from_ranked_column(r.column(0));
-        let b = Partition::from_ranked_column(r.column(3));
-        let prod = a.product(&b);
-        let set = AttrSet::from_attrs([0, 3]);
-        cache.insert_product(set, prod.clone());
-        assert_eq!(cache.n_products(), 1);
-        assert_eq!(cache.get(set), Some(&prod));
-        // Re-merging the same shard key keeps the first value but still
-        // counts the (wasted) product, mirroring the sequential counter.
-        cache.insert_product(set, prod);
-        assert_eq!(cache.n_products(), 2);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn unit_partition_for_empty_set() {
         let r = ranked();
         let mut cache = PartitionCache::new();
         let p = cache.ensure(&r, AttrSet::EMPTY);
         assert_eq!(p.n_classes(), 1);
         assert_eq!(p.class(0).len(), 9);
-    }
-
-    #[test]
-    fn memory_accounting_is_positive() {
-        let r = ranked();
-        let mut cache = PartitionCache::new();
-        cache.ensure(&r, AttrSet::singleton(0));
-        assert!(cache.approx_bytes() > 0);
-        cache.freeze();
-        assert!(cache.approx_bytes() > 0, "frozen side is accounted too");
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.approx_bytes(), 0);
     }
 }

@@ -7,7 +7,8 @@
 //! * [`Partition`] — TANE-style *stripped* partitions in a flat CSR layout,
 //!   with linear products and FD/key error measures.
 //! * [`PartitionCache`] — level-aware cache with eviction so discovery holds
-//!   at most two lattice levels of partitions in memory.
+//!   at most two lattice levels of partitions in memory: one map, which a
+//!   level's scoped workers borrow read-only.
 //!
 //! ```
 //! use aod_partition::{AttrSet, Partition};
@@ -32,6 +33,6 @@ pub use attrset::{
     AttrIter, AttrSet, AttrSetBuildHasher, AttrSetHasher, AttrSetMap, AttrSetSet, DisplayAttrSet,
     MAX_ATTRS,
 };
-pub use cache::{FrozenPartitions, PartitionCache};
+pub use cache::PartitionCache;
 pub use lattice::{prefix_join, JoinedChild};
 pub use stripped::{Partition, ProductScratch};

@@ -164,20 +164,9 @@ impl Partition {
             .map(move |w| &self.elems[w[0] as usize..w[1] as usize])
     }
 
-    /// Size of the largest class (0 when stripped empty).
-    pub fn max_class_size(&self) -> usize {
-        self.classes().map(<[u32]>::len).max().unwrap_or(0)
-    }
-
     /// `true` when `X` is a (super)key: every class is a singleton.
     pub fn is_key(&self) -> bool {
         self.elems.is_empty()
-    }
-
-    /// Minimum number of rows to remove so the attribute set becomes a key
-    /// (one representative kept per class).
-    pub fn key_removal_count(&self) -> usize {
-        self.n_grouped_rows() - self.n_classes()
     }
 
     /// Minimum number of rows to remove so the FD `X -> A` holds, where
@@ -415,10 +404,9 @@ mod tests {
         // sal (col 2) has 9 distinct values over 9 rows -> key.
         let p = Partition::from_ranked_column(r.column(2));
         assert!(p.is_key());
-        assert_eq!(p.key_removal_count(), 0);
-        // pos is not a key; removing all-but-one per class keys it.
+        // pos is not a key: two of its classes hold more than one row.
         let q = Partition::from_ranked_column(r.column(0));
-        assert_eq!(q.key_removal_count(), (3 - 1) + (5 - 1));
+        assert!(!q.is_key());
     }
 
     #[test]
@@ -484,13 +472,5 @@ mod tests {
         // passes, MAX_ROWS + 1 errors.
         assert!(aod_table::check_row_count(aod_table::MAX_ROWS).is_ok());
         assert!(aod_table::check_row_count(aod_table::MAX_ROWS + 1).is_err());
-    }
-
-    #[test]
-    fn max_class_size() {
-        let r = employee_ranked();
-        let p = Partition::from_ranked_column(r.column(0));
-        assert_eq!(p.max_class_size(), 5);
-        assert_eq!(Partition::unit(0).max_class_size(), 0);
     }
 }

@@ -3,9 +3,11 @@
 //! The level-wise driver in `aod-core` does not care *how* a candidate
 //! `X: A ~ B` is validated — only that some algorithm reports the size of a
 //! removal set within a budget. [`OcValidatorBackend`] captures exactly that
-//! contract, so the three paper configurations (exact scan, **Algorithm 2**
-//! optimal LNDS, **Algorithm 1** iterative baseline) become interchangeable
-//! values, and future backends plug into the driver without touching it.
+//! contract, so the paper's two AOC validators (**Algorithm 2** optimal
+//! LNDS, **Algorithm 1** iterative baseline) become interchangeable values,
+//! and future backends plug into the driver without touching it. Exact
+//! discovery needs no backend of its own: it runs either one with a
+//! budget of 0.
 //!
 //! ```
 //! use aod_partition::Partition;
@@ -56,16 +58,16 @@ pub enum SampleVerdict {
 /// buffers start empty and refill on first use. This is what keeps
 /// discovery bit-identical across thread counts.
 pub trait OcValidatorBackend: Send {
-    /// A short stable identifier ("exact", "optimal", "iterative", …) for
-    /// logs and experiment tables.
+    /// A short stable identifier ("optimal", "iterative", …) for logs and
+    /// experiment tables.
     fn name(&self) -> &'static str;
 
     /// Size of the removal set this backend finds for `ctx: A ~ B`, or
     /// `None` once it can prove the size exceeds `limit` (the paper's
     /// "INVALID" early exit; pass `usize::MAX` for an unbounded search).
     ///
-    /// Exact backends report `Some(0)` when the OC holds and `None`
-    /// otherwise; approximate backends need not find a *minimal* set
+    /// With `limit = 0` this is exact validation: `Some(0)` when the OC
+    /// holds and `None` otherwise. Backends need not find a *minimal* set
     /// (Algorithm 1 overestimates) but must never underestimate.
     fn min_removal(
         &mut self,
@@ -95,34 +97,6 @@ pub trait OcValidatorBackend: Send {
     /// which forwards it, and goes when that decorator is next revised.
     fn level_feedback(&mut self, hits: usize, misses: usize) {
         let _ = (hits, misses);
-    }
-}
-
-/// Exact validation: `Some(0)` iff no class contains a swap.
-#[derive(Debug, Default)]
-pub struct ExactOcBackend {
-    validator: OcValidator,
-}
-
-impl OcValidatorBackend for ExactOcBackend {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn min_removal(
-        &mut self,
-        ctx: &Partition,
-        a_ranks: &[u32],
-        b_ranks: &[u32],
-        _limit: usize,
-    ) -> Option<usize> {
-        self.validator
-            .exact_oc_holds(ctx, a_ranks, b_ranks)
-            .then_some(0)
-    }
-
-    fn fork(&self) -> Box<dyn OcValidatorBackend> {
-        Box::new(ExactOcBackend::default())
     }
 }
 
@@ -190,11 +164,6 @@ pub fn strategy_backend(strategy: AocStrategy) -> Box<dyn OcValidatorBackend> {
     }
 }
 
-/// The backend for exact (ε = 0, scan-based) OC validation.
-pub fn exact_backend() -> Box<dyn OcValidatorBackend> {
-    Box::new(ExactOcBackend::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +174,6 @@ mod tests {
 
     fn backends() -> Vec<Box<dyn OcValidatorBackend>> {
         vec![
-            exact_backend(),
             strategy_backend(AocStrategy::Optimal),
             strategy_backend(AocStrategy::Iterative),
         ]
@@ -213,7 +181,7 @@ mod tests {
 
     #[test]
     fn backends_agree_with_their_validators() {
-        // e(sal ~ tax) = 4/9: exact says no, optimal 4, iterative 5.
+        // e(sal ~ tax) = 4/9: optimal 4, iterative 5.
         let t = RankedTable::from_table(&employee_table());
         let ctx = Partition::unit(9);
         let (a, b) = (t.column(SAL).ranks(), t.column(TAX).ranks());
@@ -221,13 +189,13 @@ mod tests {
             .iter_mut()
             .map(|v| v.min_removal(&ctx, a, b, usize::MAX))
             .collect();
-        assert_eq!(results, vec![None, Some(4), Some(5)]);
+        assert_eq!(results, vec![Some(4), Some(5)]);
     }
 
     #[test]
     fn names_are_stable() {
         let names: Vec<&str> = backends().iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["exact", "optimal", "iterative"]);
+        assert_eq!(names, vec!["optimal", "iterative"]);
     }
 
     #[test]
@@ -260,12 +228,17 @@ mod tests {
         }
     }
 
+    /// Exact validation is either backend at limit 0: sal ~ taxGrp holds
+    /// exactly (Example 2.4), sal ~ tax does not.
     #[test]
     fn exact_backend_on_holding_oc() {
-        // sal ~ taxGrp holds exactly (Example 2.4).
         let t = RankedTable::from_table(&employee_table());
         let ctx = Partition::unit(9);
         let (a, b) = (t.column(SAL).ranks(), t.column(3).ranks());
-        assert_eq!(exact_backend().min_removal(&ctx, a, b, 0), Some(0));
+        let tax = t.column(TAX).ranks();
+        for mut backend in backends() {
+            assert_eq!(backend.min_removal(&ctx, a, b, 0), Some(0));
+            assert_eq!(backend.min_removal(&ctx, a, tax, 0), None);
+        }
     }
 }

@@ -3,14 +3,16 @@
 //! Implements Section 3 of *Efficient Discovery of Approximate Order
 //! Dependencies* (EDBT 2021):
 //!
-//! * [`OcValidator`] — the per-candidate engine with three strategies:
-//!   exact swap scan, **Algorithm 2** (LNDS-based, minimal and optimal) and
-//!   **Algorithm 1** (the iterative PVLDB'17 baseline, quadratic and
-//!   non-minimal), plus the descending-tie-break variant for canonical ODs.
-//! * [`OcValidatorBackend`] — the pluggable strategy-object form of the
-//!   same three validators ([`exact_backend`], [`strategy_backend`]); the
-//!   `aod-core` discovery engine dispatches through this trait, so custom
-//!   backends drop in without touching the driver.
+//! * [`OcValidator`] — the per-candidate engine: exact swap scan,
+//!   **Algorithm 2** (LNDS-based, minimal and optimal) and **Algorithm 1**
+//!   (the iterative PVLDB'17 baseline, quadratic and non-minimal), plus
+//!   the descending-tie-break variant for canonical ODs.
+//! * [`OcValidatorBackend`] — the pluggable strategy-object form of
+//!   Algorithms 2 and 1 ([`strategy_backend`]); the `aod-core` discovery
+//!   engine dispatches through this trait, so custom backends drop in
+//!   without touching the driver. Exact discovery runs them with a
+//!   removal budget of 0, where Algorithm 2's bounded kernel stops at the
+//!   first descent — the swap scan.
 //! * [`min_removal_ofd`] and friends — linear approximate OFD validation
 //!   (TANE's `g₃`).
 //! * [`list_od_holds`] / [`list_od_min_removal`] — list-based `X |-> Y`
@@ -47,8 +49,7 @@ mod ofd;
 mod swap;
 
 pub use backend::{
-    exact_backend, strategy_backend, ExactOcBackend, IterativeOcBackend, OcValidatorBackend,
-    OptimalOcBackend, SampleVerdict,
+    strategy_backend, IterativeOcBackend, OcValidatorBackend, OptimalOcBackend, SampleVerdict,
 };
 pub use brute::{
     brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs, ViolationKind,
@@ -72,9 +73,10 @@ use aod_table::RankedTable;
 ///
 /// An `epsilon` outside `[0, 1]` is a caller bug: it trips a debug
 /// assertion, and release builds clamp into range instead of computing a
-/// nonsense budget. Boundary code (CLI flags, HTTP request parsers) should
-/// range-check first — or use [`try_removal_budget`] — so a bad threshold
-/// surfaces as a clean error, never a panic.
+/// nonsense budget. Boundary code range-checks first — the CLI's
+/// `--epsilon` and the HTTP job spec's `epsilon` each reject a value
+/// outside `[0, 1]` — so a bad threshold surfaces as a clean error, never
+/// a panic.
 pub fn removal_budget(n_rows: usize, epsilon: f64) -> usize {
     debug_assert!(
         (0.0..=1.0).contains(&epsilon),
@@ -86,17 +88,6 @@ pub fn removal_budget(n_rows: usize, epsilon: f64) -> usize {
         epsilon.clamp(0.0, 1.0)
     };
     ((epsilon * n_rows as f64) + 1e-9).floor() as usize
-}
-
-/// The checked form of [`removal_budget`]: rejects thresholds outside
-/// `[0, 1]` (including NaN) with a user-facing message instead of
-/// asserting. Validation boundaries (CLI, HTTP) call this so
-/// `--epsilon 1.5` is an error, not a panic.
-pub fn try_removal_budget(n_rows: usize, epsilon: f64) -> Result<usize, String> {
-    if !(0.0..=1.0).contains(&epsilon) {
-        return Err(format!("epsilon {epsilon} is not within [0, 1]"));
-    }
-    Ok(removal_budget(n_rows, epsilon))
 }
 
 /// Which AOC validation algorithm to run.
@@ -238,7 +229,7 @@ mod tests {
     }
 
     // A debug assertion, not a release panic: boundaries (CLI / HTTP)
-    // range-check first, and `try_removal_budget` is the checked form.
+    // range-check first.
     // Gated on debug_assertions so `cargo test --release` (which compiles
     // the assertion out and clamps instead) doesn't expect a panic.
     #[cfg(debug_assertions)]
@@ -254,17 +245,6 @@ mod tests {
         assert_eq!(removal_budget(10, 1.5), 10);
         assert_eq!(removal_budget(10, -3.0), 0);
         assert_eq!(removal_budget(10, f64::NAN), 0);
-    }
-
-    #[test]
-    fn try_removal_budget_is_the_checked_boundary() {
-        assert_eq!(try_removal_budget(9, 0.44), Ok(3));
-        assert_eq!(try_removal_budget(9, 0.0), Ok(0));
-        assert_eq!(try_removal_budget(9, 1.0), Ok(9));
-        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = try_removal_budget(9, bad).unwrap_err();
-            assert!(err.contains("not within [0, 1]"), "{bad}: {err}");
-        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
         .collect();
     let proj_names: Vec<&str> = ncvoter::DEFAULT_10.iter().map(|&c| names[c]).collect();
     let proj = RankedTable::from_u32_columns(cols);
-    let result = discover(&proj, &DiscoveryConfig::approximate(0.20));
+    let result = DiscoveryBuilder::new().approximate(0.20).run(&proj);
     println!("\ntop AOCs at ε = 20% (of {} discovered):", result.n_ocs());
     for dep in result.ranked_ocs().into_iter().take(8) {
         println!("  {}", dep.display(&proj_names));

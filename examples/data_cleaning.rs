@@ -30,7 +30,7 @@ fn main() {
         "discovering AOCs over {rows} flights × {} attributes (ε = 10%)...",
         names.len()
     );
-    let result = discover(&ranked, &DiscoveryConfig::approximate(0.10));
+    let result = DiscoveryBuilder::new().approximate(0.10).run(&ranked);
     println!(
         "found {} AOCs and {} AOFDs in {:.2}s\n",
         result.n_ocs(),
@@ -70,7 +70,7 @@ fn main() {
     );
 
     // An exact run on the same data would have lost the rule entirely.
-    let exact = discover(&ranked, &DiscoveryConfig::exact());
+    let exact = DiscoveryBuilder::new().exact().run(&ranked);
     let kept = exact
         .ocs
         .iter()

@@ -43,9 +43,9 @@
 //!     .count();
 //! assert_eq!(session.into_result().n_ocs(), n_found);
 //!
-//! // The one-shot `discover()` remains as compat shorthand.
-//! let compat = discover(&ranked, &DiscoveryConfig::approximate(0.15));
-//! assert_eq!(compat.ocs, result.ocs);
+//! // Exact discovery is the same run at ε = 0.
+//! let exact = DiscoveryBuilder::new().exact().run(&ranked);
+//! assert!(exact.ocs.iter().all(|d| d.removed == 0));
 //!
 //! // Validate one candidate directly: e(sal ~ tax) = 4/9 (Example 2.15).
 //! let outcome = validate_aoc(&ranked, AttrSet::EMPTY, 2, 5, 0.5, AocStrategy::Optimal);
@@ -85,9 +85,8 @@ pub use aod_serve as serve;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use aod_core::{
-        discover, AocStrategy, CancelToken, DiscoveryBuilder, DiscoveryConfig, DiscoveryEvent,
-        DiscoveryResult, DiscoverySession, LevelOutcome, Mode, OcDep, OfdDep, PruneConfig,
-        PruneRule, StopReason,
+        AocStrategy, CancelToken, DiscoveryBuilder, DiscoveryEvent, DiscoveryResult,
+        DiscoverySession, LevelOutcome, OcDep, OfdDep, PruneConfig, PruneRule, StopReason,
     };
     pub use aod_partition::{AttrSet, Partition, PartitionCache};
     pub use aod_table::{employee_table, RankedTable, Schema, Table, Value};

@@ -72,8 +72,8 @@ fn planted_rules_recovered_at_scale() {
 #[test]
 fn discovery_is_deterministic() {
     let table = Dataset::Flight.ranked_10(2_000, 11);
-    let r1 = discover(&table, &DiscoveryConfig::approximate(0.1));
-    let r2 = discover(&table, &DiscoveryConfig::approximate(0.1));
+    let r1 = DiscoveryBuilder::new().approximate(0.1).run(&table);
+    let r2 = DiscoveryBuilder::new().approximate(0.1).run(&table);
     let key = |r: &DiscoveryResult| -> Vec<(u64, usize, usize, usize)> {
         r.ocs
             .iter()
@@ -88,7 +88,7 @@ fn discovery_is_deterministic() {
 fn interestingness_ranks_planted_rules_highly() {
     // The planted empty-context AOCs must rank above deep-context ones.
     let table = Dataset::Ncvoter.ranked_10(10_000, 42);
-    let result = discover(&table, &DiscoveryConfig::approximate(0.20));
+    let result = DiscoveryBuilder::new().approximate(0.20).run(&table);
     let ranked = result.ranked_ocs();
     assert!(!ranked.is_empty());
     // Ranked list is sorted by interestingness.
@@ -179,10 +179,11 @@ fn timeout_budget_respected_on_iterative_runs() {
     use std::time::{Duration, Instant};
     let table = Dataset::Ncvoter.ranked_10(50_000, 4);
     let t0 = Instant::now();
-    let result = discover(
-        &table,
-        &DiscoveryConfig::approximate_iterative(0.1).with_timeout(Duration::from_millis(500)),
-    );
+    let result = DiscoveryBuilder::new()
+        .approximate(0.1)
+        .strategy(AocStrategy::Iterative)
+        .timeout(Duration::from_millis(500))
+        .run(&table);
     let elapsed = t0.elapsed();
     assert!(result.stats.timed_out);
     // One candidate validation can overshoot, but not absurdly (the check

@@ -32,7 +32,7 @@
 //! holds, `C⁺({0})` is empty and so is `C⁺({0,2})`.
 
 use aod_bench::Dataset;
-use aod_core::{discover, DiscoveryConfig, DiscoveryResult};
+use aod_core::{AocStrategy, DiscoveryBuilder, DiscoveryResult};
 use aod_partition::Partition;
 use aod_table::RankedTable;
 use aod_validate::{removal_budget, OcValidator};
@@ -176,12 +176,12 @@ fn check_table(columns: Vec<Vec<u32>>, epsilon: f64) -> Result<(), TestCaseError
     let budget = removal_budget(table.n_rows(), epsilon);
     let lattice = Lattice::new(&table);
     let spec = spec_ocs(&table, &lattice, budget);
-    let config = if epsilon == 0.0 {
-        DiscoveryConfig::exact()
+    let builder = if epsilon == 0.0 {
+        DiscoveryBuilder::new().exact()
     } else {
-        DiscoveryConfig::approximate(epsilon)
+        DiscoveryBuilder::new().approximate(epsilon)
     };
-    let result = discover(&table, &config);
+    let result = builder.run(&table);
     let reported = driver_ocs(&result);
 
     // completeness: spec ⊆ reported
@@ -304,7 +304,7 @@ fn exact_ofds_match_spec_at_scale() {
         let table = ds.ranked_10(1_000, 9);
         let spec = spec_ofds(&Lattice::new(&table), 0);
         assert!(!spec.is_empty(), "{}", ds.name());
-        let result = discover(&table, &DiscoveryConfig::exact());
+        let result = DiscoveryBuilder::new().exact().run(&table);
         assert_eq!(driver_ofds(&result), spec, "{}", ds.name());
     }
 }
@@ -317,7 +317,10 @@ fn iterative_driver_reports_subset_of_valid() {
     let ranked = RankedTable::from_table(&aod_table::employee_table());
     let eps = 0.3;
     let budget = removal_budget(9, eps);
-    let result = discover(&ranked, &DiscoveryConfig::approximate_iterative(eps));
+    let result = DiscoveryBuilder::new()
+        .approximate(eps)
+        .strategy(AocStrategy::Iterative)
+        .run(&ranked);
     let mut validator = OcValidator::new();
     for dep in &result.ocs {
         let ctx = Partition::for_attrs(&ranked, dep.context.iter());

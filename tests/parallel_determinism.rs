@@ -27,23 +27,25 @@ fn small_table() -> impl Strategy<Value = RankedTable> {
 }
 
 /// The acceptance matrix: ε ∈ {0, 0.1, 0.3} × both AOC strategies.
-fn configs() -> Vec<DiscoveryConfig> {
-    let mut out = Vec::new();
-    for eps in [0.0, 0.1, 0.3] {
-        out.push(DiscoveryConfig::approximate(eps));
-        out.push(DiscoveryConfig::approximate_iterative(eps));
-    }
-    out
+fn configs() -> Vec<(f64, AocStrategy)> {
+    let strategies = [AocStrategy::Optimal, AocStrategy::Iterative];
+    [0.0, 0.1, 0.3]
+        .into_iter()
+        .flat_map(|eps| strategies.map(|s| (eps, s)))
+        .collect()
+}
+
+/// A builder for one `(ε, strategy)` configuration.
+fn configured((eps, strategy): (f64, AocStrategy)) -> DiscoveryBuilder {
+    DiscoveryBuilder::new().approximate(eps).strategy(strategy)
 }
 
 fn run_collect(
     table: &RankedTable,
-    config: &DiscoveryConfig,
+    config: (f64, AocStrategy),
     threads: usize,
 ) -> (Vec<DiscoveryEvent>, DiscoveryResult) {
-    let mut session = DiscoveryBuilder::from_config(config.clone())
-        .parallelism(threads)
-        .build(table);
+    let mut session = configured(config).parallelism(threads).build(table);
     let events: Vec<DiscoveryEvent> = session.by_ref().collect();
     (events, session.into_result())
 }
@@ -56,8 +58,8 @@ proptest! {
     #[test]
     fn four_threads_bit_identical_to_one(table in small_table()) {
         for config in configs() {
-            let (seq_events, seq) = run_collect(&table, &config, 1);
-            let (par_events, par) = run_collect(&table, &config, 4);
+            let (seq_events, seq) = run_collect(&table, config, 1);
+            let (par_events, par) = run_collect(&table, config, 4);
 
             prop_assert_eq!(&par_events, &seq_events, "config {:?}", &config);
             prop_assert_eq!(&par.ocs, &seq.ocs, "config {:?}", &config);
@@ -72,13 +74,13 @@ proptest! {
         }
     }
 
-    /// The parallel run also matches the one-shot compat `discover()`
+    /// The parallel run also matches the one-shot `DiscoveryBuilder::run`
     /// (one thread by default), transitively pinning all three paths.
     #[test]
     fn parallel_matches_one_shot_discover(table in small_table()) {
         for config in configs() {
-            let one_shot = discover(&table, &config);
-            let (_, par) = run_collect(&table, &config, 4);
+            let one_shot = configured(config).run(&table);
+            let (_, par) = run_collect(&table, config, 4);
             prop_assert_eq!(&par.ocs, &one_shot.ocs, "config {:?}", &config);
             prop_assert_eq!(&par.ofds, &one_shot.ofds, "config {:?}", &config);
         }
@@ -133,10 +135,10 @@ fn parallel_pre_cancelled_session_is_empty_and_flagged() {
 #[test]
 fn parallel_cancel_after_level_two_equals_max_level_two() {
     let ranked = RankedTable::from_table(&employee_table());
-    let capped = discover(
-        &ranked,
-        &DiscoveryConfig::approximate(0.15).with_max_level(2),
-    );
+    let capped = DiscoveryBuilder::new()
+        .approximate(0.15)
+        .max_level(2)
+        .run(&ranked);
     let mut session = DiscoveryBuilder::new()
         .approximate(0.15)
         .parallelism(4)
@@ -154,17 +156,6 @@ fn parallel_cancel_after_level_two_equals_max_level_two() {
     assert_eq!(partial.ocs, capped.ocs);
     assert_eq!(partial.ofds, capped.ofds);
     assert!(partial.is_partial());
-}
-
-/// `with_threads` on the plain config plumbs through `discover()` et al.
-#[test]
-fn config_threads_plumb_through_from_config() {
-    let ranked = RankedTable::from_table(&employee_table());
-    let seq = discover(&ranked, &DiscoveryConfig::approximate(0.15));
-    let par = discover(&ranked, &DiscoveryConfig::approximate(0.15).with_threads(4));
-    assert_eq!(par.stats.threads_used, 4);
-    assert_eq!(par.ocs, seq.ocs);
-    assert_eq!(par.ofds, seq.ofds);
 }
 
 /// Advances a manual clock as one lattice level starts, so a timeout

@@ -28,7 +28,7 @@ fn employee_round_trips_through_csv_and_discovers() {
     }
 
     let ranked = RankedTable::from_table(&back);
-    let result = discover(&ranked, &DiscoveryConfig::approximate(0.45));
+    let result = DiscoveryBuilder::new().approximate(0.45).run(&ranked);
     // Example 2.15's OC must be discovered from the round-tripped CSV.
     assert!(result
         .ocs

@@ -19,12 +19,11 @@ fn keys(result: &DiscoveryResult) -> BTreeSet<Key> {
 }
 
 fn run(table: &RankedTable, eps: f64, prune: PruneConfig) -> DiscoveryResult {
-    discover(
-        table,
-        &DiscoveryConfig::approximate(eps)
-            .with_max_level(5)
-            .with_pruning(prune),
-    )
+    DiscoveryBuilder::new()
+        .approximate(eps)
+        .max_level(5)
+        .prune(prune)
+        .run(table)
 }
 
 #[test]

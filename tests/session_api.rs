@@ -1,4 +1,5 @@
-//! The streaming `DiscoverySession` API versus the one-shot `discover()`:
+//! The streaming `DiscoverySession` API versus the one-shot
+//! `DiscoveryBuilder::run`:
 //! event replay must be lossless, cancellation/top-k must yield
 //! well-formed flagged partial results, and stepping must be observable
 //! level by level.
@@ -36,27 +37,32 @@ fn builder() -> DiscoveryBuilder {
     DiscoveryBuilder::new().parallelism(test_threads())
 }
 
-fn configs() -> Vec<DiscoveryConfig> {
-    let mut out = vec![DiscoveryConfig::exact()];
-    for eps in [0.0, 0.1, 0.3] {
-        out.push(DiscoveryConfig::approximate(eps));
-        out.push(DiscoveryConfig::approximate_iterative(eps));
-    }
-    out
+/// ε ∈ {0, 0.1, 0.3} × both AOC strategies (ε = 0 is exact discovery).
+fn configs() -> Vec<(f64, AocStrategy)> {
+    let strategies = [AocStrategy::Optimal, AocStrategy::Iterative];
+    [0.0, 0.1, 0.3]
+        .into_iter()
+        .flat_map(|eps| strategies.map(|s| (eps, s)))
+        .collect()
+}
+
+/// A builder for one `(ε, strategy)` configuration.
+fn configured((eps, strategy): (f64, AocStrategy)) -> DiscoveryBuilder {
+    DiscoveryBuilder::new().approximate(eps).strategy(strategy)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Replaying the event stream to completion yields bit-identical
-    /// results to the one-shot `discover()` across ε ∈ {0, 0.1, 0.3} and
-    /// both AOC strategies (plus exact mode).
+    /// results to the one-shot `run()` across ε ∈ {0, 0.1, 0.3} and both
+    /// AOC strategies.
     #[test]
     fn event_replay_is_bit_identical_to_one_shot(table in small_table()) {
         for config in configs() {
-            let one_shot = discover(&table, &config);
+            let one_shot = configured(config).run(&table);
 
-            let mut session = DiscoveryBuilder::from_config(config.clone())
+            let mut session = configured(config)
                 .parallelism(test_threads())
                 .build(&table);
             let mut streamed_ocs: Vec<OcDep> = Vec::new();
@@ -95,10 +101,10 @@ proptest! {
 #[test]
 fn cancel_after_level_two_equals_max_level_two() {
     let ranked = RankedTable::from_table(&employee_table());
-    let capped = discover(
-        &ranked,
-        &DiscoveryConfig::approximate(0.15).with_max_level(2),
-    );
+    let capped = DiscoveryBuilder::new()
+        .approximate(0.15)
+        .max_level(2)
+        .run(&ranked);
 
     let mut session = builder().approximate(0.15).build(&ranked);
     let token = session.cancel_token();
@@ -180,7 +186,7 @@ fn step_reports_level_outcomes_in_order() {
     // Stepping a finished session is a no-op.
     assert!(session.step().is_none());
     let result = session.into_result();
-    let one_shot = discover(&ranked, &DiscoveryConfig::exact());
+    let one_shot = DiscoveryBuilder::new().exact().run(&ranked);
     assert_eq!(result.ocs, one_shot.ocs);
     assert_eq!(result.ofds, one_shot.ofds);
 }
