@@ -214,7 +214,6 @@ pub struct DiscoverySession<'t> {
     max_level: Option<usize>,
     timeout: Option<Duration>,
     prune_cfg: PruneConfig,
-    scope: AttrSet,
     top_k: Option<usize>,
     cancel: CancelToken,
     /// The OC validation backend: the template the engine forks once per
@@ -225,7 +224,7 @@ pub struct DiscoverySession<'t> {
     cache: PartitionCache,
     frontier: Frontier,
     prune: PruneState,
-    /// Runs each level's node evaluation and partition products.
+    /// Runs each level's node evaluation and partition refinements.
     executor: Executor,
     /// The session's only time source (see "One clock" above).
     clock: Arc<dyn Clock>,
@@ -286,7 +285,6 @@ impl<'t> DiscoverySession<'t> {
             max_level: settings.max_level,
             timeout: settings.timeout,
             prune_cfg: settings.prune,
-            scope,
             top_k: settings.top_k,
             cancel: settings.cancel,
             backend: settings
@@ -404,9 +402,9 @@ impl<'t> DiscoverySession<'t> {
                     // One bracket feeds both the stats timer and the span.
                     let t0 = self.clock.now_us();
                     self.frontier.advance(
+                        self.table,
                         &self.prune_cfg,
                         &self.prune,
-                        self.scope,
                         &mut self.cache,
                         &mut self.stats,
                         &self.executor,
@@ -1039,9 +1037,10 @@ mod tests {
         }
     }
 
-    /// `n_products` counts the partition products that materialized each
+    /// `n_products` counts the partitions built to materialize each
     /// level: zero for the seeded level 1, `n_nodes` of level ℓ for ℓ ≥ 2
-    /// (every node is built by exactly one product), at every thread count.
+    /// (every node is built by exactly one refinement), at every thread
+    /// count.
     #[test]
     fn n_products_counts_materializing_products() {
         let t = employee();

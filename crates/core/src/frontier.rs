@@ -5,17 +5,16 @@
 //! with its TANE RHS-candidate set `Cc⁺(X)`. Advancing it (a) drops *dead*
 //! nodes (see [`PruneState::node_is_dead`]), (b) prefix-joins the
 //! survivors into level `ℓ+1`, (c) intersects the parents' `Cc⁺` sets, and
-//! (d) computes each child's partition as the product of two cached
-//! parents — exactly the retention/generation tail of the paper's Figure 1
-//! driver, factored out of the per-level candidate validation.
+//! (d) computes each child's partition by refining a cached parent on the
+//! one column it lacks — exactly the retention/generation tail of the
+//! paper's Figure 1 driver, factored out of the per-level candidate
+//! validation.
 
 use crate::config::PruneConfig;
 use crate::prune_state::PruneState;
 use crate::stats::DiscoveryStats;
 use aod_exec::Executor;
-use aod_partition::{
-    prefix_join, AttrSet, AttrSetMap, JoinedChild, Partition, PartitionCache, ProductScratch,
-};
+use aod_partition::{prefix_join, AttrSet, AttrSetMap, PartitionCache, RefineScratch};
 use aod_table::RankedTable;
 
 /// A lattice node: the attribute set plus its TANE RHS-candidate set.
@@ -34,27 +33,28 @@ pub(crate) struct Frontier {
     pub nodes: Vec<Node>,
     /// The current lattice level (`|X|` of every node).
     pub level: usize,
+    /// The columns discovery runs over: every child's initial `Cc⁺`.
+    scope: AttrSet,
 }
 
 impl Frontier {
     /// Seeds level 1 with the singleton sets of `scope`, caching the empty
     /// and singleton partitions the driver relies on.
     pub fn seed(table: &RankedTable, scope: AttrSet, cache: &mut PartitionCache) -> Frontier {
-        cache.insert(AttrSet::EMPTY, Partition::unit(table.n_rows()));
+        cache.ensure(table, AttrSet::EMPTY);
         let nodes = scope
             .iter()
             .map(|a| {
-                cache.insert(
-                    AttrSet::singleton(a),
-                    Partition::from_ranked_column(table.column(a)),
-                );
-                Node {
-                    set: AttrSet::singleton(a),
-                    rhs: scope,
-                }
+                let set = AttrSet::singleton(a);
+                cache.ensure(table, set);
+                Node { set, rhs: scope }
             })
             .collect();
-        Frontier { nodes, level: 1 }
+        Frontier {
+            nodes,
+            level: 1,
+            scope,
+        }
     }
 
     /// `true` when no nodes remain — the lattice is exhausted.
@@ -63,20 +63,22 @@ impl Frontier {
     }
 
     /// Replaces the frontier with the next lattice level: retention (node
-    /// deletion), prefix join, `Cc⁺` intersection and partition products.
-    /// Evicts cached partitions below level `ℓ−1` afterwards so peak
-    /// memory stays at two lattice levels.
+    /// deletion), prefix join, `Cc⁺` intersection and partition
+    /// refinement. Evicts cached partitions below level `ℓ−1` afterwards
+    /// so peak memory stays at two lattice levels.
     ///
-    /// The partition products run on the executor, whose workers borrow
-    /// the cache read-only and own one [`ProductScratch`] each; the
-    /// products are inserted in child order once the map returns, so the
-    /// cache contents and product counts do not depend on the worker
-    /// count. The caller times the call (the `partitioning` phase).
+    /// Each child `X` refines its cached `ℓ`-subset `X∖{c}` with the
+    /// fewest grouped rows (ties go to the lowest `c`) on column `c`. The
+    /// refinements run on the executor, whose workers borrow the cache
+    /// read-only and own one [`RefineScratch`] each; the partitions are
+    /// inserted in child order once the map returns, so the cache contents
+    /// and counts do not depend on the worker count. The caller times the
+    /// call (the `partitioning` phase).
     pub fn advance(
         &mut self,
+        table: &RankedTable,
         prune_cfg: &PruneConfig,
         prune: &PruneState,
-        scope: AttrSet,
         cache: &mut PartitionCache,
         stats: &mut DiscoveryStats,
         exec: &Executor,
@@ -89,49 +91,38 @@ impl Frontier {
             .collect();
         let rhs_map: AttrSetMap<AttrSet> = self.nodes.iter().map(|n| (n.set, n.rhs)).collect();
 
-        // Survivors of the apriori check, with their children's Cc⁺ sets.
-        let mut joins: Vec<(JoinedChild, AttrSet)> = Vec::new();
-        for join in prefix_join(&retained) {
-            // Cc+(child) = ∩ over all level-ℓ subsets.
-            let mut rhs = scope;
-            let mut all_present = true;
-            for c in join.child.iter() {
-                match rhs_map.get(&join.child.without(c)) {
-                    Some(r) => rhs = rhs.intersect(*r),
-                    None => {
-                        all_present = false;
-                        break;
-                    }
-                }
-            }
-            if all_present {
-                joins.push((join, rhs));
-            }
-        }
+        // Every level-ℓ subset of a child is retained, so it has a Cc⁺ set
+        // and a cached partition. Cc⁺(child) = ∩ over those subsets.
+        let next: Vec<Node> = prefix_join(&retained)
+            .into_iter()
+            .map(|set| Node {
+                set,
+                rhs: set
+                    .iter()
+                    .fold(self.scope, |rhs, c| rhs.intersect(rhs_map[&set.without(c)])),
+            })
+            .collect();
 
-        // Products computed here materialize level ℓ+1, so they are
+        // Partitions built here materialize level ℓ+1, so they are
         // charged to that level's counters (level 1 is seeded, count 0).
-        if !joins.is_empty() {
-            stats.level_mut(self.level + 1).n_products += joins.len();
+        if !next.is_empty() {
+            stats.level_mut(self.level + 1).n_products += next.len();
         }
 
         let parents: &PartitionCache = cache;
-        let products = exec.par_map_with_state(
-            ProductScratch::default,
-            &joins,
-            |scratch, _i, (join, _rhs)| {
-                let l = parents.get(join.parent_a).expect("parent is cached");
-                let r = parents.get(join.parent_b).expect("parent is cached");
-                l.product_with_scratch(r, scratch)
-            },
-        );
-        let mut next = Vec::with_capacity(joins.len());
-        for ((join, rhs), product) in joins.into_iter().zip(products) {
-            cache.insert(join.child, product);
-            next.push(Node {
-                set: join.child,
-                rhs,
+        let partitions =
+            exec.par_map_with_state(RefineScratch::default, &next, |scratch, _, node| {
+                let parent = |c| parents.get(node.set.without(c)).expect("subset is cached");
+                let c = node
+                    .set
+                    .iter()
+                    .min_by_key(|&c| parent(c).n_grouped_rows())
+                    .expect("a child has two or more columns");
+                let col = table.column(c);
+                parent(c).refine(col.ranks(), col.n_distinct(), scratch)
             });
+        for (node, partition) in next.iter().zip(partitions) {
+            cache.insert(node.set, partition);
         }
 
         // Keep levels ℓ-1 (contexts at level ℓ+1), ℓ (parents) and ℓ+1.
@@ -169,9 +160,9 @@ mod tests {
         let prune = PruneState::new(t.n_cols(), t.n_rows());
         let mut stats = DiscoveryStats::default();
         f.advance(
+            &t,
             &PruneConfig::default(),
             &prune,
-            scope,
             &mut cache,
             &mut stats,
             &Executor::new(1),
@@ -201,7 +192,7 @@ mod tests {
                 (&mut one_f, &mut one_cache, &mut one_stats, &one),
                 (&mut four_f, &mut four_cache, &mut four_stats, &four),
             ] {
-                f.advance(&PruneConfig::default(), &prune, scope, cache, stats, exec);
+                f.advance(&t, &PruneConfig::default(), &prune, cache, stats, exec);
             }
             assert_eq!(four_f.level, one_f.level);
             assert_eq!(four_f.nodes.len(), one_f.nodes.len());
@@ -209,7 +200,7 @@ mod tests {
                 assert_eq!(p.set, s.set);
                 assert_eq!(p.rhs, s.rhs);
             }
-            // Identical cache contents and product accounting.
+            // Identical cache contents and partition counts.
             assert_eq!(four_stats.per_level, one_stats.per_level);
             let mut p_sets = four_cache.cached_sets();
             let mut s_sets = one_cache.cached_sets();

@@ -85,7 +85,5 @@ pub use stats::{DiscoveryStats, LevelStats};
 pub use trace_export::{chrome_trace, trace_ndjson};
 pub use wire::SCHEMA_VERSION;
 
-// Re-exports so callers can configure runs and inspect lattices with one import.
-pub use aod_exec::Executor;
-pub use aod_partition::{prefix_join, JoinedChild};
+// Re-exports so callers can configure runs with one import.
 pub use aod_validate::{AocStrategy, OcValidatorBackend, SampleVerdict};

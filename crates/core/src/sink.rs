@@ -25,14 +25,14 @@ use crate::stats::DiscoveryStats;
 /// The engine phases whose per-level time is reported to sinks.
 ///
 /// These mirror the three duration fields of [`DiscoveryStats`]: OC
-/// validation, OFD validation, and partition-product construction.
+/// validation, OFD validation, and partition construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Order-compatibility validation (Algorithm 1/2 calls).
     OcValidation,
     /// OFD validation (class-count / removal checks).
     OfdValidation,
-    /// Sorted-partition product construction in `Frontier::advance`.
+    /// Partition refinement in `Frontier::advance`.
     Partitioning,
 }
 

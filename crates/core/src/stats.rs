@@ -24,7 +24,7 @@ pub struct LevelStats {
     pub n_ofd_candidates: usize,
     /// Valid OFDs found.
     pub n_ofd_found: usize,
-    /// Sorted-partition products computed to *materialize* this level
+    /// Partitions built (one refinement each) to *materialize* this level
     /// (the `Frontier::advance` work that built its nodes). Level 1 is
     /// seeded from single columns, so its count is 0. Deterministic
     /// across thread counts, like every other counter here.
@@ -50,7 +50,7 @@ pub struct DiscoveryStats {
     /// across workers, like `oc_validation`).
     pub ofd_validation: Duration,
     /// Time advancing the frontier: retention, prefix join and partition
-    /// products, one bracket per level.
+    /// refinement, one bracket per level.
     pub partitioning: Duration,
     /// Per-level counters, index 0 = level 1.
     pub per_level: Vec<LevelStats>,
@@ -96,8 +96,8 @@ impl DiscoveryStats {
         self.per_level.iter().map(|l| l.n_ofd_found).sum()
     }
 
-    /// Total partition products computed across all `Frontier::advance`
-    /// calls — the denominator of the paper's "partitioning is cheap
+    /// Total partitions built across all `Frontier::advance` calls (one
+    /// refinement per node of level 2 and up) — the denominator of the paper's "partitioning is cheap
     /// relative to validation" claim, now exposed as a counter.
     pub fn n_partition_products(&self) -> usize {
         self.per_level.iter().map(|l| l.n_products).sum()

@@ -9,8 +9,8 @@
 //! the owned-allocation idioms — `Vec::new` / `String::new` / `vec!` /
 //! `.to_vec()` / `.clone()` / `format!` / `String::from` / `Box::new`.
 //!
-//! The scratch-buffer pattern (`…_with_scratch` taking `&mut` buffers,
-//! as in `ProductScratch`) is the standard fix;
+//! The scratch-buffer pattern (a `&mut` scratch argument, as in
+//! `Partition::refine`'s `RefineScratch`) is the standard fix;
 //! output buffers that are handed to the caller are waived at the site
 //! with that reasoning. Growth-only calls (`with_capacity`, `resize`,
 //! `collect` into a reused buffer) are deliberately not flagged: the

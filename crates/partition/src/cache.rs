@@ -2,8 +2,8 @@
 //!
 //! The level-wise discovery driver needs, while processing lattice level `ℓ`:
 //!
-//! * `Π_X` for each level-`ℓ` node `X` (built as the product of two cached
-//!   level-`ℓ−1` parents),
+//! * `Π_X` for each level-`ℓ` node `X` (a cached level-`ℓ−1` subset
+//!   refined on the one column it lacks),
 //! * `Π_{X\{A,B}}` (level `ℓ−2`) as the *context* partition for OC
 //!   candidates at node `X`.
 //!
@@ -14,18 +14,18 @@
 //! The cache is one map. The discovery engine's per-level workers read it
 //! through a shared borrow — each level's executor map runs inside
 //! [`std::thread::scope`], so workers can borrow the map the driver owns
-//! — and the driver inserts the next level's products once the map has
+//! — and the driver inserts the next level's partitions once the map has
 //! returned.
 
 use crate::attrset::{AttrSet, AttrSetMap};
-use crate::stripped::{Partition, ProductScratch};
+use crate::stripped::{Partition, RefineScratch};
 use aod_table::RankedTable;
 
 /// Cache of `AttrSet → Partition` with level-based eviction.
 #[derive(Debug, Default)]
 pub struct PartitionCache {
     map: AttrSetMap<Partition>,
-    scratch: ProductScratch,
+    scratch: RefineScratch,
 }
 
 impl PartitionCache {
@@ -40,36 +40,30 @@ impl PartitionCache {
     }
 
     /// Inserts a partition computed elsewhere. A set already cached is left
-    /// untouched — partitions are canonical per attribute set, so the
-    /// existing value is identical.
+    /// untouched — a partition's classes are canonical per attribute set
+    /// (only their order depends on how it was built).
     pub fn insert(&mut self, set: AttrSet, partition: Partition) {
         self.map.entry(set).or_insert(partition);
     }
 
-    /// Ensures `Π_X` is cached, computing it bottom-up from singleton
-    /// columns if needed. Used by one-off validation entry points; the
-    /// discovery driver populates the cache level-wise instead.
+    /// Ensures `Π_X` is cached, refining `Π_{X∖{a}}` (ensured first, down
+    /// to the unit partition of `∅`) on `a`, the lowest column of `X`.
+    /// Seeds discovery's levels 0 and 1 and serves one-off validation; the
+    /// discovery driver builds the later levels itself.
     pub fn ensure(&mut self, table: &RankedTable, set: AttrSet) -> &Partition {
         if !self.map.contains_key(&set) {
-            let partition = self.build(table, set);
+            let partition = match set.first() {
+                None => Partition::unit(table.n_rows()),
+                Some(a) => {
+                    let rest = set.without(a);
+                    self.ensure(table, rest);
+                    let col = table.column(a);
+                    self.map[&rest].refine(col.ranks(), col.n_distinct(), &mut self.scratch)
+                }
+            };
             self.map.insert(set, partition);
         }
         &self.map[&set]
-    }
-
-    fn build(&mut self, table: &RankedTable, set: AttrSet) -> Partition {
-        match set.len() {
-            0 => Partition::unit(table.n_rows()),
-            1 => Partition::from_ranked_column(table.column(set.first().expect("non-empty"))),
-            _ => {
-                let a = set.first().expect("non-empty");
-                let (rest, single) = (set.without(a), AttrSet::singleton(a));
-                // Recurse on the smaller pieces first (each is cached).
-                self.ensure(table, rest);
-                self.ensure(table, single);
-                self.map[&rest].product_with_scratch(&self.map[&single], &mut self.scratch)
-            }
-        }
     }
 
     /// Drops all cached partitions of level `< min_level`.
@@ -105,9 +99,10 @@ mod tests {
         let direct = Partition::for_attrs(&r, [0, 1, 3]);
         assert_eq!(p.n_classes(), direct.n_classes());
         assert_eq!(p.n_grouped_rows(), direct.n_grouped_rows());
-        // Intermediate results are cached too.
+        // The subsets it was refined from are cached too.
         assert!(cache.get(AttrSet::from_attrs([1, 3])).is_some());
-        assert!(cache.get(AttrSet::singleton(0)).is_some());
+        assert!(cache.get(AttrSet::singleton(3)).is_some());
+        assert!(cache.get(AttrSet::EMPTY).is_some());
     }
 
     #[test]

@@ -16,24 +16,11 @@ fn highest(set: AttrSet) -> usize {
     63 - set.bits().leading_zeros() as usize
 }
 
-/// A generated child node together with the two prefix-block parents whose
-/// partition product yields the child's partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinedChild {
-    /// The new level-`ℓ+1` attribute set.
-    pub child: AttrSet,
-    /// First parent (`child` minus its highest attribute... one of the two
-    /// block members).
-    pub parent_a: AttrSet,
-    /// Second parent.
-    pub parent_b: AttrSet,
-}
-
 /// Joins retained level-`ℓ` nodes into level-`ℓ+1` candidates.
 ///
 /// Returns children in deterministic order. Children with any non-retained
 /// `ℓ`-subset are dropped (classic apriori pruning).
-pub fn prefix_join(retained: &[AttrSet]) -> Vec<JoinedChild> {
+pub fn prefix_join(retained: &[AttrSet]) -> Vec<AttrSet> {
     // Group by prefix (set minus highest attribute).
     let mut blocks: AttrSetMap<Vec<usize>> = AttrSetMap::default();
     for &set in retained {
@@ -57,11 +44,7 @@ pub fn prefix_join(retained: &[AttrSet]) -> Vec<JoinedChild> {
                     .iter()
                     .all(|c| retained_set.contains(&child.without(c)))
                 {
-                    out.push(JoinedChild {
-                        child,
-                        parent_a: prefix.with(lasts[i]),
-                        parent_b: prefix.with(lasts[j]),
-                    });
+                    out.push(child);
                 }
             }
         }
@@ -82,18 +65,7 @@ mod tests {
     #[test]
     fn joins_singletons_into_all_pairs() {
         let level1 = sets(&[&[0], &[1], &[2]]);
-        let children: Vec<AttrSet> = prefix_join(&level1).iter().map(|j| j.child).collect();
-        assert_eq!(children, sets(&[&[0, 1], &[0, 2], &[1, 2]]));
-    }
-
-    #[test]
-    fn parents_union_to_child() {
-        let level1 = sets(&[&[0], &[1], &[2], &[3]]);
-        for j in prefix_join(&level1) {
-            assert_eq!(j.parent_a.union(j.parent_b), j.child);
-            assert_eq!(j.parent_a.len(), j.child.len() - 1);
-            assert_eq!(j.parent_b.len(), j.child.len() - 1);
-        }
+        assert_eq!(prefix_join(&level1), sets(&[&[0, 1], &[0, 2], &[1, 2]]));
     }
 
     #[test]
@@ -103,8 +75,7 @@ mod tests {
         assert!(prefix_join(&level2).is_empty());
         // With {1,2} present the child appears.
         let full = sets(&[&[0, 1], &[0, 2], &[1, 2]]);
-        let children: Vec<AttrSet> = prefix_join(&full).iter().map(|j| j.child).collect();
-        assert_eq!(children, sets(&[&[0, 1, 2]]));
+        assert_eq!(prefix_join(&full), sets(&[&[0, 1, 2]]));
     }
 
     #[test]
@@ -125,8 +96,7 @@ mod tests {
         }
         let children = prefix_join(&level2);
         assert_eq!(children.len(), 10); // C(5,3)
-        let unique: std::collections::BTreeSet<u64> =
-            children.iter().map(|j| j.child.bits()).collect();
+        let unique: std::collections::BTreeSet<AttrSet> = children.into_iter().collect();
         assert_eq!(unique.len(), 10);
     }
 

@@ -5,7 +5,8 @@
 //!
 //! * [`AttrSet`] — attribute sets as `u64` bitsets (lattice nodes/contexts).
 //! * [`Partition`] — TANE-style *stripped* partitions in a flat CSR layout,
-//!   with linear products and FD/key error measures.
+//!   all built by one routine, [`Partition::refine`], which splits every
+//!   class on one more column in linear time; plus FD/key error measures.
 //! * [`PartitionCache`] — level-aware cache with eviction so discovery holds
 //!   at most two lattice levels of partitions in memory: one map, which a
 //!   level's scoped workers borrow read-only.
@@ -34,5 +35,5 @@ pub use attrset::{
     MAX_ATTRS,
 };
 pub use cache::PartitionCache;
-pub use lattice::{prefix_join, JoinedChild};
-pub use stripped::{Partition, ProductScratch};
+pub use lattice::prefix_join;
+pub use stripped::{Partition, RefineScratch};

@@ -137,7 +137,7 @@ impl ServeMetrics {
     /// The per-dataset executor queue-depth gauge
     /// (`aod_exec_queue_depth{dataset=...}`), attached to every job's
     /// discovery session. Idempotent per dataset; each lattice level's node
-    /// batch and product batch fill it and drain it back to zero as their
+    /// batch and refinement batch fill it and drain it back to zero as their
     /// items complete, at every thread count.
     pub fn queue_depth_gauge(&self, dataset: &str) -> Gauge {
         self.registry.gauge(

@@ -3,10 +3,10 @@
 //! Implements Section 3 of *Efficient Discovery of Approximate Order
 //! Dependencies* (EDBT 2021):
 //!
-//! * [`OcValidator`] — the per-candidate engine: exact swap scan,
-//!   **Algorithm 2** (LNDS-based, minimal and optimal) and **Algorithm 1**
-//!   (the iterative PVLDB'17 baseline, quadratic and non-minimal), plus
-//!   the descending-tie-break variant for canonical ODs.
+//! * [`OcValidator`] — the per-candidate engine: **Algorithm 2**
+//!   (LNDS-based, minimal and optimal; an exact check is its budget of 0)
+//!   and **Algorithm 1** (the iterative PVLDB'17 baseline, quadratic and
+//!   non-minimal), plus the descending-tie-break variant for canonical ODs.
 //! * [`OcValidatorBackend`] — the pluggable strategy-object form of
 //!   Algorithms 2 and 1 ([`strategy_backend`]); the `aod-core` discovery
 //!   engine dispatches through this trait, so custom backends drop in

@@ -1,15 +1,15 @@
-//! Order-compatibility validators: exact, optimal (Algorithm 2) and
-//! iterative (Algorithm 1).
+//! Order-compatibility validators: optimal (Algorithm 2) and iterative
+//! (Algorithm 1).
 //!
-//! All three share the same per-class pipeline — gather the context class's
+//! Both share the same per-class pipeline — gather the context class's
 //! `(rank_A, rank_B)` pairs, sort by `[A ASC, B ASC]` — and differ in what
 //! they do with the sorted `B` projection:
 //!
-//! * **exact** — scan: the OC holds iff the projection is non-decreasing;
 //! * **optimal** — LNDS: the complement of a longest non-decreasing
 //!   subsequence is a *minimal* removal set (Theorem 3.3), `O(m log m)`;
 //!   the length kernel stops inside a class once the removal budget left
-//!   over from earlier classes is spent;
+//!   over from earlier classes is spent. An exact check is a budget of 0,
+//!   where the kernel stops at the first descent of the projection;
 //! * **iterative** — the PVLDB'17 baseline: repeatedly drop a tuple with the
 //!   most swaps, `O(m log m + ε m²)`, *not* minimal (Example 3.1).
 //!
@@ -102,30 +102,16 @@ impl OcValidator {
             .extend(self.keys.iter().map(|&k| mode.unpack_b(k)));
     }
 
-    /// Exact validation of `ctx: A ~ B`: `true` iff no class contains a swap.
+    /// Exact validation of `ctx: A ~ B`: `true` iff no class contains a
+    /// swap, i.e. the minimal removal set fits a budget of 0.
     pub fn exact_oc_holds(&mut self, ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32]) -> bool {
-        self.exact_holds(ctx, a_ranks, b_ranks, PairMode::OcAsc)
+        self.min_removal_lnds(ctx, a_ranks, b_ranks, PairMode::OcAsc, 0) == Some(0)
     }
 
-    /// Exact validation of the canonical OD `ctx: A |-> B` (no swap, no split).
+    /// Exact validation of the canonical OD `ctx: A |-> B` (no swap, no
+    /// split), as a budget of 0.
     pub fn exact_od_holds(&mut self, ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32]) -> bool {
-        self.exact_holds(ctx, a_ranks, b_ranks, PairMode::OdDescB)
-    }
-
-    fn exact_holds(
-        &mut self,
-        ctx: &Partition,
-        a_ranks: &[u32],
-        b_ranks: &[u32],
-        mode: PairMode,
-    ) -> bool {
-        for class in ctx.classes() {
-            self.gather_class(class, a_ranks, b_ranks, mode, false);
-            if !self.bbuf.windows(2).all(|w| w[0] <= w[1]) {
-                return false;
-            }
-        }
-        true
+        self.min_removal_lnds(ctx, a_ranks, b_ranks, PairMode::OdDescB, 0) == Some(0)
     }
 
     /// **Algorithm 2** — minimal removal-set *size* for the AOC

@@ -8,8 +8,10 @@
 //! al. '99] that the paper reuses ("an efficient linear-time algorithm for
 //! validating approximate OFDs has already been established [3]").
 //!
-//! The counting itself lives in [`Partition::fd_removal_count`]; this module
-//! adds early-exit and removal-set extraction on top.
+//! [`min_removal_ofd`] counts with its own early-exit loop, and
+//! [`removal_set_ofd`] extracts the rows. [`Partition::fd_removal_count`]
+//! is the same count written independently; the OFD spec oracle in
+//! `tests/discovery_completeness.rs` checks discovery against it.
 
 use aod_partition::Partition;
 
@@ -32,9 +34,6 @@ pub fn min_removal_ofd(
     a_n_distinct: u32,
     limit: usize,
 ) -> Option<usize> {
-    // Cheap path without early exit first: the count is linear anyway, and
-    // the common case in discovery is small counts. Early exit matters only
-    // for pathological classes, handled by the per-class check below.
     let mut counts = vec![0u32; a_n_distinct as usize];
     let mut removed = 0usize;
     for class in ctx.classes() {

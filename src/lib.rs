@@ -7,7 +7,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`table`] | total-ordered values, columnar tables, CSV, rank encoding |
-//! | [`partition`] | attribute sets, stripped partitions, products, cache |
+//! | [`partition`] | attribute sets, stripped partitions built by refinement, cache |
 //! | [`lis`] | LNDS/LIS (patience), inversion counting |
 //! | [`exec`] | scoped thread pool with one claim counter for per-level parallelism |
 //! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |

@@ -1,0 +1,93 @@
+//! Metamorphic relations over the whole discovery pipeline: change the
+//! input in a way the OD definitions say cannot matter, then require the
+//! same output, on random small-domain tables at ε ∈ {0, 0.1}.
+//!
+//! * (a) Permuting the rows changes no reported OC or OFD — contexts,
+//!   pairs, removal counts, factors and coverage — for both strategies.
+//! * (b) Permuting the columns renames the dependency set through the
+//!   permutation for the optimal strategy. Algorithm 1 is not symmetric in
+//!   `A` and `B`, and a candidate's orientation follows column order, so
+//!   `iterative` is not held to (b).
+
+use aod::prelude::*;
+use proptest::prelude::*;
+
+/// Columns of a table with 5–60 rows and 3–6 columns over domains of at
+/// most five values, plus a random row order and column order.
+fn case() -> impl Strategy<Value = (Vec<Vec<u32>>, Vec<usize>, Vec<usize>)> {
+    (5usize..=60, 3usize..=6)
+        .prop_flat_map(|(n, k)| {
+            let column = (1u32..6).prop_flat_map(move |d| proptest::collection::vec(0..d, n));
+            (
+                proptest::collection::vec(column, k),
+                proptest::collection::vec(0u64..u64::MAX, n),
+                proptest::collection::vec(0u64..u64::MAX, k),
+            )
+        })
+        .prop_map(|(cols, row_keys, col_keys)| (cols, order(&row_keys), order(&col_keys)))
+}
+
+/// The permutation that sorts `keys`.
+fn order(keys: &[u64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..keys.len()).collect();
+    idx.sort_by_key(|&i| (keys[i], i));
+    idx
+}
+
+fn run(cols: &[Vec<u32>], epsilon: f64, strategy: AocStrategy) -> DiscoveryResult {
+    let table = RankedTable::from_u32_columns(cols.to_vec());
+    DiscoveryBuilder::new()
+        .approximate(epsilon)
+        .strategy(strategy)
+        .run(&table)
+}
+
+/// The dependencies of `r` with column `c` renamed `to[c]`, OC pairs
+/// normalised to `a < b`, in sorted order.
+fn renamed(r: &DiscoveryResult, to: &[usize]) -> (Vec<OcDep>, Vec<OfdDep>) {
+    let set = |s: AttrSet| AttrSet::from_attrs(s.iter().map(|c| to[c]));
+    let (mut ocs, mut ofds) = (r.ocs.clone(), r.ofds.clone());
+    for d in &mut ocs {
+        let (a, b) = (to[d.a], to[d.b]);
+        (d.context, d.a, d.b) = (set(d.context), a.min(b), a.max(b));
+    }
+    for d in &mut ofds {
+        (d.context, d.rhs) = (set(d.context), to[d.rhs]);
+    }
+    ocs.sort_by_key(|d| (d.context, d.a, d.b));
+    ofds.sort_by_key(|d| (d.context, d.rhs));
+    (ocs, ofds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (a) Row ids carry no meaning.
+    #[test]
+    fn permuting_rows_changes_no_dependency((cols, rows, _) in case()) {
+        let permuted: Vec<Vec<u32>> =
+            cols.iter().map(|c| rows.iter().map(|&r| c[r]).collect()).collect();
+        for epsilon in [0.0, 0.1] {
+            for strategy in [AocStrategy::Optimal, AocStrategy::Iterative] {
+                let (base, moved) = (run(&cols, epsilon, strategy), run(&permuted, epsilon, strategy));
+                prop_assert_eq!(&moved.ocs, &base.ocs, "ε {} {:?}", epsilon, strategy);
+                prop_assert_eq!(&moved.ofds, &base.ofds, "ε {} {:?}", epsilon, strategy);
+            }
+        }
+    }
+
+    /// (b) Column `c` of the table becomes column `perm[c]`.
+    #[test]
+    fn permuting_columns_renames_the_dependencies((cols, _, perm) in case()) {
+        let mut permuted = vec![Vec::new(); cols.len()];
+        for (c, col) in cols.iter().enumerate() {
+            permuted[perm[c]] = col.clone();
+        }
+        let identity: Vec<usize> = (0..cols.len()).collect();
+        for epsilon in [0.0, 0.1] {
+            let want = renamed(&run(&cols, epsilon, AocStrategy::Optimal), &perm);
+            let got = renamed(&run(&permuted, epsilon, AocStrategy::Optimal), &identity);
+            prop_assert_eq!(got, want, "ε {}", epsilon);
+        }
+    }
+}
