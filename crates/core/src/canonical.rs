@@ -15,7 +15,7 @@
 
 use aod_partition::{AttrSet, Partition};
 use aod_table::RankedTable;
-use aod_validate::{exact_ofd_holds, OcValidator};
+use aod_validate::{min_removal_ofd, OcValidator};
 
 /// One canonical dependency produced by the mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +75,8 @@ pub fn check_list_od(table: &RankedTable, x: &[usize], y: &[usize]) -> bool {
         match dep {
             CanonicalDep::Ofd { context, rhs } => {
                 let ctx = Partition::for_attrs(table, context.iter());
-                if !exact_ofd_holds(&ctx, table.column(rhs).ranks()) {
+                let col = table.column(rhs);
+                if min_removal_ofd(&ctx, col.ranks(), col.n_distinct(), 0) != Some(0) {
                     return false;
                 }
             }

@@ -46,6 +46,22 @@
 //! callback runs during the merge, so it lands at the next level's first
 //! check.
 //!
+//! ## Row order
+//!
+//! A session reads the caller's table once, in
+//! [`build`](crate::DiscoveryBuilder::build): it keeps a copy whose rows
+//! are renumbered in lexicographic order of their ranks on the scope's
+//! columns, in index order, ties by ascending row id
+//! ([`RankedTable::sorted_rows`]). Every partition, refinement and
+//! validation of the run reads the copy, so the context partitions and
+//! rank slices an [`OcValidatorBackend`] receives use the session's row
+//! numbering. A context class then lists its rows sorted on the lowest
+//! scope column outside the context, so a candidate whose `A` is that
+//! column gathers its `(A, B)` keys already sorted on `A`. Nothing a
+//! session reports carries a row id; removal sets, as in
+//! [`outlier_report`](crate::outlier_report), are computed on the
+//! caller's table.
+//!
 //! ## One clock
 //!
 //! A session reads time from one [`Clock`]: the attached
@@ -86,6 +102,7 @@ use aod_partition::{AttrSet, PartitionCache, MAX_ATTRS};
 use aod_table::RankedTable;
 use aod_validate::{removal_budget, strategy_backend, OcValidatorBackend};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -209,8 +226,17 @@ struct NodeTrace {
 /// steps the engine lazily whenever the event buffer runs dry. Partial
 /// results are available at any point and always satisfy the same
 /// minimality invariants as a completed run's.
+///
+/// The session validates on its own copy of the table with the rows
+/// renumbered (see "Row order" in the module docs): the `ctx` partition
+/// and the rank slices an [`OcValidatorBackend`] receives use the
+/// session's row numbering, not the caller's.
 pub struct DiscoverySession<'t> {
-    table: &'t RankedTable,
+    /// The session's copy of the table, rows renumbered (see "Row order"
+    /// in the module docs).
+    table: RankedTable,
+    /// The caller's table, which the session copies and never reads again.
+    source: PhantomData<&'t RankedTable>,
     max_level: Option<usize>,
     timeout: Option<Duration>,
     prune_cfg: PruneConfig,
@@ -263,8 +289,9 @@ impl<'t> DiscoverySession<'t> {
             scope.is_subset_of(AttrSet::full(n_attrs)),
             "scope contains column indices beyond the table's {n_attrs} columns"
         );
+        let table = table.sorted_rows(&scope.iter().collect::<Vec<_>>());
         let mut cache = PartitionCache::new();
-        let frontier = Frontier::seed(table, scope, &mut cache);
+        let frontier = Frontier::seed(&table, scope, &mut cache);
         let mut executor = Executor::new(settings.threads);
         if let Some(gauge) = settings.queue_gauge {
             executor = executor.with_queue_gauge(gauge);
@@ -282,6 +309,7 @@ impl<'t> DiscoverySession<'t> {
         };
         DiscoverySession {
             table,
+            source: PhantomData,
             max_level: settings.max_level,
             timeout: settings.timeout,
             prune_cfg: settings.prune,
@@ -402,7 +430,7 @@ impl<'t> DiscoverySession<'t> {
                     // One bracket feeds both the stats timer and the span.
                     let t0 = self.clock.now_us();
                     self.frontier.advance(
-                        self.table,
+                        &self.table,
                         &self.prune_cfg,
                         &self.prune,
                         &mut self.cache,
@@ -460,7 +488,7 @@ impl<'t> DiscoverySession<'t> {
     /// (see the module-level determinism contract).
     fn process_level(&mut self, level: usize) -> Option<StopReason> {
         let lctx = LevelCtx {
-            table: self.table,
+            table: &self.table,
             cache: &self.cache,
             prune: &self.prune,
             prune_cfg: self.prune_cfg,

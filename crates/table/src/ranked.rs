@@ -150,6 +150,104 @@ impl RankedTable {
         RankedTable::from_u32_columns(self.columns.iter().map(|c| c.ranks[..k].to_vec()).collect())
     }
 
+    /// A copy with its rows renumbered in lexicographic order of their
+    /// ranks on `columns`, taken in the order given; rows tied on all of
+    /// them keep their relative order. Every column is copied, ranks and
+    /// `n_distinct` unchanged, and each witness is the lowest new row
+    /// holding its rank.
+    ///
+    /// Classes of any partition of the copy then list their rows sorted on
+    /// the first of `columns` outside the partition's attributes. Cost:
+    /// one counting sort per column of the rows still tied on the columns
+    /// before it, stopping once no two rows tie, plus the copy.
+    ///
+    /// # Panics
+    /// If a column index is out of range.
+    pub fn sorted_rows(&self, columns: &[usize]) -> RankedTable {
+        let order = self.lex_order(columns);
+        let columns = self
+            .columns
+            .iter()
+            .map(|col| {
+                let ranks: Vec<u32> = order.iter().map(|&row| col.ranks[row as usize]).collect();
+                let mut witness = vec![0u32; col.witness.len()];
+                for (row, &rank) in (0..self.n_rows as u32).zip(&ranks).rev() {
+                    witness[rank as usize] = row;
+                }
+                RankedColumn {
+                    ranks,
+                    n_distinct: col.n_distinct,
+                    witness,
+                }
+            })
+            .collect();
+        RankedTable {
+            columns,
+            n_rows: self.n_rows,
+        }
+    }
+
+    /// The row order of [`RankedTable::sorted_rows`]: `order[i]` is the old
+    /// id of new row `i`.
+    ///
+    /// Most significant column first. `runs` holds the ranges of `order`
+    /// whose rows tie on every column sorted so far, each of two or more
+    /// rows. Per column, the rows of all runs are counting-sorted by rank
+    /// (stable), then dealt back into their runs, which splits each run
+    /// on the column; runs of one row drop out.
+    fn lex_order(&self, columns: &[usize]) -> Vec<u32> {
+        let n = self.n_rows;
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut runs: Vec<(usize, usize)> = if n > 1 { vec![(0, n)] } else { Vec::new() };
+        // Per row: the index in `runs` of the run holding it.
+        let mut run_of = vec![0u32; n];
+        let (mut counts, mut by_rank, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        for col in columns.iter().map(|&c| &self.columns[c]) {
+            if runs.is_empty() {
+                break;
+            }
+            let ranks = &col.ranks;
+            let tied = || runs.iter().flat_map(|&(start, end)| &order[start..end]);
+            counts.clear();
+            counts.resize(col.n_distinct as usize + 1, 0usize);
+            for &row in tied() {
+                counts[ranks[row as usize] as usize + 1] += 1;
+            }
+            for r in 1..counts.len() {
+                counts[r] += counts[r - 1];
+            }
+            by_rank.resize(counts[counts.len() - 1], 0u32);
+            for &row in tied() {
+                let slot = &mut counts[ranks[row as usize] as usize];
+                by_rank[*slot] = row;
+                *slot += 1;
+            }
+            next.clear();
+            next.extend(runs.iter().map(|&(start, _)| start));
+            for &row in &by_rank {
+                let at = &mut next[run_of[row as usize] as usize];
+                order[*at] = row;
+                *at += 1;
+            }
+            for (start, end) in std::mem::take(&mut runs) {
+                let mut first = start;
+                for i in start + 1..=end {
+                    if i < end && ranks[order[i] as usize] == ranks[order[first] as usize] {
+                        continue;
+                    }
+                    if i - first > 1 {
+                        for &row in &order[first..i] {
+                            run_of[row as usize] = runs.len() as u32;
+                        }
+                        runs.push((first, i));
+                    }
+                    first = i;
+                }
+            }
+        }
+        order
+    }
+
     /// A content fingerprint of the encoded relation: 64-bit FNV-1a over
     /// the dimensions and every rank, column by column. Order-isomorphic
     /// tables (same relative order cell for cell — the equivalence
@@ -265,6 +363,7 @@ mod tests {
     use super::*;
     use crate::table::employee_table;
     use crate::value::Value;
+    use proptest::prelude::*;
 
     fn ranks_preserve_order(table: &Table, ranked: &RankedTable) {
         for c in 0..table.n_cols() {
@@ -366,6 +465,62 @@ mod tests {
         let r = RankedTable::from_u32_columns(vec![vec![]]);
         assert_eq!(r.n_rows(), 0);
         assert_eq!(r.column(0).n_distinct(), 0);
+    }
+
+    /// A rank column of `n` rows: all equal, all distinct, three values or
+    /// up to forty.
+    fn column(n: usize) -> impl Strategy<Value = Vec<u32>> {
+        (0u32..4, proptest::collection::vec(0u32..40, n)).prop_map(move |(kind, v)| match kind {
+            0 => vec![0; n],
+            1 => (0..n as u32).map(|i| i * 7919 % n as u32).collect(),
+            2 => v.iter().map(|x| x % 3).collect(),
+            _ => v,
+        })
+    }
+
+    /// A table of 0–300 rows and four columns, and a subset of its
+    /// columns in index order.
+    fn table_and_columns() -> impl Strategy<Value = (RankedTable, Vec<usize>)> {
+        (0usize..=300)
+            .prop_flat_map(|n| (column(n), column(n), column(n), column(n), 0usize..16))
+            .prop_map(|(a, b, c, d, mask)| {
+                let by = (0..4).filter(|c| mask >> c & 1 == 1).collect();
+                (RankedTable::from_u32_columns(vec![a, b, c, d]), by)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The renumbering is a permutation that sorts rows on `by`,
+        /// breaks ties by old row id, moves every rank with its row and
+        /// re-points each witness at the lowest new row of its rank.
+        #[test]
+        fn sorted_rows_renumber_lexicographically((t, by) in table_and_columns()) {
+            let order = t.lex_order(&by);
+            let sorted = t.sorted_rows(&by);
+            let mut ids = order.clone();
+            ids.sort_unstable();
+            prop_assert!(ids.into_iter().eq(0..t.n_rows() as u32));
+            let key = |row: usize| by.iter().map(|&c| sorted.rank(row, c)).collect::<Vec<_>>();
+            for i in 1..order.len() {
+                prop_assert!(key(i - 1) <= key(i), "rows {} and {} on {:?}", i - 1, i, by);
+                if key(i - 1) == key(i) {
+                    prop_assert!(order[i - 1] < order[i]);
+                }
+            }
+            for c in 0..t.n_cols() {
+                let (old, new) = (t.column(c), sorted.column(c));
+                prop_assert_eq!(new.n_distinct(), old.n_distinct());
+                for (i, &row) in order.iter().enumerate() {
+                    prop_assert_eq!(new.rank(i), old.rank(row as usize));
+                }
+                for r in 0..new.n_distinct() {
+                    let lowest = new.ranks().iter().position(|&x| x == r);
+                    prop_assert_eq!(Some(new.witness_row(r)), lowest);
+                }
+            }
+        }
     }
 
     #[test]

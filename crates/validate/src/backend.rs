@@ -57,6 +57,15 @@ pub enum SampleVerdict {
 /// algorithm, same verdicts — but needs no shared mutable state: scratch
 /// buffers start empty and refill on first use. This is what keeps
 /// discovery bit-identical across thread counts.
+///
+/// ## Row numbering
+///
+/// A discovery session validates on its own copy of the table, with the
+/// rows renumbered in lexicographic order of their ranks (see
+/// `aod_core::DiscoverySession`). The `ctx` partition and the rank slices
+/// a backend receives from the engine use that numbering, so a row id
+/// names a session row, not a row of the caller's table. Each class's
+/// rows are ascending in it.
 pub trait OcValidatorBackend: Send {
     /// A short stable identifier ("optimal", "iterative", …) for logs and
     /// experiment tables.

@@ -60,7 +60,7 @@ pub use od::{
     list_oc_holds, list_oc_min_removal, list_od_holds, list_od_min_removal, list_od_removal_set,
     projection_ranks,
 };
-pub use ofd::{exact_ofd_holds, min_removal_ofd, removal_set_ofd};
+pub use ofd::{min_removal_ofd, removal_set_ofd};
 pub use swap::{is_split, is_swap, pack_asc, pack_desc_b};
 
 use aod_partition::{AttrSet, Partition};

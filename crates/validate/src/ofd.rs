@@ -8,24 +8,18 @@
 //! al. '99] that the paper reuses ("an efficient linear-time algorithm for
 //! validating approximate OFDs has already been established [3]").
 //!
-//! [`min_removal_ofd`] counts with its own early-exit loop, and
+//! [`min_removal_ofd`] counts with its own early-exit loop; an exact
+//! check is its limit of 0, which stops at the first class `A` splits.
 //! [`removal_set_ofd`] extracts the rows. [`Partition::fd_removal_count`]
 //! is the same count written independently; the OFD spec oracle in
 //! `tests/discovery_completeness.rs` checks discovery against it.
 
 use aod_partition::Partition;
 
-/// Exact validation of `ctx: [] |-> A`: `true` iff every class of the
-/// context partition is constant on `A`.
-pub fn exact_ofd_holds(ctx: &Partition, a_ranks: &[u32]) -> bool {
-    ctx.classes().all(|class| {
-        let first = a_ranks[class[0] as usize];
-        class[1..].iter().all(|&row| a_ranks[row as usize] == first)
-    })
-}
-
 /// Minimal removal-set size for the approximate OFD `ctx: [] |-> A`, with
-/// early exit: `None` once the count exceeds `limit`.
+/// early exit: `None` once the count exceeds `limit`. With `limit = 0`
+/// this is exact validation: `Some(0)` iff every class of the context
+/// partition is constant on `A`.
 ///
 /// Linear in the grouped rows of the context partition.
 pub fn min_removal_ofd(
@@ -100,7 +94,10 @@ mod tests {
         let t = employee();
         let ctx = Partition::from_ranked_column(t.column(2));
         let tg = t.column(3);
-        assert!(exact_ofd_holds(&ctx, tg.ranks()));
+        assert_eq!(
+            min_removal_ofd(&ctx, tg.ranks(), tg.n_distinct(), 0),
+            Some(0)
+        );
         assert_eq!(
             min_removal_ofd(&ctx, tg.ranks(), tg.n_distinct(), usize::MAX),
             Some(0)
@@ -114,7 +111,10 @@ mod tests {
         let t = employee();
         let ctx = Partition::for_attrs(&t, [0, 1]);
         let sal = t.column(2);
-        assert!(!exact_ofd_holds(&ctx, sal.ranks()));
+        assert_eq!(
+            min_removal_ofd(&ctx, sal.ranks(), sal.n_distinct(), 0),
+            None
+        );
         assert_eq!(
             min_removal_ofd(&ctx, sal.ranks(), sal.n_distinct(), usize::MAX),
             Some(1)
@@ -165,7 +165,6 @@ mod tests {
         let ctx = Partition::from_ranked_column(t.column(2)); // sal is a key
         assert!(ctx.is_key());
         let bonus = t.column(6);
-        assert!(exact_ofd_holds(&ctx, bonus.ranks()));
         assert_eq!(
             min_removal_ofd(&ctx, bonus.ranks(), bonus.n_distinct(), 0),
             Some(0)

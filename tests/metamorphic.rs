@@ -8,6 +8,12 @@
 //!   permutation for the optimal strategy. Algorithm 1 is not symmetric in
 //!   `A` and `B`, and a candidate's orientation follows column order, so
 //!   `iterative` is not held to (b).
+//! * (c) Repeating every row `k` times, at an ε whose budget grows `k`-fold
+//!   with the rows, keeps the contexts, pairs and factors of the optimal
+//!   strategy and multiplies every removal count by `k`. Coverage is not
+//!   compared: repeated rows are never singletons.
+//! * (d) Reversing the value order of every column changes no dependency
+//!   of the optimal strategy.
 
 use aod::prelude::*;
 use proptest::prelude::*;
@@ -59,6 +65,19 @@ fn renamed(r: &DiscoveryResult, to: &[usize]) -> (Vec<OcDep>, Vec<OfdDep>) {
     (ocs, ofds)
 }
 
+/// The dependencies of `r` with every removal count multiplied by `k` and
+/// coverage left out.
+fn scaled(r: &DiscoveryResult, k: usize) -> (Vec<OcDep>, Vec<OfdDep>) {
+    let (mut ocs, mut ofds) = (r.ocs.clone(), r.ofds.clone());
+    for d in &mut ocs {
+        (d.removed, d.coverage) = (d.removed * k, 0.0);
+    }
+    for d in &mut ofds {
+        (d.removed, d.coverage) = (d.removed * k, 0.0);
+    }
+    (ocs, ofds)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -88,6 +107,39 @@ proptest! {
             let want = renamed(&run(&cols, epsilon, AocStrategy::Optimal), &perm);
             let got = renamed(&run(&permuted, epsilon, AocStrategy::Optimal), &identity);
             prop_assert_eq!(got, want, "ε {}", epsilon);
+        }
+    }
+
+    /// (c) Each row becomes `k` equal rows.
+    #[test]
+    fn repeating_rows_scales_the_removal_counts((cols, _, _) in case()) {
+        let n = cols[0].len();
+        for epsilon in [0.0, 0.1] {
+            let base = run(&cols, epsilon, AocStrategy::Optimal);
+            for k in [2usize, 3] {
+                if removal_budget(k * n, epsilon) != k * removal_budget(n, epsilon) {
+                    continue;
+                }
+                let repeated: Vec<Vec<u32>> = cols
+                    .iter()
+                    .map(|c| c.iter().flat_map(|&v| std::iter::repeat(v).take(k)).collect())
+                    .collect();
+                let got = scaled(&run(&repeated, epsilon, AocStrategy::Optimal), 1);
+                prop_assert_eq!(got, scaled(&base, k), "k {} ε {}", k, epsilon);
+            }
+        }
+    }
+
+    /// (d) Value `v` of every column becomes `u32::MAX − v`.
+    #[test]
+    fn reversing_every_column_changes_no_dependency((cols, _, _) in case()) {
+        let reversed: Vec<Vec<u32>> =
+            cols.iter().map(|c| c.iter().map(|&v| u32::MAX - v).collect()).collect();
+        for epsilon in [0.0, 0.1] {
+            let base = run(&cols, epsilon, AocStrategy::Optimal);
+            let flipped = run(&reversed, epsilon, AocStrategy::Optimal);
+            prop_assert_eq!(&flipped.ocs, &base.ocs, "ε {}", epsilon);
+            prop_assert_eq!(&flipped.ofds, &base.ofds, "ε {}", epsilon);
         }
     }
 }
