@@ -14,7 +14,10 @@
 //! With a rule off, its candidates are validated instead of skipped, so
 //! the OC count grows by exactly the implied/trivial dependencies that the
 //! rule proves redundant — a useful cross-check that the rules prune only
-//! implied candidates.
+//! implied candidates. Without R2 the engine also sends the backend the
+//! candidates it otherwise answers from an equal sub-context partition
+//! (a context whose partition equals a one-smaller context's): that
+//! answer relies on R2 pruning every OC found one level down.
 //!
 //! Usage: `cargo run --release -p aod-bench --bin ablation [--rows 10000]
 //!         [--epsilon 0.1] [--max-level 6]`

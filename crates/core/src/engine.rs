@@ -216,6 +216,8 @@ struct NodeTrace {
     oc_us: u64,
     n_ofd: usize,
     n_oc: usize,
+    /// OC candidates answered from an equal sub-context partition.
+    n_inherited: usize,
 }
 
 /// A resumable, observable discovery run over one table.
@@ -291,7 +293,8 @@ impl<'t> DiscoverySession<'t> {
         );
         let table = table.sorted_rows(&scope.iter().collect::<Vec<_>>());
         let mut cache = PartitionCache::new();
-        let frontier = Frontier::seed(&table, scope, &mut cache);
+        let mut prune = PruneState::new(n_attrs, n_rows);
+        let frontier = Frontier::seed(&table, scope, &mut cache, &mut prune);
         let mut executor = Executor::new(settings.threads);
         if let Some(gauge) = settings.queue_gauge {
             executor = executor.with_queue_gauge(gauge);
@@ -322,7 +325,7 @@ impl<'t> DiscoverySession<'t> {
             coverage_denominator: n_rows.max(1) as f64,
             cache,
             frontier,
-            prune: PruneState::new(n_attrs, n_rows),
+            prune,
             executor,
             started_us: clock.now_us(),
             clock,
@@ -432,7 +435,7 @@ impl<'t> DiscoverySession<'t> {
                     self.frontier.advance(
                         &self.table,
                         &self.prune_cfg,
-                        &self.prune,
+                        &mut self.prune,
                         &mut self.cache,
                         &mut self.stats,
                         &self.executor,
@@ -596,6 +599,7 @@ impl<'t> DiscoverySession<'t> {
                     oc_us: eval.oc_us,
                     n_ofd,
                     n_oc,
+                    n_inherited: eval.n_inherited,
                 });
             }
         }
@@ -614,7 +618,10 @@ impl<'t> DiscoverySession<'t> {
     /// level's wall time. A phase lasts the sum of its nodes' times (nodes
     /// without candidates get no batch span but keep their share), which
     /// is exactly the level's share of the matching stats timer.
-    /// Recording order is parent-first and fully deterministic.
+    /// Recording order is parent-first and fully deterministic. A batch
+    /// span carries its node and candidate count; an OC batch span also
+    /// carries `inherited`, the candidates answered from an equal
+    /// sub-context partition without a backend call.
     fn record_level_trace(
         &mut self,
         trace: &TraceSink,
@@ -645,6 +652,13 @@ impl<'t> DiscoverySession<'t> {
                         if candidates == 0 {
                             continue;
                         }
+                        let mut args = vec![
+                            ("node", entry.node as u64),
+                            ("candidates", candidates as u64),
+                        ];
+                        if oc {
+                            args.push(("inherited", entry.n_inherited as u64));
+                        }
                         batch_spans.push(Span {
                             id: span_id::batch(level, entry.node, phase_idx),
                             parent: phase_id,
@@ -653,10 +667,7 @@ impl<'t> DiscoverySession<'t> {
                             tid: 0,
                             start_us,
                             dur_us: us,
-                            args: vec![
-                                ("node", entry.node as u64),
-                                ("candidates", candidates as u64),
-                            ],
+                            args,
                         });
                     }
                 }
@@ -1062,6 +1073,80 @@ mod tests {
                 "one observation per level for {}",
                 phase.name()
             );
+        }
+    }
+
+    /// Every OC candidate the engine answers from an equal sub-context
+    /// partition (it survives R2–R4 and its context is not free) is one
+    /// that both built-in validators reject at the session budget. The
+    /// candidates are taken from the frontier, cache and pruning state
+    /// before each step, which is what that step's nodes read; their count
+    /// must equal the `inherited` args of the OC batch spans, and the rule
+    /// must fire on each input (employee at ε = 0.15 answers none: R2 and
+    /// R3 take those candidates first).
+    #[test]
+    fn non_free_contexts_answer_only_rejected_candidates() {
+        use crate::candidates::oc_candidates;
+        use aod_obs::ManualClock;
+        use aod_validate::OcValidator;
+
+        let flight = aod_datagen::flight::flight(7).table(2000);
+        let flight =
+            RankedTable::from_table(&flight.project(&(0..12).collect::<Vec<_>>()).unwrap());
+        for (name, t, epsilons) in [
+            ("employee", employee(), [0.0, 0.15]),
+            ("flight", flight, [0.0, 0.1]),
+        ] {
+            let mut fired = 0usize;
+            for epsilon in epsilons {
+                let trace = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
+                let mut session = DiscoveryBuilder::new()
+                    .approximate(epsilon)
+                    .trace_sink(Arc::clone(&trace))
+                    .record_events(false)
+                    .build(&t);
+                let mut validator = OcValidator::new();
+                let mut answered = 0usize;
+                loop {
+                    let (prune, table, budget) = (&session.prune, &session.table, session.budget);
+                    for cand in session
+                        .frontier
+                        .nodes
+                        .iter()
+                        .flat_map(|n| oc_candidates(n.set))
+                    {
+                        let (a, b, ctx) = (cand.a, cand.b, cand.context);
+                        let part = session.cache.get(ctx).expect("context is cached");
+                        if prune.oc_implied(a, b, ctx)
+                            || prune.constancy_implied(a, b, ctx)
+                            || part.is_key()
+                            || !prune.is_non_free(ctx)
+                        {
+                            continue;
+                        }
+                        answered += 1;
+                        let (ar, br) = (table.column(a).ranks(), table.column(b).ranks());
+                        let at = format!("{name} ε {epsilon}: {ctx}: {a} ~ {b}");
+                        let optimal = validator.min_removal_optimal(part, ar, br, budget);
+                        assert_eq!(optimal, None, "{at}");
+                        let iterative = validator.min_removal_iterative(part, ar, br, budget);
+                        assert_eq!(iterative, None, "{at}");
+                    }
+                    if session.step().is_none() {
+                        break;
+                    }
+                }
+                let inherited: u64 = trace
+                    .spans()
+                    .iter()
+                    .flat_map(|s| s.args.iter())
+                    .filter(|(key, _)| *key == "inherited")
+                    .map(|(_, k)| k)
+                    .sum();
+                assert_eq!(inherited, answered as u64, "{name} ε {epsilon}");
+                fired += answered;
+            }
+            assert!(fired > 0, "{name}: the rule never fired");
         }
     }
 

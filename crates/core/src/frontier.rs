@@ -8,7 +8,8 @@
 //! (d) computes each child's partition by refining a cached parent on the
 //! one column it lacks — exactly the retention/generation tail of the
 //! paper's Figure 1 driver, factored out of the per-level candidate
-//! validation.
+//! validation. Seeding and advancing also record every set whose partition
+//! equals a one-smaller subset's (see the `prune_state.rs` module docs).
 
 use crate::config::PruneConfig;
 use crate::prune_state::PruneState;
@@ -39,14 +40,22 @@ pub(crate) struct Frontier {
 
 impl Frontier {
     /// Seeds level 1 with the singleton sets of `scope`, caching the empty
-    /// and singleton partitions the driver relies on.
-    pub fn seed(table: &RankedTable, scope: AttrSet, cache: &mut PartitionCache) -> Frontier {
-        cache.ensure(table, AttrSet::EMPTY);
+    /// and singleton partitions the driver relies on. A singleton whose
+    /// partition equals `Π_∅` (a constant column) is recorded as not free.
+    pub fn seed(
+        table: &RankedTable,
+        scope: AttrSet,
+        cache: &mut PartitionCache,
+        prune: &mut PruneState,
+    ) -> Frontier {
+        let n_empty = cache.ensure(table, AttrSet::EMPTY).n_classes_unstripped();
         let nodes = scope
             .iter()
             .map(|a| {
                 let set = AttrSet::singleton(a);
-                cache.ensure(table, set);
+                if cache.ensure(table, set).n_classes_unstripped() == n_empty {
+                    prune.record_non_free(set);
+                }
                 Node { set, rhs: scope }
             })
             .collect();
@@ -68,17 +77,18 @@ impl Frontier {
     /// so peak memory stays at two lattice levels.
     ///
     /// Each child `X` refines its cached `ℓ`-subset `X∖{c}` with the
-    /// fewest grouped rows (ties go to the lowest `c`) on column `c`. The
-    /// refinements run on the executor, whose workers borrow the cache
-    /// read-only and own one [`RefineScratch`] each; the partitions are
-    /// inserted in child order once the map returns, so the cache contents
-    /// and counts do not depend on the worker count. The caller times the
-    /// call (the `partitioning` phase).
+    /// fewest grouped rows (ties go to the lowest `c`) on column `c`, and
+    /// is recorded as not free when some subset `X∖{c}` has as many
+    /// classes as `X`. The refinements run on the executor, whose workers
+    /// borrow the cache read-only and own one [`RefineScratch`] each; the
+    /// partitions are inserted in child order once the map returns, so the
+    /// cache contents and counts do not depend on the worker count. The
+    /// caller times the call (the `partitioning` phase).
     pub fn advance(
         &mut self,
         table: &RankedTable,
         prune_cfg: &PruneConfig,
-        prune: &PruneState,
+        prune: &mut PruneState,
         cache: &mut PartitionCache,
         stats: &mut DiscoveryStats,
         exec: &Executor,
@@ -119,9 +129,18 @@ impl Frontier {
                     .min_by_key(|&c| parent(c).n_grouped_rows())
                     .expect("a child has two or more columns");
                 let col = table.column(c);
-                parent(c).refine(col.ranks(), col.n_distinct(), scratch)
+                let partition = parent(c).refine(col.ranks(), col.n_distinct(), scratch);
+                let n_classes = partition.n_classes_unstripped();
+                let free = node
+                    .set
+                    .iter()
+                    .all(|d| parent(d).n_classes_unstripped() < n_classes);
+                (partition, free)
             });
-        for (node, partition) in next.iter().zip(partitions) {
+        for (node, (partition, free)) in next.iter().zip(partitions) {
+            if !free {
+                prune.record_non_free(node.set);
+            }
             cache.insert(node.set, partition);
         }
 
@@ -135,14 +154,16 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aod_partition::Partition;
     use aod_table::{employee_table, RankedTable};
 
     #[test]
     fn seed_covers_scope_only() {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
+        let mut prune = PruneState::new(t.n_cols(), t.n_rows());
         let scope = AttrSet::from_attrs([0, 2, 5]);
-        let f = Frontier::seed(&t, scope, &mut cache);
+        let f = Frontier::seed(&t, scope, &mut cache, &mut prune);
         assert_eq!(f.level, 1);
         assert_eq!(f.nodes.len(), 3);
         assert!(f.nodes.iter().all(|n| n.rhs == scope));
@@ -156,13 +177,13 @@ mod tests {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
         let scope = AttrSet::from_attrs([0, 1, 2]);
-        let mut f = Frontier::seed(&t, scope, &mut cache);
-        let prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut f = Frontier::seed(&t, scope, &mut cache, &mut prune);
         let mut stats = DiscoveryStats::default();
         f.advance(
             &t,
             &PruneConfig::default(),
-            &prune,
+            &mut prune,
             &mut cache,
             &mut stats,
             &Executor::new(1),
@@ -174,25 +195,41 @@ mod tests {
         assert!(f.nodes.iter().all(|n| n.rhs == scope));
     }
 
+    /// One and four workers build the same levels, and both record exactly
+    /// the sets that are not free by the class counts of `for_attrs`.
     #[test]
     fn advance_matches_across_worker_counts() {
         let t = RankedTable::from_table(&employee_table());
         let scope = AttrSet::full(t.n_cols());
-        let prune = PruneState::new(t.n_cols(), t.n_rows());
         let (one, four) = (Executor::new(1), Executor::new(4));
 
         let mut one_cache = PartitionCache::new();
-        let mut one_f = Frontier::seed(&t, scope, &mut one_cache);
+        let mut one_prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut one_f = Frontier::seed(&t, scope, &mut one_cache, &mut one_prune);
         let mut four_cache = PartitionCache::new();
-        let mut four_f = Frontier::seed(&t, scope, &mut four_cache);
+        let mut four_prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut four_f = Frontier::seed(&t, scope, &mut four_cache, &mut four_prune);
         let (mut one_stats, mut four_stats) =
             (DiscoveryStats::default(), DiscoveryStats::default());
+        let mut n_non_free = 0;
         for _ in 0..3 {
-            for (f, cache, stats, exec) in [
-                (&mut one_f, &mut one_cache, &mut one_stats, &one),
-                (&mut four_f, &mut four_cache, &mut four_stats, &four),
+            for (f, cache, prune, stats, exec) in [
+                (
+                    &mut one_f,
+                    &mut one_cache,
+                    &mut one_prune,
+                    &mut one_stats,
+                    &one,
+                ),
+                (
+                    &mut four_f,
+                    &mut four_cache,
+                    &mut four_prune,
+                    &mut four_stats,
+                    &four,
+                ),
             ] {
-                f.advance(&t, &PruneConfig::default(), &prune, cache, stats, exec);
+                f.advance(&t, &PruneConfig::default(), prune, cache, stats, exec);
             }
             assert_eq!(four_f.level, one_f.level);
             assert_eq!(four_f.nodes.len(), one_f.nodes.len());
@@ -209,7 +246,14 @@ mod tests {
             assert_eq!(p_sets, s_sets);
             for &set in &s_sets {
                 assert_eq!(four_cache.get(set), one_cache.get(set), "{set}");
+                // Not free ⇔ some one-smaller subset has as many classes.
+                let n = |s: AttrSet| Partition::for_attrs(&t, s.iter()).n_classes_unstripped();
+                let non_free = set.iter().any(|c| n(set.without(c)) == n(set));
+                assert_eq!(one_prune.is_non_free(set), non_free, "{set}");
+                assert_eq!(four_prune.is_non_free(set), non_free, "{set}");
+                n_non_free += usize::from(non_free);
             }
         }
+        assert!(n_non_free > 0, "employee has sets that are not free");
     }
 }

@@ -75,7 +75,8 @@ pub(crate) struct OfdEval {
 pub(crate) enum OcEval {
     /// Skipped by a pruning rule (R2–R4).
     Pruned(PruneRule),
-    /// Validated by the backend (`removed.is_some()` ⇔ it holds).
+    /// Validated by the backend, or answered `None` without it when the
+    /// context is not free (`removed.is_some()` ⇔ it holds).
     Validated {
         removed: Option<usize>,
         coverage: f64,
@@ -86,6 +87,9 @@ pub(crate) enum OcEval {
 pub(crate) struct NodeEval {
     pub ofds: Vec<OfdEval>,
     pub ocs: Vec<(OcCandidate, OcEval)>,
+    /// OC candidates answered from an equal sub-context partition, without
+    /// a backend call.
+    pub n_inherited: usize,
     pub is_key: bool,
     /// Session-clock micros of the node's OFD section. Feeds both
     /// `DiscoveryStats::ofd_validation` and the node's batch span, so the
@@ -108,7 +112,8 @@ pub(crate) enum NodeResult {
 }
 
 /// Evaluates one node against the cached partitions: its OFD candidates,
-/// then its OC candidates (R2–R4 first, the backend for the survivors),
+/// then its OC candidates (R2–R4 first, then the survivors whose context
+/// is not free are rejected, and the backend validates the rest),
 /// bracketed by three session-clock reads.
 pub(crate) fn eval_node(
     ctx: &LevelCtx<'_>,
@@ -151,27 +156,37 @@ pub(crate) fn eval_node(
 
     // --- OC candidates: X\{A,B}: A ~ B for pairs {A,B} ⊆ X ---
     let mut ocs = Vec::new();
+    let mut n_inherited = 0;
     if ctx.level >= 2 {
         for cand in oc_candidates(set) {
             let (a, b, ctx_set) = (cand.a, cand.b, cand.context);
-            let eval =
-                if ctx.prune_cfg.r2_context_implication && ctx.prune.oc_implied(a, b, ctx_set) {
-                    OcEval::Pruned(PruneRule::ContextImplication)
-                } else if ctx.prune_cfg.r3_constancy_implication
-                    && ctx.prune.constancy_implied(a, b, ctx_set)
-                {
-                    OcEval::Pruned(PruneRule::ConstancyImplication)
-                } else {
-                    let ctx_part = ctx.cache.get(ctx_set).expect("context partition is cached");
-                    if ctx.prune_cfg.r4_key_pruning && ctx_part.is_key() {
-                        OcEval::Pruned(PruneRule::KeyPruning)
+            let ctx_part = || ctx.cache.get(ctx_set).expect("context partition is cached");
+            let eval = if ctx.prune_cfg.r2_context_implication
+                && ctx.prune.oc_implied(a, b, ctx_set)
+            {
+                OcEval::Pruned(PruneRule::ContextImplication)
+            } else if ctx.prune_cfg.r3_constancy_implication
+                && ctx.prune.constancy_implied(a, b, ctx_set)
+            {
+                OcEval::Pruned(PruneRule::ConstancyImplication)
+            } else if ctx.prune_cfg.r4_key_pruning && ctx_part().is_key() {
+                OcEval::Pruned(PruneRule::KeyPruning)
+            } else {
+                let ctx_part = ctx_part();
+                // A context whose partition equals a smaller one's
+                // repeats a candidate rejected one level down (see the
+                // `prune_state.rs` module docs; R2 is the gate).
+                let removed =
+                    if ctx.prune_cfg.r2_context_implication && ctx.prune.is_non_free(ctx_set) {
+                        n_inherited += 1;
+                        None
                     } else {
                         let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
-                        let removed = backend.min_removal(ctx_part, ar, br, ctx.budget);
-                        let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
-                        OcEval::Validated { removed, coverage }
-                    }
-                };
+                        backend.min_removal(ctx_part, ar, br, ctx.budget)
+                    };
+                let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
+                OcEval::Validated { removed, coverage }
+            };
             ocs.push((cand, eval));
         }
     }
@@ -181,6 +196,7 @@ pub(crate) fn eval_node(
     NodeEval {
         ofds,
         ocs,
+        n_inherited,
         is_key: node_part.is_key(),
         ofd_us: t1.saturating_sub(t0),
         oc_us: t2.saturating_sub(t1),

@@ -16,6 +16,43 @@
 //! [`PruneState`] records the found-OC contexts per pair, the constant
 //! contexts per attribute and the keyed sets, and answers the implication
 //! queries the engine issues per candidate.
+//!
+//! ## Candidates answered from a sub-context
+//!
+//! It also records the lattice sets that are not *free*. A set `S` is free
+//! when every one-smaller subset has fewer classes:
+//! `|Π_{S∖c}| < |Π_S|` for every `c ∈ S`. Otherwise `S∖C → C` holds
+//! exactly for some `C ∈ S`, and since `Π_S` refines `Π_{S∖C}`, the two
+//! partitions are equal. `Frontier::seed` compares each singleton with
+//! `Π_∅`, and `Frontier::advance` compares each child with its parents,
+//! when the partition is built.
+//!
+//! An OC candidate `Y: A ~ B` that survives R2–R4 and whose context `Y`
+//! is not free is invalid, and the engine reports it so without calling
+//! the backend. Take `C ∈ Y` with `Π_Y = Π_W` for `W = Y∖{C}`, at node
+//! `N = Y ∪ {A, B}` on level `ℓ ≥ 3`:
+//!
+//! * The prefix join keeps a node only if all its subsets were retained,
+//!   so `W ∪ {A, B}` was a level-`ℓ−1` node and `W: A ~ B` was evaluated
+//!   there. A level cut short by cancel, timeout or `top_k` ends the
+//!   session, so that level ran in full.
+//! * Had R2, R3 or R4 pruned `W: A ~ B`, the same rule would prune
+//!   `Y: A ~ B`: R2 and R3 test subsets of the context, and a partition
+//!   equal to a key is a key. Had `W: A ~ B` been valid, it would have
+//!   been recorded, and R2 would prune `Y: A ~ B`. So `W: A ~ B` was
+//!   rejected: by the backend, or by this rule, which by induction on the
+//!   level answers only candidates the backend rejects.
+//! * A backend's verdict depends only on the context's classes as row
+//!   sets, the two rank slices and the budget (the
+//!   [`OcValidatorBackend`](aod_validate::OcValidatorBackend) contract),
+//!   and all of these are the same for `Y: A ~ B`. It would reject it too.
+//!
+//! The check therefore runs only when R2 is on: with R2 off, a valid
+//! `W: A ~ B` is not pruned one level up, and `Y: A ~ B` must reach the
+//! backend. It runs last, after R4 and right before the backend call, so
+//! every R2–R4 prune and its `Pruned` event stay where they are. The
+//! candidate still counts as validated and emits no event, so no output
+//! changes.
 
 use crate::frontier::Node;
 use aod_partition::{AttrSet, AttrSetSet};
@@ -33,7 +70,7 @@ pub enum PruneRule {
 }
 
 /// Cross-level pruning facts: found-OC contexts, constant attributes,
-/// keyed sets.
+/// keyed sets and sets that are not free.
 #[derive(Debug)]
 pub(crate) struct PruneState {
     n_attrs: usize,
@@ -43,6 +80,9 @@ pub(crate) struct PruneState {
     const_found: Vec<Vec<AttrSet>>,
     /// R4 / deadness state: sets whose partitions are keys.
     key_sets: AttrSetSet,
+    /// Sets whose partition equals a one-smaller subset's (see the module
+    /// docs).
+    non_free: AttrSetSet,
 }
 
 impl PruneState {
@@ -58,6 +98,7 @@ impl PruneState {
             oc_found: vec![Vec::new(); n_attrs * n_attrs],
             const_found: vec![Vec::new(); n_attrs],
             key_sets,
+            non_free: AttrSetSet::default(),
         }
     }
 
@@ -74,6 +115,18 @@ impl PruneState {
     /// Records that `Π_set` is a key, for R4 deadness heredity.
     pub fn record_key(&mut self, set: AttrSet) {
         self.key_sets.insert(set);
+    }
+
+    /// Records that `Π_set` equals the partition of a one-smaller subset.
+    pub fn record_non_free(&mut self, set: AttrSet) {
+        self.non_free.insert(set);
+    }
+
+    /// Does `Π_ctx` equal the partition of a one-smaller subset? Then an
+    /// OC candidate in context `ctx` that survives R2–R4 is invalid (see
+    /// the module docs).
+    pub fn is_non_free(&self, ctx: AttrSet) -> bool {
+        self.non_free.contains(&ctx)
     }
 
     /// R2: is `ctx: a ~ b` implied by an OC found in a sub-context?

@@ -14,7 +14,9 @@ pub struct LevelStats {
     pub level: usize,
     /// Nodes processed at this level.
     pub n_nodes: usize,
-    /// OC candidates validated (after pruning).
+    /// OC candidates validated (after pruning). The count includes the
+    /// candidates answered from an equal sub-context partition without a
+    /// backend call, so it can exceed the backend's call count.
     pub n_oc_candidates: usize,
     /// OC candidates skipped by pruning rules R2–R4.
     pub n_oc_pruned: usize,

@@ -66,6 +66,18 @@ pub enum SampleVerdict {
 /// a backend receives from the engine use that numbering, so a row id
 /// names a session row, not a row of the caller's table. Each class's
 /// rows are ascending in it.
+///
+/// ## What a verdict may depend on
+///
+/// A verdict must depend only on the context's classes as row sets, in
+/// any class order, on the two rank slices and on `limit`. Two equal
+/// partitions whose classes are listed in different orders must get the
+/// same verdict. The engine relies on this: when a context's partition
+/// equals that of a context one column smaller, the candidate repeats one
+/// the backend already rejected a level down, and the engine answers it
+/// from that earlier verdict without calling the backend (see the
+/// `prune_state.rs` module docs in `aod-core`). The built-in backends sum
+/// per-class counts, which meets the contract.
 pub trait OcValidatorBackend: Send {
     /// A short stable identifier ("optimal", "iterative", …) for logs and
     /// experiment tables.

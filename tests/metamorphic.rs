@@ -14,6 +14,11 @@
 //!   compared: repeated rows are never singletons.
 //! * (d) Reversing the value order of every column changes no dependency
 //!   of the optimal strategy.
+//! * (e) A run scoped to a column set `S` reports exactly the dependencies
+//!   of the full run whose columns lie in `S`, for the optimal strategy.
+//!   The scoped lattice has fewer nodes, so pruning facts and the
+//!   candidates answered from an equal sub-context partition fall at
+//!   different nodes; the output must not move.
 
 use aod::prelude::*;
 use proptest::prelude::*;
@@ -140,6 +145,26 @@ proptest! {
             let flipped = run(&reversed, epsilon, AocStrategy::Optimal);
             prop_assert_eq!(&flipped.ocs, &base.ocs, "ε {}", epsilon);
             prop_assert_eq!(&flipped.ofds, &base.ofds, "ε {}", epsilon);
+        }
+    }
+
+    /// (e) `S` is the first `1 + perm[0]` columns of the random column
+    /// order: a uniform size in `1..=k`, then a uniform subset of it.
+    #[test]
+    fn scoping_restricts_the_full_run((cols, _, perm) in case()) {
+        let scope = AttrSet::from_attrs(perm[..=perm[0]].iter().copied());
+        let table = RankedTable::from_u32_columns(cols.clone());
+        let identity: Vec<usize> = (0..cols.len()).collect();
+        for epsilon in [0.0, 0.1] {
+            let mut full = run(&cols, epsilon, AocStrategy::Optimal);
+            full.ocs.retain(|d| d.context.with(d.a).with(d.b).is_subset_of(scope));
+            full.ofds.retain(|d| d.context.with(d.rhs).is_subset_of(scope));
+            let scoped = DiscoveryBuilder::new()
+                .approximate(epsilon)
+                .scope(scope.iter())
+                .run(&table);
+            let (got, want) = (renamed(&scoped, &identity), renamed(&full, &identity));
+            prop_assert_eq!(got, want, "ε {} S {}", epsilon, scope);
         }
     }
 }

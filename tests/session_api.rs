@@ -6,6 +6,8 @@
 
 use aod::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A small random table: two payload columns and a low-cardinality
 /// context column, so lattice contexts have multiple classes.
@@ -229,4 +231,79 @@ fn pruned_events_report_rules() {
         .sum();
     assert_eq!(n_pruned_events, total_pruned);
     assert!(!rules.is_empty(), "employee data triggers pruning rules");
+}
+
+/// A backend that counts the calls reaching it, across all its forks.
+struct Counting {
+    inner: Box<dyn OcValidatorBackend>,
+    calls: Arc<AtomicUsize>,
+}
+
+impl OcValidatorBackend for Counting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn min_removal(
+        &mut self,
+        ctx: &Partition,
+        a_ranks: &[u32],
+        b_ranks: &[u32],
+        limit: usize,
+    ) -> Option<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.min_removal(ctx, a_ranks, b_ranks, limit)
+    }
+
+    fn fork(&self) -> Box<dyn OcValidatorBackend> {
+        Box::new(Counting {
+            inner: self.inner.fork(),
+            calls: Arc::clone(&self.calls),
+        })
+    }
+}
+
+/// On flight 1,000 × 10 at ε = 0.1, candidates whose context partition
+/// equals a one-smaller context's are counted as validated but never reach
+/// the backend, for both strategies. With R2 off they must: a valid OC one
+/// level down is then not pruned above it, so every validated candidate is
+/// a backend call.
+#[test]
+fn non_free_contexts_skip_the_backend_only_under_r2() {
+    let table = aod::datagen::flight::flight(7).table(1000);
+    let table = RankedTable::from_table(&table.project(&(0..10).collect::<Vec<_>>()).unwrap());
+    let without_r2 = PruneConfig {
+        r2_context_implication: false,
+        ..PruneConfig::default()
+    };
+    for strategy in [AocStrategy::Optimal, AocStrategy::Iterative] {
+        for (prune, skips) in [(PruneConfig::default(), true), (without_r2, false)] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let backend = Counting {
+                inner: strategy_backend(strategy),
+                calls: Arc::clone(&calls),
+            };
+            let result = builder()
+                .approximate(0.1)
+                .prune(prune)
+                .validator(Box::new(backend))
+                .record_events(false)
+                .run(&table);
+            let validated: usize = result
+                .stats
+                .per_level
+                .iter()
+                .map(|l| l.n_oc_candidates)
+                .sum();
+            let calls = calls.load(Ordering::Relaxed);
+            if skips {
+                assert!(
+                    calls < validated,
+                    "{strategy:?}: {calls} calls, {validated} validated"
+                );
+            } else {
+                assert_eq!(calls, validated, "{strategy:?} without R2");
+            }
+        }
+    }
 }

@@ -98,6 +98,45 @@ fn chrome_export_self_parses_with_the_expected_shape() {
     assert_eq!(jobs, 1, "expected exactly one job span");
 }
 
+/// OC candidate-batch spans carry `inherited`, the node's candidates
+/// answered from an equal sub-context partition without a backend call;
+/// OFD batch spans carry no such count. On employee at ε = 0 the rule
+/// fires, and the export stays byte-identical across threads {1, 4}.
+#[test]
+fn oc_batch_spans_count_inherited_candidates() {
+    let ranked = RankedTable::from_table(&employee_table());
+    let mut exports = Vec::new();
+    for threads in [1usize, 4] {
+        let sink = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
+        DiscoveryBuilder::new()
+            .exact()
+            .parallelism(threads)
+            .trace_sink(Arc::clone(&sink))
+            .run(&ranked);
+        let spans = sink.spans();
+        let phase: HashMap<u64, &str> = spans
+            .iter()
+            .filter(|s| s.cat == "phase")
+            .map(|s| (s.id, s.name))
+            .collect();
+        let arg = |s: &Span, key: &str| s.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        let mut inherited = 0;
+        for batch in spans.iter().filter(|s| s.cat == "batch") {
+            match (phase[&batch.parent], arg(batch, "inherited")) {
+                ("oc_validation", Some(k)) => {
+                    assert!(k <= arg(batch, "candidates").unwrap());
+                    inherited += k;
+                }
+                ("ofd_validation", None) => {}
+                (name, k) => panic!("{name} batch span with inherited = {k:?}"),
+            }
+        }
+        assert!(inherited > 0, "the rule never fired at {threads} threads");
+        exports.push(chrome_trace(&spans));
+    }
+    assert_eq!(exports[0], exports[1]);
+}
+
 /// Attaching a trace sink is observationally free: events, dependencies
 /// and order-insensitive stats are bit-identical with tracing on or off,
 /// at one thread and at four.
