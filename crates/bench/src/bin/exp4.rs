@@ -12,9 +12,17 @@
 //! of both datasets, it compares the two validators' removal sets, then
 //! reruns the planted near-threshold candidate.
 //!
+//! It closes with Section 3's per-candidate costs: on one context class of
+//! `m` rows, Algorithm 2 runs in `O(m log m)` and Algorithm 1 in
+//! `O(m log m + εm²)`, so the iterative column grows super-linearly in `m`
+//! while the exact check and Algorithm 2 stay close together. The class
+//! sizes are fixed; `--rows` does not change them.
+//!
 //! Usage: `cargo run --release -p aod-bench --bin exp4 [--rows 10000]`
 
 use aod_bench::{print_table, Dataset, ExpArgs};
+use aod_datagen::{ColumnKind, ColumnSpec, Generator};
+use aod_obs::{Clock, MonotonicClock};
 use aod_partition::Partition;
 use aod_validate::{removal_budget, OcValidator};
 
@@ -125,4 +133,88 @@ fn main() {
             ""
         }
     );
+    println!();
+
+    per_candidate_costs();
+}
+
+/// Section 3's per-candidate costs: both validators' removal counts on one
+/// class of `m` rows, and the µs per call of the exact check (Algorithm 2
+/// at budget 0), Algorithm 2 and Algorithm 1.
+fn per_candidate_costs() {
+    println!("## per-candidate cost (one class of m rows, median of 5 calls)\n");
+    let clock = MonotonicClock::new();
+    let mut rows = Vec::new();
+    for noise_rate in [0.02, 0.10] {
+        for m in [1_000usize, 4_000, 16_000] {
+            let (a, b) = dirty_pair(m, noise_rate);
+            let ctx = Partition::unit(m);
+            let mut v = OcValidator::new();
+            let unlimited = "an unlimited budget is never exceeded";
+            let opt = v
+                .min_removal_optimal(&ctx, &a, &b, usize::MAX)
+                .expect(unlimited);
+            let iter = v
+                .min_removal_iterative(&ctx, &a, &b, usize::MAX)
+                .expect(unlimited);
+            let exact_us = median_us(&clock, || v.exact_oc_holds(&ctx, &a, &b));
+            let opt_us = median_us(&clock, || v.min_removal_optimal(&ctx, &a, &b, usize::MAX));
+            let iter_us = median_us(&clock, || v.min_removal_iterative(&ctx, &a, &b, usize::MAX));
+            rows.push(vec![
+                m.to_string(),
+                format!("{noise_rate:.2}"),
+                opt.to_string(),
+                iter.to_string(),
+                exact_us.to_string(),
+                opt_us.to_string(),
+                iter_us.to_string(),
+            ]);
+        }
+    }
+    print_table(
+        &[
+            "m",
+            "noise",
+            "removed (Alg. 2)",
+            "removed (Alg. 1)",
+            "exact µs",
+            "Alg. 2 µs",
+            "Alg. 1 µs",
+        ],
+        &rows,
+    );
+}
+
+/// `A` uniform over `m / 2` values and `B` a monotone image of `A` whose
+/// rows are replaced by uniform noise at `noise_rate` (seed 99).
+fn dirty_pair(m: usize, noise_rate: f64) -> (Vec<u32>, Vec<u32>) {
+    let cardinality = (m / 2) as u32;
+    let mut cols = Generator::new(
+        vec![
+            ColumnSpec::new("a", ColumnKind::Uniform { cardinality }),
+            ColumnSpec::new(
+                "b",
+                ColumnKind::MonotoneOf {
+                    source: 0,
+                    noise_rate,
+                },
+            ),
+        ],
+        99,
+    )
+    .generate_u32(m);
+    let b = cols.pop().expect("two columns");
+    let a = cols.pop().expect("two columns");
+    (a, b)
+}
+
+/// The median over five calls of `call`, in microseconds on `clock`.
+fn median_us<T>(clock: &dyn Clock, mut call: impl FnMut() -> T) -> u64 {
+    let mut us: [u64; 5] = std::array::from_fn(|_| {
+        let t0 = clock.now_us();
+        std::hint::black_box(call());
+        clock.now_us() - t0
+    });
+    us.sort_unstable();
+    us[2]
 }

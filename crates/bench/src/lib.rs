@@ -4,8 +4,8 @@
 //! the Exp-1..Exp-6 discussion of Section 4) plus `ablation` for the
 //! pruning rules. Binaries print the same rows/series the paper reports;
 //! scales default to laptop-friendly sizes and grow with `--scale`/`--rows`.
-//! The one criterion bench, `validators`, times single-candidate
-//! validation for Section 3's complexity claims.
+//! `exp4` closes with single-candidate validation costs for Section 3's
+//! complexity claims.
 //!
 //! These drivers reproduce the paper's figures; speed claims about this
 //! implementation come from the benchmark described in

@@ -45,17 +45,17 @@ USAGE:
                [--threads N] [--columns C1,C2,...] [--progress] [--ofds]
                [--trace FILE] [--no-header]
   aod validate <file.csv> --pair A,B [--context C1,C2,...] [--epsilon E]
-               [--od] [--strategy S] [--iterative] [--show-removals]
-               [--no-header]
+               [--exact] [--od] [--strategy S] [--iterative]
+               [--show-removals] [--no-header]
   aod generate <flight|ncvoter|employee> [--rows N] [--seed S] [--out FILE]
-  aod outliers <file.csv> [--epsilon E] [--top K] [--no-header]
+  aod outliers <file.csv> [--epsilon E] [--exact] [--top K] [--no-header]
   aod serve [file.csv ...] [--port P] [--bind ADDR] [--threads N]
             [--max-jobs M]
   aod monitor <host:port> [--interval S] [--once]
 
 OPTIONS:
   --epsilon E       approximation threshold in [0,1] (default 0.1)
-  --exact           discover exact ODs (epsilon = 0; excludes --epsilon,
+  --exact           exact dependencies: epsilon = 0 (excludes --epsilon,
                     --strategy and --iterative)
   --strategy S      AOC validator: optimal (Algorithm 2, default) or
                     iterative (Algorithm 1)
@@ -120,9 +120,17 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// `--epsilon` with its default, rejected before it can reach the
-/// validators' `assert!` (a bad threshold is a usage error, not a panic).
+/// The threshold every command runs at: 0 under `--exact`, which excludes
+/// `--epsilon`, else `--epsilon` with its default, rejected before it can
+/// reach the validators' `assert!` (a bad threshold is a usage error, not a
+/// panic).
 fn epsilon_arg(args: &Args) -> Result<f64, String> {
+    if args.flag("exact") {
+        if args.value("epsilon").is_some() {
+            return Err("--epsilon is meaningless with --exact".into());
+        }
+        return Ok(0.0);
+    }
     let epsilon = args.float("epsilon")?.unwrap_or(0.1);
     if !(0.0..=1.0).contains(&epsilon) {
         return Err(format!("--epsilon: `{epsilon}` is not within [0, 1]"));
@@ -142,14 +150,12 @@ fn load_table(args: &Args) -> Result<Table, String> {
 /// `--strategy`/`--iterative` resolved to an [`AocStrategy`] through the
 /// shared [`AocStrategy::from_name`] parser, with usage errors for
 /// conflicting spellings — including the exact-mode conflict, so
-/// `--exact --iterative` or `--exact --epsilon 0.3` errors instead of
-/// silently running exact discovery (matching the HTTP boundary's 400).
+/// `--exact --iterative` errors instead of being silently dropped
+/// (matching the HTTP boundary's 400).
 fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
     let name = args.value("strategy");
-    if args.flag("exact")
-        && (name.is_some() || args.flag("iterative") || args.value("epsilon").is_some())
-    {
-        return Err("--strategy/--iterative/--epsilon are meaningless with --exact".into());
+    if args.flag("exact") && (name.is_some() || args.flag("iterative")) {
+        return Err("--strategy/--iterative are meaningless with --exact".into());
     }
     if let Some(name) = name {
         if args.flag("iterative") && name != "iterative" {
@@ -169,12 +175,9 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
     let strategy = strategy_arg(args)?;
-    let mut builder = if args.flag("exact") {
-        DiscoveryBuilder::new().exact()
-    } else {
-        DiscoveryBuilder::new().approximate(epsilon)
-    };
-    builder = builder.strategy(strategy);
+    let mut builder = DiscoveryBuilder::new()
+        .approximate(epsilon)
+        .strategy(strategy);
     if let Some(level) = args.int("max-level")? {
         if level == 0 {
             return Err("--max-level must be at least 1".into());

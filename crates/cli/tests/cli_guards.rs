@@ -194,3 +194,22 @@ fn validate_od_with_an_iterative_strategy_is_a_usage_error() {
         stdout(&od)
     );
 }
+
+/// `--exact` is ε = 0 for every command that takes a threshold: `validate`
+/// and `outliers` print what `--epsilon 0` prints. On the 200-row sample
+/// the default ε = 0.1 would allow 20 removals.
+#[test]
+fn exact_is_epsilon_zero_for_validate_and_outliers() {
+    const PAIR: &[&str] = &["--pair", "originAirport,originIATA"];
+    let validate = |extra: &[&str]| aod(&[&["validate", sample_csv()], PAIR, extra].concat());
+    let (exact, zero) = (validate(&["--exact"]), validate(&["--epsilon", "0"]));
+    assert!(exact.status.success(), "{exact:?}");
+    assert!(stdout(&exact).contains("budget 0)"), "{}", stdout(&exact));
+    assert_eq!(stdout(&exact), stdout(&zero));
+
+    let outliers = |extra: &[&str]| aod(&[&["outliers", employee_csv()], extra].concat());
+    let (exact, zero) = (outliers(&["--exact"]), outliers(&["--epsilon", "0"]));
+    assert!(exact.status.success(), "{exact:?}");
+    assert!(stdout(&exact).contains("(ε = 0)"), "{}", stdout(&exact));
+    assert_eq!(stdout(&exact), stdout(&zero));
+}

@@ -293,7 +293,7 @@ impl<'t> DiscoverySession<'t> {
         );
         let table = table.sorted_rows(&scope.iter().collect::<Vec<_>>());
         let mut cache = PartitionCache::new();
-        let mut prune = PruneState::new(n_attrs, n_rows);
+        let mut prune = PruneState::new(n_attrs);
         let frontier = Frontier::seed(&table, scope, &mut cache, &mut prune);
         let mut executor = Executor::new(settings.threads);
         if let Some(gauge) = settings.queue_gauge {
@@ -581,10 +581,6 @@ impl<'t> DiscoverySession<'t> {
                         }
                     }
                 }
-            }
-
-            if eval.is_key {
-                self.prune.record_key(set);
             }
 
             // Reached only for fully merged nodes: the cut node above

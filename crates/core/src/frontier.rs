@@ -3,7 +3,7 @@
 //!
 //! A frontier at level `ℓ` holds every surviving size-`ℓ` attribute set
 //! with its TANE RHS-candidate set `Cc⁺(X)`. Advancing it (a) drops *dead*
-//! nodes (see [`PruneState::node_is_dead`]), (b) prefix-joins the
+//! nodes (see [`node_is_dead`]), (b) prefix-joins the
 //! survivors into level `ℓ+1`, (c) intersects the parents' `Cc⁺` sets, and
 //! (d) computes each child's partition by refining a cached parent on the
 //! one column it lacks — exactly the retention/generation tail of the
@@ -11,6 +11,7 @@
 //! validation. Seeding and advancing also record every set whose partition
 //! equals a one-smaller subset's (see the `prune_state.rs` module docs).
 
+use crate::candidates::oc_candidates;
 use crate::config::PruneConfig;
 use crate::prune_state::PruneState;
 use crate::stats::DiscoveryStats;
@@ -96,7 +97,7 @@ impl Frontier {
         let retained: Vec<AttrSet> = self
             .nodes
             .iter()
-            .filter(|n| !prune_cfg.node_deletion || !prune.node_is_dead(n, self.level))
+            .filter(|n| !prune_cfg.node_deletion || !node_is_dead(n, cache))
             .map(|n| n.set)
             .collect();
         let rhs_map: AttrSetMap<AttrSet> = self.nodes.iter().map(|n| (n.set, n.rhs)).collect();
@@ -151,6 +152,32 @@ impl Frontier {
     }
 }
 
+/// A node is dead when it can produce no further OFD candidates (empty
+/// `Cc⁺`) and no OC candidate of any descendant can survive R4: every pair
+/// context `X∖{A,B}` under it has a keyed partition. Those contexts are
+/// lattice sets two levels below the node, which the cache still holds
+/// when the frontier advances; below two rows even `Π_∅` is a key.
+///
+/// Deadness is hereditary: `Cc⁺` only shrinks going up, and for any
+/// descendant `Z ⊇ X` and pair `{A,B} ⊆ Z` the context `Z∖{A,B}`
+/// contains some `X∖{A',B'}` (take `A' = A` if `A ∈ X` else any;
+/// likewise `B'`), and supersets of keys are keys. Dead nodes are
+/// therefore dropped before candidate generation without losing
+/// completeness — this is what keeps the wide-schema experiments
+/// (Figure 3) tractable, and why approximate discovery (whose
+/// OFDs/OCs appear at *lower* levels, pruning earlier) can outrun
+/// exact discovery (Exp-5).
+fn node_is_dead(node: &Node, cache: &PartitionCache) -> bool {
+    node.rhs.is_empty()
+        && node.set.len() >= 2
+        && oc_candidates(node.set).iter().all(|cand| {
+            cache
+                .get(cand.context)
+                .expect("pair context is cached")
+                .is_key()
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +188,7 @@ mod tests {
     fn seed_covers_scope_only() {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
-        let mut prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut prune = PruneState::new(t.n_cols());
         let scope = AttrSet::from_attrs([0, 2, 5]);
         let f = Frontier::seed(&t, scope, &mut cache, &mut prune);
         assert_eq!(f.level, 1);
@@ -177,7 +204,7 @@ mod tests {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
         let scope = AttrSet::from_attrs([0, 1, 2]);
-        let mut prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut prune = PruneState::new(t.n_cols());
         let mut f = Frontier::seed(&t, scope, &mut cache, &mut prune);
         let mut stats = DiscoveryStats::default();
         f.advance(
@@ -204,10 +231,10 @@ mod tests {
         let (one, four) = (Executor::new(1), Executor::new(4));
 
         let mut one_cache = PartitionCache::new();
-        let mut one_prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut one_prune = PruneState::new(t.n_cols());
         let mut one_f = Frontier::seed(&t, scope, &mut one_cache, &mut one_prune);
         let mut four_cache = PartitionCache::new();
-        let mut four_prune = PruneState::new(t.n_cols(), t.n_rows());
+        let mut four_prune = PruneState::new(t.n_cols());
         let mut four_f = Frontier::seed(&t, scope, &mut four_cache, &mut four_prune);
         let (mut one_stats, mut four_stats) =
             (DiscoveryStats::default(), DiscoveryStats::default());
@@ -255,5 +282,47 @@ mod tests {
             }
         }
         assert!(n_non_free > 0, "employee has sets that are not free");
+    }
+
+    /// Below two rows `Π_∅` is a key, so a pair node with an empty `Cc⁺`
+    /// is dead; at nine rows it is not.
+    #[test]
+    fn tiny_tables_key_the_empty_context() {
+        for (n_rows, dead) in [(0u32, true), (1, true), (9, false)] {
+            let t = RankedTable::from_u32_columns(vec![(0..n_rows).collect(); 2]);
+            let mut cache = PartitionCache::new();
+            cache.ensure(&t, AttrSet::EMPTY);
+            let node = Node {
+                set: AttrSet::from_attrs([0, 1]),
+                rhs: AttrSet::EMPTY,
+            };
+            // Both pair contexts of {0,1} are the empty set.
+            assert_eq!(node_is_dead(&node, &cache), dead, "{n_rows} rows");
+        }
+    }
+
+    /// A node with OFD candidates left stays alive even when every pair
+    /// context is a key.
+    #[test]
+    fn live_rhs_keeps_nodes_alive() {
+        for n_rows in [0u32, 1, 9] {
+            // Three key columns: every singleton context is a key.
+            let t = RankedTable::from_u32_columns(vec![(0..n_rows).collect(); 3]);
+            let mut cache = PartitionCache::new();
+            for c in 0..3 {
+                cache.ensure(&t, AttrSet::singleton(c));
+            }
+            let set = AttrSet::from_attrs([0, 1, 2]);
+            let dead_rhs = Node {
+                set,
+                rhs: AttrSet::EMPTY,
+            };
+            let live_rhs = Node {
+                set,
+                rhs: AttrSet::singleton(2),
+            };
+            assert!(node_is_dead(&dead_rhs, &cache), "{n_rows} rows");
+            assert!(!node_is_dead(&live_rhs, &cache), "{n_rows} rows");
+        }
     }
 }

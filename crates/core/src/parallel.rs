@@ -14,9 +14,9 @@
 //! * an OFD recorded at level `ℓ` has a context of size `ℓ−1`, which can
 //!   never be a subset of a same-level OC candidate context (size `ℓ−2`),
 //!   so rule R3 is unaffected;
-//! * keyed-set facts feed rule R4 through the *partition* (`is_key`),
-//!   not the recorded set, and node deletion only consults sets two
-//!   levels down.
+//! * keys feed rule R4 and node deletion through the cached *partitions*
+//!   (`is_key`), and node deletion runs between levels on sets two levels
+//!   down.
 //!
 //! The engine therefore runs [`eval_node`] over a level's nodes on its
 //! executor — inline on the caller's thread for one worker, otherwise on
@@ -90,7 +90,6 @@ pub(crate) struct NodeEval {
     /// OC candidates answered from an equal sub-context partition, without
     /// a backend call.
     pub n_inherited: usize,
-    pub is_key: bool,
     /// Session-clock micros of the node's OFD section. Feeds both
     /// `DiscoveryStats::ofd_validation` and the node's batch span, so the
     /// two agree; under a manual clock it is the same at every thread
@@ -197,7 +196,6 @@ pub(crate) fn eval_node(
         ofds,
         ocs,
         n_inherited,
-        is_key: node_part.is_key(),
         ofd_us: t1.saturating_sub(t0),
         oc_us: t2.saturating_sub(t1),
     }

@@ -1,7 +1,7 @@
 //! Pruning state accumulated across lattice levels.
 //!
-//! The driver's three candidate-pruning rules and the node-deletion check
-//! all key off facts discovered at lower levels:
+//! The driver's three candidate-pruning rules all key off facts discovered
+//! at lower levels:
 //!
 //! * **R2 (context implication)** — a valid OC in a sub-context implies
 //!   every super-context one: swaps within a finer partition class are
@@ -13,9 +13,10 @@
 //! * **R4 (key pruning)** — a keyed context has only singleton classes,
 //!   hence no swaps: the OC holds trivially and carries no information.
 //!
-//! [`PruneState`] records the found-OC contexts per pair, the constant
-//! contexts per attribute and the keyed sets, and answers the implication
-//! queries the engine issues per candidate.
+//! [`PruneState`] records the found-OC contexts per pair and the constant
+//! contexts per attribute, and answers the implication queries the engine
+//! issues per candidate. R4 and node deletion read keys off the cached
+//! partitions instead.
 //!
 //! ## Candidates answered from a sub-context
 //!
@@ -54,7 +55,6 @@
 //! candidate still counts as validated and emits no event, so no output
 //! changes.
 
-use crate::frontier::Node;
 use aod_partition::{AttrSet, AttrSetSet};
 
 /// Which pruning rule skipped a candidate (reported in
@@ -69,8 +69,8 @@ pub enum PruneRule {
     KeyPruning,
 }
 
-/// Cross-level pruning facts: found-OC contexts, constant attributes,
-/// keyed sets and sets that are not free.
+/// Cross-level pruning facts: found-OC contexts, constant attributes and
+/// sets that are not free.
 #[derive(Debug)]
 pub(crate) struct PruneState {
     n_attrs: usize,
@@ -78,26 +78,18 @@ pub(crate) struct PruneState {
     oc_found: Vec<Vec<AttrSet>>,
     /// R3 state: contexts where each attribute is (approximately) constant.
     const_found: Vec<Vec<AttrSet>>,
-    /// R4 / deadness state: sets whose partitions are keys.
-    key_sets: AttrSetSet,
     /// Sets whose partition equals a one-smaller subset's (see the module
     /// docs).
     non_free: AttrSetSet,
 }
 
 impl PruneState {
-    /// Fresh state for an `n_attrs`-column table. Tables with fewer than
-    /// two rows have a keyed empty context from the start.
-    pub fn new(n_attrs: usize, n_rows: usize) -> PruneState {
-        let mut key_sets = AttrSetSet::default();
-        if n_rows < 2 {
-            key_sets.insert(AttrSet::EMPTY);
-        }
+    /// Fresh state for an `n_attrs`-column table.
+    pub fn new(n_attrs: usize) -> PruneState {
         PruneState {
             n_attrs,
             oc_found: vec![Vec::new(); n_attrs * n_attrs],
             const_found: vec![Vec::new(); n_attrs],
-            key_sets,
             non_free: AttrSetSet::default(),
         }
     }
@@ -110,11 +102,6 @@ impl PruneState {
     /// Records a valid OFD `ctx: [] |-> a` for R3 lookups.
     pub fn record_constant(&mut self, a: usize, ctx: AttrSet) {
         self.const_found[a].push(ctx);
-    }
-
-    /// Records that `Π_set` is a key, for R4 deadness heredity.
-    pub fn record_key(&mut self, set: AttrSet) {
-        self.key_sets.insert(set);
     }
 
     /// Records that `Π_set` equals the partition of a one-smaller subset.
@@ -141,38 +128,6 @@ impl PruneState {
         self.const_found[a].iter().any(|y| y.is_subset_of(ctx))
             || self.const_found[b].iter().any(|y| y.is_subset_of(ctx))
     }
-
-    /// A node is dead when it can produce no further OFD candidates (empty
-    /// `Cc⁺`) and no OC candidate of any descendant can survive R4 (every
-    /// pair context under this node is a key).
-    ///
-    /// Deadness is hereditary: `Cc⁺` only shrinks going up, and for any
-    /// descendant `Z ⊇ X` and pair `{A,B} ⊆ Z` the context `Z\{A,B}`
-    /// contains some `X\{A',B'}` (take `A' = A` if `A ∈ X` else any;
-    /// likewise `B'`), and supersets of keys are keys. Dead nodes are
-    /// therefore dropped before candidate generation without losing
-    /// completeness — this is what keeps the wide-schema experiments
-    /// (Figure 3) tractable, and why approximate discovery (whose
-    /// OFDs/OCs appear at *lower* levels, pruning earlier) can outrun
-    /// exact discovery (Exp-5).
-    pub fn node_is_dead(&self, node: &Node, level: usize) -> bool {
-        if !node.rhs.is_empty() {
-            return false;
-        }
-        if level < 2 {
-            return false;
-        }
-        let attrs: Vec<usize> = node.set.iter().collect();
-        for i in 0..attrs.len() {
-            for j in i + 1..attrs.len() {
-                let ctx = node.set.without(attrs[i]).without(attrs[j]);
-                if !self.key_sets.contains(&ctx) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +136,7 @@ mod tests {
 
     #[test]
     fn implication_queries_respect_subsets() {
-        let mut p = PruneState::new(4, 10);
+        let mut p = PruneState::new(4);
         p.record_oc(0, 1, AttrSet::singleton(2));
         assert!(p.oc_implied(0, 1, AttrSet::from_attrs([2, 3])));
         assert!(p.oc_implied(0, 1, AttrSet::singleton(2)));
@@ -192,33 +147,5 @@ mod tests {
         assert!(p.constancy_implied(0, 3, AttrSet::singleton(1)));
         assert!(p.constancy_implied(3, 1, AttrSet::EMPTY));
         assert!(!p.constancy_implied(0, 1, AttrSet::singleton(3)));
-    }
-
-    #[test]
-    fn tiny_tables_key_the_empty_context() {
-        let p = PruneState::new(2, 1);
-        let node = Node {
-            set: AttrSet::from_attrs([0, 1]),
-            rhs: AttrSet::EMPTY,
-        };
-        // Both pair contexts of {0,1} are the (keyed) empty set.
-        assert!(p.node_is_dead(&node, 2));
-    }
-
-    #[test]
-    fn live_rhs_keeps_nodes_alive() {
-        let mut p = PruneState::new(3, 10);
-        let node = Node {
-            set: AttrSet::from_attrs([0, 1]),
-            rhs: AttrSet::singleton(2),
-        };
-        assert!(!p.node_is_dead(&node, 2));
-        let dead_rhs = Node {
-            set: AttrSet::from_attrs([0, 1]),
-            rhs: AttrSet::EMPTY,
-        };
-        assert!(!p.node_is_dead(&dead_rhs, 2)); // empty context not keyed
-        p.record_key(AttrSet::EMPTY);
-        assert!(p.node_is_dead(&dead_rhs, 2));
     }
 }

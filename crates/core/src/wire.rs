@@ -226,7 +226,7 @@ impl DiscoveryEvent {
 
 impl DiscoveryResult {
     /// Wire encoding of a complete (or well-formed partial) result:
-    /// `{"schema_version":1,"n_rows":..,"n_attrs":..,"ocs":[..],
+    /// `{"schema_version":2,"n_rows":..,"n_attrs":..,"ocs":[..],
     /// "ofds":[..],"stats":{..}}`. Dependency lists keep discovery order
     /// (replaying `oc_found`/`ofd_found` events reconstructs them), so for
     /// a given (table, config) everything except the timing fields inside

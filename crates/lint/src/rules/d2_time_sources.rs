@@ -2,10 +2,10 @@
 //!
 //! `Instant::now` / `SystemTime` on an unregistered path is how
 //! nondeterminism sneaks into output (timestamps in wire JSON, timing-
-//! dependent branching in pruning decisions). The modules that
-//! legitimately read the clock — the observability `Clock` module and the
-//! vendored criterion stub — are listed in `lint.toml` under
-//! `[rules.D2] allow`; everything else is flagged.
+//! dependent branching in pruning decisions). The module that
+//! legitimately reads the clock — the observability `Clock` module — is
+//! listed in `lint.toml` under `[rules.D2] allow`; everything else is
+//! flagged.
 //!
 //! The allowlist is kept tight from the other side too: an entry under
 //! which no non-test line names a time source is reported, like A1's

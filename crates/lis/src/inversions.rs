@@ -7,64 +7,27 @@
 //! tie-broken ascending by `B` and therefore contribute no inversion, and
 //! equal-`B` pairs are not swaps by Definition 2.5.
 //!
-//! * [`count_inversions`] — total count via the classic merge-sort variant
-//!   (Algorithm 1, line 4 uses "a variant of merge sort").
-//! * [`per_element_inversions`] — per-element participation counts via two
-//!   Fenwick-tree passes, same `O(m log m)` bound. (The paper keeps per-tuple
-//!   `swapCnt`s; a Fenwick tree yields identical counts with identical
-//!   asymptotics and is simpler to update-test.)
-
-/// Counts strict inversions (`i < j` with `seq[j] < seq[i]`) with a
-/// merge-sort variant in `O(m log m)`.
-pub fn count_inversions<T: Ord + Copy>(seq: &[T]) -> u64 {
-    let mut work: Vec<T> = seq.to_vec();
-    let mut scratch: Vec<T> = Vec::with_capacity(seq.len());
-    merge_count(&mut work, &mut scratch)
-}
-
-fn merge_count<T: Ord + Copy>(data: &mut [T], scratch: &mut Vec<T>) -> u64 {
-    let n = data.len();
-    if n <= 1 {
-        return 0;
-    }
-    let mid = n / 2;
-    let (left, right) = data.split_at_mut(mid);
-    let mut inv = merge_count(left, scratch) + merge_count(right, scratch);
-    scratch.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        if right[j] < left[i] {
-            // right[j] inverts with every remaining element of the left run.
-            inv += (left.len() - i) as u64;
-            scratch.push(right[j]);
-            j += 1;
-        } else {
-            scratch.push(left[i]);
-            i += 1;
-        }
-    }
-    scratch.extend_from_slice(&left[i..]);
-    scratch.extend_from_slice(&right[j..]);
-    data.copy_from_slice(scratch);
-    inv
-}
+//! [`per_element_inversions_compressed`] yields those per-element
+//! participation counts with two Fenwick-tree passes in `O(m log m)`. (The
+//! paper keeps per-tuple `swapCnt`s; a Fenwick tree yields identical counts
+//! with identical asymptotics and is simpler to update-test.)
 
 /// A Fenwick (binary indexed) tree over prefix sums of counts.
 #[derive(Debug, Clone)]
-pub struct Fenwick {
+struct Fenwick {
     tree: Vec<u32>,
 }
 
 impl Fenwick {
     /// A tree over the value domain `0..size`.
-    pub fn new(size: usize) -> Fenwick {
+    fn new(size: usize) -> Fenwick {
         Fenwick {
             tree: vec![0; size + 1],
         }
     }
 
     /// Adds `delta` occurrences of value `idx`.
-    pub fn add(&mut self, idx: usize, delta: u32) {
+    fn add(&mut self, idx: usize, delta: u32) {
         let mut i = idx + 1;
         while i < self.tree.len() {
             self.tree[i] += delta;
@@ -73,7 +36,7 @@ impl Fenwick {
     }
 
     /// Count of values `< idx` inserted so far.
-    pub fn prefix(&self, idx: usize) -> u32 {
+    fn prefix(&self, idx: usize) -> u32 {
         let mut i = idx;
         let mut sum = 0;
         while i > 0 {
@@ -83,13 +46,8 @@ impl Fenwick {
         sum
     }
 
-    /// Total number of insertions.
-    pub fn total(&self) -> u32 {
-        self.prefix(self.tree.len() - 1)
-    }
-
     /// Clears the tree for reuse without reallocating.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.tree.iter_mut().for_each(|v| *v = 0);
     }
 }
@@ -99,9 +57,9 @@ impl Fenwick {
 /// `out[i]` = number of `j` such that `(min(i,j), max(i,j))` is an inversion
 /// involving `i`, i.e. `#(j < i, seq[j] > seq[i]) + #(j > i, seq[j] < seq[i])`.
 /// Values must be dense-ish (`max(seq) = O(m)` for the Fenwick tree to stay
-/// linear in memory); the validator feeds dense ranks, satisfying this. For
-/// sparse inputs use [`per_element_inversions_compressed`].
-pub fn per_element_inversions(seq: &[u32]) -> Vec<u32> {
+/// linear in memory); [`per_element_inversions_compressed`] compresses its
+/// input to dense ranks first.
+fn per_element_inversions(seq: &[u32]) -> Vec<u32> {
     let domain = seq.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut counts = vec![0u32; seq.len()];
     let mut fen = Fenwick::new(domain);
@@ -120,8 +78,10 @@ pub fn per_element_inversions(seq: &[u32]) -> Vec<u32> {
     counts
 }
 
-/// [`per_element_inversions`] with coordinate compression for arbitrary
-/// `Ord` values.
+/// Per-element strict inversion participation counts of arbitrary `Ord`
+/// values: `out[i]` counts the `j` with `j < i, seq[j] > seq[i]` or
+/// `j > i, seq[j] < seq[i]`. The values are compressed to dense ranks, then
+/// counted with two Fenwick-tree passes.
 pub fn per_element_inversions_compressed<T: Ord>(seq: &[T]) -> Vec<u32> {
     let mut sorted: Vec<&T> = seq.iter().collect();
     sorted.sort();
@@ -164,15 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn total_count_simple() {
-        assert_eq!(count_inversions(&[1u32, 2, 3]), 0);
-        assert_eq!(count_inversions(&[3u32, 2, 1]), 3);
-        assert_eq!(count_inversions(&[2u32, 2, 2]), 0); // strict: equal pairs don't invert
-        assert_eq!(count_inversions::<u32>(&[]), 0);
-        assert_eq!(count_inversions(&[5u32]), 0);
-    }
-
-    #[test]
     fn per_element_paper_example() {
         // Table 1 sorted by [sal asc, tax asc]; tax projection in hundreds.
         let tax = [20u32, 25, 3, 120, 15, 165, 18, 72, 160];
@@ -195,7 +146,6 @@ mod tests {
                     brute_per_element(&seq),
                     "{seq:?}"
                 );
-                assert_eq!(count_inversions(&seq), brute_total(&seq), "{seq:?}");
                 let mut i = 0;
                 while i < len {
                     seq[i] += 1;
@@ -219,7 +169,7 @@ mod tests {
     fn per_element_sum_is_twice_total() {
         let seq = [9u32, 1, 8, 2, 7, 3, 6, 4, 5, 0];
         let counts = per_element_inversions(&seq);
-        let total = count_inversions(&seq);
+        let total = brute_total(&seq);
         assert_eq!(counts.iter().map(|&c| c as u64).sum::<u64>(), 2 * total);
     }
 
@@ -249,8 +199,8 @@ mod tests {
         assert_eq!(f.prefix(3), 0);
         assert_eq!(f.prefix(4), 2);
         assert_eq!(f.prefix(8), 3);
-        assert_eq!(f.total(), 3);
+        assert_eq!(f.prefix(10), 3);
         f.clear();
-        assert_eq!(f.total(), 0);
+        assert_eq!(f.prefix(10), 0);
     }
 }

@@ -7,19 +7,20 @@
 //!   algorithm in `O(m log m)` with *value* tails, an append fast path for
 //!   values that extend the longest pile, and an early `None` once the
 //!   prefix read so far needs more removals than the caller's budget.
-//!   [`lnds_length`] / [`lis_length`] are its unlimited-budget calls.
 //! * [`lnds_indices`] / [`lis_indices`] — one longest non-decreasing /
 //!   strictly increasing subsequence as indices (parent pointers), for
 //!   reporting the minimal removal set itself.
-//! * [`count_inversions`] / [`per_element_inversions`] — merge-sort and
-//!   Fenwick-tree inversion counting, the core of the **iterative** baseline
+//! * [`per_element_inversions_compressed`] — per-element inversion counts
+//!   by two Fenwick-tree passes, the core of the **iterative** baseline
 //!   validator (Algorithm 1).
 //!
-//! Brute-force reference implementations ([`lnds_length_brute`],
-//! `per_element_inversions_compressed`'s tests) back the property tests.
+//! Brute-force reference implementations ([`lnds_length_brute`] and the
+//! inversion module's tests) back the property tests.
 //!
 //! ```
-//! use aod_lis::{count_inversions, lnds_indices, subsequence_length_within, Monotonicity};
+//! use aod_lis::{
+//!     lnds_indices, per_element_inversions_compressed, subsequence_length_within, Monotonicity,
+//! };
 //!
 //! let seq = [20u32, 25, 3, 120, 15, 165, 18, 72, 160];
 //! assert_eq!(lnds_indices(&seq).len(), 5); // keep 5, remove 4 (Example 3.2)
@@ -27,7 +28,8 @@
 //! let nd = Monotonicity::NonDecreasing;
 //! assert_eq!(subsequence_length_within(&seq, nd, 4, &mut tails), Some(5));
 //! assert_eq!(subsequence_length_within(&seq, nd, 3, &mut tails), None);
-//! assert!(count_inversions(&seq) > 0);
+//! // 1.8K (index 6) swaps with four earlier, larger values (Example 3.1).
+//! assert_eq!(per_element_inversions_compressed(&seq)[6], 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,10 +38,7 @@
 mod inversions;
 mod lnds;
 
-pub use inversions::{
-    count_inversions, per_element_inversions, per_element_inversions_compressed, Fenwick,
-};
+pub use inversions::per_element_inversions_compressed;
 pub use lnds::{
-    lis_indices, lis_length, lnds_indices, lnds_length, lnds_length_brute,
-    subsequence_length_within, Monotonicity,
+    lis_indices, lnds_indices, lnds_length_brute, subsequence_length_within, Monotonicity,
 };

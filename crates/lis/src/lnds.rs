@@ -14,8 +14,8 @@
 //!   binary-search probe reads the tails array and nothing else; a value
 //!   that extends the longest pile is appended without a search; and the
 //!   kernel stops with `None` as soon as the prefix already read proves
-//!   that more than `budget` elements must go. [`lnds_length`] and
-//!   [`lis_length`] are its unlimited-budget calls.
+//!   that more than `budget` elements must go (a budget of `usize::MAX`
+//!   gives the plain length).
 //! * [`lnds_indices`] / [`lis_indices`] — index tails plus parent pointers,
 //!   so one optimal subsequence can be rebuilt (removal-set reporting, off
 //!   the discovery path).
@@ -46,23 +46,6 @@ pub fn lnds_indices<T: Ord>(seq: &[T]) -> Vec<u32> {
 /// subsequence of `seq`.
 pub fn lis_indices<T: Ord>(seq: &[T]) -> Vec<u32> {
     subsequence_indices(seq, Monotonicity::Strict)
-}
-
-/// Length of the longest non-decreasing subsequence, without
-/// reconstructing it (saves the parent-pointer array; used when only the
-/// removal-set *size* matters).
-pub fn lnds_length<T: Ord + Copy>(seq: &[T]) -> usize {
-    unbounded_length(seq, Monotonicity::NonDecreasing)
-}
-
-/// Length of the longest strictly increasing subsequence.
-pub fn lis_length<T: Ord + Copy>(seq: &[T]) -> usize {
-    unbounded_length(seq, Monotonicity::Strict)
-}
-
-fn unbounded_length<T: Ord + Copy>(seq: &[T], mode: Monotonicity) -> usize {
-    subsequence_length_within(seq, mode, usize::MAX, &mut Vec::new())
-        .expect("an unlimited budget is never exceeded")
 }
 
 /// Length of the longest subsequence of `seq` under `mode`, provided at
@@ -229,7 +212,7 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(lnds_indices::<u32>(&[]), Vec::<u32>::new());
         assert_eq!(lnds_indices(&[7u32]), vec![0]);
-        assert_eq!(lis_length::<u32>(&[]), 0);
+        assert_eq!(lis_indices::<u32>(&[]), Vec::<u32>::new());
     }
 
     #[test]
@@ -243,7 +226,7 @@ mod tests {
     fn decreasing_sequence() {
         let seq = [9u32, 7, 5, 3, 1];
         assert_eq!(lnds_indices(&seq).len(), 1);
-        assert_eq!(lis_length(&seq), 1);
+        assert_eq!(lis_indices(&seq).len(), 1);
     }
 
     #[test]
@@ -256,17 +239,9 @@ mod tests {
     #[test]
     fn classic_lis_case() {
         let seq = [10u32, 9, 2, 5, 3, 7, 101, 18];
-        assert_eq!(lis_length(&seq), 4); // e.g. 2,3,7,18
         let idx = lis_indices(&seq);
-        assert_eq!(idx.len(), 4);
+        assert_eq!(idx.len(), 4); // e.g. 2,3,7,18
         assert_valid_subsequence(&seq, &idx, Monotonicity::Strict);
-    }
-
-    #[test]
-    fn lengths_match_indices() {
-        let seq = [3u32, 1, 2, 2, 4, 0, 5, 5, 1];
-        assert_eq!(lnds_indices(&seq).len(), lnds_length(&seq));
-        assert_eq!(lis_indices(&seq).len(), lis_length(&seq));
     }
 
     #[test]

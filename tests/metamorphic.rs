@@ -19,8 +19,15 @@
 //!   The scoped lattice has fewer nodes, so pruning facts and the
 //!   candidates answered from an equal sub-context partition fall at
 //!   different nodes; the output must not move.
+//! * (f) Writing each column as CSV text through an order-preserving map —
+//!   `x`, `3x − 7`, `x / 8` as a float, or the zero-padded string
+//!   `v{x:03}` — and reading it back with the CSV reader changes no
+//!   dependency of the optimal strategy. This runs type inference, columns
+//!   that mix `Int` and `Float` (`0 / 8` prints as `0`), and both rank
+//!   paths.
 
 use aod::prelude::*;
+use aod::table::csv::{read_str, CsvOptions};
 use proptest::prelude::*;
 
 /// Columns of a table with 5–60 rows and 3–6 columns over domains of at
@@ -68,6 +75,31 @@ fn renamed(r: &DiscoveryResult, to: &[usize]) -> (Vec<OcDep>, Vec<OfdDep>) {
     ocs.sort_by_key(|d| (d.context, d.a, d.b));
     ofds.sort_by_key(|d| (d.context, d.rhs));
     (ocs, ofds)
+}
+
+/// The columns as CSV text under a header `c0,c1,…`, column `c` written
+/// through the order-preserving map `maps[c] % 4`.
+fn csv_text(cols: &[Vec<u32>], maps: &[usize]) -> String {
+    let header: Vec<String> = (0..cols.len()).map(|c| format!("c{c}")).collect();
+    let mut text = header.join(",");
+    for row in 0..cols[0].len() {
+        let fields: Vec<String> = cols
+            .iter()
+            .zip(maps)
+            .map(|(col, map)| {
+                let x = col[row];
+                match map % 4 {
+                    0 => x.to_string(),
+                    1 => (3 * i64::from(x) - 7).to_string(),
+                    2 => (f64::from(x) / 8.0).to_string(),
+                    _ => format!("v{x:03}"),
+                }
+            })
+            .collect();
+        text.push('\n');
+        text.push_str(&fields.join(","));
+    }
+    text
 }
 
 /// The dependencies of `r` with every removal count multiplied by `k` and
@@ -165,6 +197,20 @@ proptest! {
                 .run(&table);
             let (got, want) = (renamed(&scoped, &identity), renamed(&full, &identity));
             prop_assert_eq!(got, want, "ε {} S {}", epsilon, scope);
+        }
+    }
+
+    /// (f) Column `c` goes through map `perm[c] % 4` of [`csv_text`].
+    #[test]
+    fn order_preserving_csv_rewrites_change_no_dependency((cols, _, perm) in case()) {
+        let text = csv_text(&cols, &perm);
+        let table = read_str(&text, &CsvOptions::default()).expect("the text is valid CSV");
+        let ranked = RankedTable::from_table(&table);
+        for epsilon in [0.0, 0.1] {
+            let base = run(&cols, epsilon, AocStrategy::Optimal);
+            let read = DiscoveryBuilder::new().approximate(epsilon).run(&ranked);
+            prop_assert_eq!(&read.ocs, &base.ocs, "ε {}", epsilon);
+            prop_assert_eq!(&read.ofds, &base.ofds, "ε {}", epsilon);
         }
     }
 }
