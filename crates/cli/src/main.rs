@@ -48,7 +48,10 @@ USAGE:
                [--exact] [--od] [--strategy S] [--iterative]
                [--show-removals] [--no-header]
   aod generate <flight|ncvoter|employee> [--rows N] [--seed S] [--out FILE]
-  aod outliers <file.csv> [--epsilon E] [--exact] [--top K] [--no-header]
+  aod outliers <file.csv> [--epsilon E] [--strategy S] [--iterative]
+               [--exact] [--max-level N] [--timeout S] [--top K]
+               [--top-k K] [--threads N] [--columns C1,C2,...]
+               [--no-header]
   aod serve [file.csv ...] [--port P] [--bind ADDR] [--threads N]
             [--max-jobs M]
   aod monitor <host:port> [--interval S] [--once]
@@ -170,14 +173,13 @@ fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
     AocStrategy::from_name(effective)
 }
 
-fn cmd_discover(args: &Args) -> Result<(), String> {
-    let table = load_table(args)?;
-    let ranked = RankedTable::from_table(&table);
-    let epsilon = epsilon_arg(args)?;
-    let strategy = strategy_arg(args)?;
+/// The discovery options `discover` and `outliers` share: the threshold,
+/// `--strategy`/`--iterative`, `--max-level`, `--timeout`, `--top-k`,
+/// `--threads` and `--columns` (names resolved against `table`).
+fn discovery_builder(args: &Args, table: &Table) -> Result<DiscoveryBuilder, String> {
     let mut builder = DiscoveryBuilder::new()
-        .approximate(epsilon)
-        .strategy(strategy);
+        .approximate(epsilon_arg(args)?)
+        .strategy(strategy_arg(args)?);
     if let Some(level) = args.int("max-level")? {
         if level == 0 {
             return Err("--max-level must be at least 1".into());
@@ -205,6 +207,14 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
         }
         builder = builder.scope(scope);
     }
+    Ok(builder)
+}
+
+fn cmd_discover(args: &Args) -> Result<(), String> {
+    let table = load_table(args)?;
+    let ranked = RankedTable::from_table(&table);
+    let epsilon = epsilon_arg(args)?;
+    let mut builder = discovery_builder(args, &table)?;
     // --trace records a deterministic span hierarchy (job → level → phase
     // → candidate batch) alongside the run; it never changes the
     // discovered dependencies.
@@ -444,7 +454,7 @@ fn cmd_outliers(args: &Args) -> Result<(), String> {
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
     let top = args.int("top")?.unwrap_or(20);
-    let result = DiscoveryBuilder::new().approximate(epsilon).run(&ranked);
+    let result = discovery_builder(args, &table)?.run(&ranked);
     let report = outlier_report(&ranked, &result);
     println!(
         "{} approximate dependencies contribute outlier evidence (ε = {epsilon})",

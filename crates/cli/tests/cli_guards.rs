@@ -213,3 +213,33 @@ fn exact_is_epsilon_zero_for_validate_and_outliers() {
     assert!(stdout(&exact).contains("(ε = 0)"), "{}", stdout(&exact));
     assert_eq!(stdout(&exact), stdout(&zero));
 }
+
+/// `aod outliers` runs discovery with the options `discover` takes: a
+/// zero level cap and an unknown column are refused, and at ε = 0.3 on
+/// the employee table a level-2 cap leaves fewer contributing
+/// dependencies than the uncapped run.
+#[test]
+fn outliers_honours_the_discovery_options() {
+    for (extra, needle) in [
+        (&["--max-level", "0"][..], "must be at least 1"),
+        (&["--columns", "sal,nosuchcol"][..], "unknown column"),
+    ] {
+        let out = aod(&[&["outliers", employee_csv()], extra].concat());
+        assert!(!out.status.success(), "{extra:?} must fail");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{extra:?}: {err}");
+        assert!(!err.contains("panicked"), "{extra:?} panicked: {err}");
+    }
+    let contributing = |extra: &[&str]| {
+        let out = aod(&[&["outliers", employee_csv(), "--epsilon", "0.3"], extra].concat());
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let text = stdout(&out);
+        let count = text
+            .split_whitespace()
+            .next()
+            .and_then(|n| n.parse::<usize>().ok());
+        count.unwrap_or_else(|| panic!("{extra:?}: no count in {text}"))
+    };
+    let (capped, uncapped) = (contributing(&["--max-level", "2"]), contributing(&[]));
+    assert!(capped < uncapped, "capped {capped}, uncapped {uncapped}");
+}

@@ -139,7 +139,7 @@ impl DiscoveryBuilder {
     /// Worker threads per lattice level: `1` (the default) evaluates the
     /// level's nodes in order on the calling thread, `0` resolves to one
     /// worker per available core, `n > 1` runs up to `n` workers (never
-    /// more than the level has nodes or refinements). Every setting runs
+    /// more than the level has nodes or children). Every setting runs
     /// the same per-node evaluation and node-order merge, so all yield
     /// **bit-identical** events, dependency lists and statistics counters
     /// — see the determinism contract on [`DiscoverySession`] — and this
@@ -162,7 +162,7 @@ impl DiscoveryBuilder {
     }
 
     /// Attaches a gauge tracking the executor's outstanding per-level work
-    /// items (queue depth): each level's node batch and refinement batch
+    /// items (queue depth): each level's node batch and partition batch
     /// fill it and drain it to zero, at every thread count.
     pub fn queue_depth_gauge(mut self, gauge: aod_obs::Gauge) -> DiscoveryBuilder {
         self.settings.queue_gauge = Some(gauge);

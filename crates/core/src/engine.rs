@@ -252,7 +252,7 @@ pub struct DiscoverySession<'t> {
     cache: PartitionCache,
     frontier: Frontier,
     prune: PruneState,
-    /// Runs each level's node evaluation and partition refinements.
+    /// Runs each level's node evaluation and the next level's partitions.
     executor: Executor,
     /// The session's only time source (see "One clock" above).
     clock: Arc<dyn Clock>,
@@ -414,7 +414,7 @@ impl<'t> DiscoverySession<'t> {
             stop: None,
         };
 
-        let mut partition_us = 0u64;
+        let (mut partition_us, mut n_shared) = (0u64, 0usize);
         match stop {
             Some(reason) => {
                 match reason {
@@ -432,7 +432,7 @@ impl<'t> DiscoverySession<'t> {
                 } else {
                     // One bracket feeds both the stats timer and the span.
                     let t0 = self.clock.now_us();
-                    self.frontier.advance(
+                    n_shared = self.frontier.advance(
                         &self.table,
                         &self.prune_cfg,
                         &mut self.prune,
@@ -466,7 +466,7 @@ impl<'t> DiscoverySession<'t> {
             }
         }
         if let Some(trace) = self.trace.clone() {
-            self.record_level_trace(&trace, level, level_start, n_nodes, partition_us);
+            self.record_level_trace(&trace, level, level_start, n_nodes, partition_us, n_shared);
         }
         if self.finished.is_some() {
             // The session finished during this step (it was unfinished on
@@ -617,7 +617,10 @@ impl<'t> DiscoverySession<'t> {
     /// Recording order is parent-first and fully deterministic. A batch
     /// span carries its node and candidate count; an OC batch span also
     /// carries `inherited`, the candidates answered from an equal
-    /// sub-context partition without a backend call.
+    /// sub-context partition without a backend call. The `partitioning`
+    /// phase span carries `shared`, how many of the next level's
+    /// partitions were shared with a parent instead of refined (0 when the
+    /// level built none).
     fn record_level_trace(
         &mut self,
         trace: &TraceSink,
@@ -625,6 +628,7 @@ impl<'t> DiscoverySession<'t> {
         level_start: u64,
         n_nodes: usize,
         partition_us: u64,
+        n_shared: usize,
     ) {
         let level_id = span_id::level(level);
         let mut phase_spans = Vec::new();
@@ -634,6 +638,7 @@ impl<'t> DiscoverySession<'t> {
             let phase_id = span_id::phase(level, phase_idx);
             let phase_start = cursor;
             let mut phase_us = 0u64;
+            let mut args = vec![("level", level as u64)];
             match phase {
                 Phase::OcValidation | Phase::OfdValidation => {
                     let oc = matches!(phase, Phase::OcValidation);
@@ -667,7 +672,10 @@ impl<'t> DiscoverySession<'t> {
                         });
                     }
                 }
-                Phase::Partitioning => phase_us = partition_us,
+                Phase::Partitioning => {
+                    phase_us = partition_us;
+                    args.push(("shared", n_shared as u64));
+                }
             }
             phase_spans.push(Span {
                 id: phase_id,
@@ -677,7 +685,7 @@ impl<'t> DiscoverySession<'t> {
                 tid: 0,
                 start_us: phase_start,
                 dur_us: phase_us,
-                args: vec![("level", level as u64)],
+                args,
             });
             cursor = phase_start + phase_us;
         }
@@ -1148,8 +1156,8 @@ mod tests {
 
     /// `n_products` counts the partitions built to materialize each
     /// level: zero for the seeded level 1, `n_nodes` of level ℓ for ℓ ≥ 2
-    /// (every node is built by exactly one refinement), at every thread
-    /// count.
+    /// (every node counts once, whether its partition is refined or
+    /// shared with a parent), at every thread count.
     #[test]
     fn n_products_counts_materializing_products() {
         let t = employee();

@@ -5,19 +5,28 @@
 //! with its TANE RHS-candidate set `Cc⁺(X)`. Advancing it (a) drops *dead*
 //! nodes (see [`node_is_dead`]), (b) prefix-joins the
 //! survivors into level `ℓ+1`, (c) intersects the parents' `Cc⁺` sets, and
-//! (d) computes each child's partition by refining a cached parent on the
-//! one column it lacks — exactly the retention/generation tail of the
-//! paper's Figure 1 driver, factored out of the per-level candidate
-//! validation. Seeding and advancing also record every set whose partition
-//! equals a one-smaller subset's (see the `prune_state.rs` module docs).
+//! (d) computes each child's partition — exactly the retention/generation
+//! tail of the paper's Figure 1 driver, factored out of the per-level
+//! candidate validation. Seeding and advancing also record every set whose
+//! partition equals a one-smaller subset's, i.e. every set that is not
+//! free (see the `prune_state.rs` module docs).
+//!
+//! A child whose parents are all free is built by refining a cached parent
+//! on the one column it lacks. A child `S` with a parent `S∖c` that is not
+//! free needs no refinement: `Π_{S∖c} = Π_{S∖c∖C}` for some `C`, so
+//! `S∖c∖C → C`, hence `S∖C → C` and `Π_S = Π_{S∖C}`. That parent has as
+//! many classes as `S`, and every other parent at most as many, so the
+//! parent with the most classes *is* `Π_S`. The cache shares its
+//! allocation with the child, which is itself not free.
 
 use crate::candidates::oc_candidates;
 use crate::config::PruneConfig;
 use crate::prune_state::PruneState;
 use crate::stats::DiscoveryStats;
 use aod_exec::Executor;
-use aod_partition::{prefix_join, AttrSet, AttrSetMap, PartitionCache, RefineScratch};
+use aod_partition::{prefix_join, AttrSet, AttrSetMap, Partition, PartitionCache, RefineScratch};
 use aod_table::RankedTable;
+use std::cmp::Reverse;
 
 /// A lattice node: the attribute set plus its TANE RHS-candidate set.
 #[derive(Debug, Clone, Copy)]
@@ -73,18 +82,23 @@ impl Frontier {
     }
 
     /// Replaces the frontier with the next lattice level: retention (node
-    /// deletion), prefix join, `Cc⁺` intersection and partition
-    /// refinement. Evicts cached partitions below level `ℓ−1` afterwards
-    /// so peak memory stays at two lattice levels.
+    /// deletion), prefix join, `Cc⁺` intersection and partitions. Evicts
+    /// cached partitions below level `ℓ−1` afterwards so peak memory stays
+    /// at two lattice levels. Returns how many children share a parent's
+    /// partition.
     ///
-    /// Each child `X` refines its cached `ℓ`-subset `X∖{c}` with the
-    /// fewest grouped rows (ties go to the lowest `c`) on column `c`, and
-    /// is recorded as not free when some subset `X∖{c}` has as many
-    /// classes as `X`. The refinements run on the executor, whose workers
-    /// borrow the cache read-only and own one [`RefineScratch`] each; the
-    /// partitions are inserted in child order once the map returns, so the
-    /// cache contents and counts do not depend on the worker count. The
-    /// caller times the call (the `partitioning` phase).
+    /// A child `X` with a parent recorded as not free shares its parent
+    /// with the most classes (ties go to the lowest `c` of `X∖{c}`; see
+    /// the module docs) and is recorded as not free. Every other child
+    /// refines its cached `ℓ`-subset `X∖{c}` with the fewest grouped rows
+    /// (ties go to the lowest `c`) on column `c`, and is recorded as not
+    /// free when some subset `X∖{c}` has as many classes as `X`. The
+    /// decisions and refinements run on the executor, whose workers borrow
+    /// the cache and the pruning state read-only and own one
+    /// [`RefineScratch`] each; the partitions are cached in child order
+    /// once the map returns, so the cache contents and counts do not
+    /// depend on the worker count. Shared or refined, each child counts as
+    /// one product. The caller times the call (the `partitioning` phase).
     pub fn advance(
         &mut self,
         table: &RankedTable,
@@ -93,7 +107,7 @@ impl Frontier {
         cache: &mut PartitionCache,
         stats: &mut DiscoveryStats,
         exec: &Executor,
-    ) {
+    ) -> usize {
         let retained: Vec<AttrSet> = self
             .nodes
             .iter()
@@ -120,36 +134,66 @@ impl Frontier {
             stats.level_mut(self.level + 1).n_products += next.len();
         }
 
-        let parents: &PartitionCache = cache;
-        let partitions =
-            exec.par_map_with_state(RefineScratch::default, &next, |scratch, _, node| {
-                let parent = |c| parents.get(node.set.without(c)).expect("subset is cached");
-                let c = node
+        let (parents, recorded): (&PartitionCache, &PruneState) = (cache, prune);
+        let built = exec.par_map_with_state(RefineScratch::default, &next, |scratch, _, node| {
+            let parent = |c| parents.get(node.set.without(c)).expect("subset is cached");
+            if node
+                .set
+                .iter()
+                .any(|c| recorded.is_non_free(node.set.without(c)))
+            {
+                let richest = node
                     .set
                     .iter()
-                    .min_by_key(|&c| parent(c).n_grouped_rows())
+                    .min_by_key(|&c| Reverse(parent(c).n_classes_unstripped()))
                     .expect("a child has two or more columns");
-                let col = table.column(c);
-                let partition = parent(c).refine(col.ranks(), col.n_distinct(), scratch);
-                let n_classes = partition.n_classes_unstripped();
-                let free = node
-                    .set
-                    .iter()
-                    .all(|d| parent(d).n_classes_unstripped() < n_classes);
-                (partition, free)
-            });
-        for (node, (partition, free)) in next.iter().zip(partitions) {
-            if !free {
-                prune.record_non_free(node.set);
+                return Built::Shared(node.set.without(richest));
             }
-            cache.insert(node.set, partition);
+            let c = node
+                .set
+                .iter()
+                .min_by_key(|&c| parent(c).n_grouped_rows())
+                .expect("a child has two or more columns");
+            let col = table.column(c);
+            let partition = parent(c).refine(col.ranks(), col.n_distinct(), scratch);
+            let n_classes = partition.n_classes_unstripped();
+            let free = node
+                .set
+                .iter()
+                .all(|d| parent(d).n_classes_unstripped() < n_classes);
+            Built::Refined(partition, free)
+        });
+        let mut n_shared = 0;
+        for (node, built) in next.iter().zip(built) {
+            match built {
+                Built::Shared(from) => {
+                    n_shared += 1;
+                    prune.record_non_free(node.set);
+                    cache.share(node.set, from);
+                }
+                Built::Refined(partition, free) => {
+                    if !free {
+                        prune.record_non_free(node.set);
+                    }
+                    cache.insert(node.set, partition);
+                }
+            }
         }
 
         // Keep levels ℓ-1 (contexts at level ℓ+1), ℓ (parents) and ℓ+1.
         cache.retain_min_level(self.level.saturating_sub(1));
         self.nodes = next;
         self.level += 1;
+        n_shared
     }
+}
+
+/// How [`Frontier::advance`] built one child's partition.
+enum Built {
+    /// Equal to the cached partition of this parent, which it shares.
+    Shared(AttrSet),
+    /// Refined from a parent; `true` when the child is free.
+    Refined(Partition, bool),
 }
 
 /// A node is dead when it can produce no further OFD candidates (empty
@@ -181,8 +225,51 @@ fn node_is_dead(node: &Node, cache: &PartitionCache) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aod_partition::Partition;
     use aod_table::{employee_table, RankedTable};
+    use proptest::prelude::*;
+
+    /// A partition's classes, sorted: equal for equal partitions whatever
+    /// order they were built in.
+    fn sorted_classes(p: &Partition) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = p.classes().map(<[u32]>::to_vec).collect();
+        classes.sort_unstable();
+        classes
+    }
+
+    /// Checks the cache after an advance: every cached partition has the
+    /// classes of `for_attrs`, and every node of the new level with a
+    /// parent recorded as not free shares one of its parents' partitions.
+    /// Returns how many nodes share.
+    fn check_cache(
+        t: &RankedTable,
+        f: &Frontier,
+        cache: &PartitionCache,
+        prune: &PruneState,
+    ) -> usize {
+        for set in cache.cached_sets() {
+            assert_eq!(
+                sorted_classes(cache.get(set).expect("listed set is cached")),
+                sorted_classes(&Partition::for_attrs(t, set.iter())),
+                "{set}"
+            );
+        }
+        let mut n_shared = 0;
+        for node in &f.nodes {
+            let parents: Vec<AttrSet> = node.set.iter().map(|c| node.set.without(c)).collect();
+            if parents.iter().any(|&p| prune.is_non_free(p)) {
+                let partition = cache.get(node.set).expect("node is cached");
+                assert!(
+                    parents
+                        .iter()
+                        .any(|&p| std::ptr::eq(partition, cache.get(p).expect("parent is cached"))),
+                    "{} refined a copy of a parent's partition",
+                    node.set
+                );
+                n_shared += 1;
+            }
+        }
+        n_shared
+    }
 
     #[test]
     fn seed_covers_scope_only() {
@@ -238,7 +325,7 @@ mod tests {
         let mut four_f = Frontier::seed(&t, scope, &mut four_cache, &mut four_prune);
         let (mut one_stats, mut four_stats) =
             (DiscoveryStats::default(), DiscoveryStats::default());
-        let mut n_non_free = 0;
+        let (mut n_non_free, mut n_shared) = (0, 0);
         for _ in 0..3 {
             for (f, cache, prune, stats, exec) in [
                 (
@@ -256,7 +343,9 @@ mod tests {
                     &four,
                 ),
             ] {
-                f.advance(&t, &PruneConfig::default(), prune, cache, stats, exec);
+                let shared = f.advance(&t, &PruneConfig::default(), prune, cache, stats, exec);
+                assert_eq!(check_cache(&t, f, cache, prune), shared);
+                n_shared += shared;
             }
             assert_eq!(four_f.level, one_f.level);
             assert_eq!(four_f.nodes.len(), one_f.nodes.len());
@@ -282,6 +371,50 @@ mod tests {
             }
         }
         assert!(n_non_free > 0, "employee has sets that are not free");
+        assert!(
+            n_shared > 0,
+            "employee has children of sets that are not free"
+        );
+    }
+
+    /// A rank column of `n` rows: all equal, all distinct, three values or
+    /// up to forty. Equal and few-valued columns make many FDs, so many
+    /// sets that are not free.
+    fn column(n: usize) -> impl Strategy<Value = Vec<u32>> {
+        (0u32..4, proptest::collection::vec(0u32..40, n)).prop_map(move |(kind, v)| match kind {
+            0 => vec![0; n],
+            1 => (0..n as u32).map(|i| i * 7919 % n as u32).collect(),
+            2 => v.iter().map(|x| x % 3).collect(),
+            _ => v,
+        })
+    }
+
+    fn table() -> impl Strategy<Value = RankedTable> {
+        (0usize..=200, 3usize..=6)
+            .prop_flat_map(|(n, k)| proptest::collection::vec(column(n), k))
+            .prop_map(RankedTable::from_u32_columns)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over the whole lattice, every cached partition is right and
+        /// every child of a set that is not free shares a parent's.
+        #[test]
+        fn every_level_caches_right_and_shared_partitions(t in table()) {
+            let scope = AttrSet::full(t.n_cols());
+            let mut cache = PartitionCache::new();
+            let mut prune = PruneState::new(t.n_cols());
+            let mut f = Frontier::seed(&t, scope, &mut cache, &mut prune);
+            let mut stats = DiscoveryStats::default();
+            let exec = Executor::new(1);
+            check_cache(&t, &f, &cache, &prune);
+            while !f.is_empty() {
+                let shared =
+                    f.advance(&t, &PruneConfig::default(), &mut prune, &mut cache, &mut stats, &exec);
+                prop_assert_eq!(check_cache(&t, &f, &cache, &prune), shared);
+            }
+        }
     }
 
     /// Below two rows `Π_∅` is a key, so a pair node with an empty `Cc⁺`

@@ -25,8 +25,14 @@
 //! `|Π_{S∖c}| < |Π_S|` for every `c ∈ S`. Otherwise `S∖C → C` holds
 //! exactly for some `C ∈ S`, and since `Π_S` refines `Π_{S∖C}`, the two
 //! partitions are equal. `Frontier::seed` compares each singleton with
-//! `Π_∅`, and `Frontier::advance` compares each child with its parents,
-//! when the partition is built.
+//! `Π_∅`, and `Frontier::advance` compares each child it refines with its
+//! parents, when the partition is built.
+//!
+//! The record also drives sharing. Every superset of a set that is not
+//! free is not free either, so `Frontier::advance` reads the record before
+//! building a child: a child with a parent that is not free gets no
+//! refinement, shares the cached partition of the parent it equals, and is
+//! recorded in turn (see the `frontier.rs` module docs).
 //!
 //! An OC candidate `Y: A ~ B` that survives R2–R4 and whose context `Y`
 //! is not free is invalid, and the engine reports it so without calling

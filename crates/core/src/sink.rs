@@ -32,7 +32,8 @@ pub enum Phase {
     OcValidation,
     /// OFD validation (class-count / removal checks).
     OfdValidation,
-    /// Partition refinement in `Frontier::advance`.
+    /// Building the next level's partitions in `Frontier::advance`:
+    /// refined, or shared with a parent.
     Partitioning,
 }
 

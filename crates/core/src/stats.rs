@@ -26,10 +26,13 @@ pub struct LevelStats {
     pub n_ofd_candidates: usize,
     /// Valid OFDs found.
     pub n_ofd_found: usize,
-    /// Partitions built (one refinement each) to *materialize* this level
-    /// (the `Frontier::advance` work that built its nodes). Level 1 is
-    /// seeded from single columns, so its count is 0. Deterministic
-    /// across thread counts, like every other counter here.
+    /// Partitions built to *materialize* this level (the
+    /// `Frontier::advance` work that built its nodes), one per node: a
+    /// node whose partition is shared with a parent counts as well as one
+    /// that is refined. The previous level's `partitioning` trace span
+    /// carries the shared part as its `shared` arg. Level 1 is seeded from
+    /// single columns, so its count is 0. Deterministic across thread
+    /// counts, like every other counter here.
     pub n_products: usize,
 }
 
@@ -51,8 +54,9 @@ pub struct DiscoveryStats {
     /// Time in the OFD section of each fully processed node (summed
     /// across workers, like `oc_validation`).
     pub ofd_validation: Duration,
-    /// Time advancing the frontier: retention, prefix join and partition
-    /// refinement, one bracket per level.
+    /// Time advancing the frontier: retention, prefix join and building
+    /// partitions (refined, or shared with a parent), one bracket per
+    /// level.
     pub partitioning: Duration,
     /// Per-level counters, index 0 = level 1.
     pub per_level: Vec<LevelStats>,
@@ -98,9 +102,11 @@ impl DiscoveryStats {
         self.per_level.iter().map(|l| l.n_ofd_found).sum()
     }
 
-    /// Total partitions built across all `Frontier::advance` calls (one
-    /// refinement per node of level 2 and up) — the denominator of the paper's "partitioning is cheap
-    /// relative to validation" claim, now exposed as a counter.
+    /// Total partitions built across all `Frontier::advance` calls, one
+    /// per node of level 2 and up, whether shared with a parent or refined
+    /// (the `partitioning` trace spans' `shared` args give the split) —
+    /// the denominator of the paper's "partitioning is cheap relative to
+    /// validation" claim, exposed as a counter.
     pub fn n_partition_products(&self) -> usize {
         self.per_level.iter().map(|l| l.n_products).sum()
     }

@@ -3,7 +3,8 @@
 //! The level-wise discovery driver needs, while processing lattice level `ℓ`:
 //!
 //! * `Π_X` for each level-`ℓ` node `X` (a cached level-`ℓ−1` subset
-//!   refined on the one column it lacks),
+//!   refined on the one column it lacks, or the partition of a subset it
+//!   equals, shared),
 //! * `Π_{X\{A,B}}` (level `ℓ−2`) as the *context* partition for OC
 //!   candidates at node `X`.
 //!
@@ -16,15 +17,22 @@
 //! [`std::thread::scope`], so workers can borrow the map the driver owns
 //! — and the driver inserts the next level's partitions once the map has
 //! returned.
+//!
+//! Entries can be shared: [`PartitionCache::share`] caches a set under the
+//! same allocation as a set already cached, for a set whose partition is
+//! known to equal that one's. Eviction then drops one reference, and the
+//! partition lives while any set still names it. Readers only ever see
+//! `&Partition`.
 
 use crate::attrset::{AttrSet, AttrSetMap};
 use crate::stripped::{Partition, RefineScratch};
 use aod_table::RankedTable;
+use std::sync::Arc;
 
 /// Cache of `AttrSet → Partition` with level-based eviction.
 #[derive(Debug, Default)]
 pub struct PartitionCache {
-    map: AttrSetMap<Partition>,
+    map: AttrSetMap<Arc<Partition>>,
     scratch: RefineScratch,
 }
 
@@ -36,13 +44,22 @@ impl PartitionCache {
 
     /// Looks up a cached partition.
     pub fn get(&self, set: AttrSet) -> Option<&Partition> {
-        self.map.get(&set)
+        self.map.get(&set).map(|p| &**p)
     }
 
     /// Inserts a partition computed elsewhere. A set already cached is left
     /// untouched — a partition's classes are canonical per attribute set
     /// (only their order depends on how it was built).
     pub fn insert(&mut self, set: AttrSet, partition: Partition) {
+        self.map.entry(set).or_insert_with(|| Arc::new(partition));
+    }
+
+    /// Caches `set` under the partition of `from`, which must be cached,
+    /// without copying it: the caller knows `Π_set = Π_from`. The shared
+    /// partition keeps the class order it was built with. A set already
+    /// cached is left untouched, as with [`insert`](Self::insert).
+    pub fn share(&mut self, set: AttrSet, from: AttrSet) {
+        let partition = Arc::clone(&self.map[&from]);
         self.map.entry(set).or_insert(partition);
     }
 
@@ -61,12 +78,13 @@ impl PartitionCache {
                     self.map[&rest].refine(col.ranks(), col.n_distinct(), &mut self.scratch)
                 }
             };
-            self.map.insert(set, partition);
+            self.map.insert(set, Arc::new(partition));
         }
         &self.map[&set]
     }
 
-    /// Drops all cached partitions of level `< min_level`.
+    /// Drops all cached partitions of level `< min_level`. A partition
+    /// shared with a set that stays is kept for that set.
     pub fn retain_min_level(&mut self, min_level: usize) {
         // aod-lint: allow(D1) -- retain by per-key predicate, order-insensitive
         self.map.retain(|set, _| set.len() >= min_level);
@@ -149,6 +167,23 @@ mod tests {
         // And levels below the window are really gone (peak = 2 levels + frontier).
         assert!(cache.get(AttrSet::EMPTY).is_none());
         assert!(cache.get(AttrSet::singleton(0)).is_none());
+    }
+
+    #[test]
+    fn shared_entries_outlive_the_set_they_came_from() {
+        // Column 1 is a function of column 0, so Π_{0,1} = Π_0.
+        let r = RankedTable::from_u32_columns(vec![vec![0, 0, 1, 1, 2], vec![5, 5, 6, 6, 7]]);
+        let mut cache = PartitionCache::new();
+        let (from, set) = (AttrSet::singleton(0), AttrSet::from_attrs([0, 1]));
+        cache.ensure(&r, from);
+        cache.share(set, from);
+        assert!(std::ptr::eq(
+            cache.get(set).unwrap(),
+            cache.get(from).unwrap()
+        ));
+        cache.retain_min_level(2);
+        assert!(cache.get(from).is_none());
+        assert_eq!(cache.get(set), Some(&Partition::for_attrs(&r, [0, 1])));
     }
 
     #[test]

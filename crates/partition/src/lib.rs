@@ -9,7 +9,8 @@
 //!   class on one more column in linear time; plus FD/key error measures.
 //! * [`PartitionCache`] — level-aware cache with eviction so discovery holds
 //!   at most two lattice levels of partitions in memory: one map, which a
-//!   level's scoped workers borrow read-only.
+//!   level's scoped workers borrow read-only. Sets with equal partitions
+//!   can share one allocation.
 //!
 //! ```
 //! use aod_partition::{AttrSet, Partition};

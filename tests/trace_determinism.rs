@@ -100,15 +100,17 @@ fn chrome_export_self_parses_with_the_expected_shape() {
 
 /// OC candidate-batch spans carry `inherited`, the node's candidates
 /// answered from an equal sub-context partition without a backend call;
-/// OFD batch spans carry no such count. On employee at ε = 0 the rule
-/// fires, and the export stays byte-identical across threads {1, 4}.
+/// OFD batch spans carry no such count. `partitioning` phase spans carry
+/// `shared`, the partitions of the next level shared with a parent, at
+/// most that level's `n_products`. On employee at ε = 0 both fire, and
+/// the export stays byte-identical across threads {1, 4}.
 #[test]
 fn oc_batch_spans_count_inherited_candidates() {
     let ranked = RankedTable::from_table(&employee_table());
     let mut exports = Vec::new();
     for threads in [1usize, 4] {
         let sink = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
-        DiscoveryBuilder::new()
+        let result = DiscoveryBuilder::new()
             .exact()
             .parallelism(threads)
             .trace_sink(Arc::clone(&sink))
@@ -132,6 +134,18 @@ fn oc_batch_spans_count_inherited_candidates() {
             }
         }
         assert!(inherited > 0, "the rule never fired at {threads} threads");
+        let mut shared = 0;
+        for span in spans.iter().filter(|s| s.name == "partitioning") {
+            let (level, k) = (arg(span, "level").unwrap(), arg(span, "shared").unwrap());
+            // Level ℓ's partitioning builds level ℓ + 1, at index ℓ.
+            let built = result.stats.per_level.get(level as usize);
+            assert!(
+                k as usize <= built.map_or(0, |l| l.n_products),
+                "level {level}"
+            );
+            shared += k;
+        }
+        assert!(shared > 0, "no partition was shared at {threads} threads");
         exports.push(chrome_trace(&spans));
     }
     assert_eq!(exports[0], exports[1]);
