@@ -17,7 +17,9 @@
 //! implied candidates. Without R2 the engine also sends the backend the
 //! candidates it otherwise answers from an equal sub-context partition
 //! (a context whose partition equals a one-smaller context's): that
-//! answer relies on R2 pruning every OC found one level down.
+//! answer relies on R2 pruning every OC found one level down. The
+//! class-count bound, which rejects a candidate without a backend call,
+//! runs under every `PruneConfig`, so no variant here turns it off.
 //!
 //! Usage: `cargo run --release -p aod-bench --bin ablation [--rows 10000]
 //!         [--epsilon 0.1] [--max-level 6]`

@@ -30,6 +30,7 @@ use aod_partition::Partition;
 use aod_table::csv::{read_path, write_path, CsvOptions};
 use aod_table::{employee_table, RankedTable, Table};
 use aod_validate::{removal_budget, OcValidator};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 mod args;
@@ -93,11 +94,47 @@ OPTIONS:
                     exit (scripts and CI)
 ";
 
+/// Why a command failed.
+enum Error {
+    /// A bad argument or input, reported with the usage text.
+    Usage(String),
+    /// Writing the report to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for Error {
+    fn from(message: String) -> Error {
+        Error::Usage(message)
+    }
+}
+
+impl From<&str> for Error {
+    fn from(message: &str) -> Error {
+        Error::Usage(message.to_string())
+    }
+}
+
+impl From<std::io::Error> for Error {
+    fn from(e: std::io::Error) -> Error {
+        Error::Output(e)
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    // Every report goes through this one handle, so a failed write is an
+    // error value instead of `println!`'s panic.
+    let mut out = std::io::stdout().lock();
+    match run(&argv, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader closed stdout early (`aod discover … | head`): it has
+        // all the output it wants.
+        Err(Error::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Error::Output(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Error::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprint!("{USAGE}");
@@ -106,20 +143,17 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
+fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
     let args = Args::parse(argv)?;
     match args.command.as_str() {
-        "discover" => cmd_discover(&args),
-        "validate" => cmd_validate(&args),
-        "generate" => cmd_generate(&args),
-        "outliers" => cmd_outliers(&args),
+        "discover" => cmd_discover(&args, out),
+        "validate" => cmd_validate(&args, out),
+        "generate" => cmd_generate(&args, out),
+        "outliers" => cmd_outliers(&args, out),
         "serve" => cmd_serve(&args),
-        "monitor" => cmd_monitor(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
+        "monitor" => cmd_monitor(&args, out),
+        "help" | "--help" | "-h" => Ok(write!(out, "{USAGE}")?),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
@@ -210,7 +244,7 @@ fn discovery_builder(args: &Args, table: &Table) -> Result<DiscoveryBuilder, Str
     Ok(builder)
 }
 
-fn cmd_discover(args: &Args) -> Result<(), String> {
+fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let table = load_table(args)?;
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
@@ -262,16 +296,18 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
     let top = args.int("top")?.unwrap_or(usize::MAX);
 
     if result.is_partial() {
-        println!(
+        writeln!(
+            out,
             "note: partial results ({})",
             if result.stats.timed_out {
                 "wall-clock budget exceeded"
             } else {
                 "stopped early"
             }
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{} rows × {} columns; mode: {}; found {} OCs, {} OFDs in {:.3}s \
          ({:.1}% of {} in OC validation)",
         table.n_rows(),
@@ -292,15 +328,15 @@ fn cmd_discover(args: &Args) -> Result<(), String> {
         } else {
             "time"
         },
-    );
-    println!("\norder compatibilities (most interesting first):");
+    )?;
+    writeln!(out, "\norder compatibilities (most interesting first):")?;
     for dep in result.ranked_ocs().into_iter().take(top) {
-        println!("  {}", dep.display(&names));
+        writeln!(out, "  {}", dep.display(&names))?;
     }
     if args.flag("ofds") {
-        println!("\norder functional dependencies:");
+        writeln!(out, "\norder functional dependencies:")?;
         for dep in result.ranked_ofds().into_iter().take(top) {
-            println!("  {}", dep.display(&names));
+            writeln!(out, "  {}", dep.display(&names))?;
         }
     }
     Ok(())
@@ -387,7 +423,7 @@ fn run_with_progress(
     session.into_result()
 }
 
-fn cmd_validate(args: &Args) -> Result<(), String> {
+fn cmd_validate(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let table = load_table(args)?;
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
@@ -424,7 +460,8 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
     };
     let kind = if args.flag("od") { "OD" } else { "OC" };
     let rel = if args.flag("od") { "|->" } else { "~" };
-    println!(
+    writeln!(
+        out,
         "{kind} {}: {} {rel} {}  removal set size {} / {} rows  (e = {:.4}, budget {budget})  => {}",
         context.display_with(&table.schema().names()),
         a_name.trim(),
@@ -433,7 +470,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
         table.n_rows(),
         removal.len() as f64 / table.n_rows().max(1) as f64,
         if removal.len() <= budget { "VALID" } else { "INVALID" },
-    );
+    )?;
     if args.flag("show-removals") {
         for &row in &removal {
             let values: Vec<String> = table
@@ -441,7 +478,7 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
                 .iter()
                 .map(ToString::to_string)
                 .collect();
-            println!("  row {:>6}: {}", row, values.join(", "));
+            writeln!(out, "  row {:>6}: {}", row, values.join(", "))?;
         }
     }
     Ok(())
@@ -449,23 +486,25 @@ fn cmd_validate(args: &Args) -> Result<(), String> {
 
 /// Figure 1's downstream stage: flag rows that discovered approximate
 /// dependencies mark as exceptions, ranked by evidence count.
-fn cmd_outliers(args: &Args) -> Result<(), String> {
+fn cmd_outliers(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let table = load_table(args)?;
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
     let top = args.int("top")?.unwrap_or(20);
     let result = discovery_builder(args, &table)?.run(&ranked);
     let report = outlier_report(&ranked, &result);
-    println!(
+    writeln!(
+        out,
         "{} approximate dependencies contribute outlier evidence (ε = {epsilon})",
         report.n_contributing
-    );
+    )?;
     for (row, score) in report.top(top) {
         let values: Vec<String> = table.row(row).iter().map(ToString::to_string).collect();
-        println!(
+        writeln!(
+            out,
             "  row {row:>6} flagged by {score:>3} deps: {}",
             values.join(", ")
-        );
+        )?;
     }
     Ok(())
 }
@@ -473,7 +512,7 @@ fn cmd_outliers(args: &Args) -> Result<(), String> {
 /// `aod serve`: run the resident HTTP discovery service. Positional CSV
 /// paths are pre-registered as datasets (named by file stem); everything
 /// else is registered over the API. Blocks until `POST /shutdown`.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), Error> {
     let port = args.int("port")?.unwrap_or(7171);
     let port =
         u16::try_from(port).map_err(|_| format!("--port: `{port}` is not a valid TCP port"))?;
@@ -481,7 +520,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let threads = args.int("threads")?.unwrap_or(2);
     let max_jobs = args.int("max-jobs")?.unwrap_or(4);
     if max_jobs == 0 {
-        return Err("--max-jobs must be at least 1".to_string());
+        return Err("--max-jobs must be at least 1".into());
     }
     let config = aod_serve::ServeConfig {
         bind,
@@ -514,7 +553,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "aod-serve listening on http://{addr} (max {max_jobs} concurrent jobs; \
          POST /shutdown to stop)"
     );
-    server.run().map_err(|e| e.to_string())
+    server.run().map_err(|e| e.to_string().into())
 }
 
 /// `aod monitor <host:port>`: a live text dashboard over a running
@@ -528,7 +567,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// no privileged access. Elapsed time between scrapes comes from the
 /// injectable [`aod_obs::Clock`] family, like every other timing in the
 /// observability layer.
-fn cmd_monitor(args: &Args) -> Result<(), String> {
+fn cmd_monitor(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     use aod_obs::Clock;
     use std::net::ToSocketAddrs;
     let target = args
@@ -565,7 +604,7 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
             Err(_) if clock.now_us() < 10_000_000 => {
                 std::thread::sleep(std::time::Duration::from_millis(250));
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     };
     let mut prev_us = clock.now_us();
@@ -573,7 +612,7 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
         std::thread::sleep(std::time::Duration::from_secs(interval));
         let current = scrape()?;
         let now_us = clock.now_us();
-        render_monitor_frame(&prev, &current, now_us.saturating_sub(prev_us).max(1));
+        render_monitor_frame(out, &prev, &current, now_us.saturating_sub(prev_us).max(1))?;
         prev = current;
         prev_us = now_us;
         if once {
@@ -583,7 +622,12 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
 }
 
 /// One monitor frame: the delta between two scrapes over `elapsed_us`.
-fn render_monitor_frame(prev: &aod_obs::Scrape, current: &aod_obs::Scrape, elapsed_us: u64) {
+fn render_monitor_frame(
+    out: &mut dyn Write,
+    prev: &aod_obs::Scrape,
+    current: &aod_obs::Scrape,
+    elapsed_us: u64,
+) -> std::io::Result<()> {
     // Per-dataset series fold into one figure; a job's phase histograms
     // carry `{dataset=...,phase=...}` so the phase split filters on the
     // phase label across all datasets.
@@ -607,7 +651,8 @@ fn render_monitor_frame(prev: &aod_obs::Scrape, current: &aod_obs::Scrape, elaps
     let rate = candidates.max(0.0) * 1e6 / elapsed_us as f64;
     let split = Phase::ALL.map(|p| (phase_sum(current, p) - phase_sum(prev, p)).max(0.0));
     let split_total = split.iter().sum::<f64>().max(1.0);
-    println!(
+    writeln!(
+        out,
         "jobs {:>2} | queue {:>4} | {:>7.0} cand/s | oc {:>2.0}% ofd {:>2.0}% part {:>2.0}%",
         jobs_running,
         queue_depth,
@@ -615,10 +660,10 @@ fn render_monitor_frame(prev: &aod_obs::Scrape, current: &aod_obs::Scrape, elaps
         100.0 * split[0] / split_total,
         100.0 * split[1] / split_total,
         100.0 * split[2] / split_total,
-    );
+    )
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let which = args.positional.first().ok_or("missing dataset name")?;
     let rows = args.int("rows")?.unwrap_or(1000);
     let seed = args.int("seed")?.unwrap_or(42) as u64;
@@ -626,29 +671,27 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "flight" => flight::flight(seed).table(rows),
         "ncvoter" => ncvoter::ncvoter(seed).table(rows),
         "employee" => employee_table(),
-        other => {
-            return Err(format!(
-                "unknown dataset `{other}` (flight|ncvoter|employee)"
-            ))
-        }
+        other => return Err(format!("unknown dataset `{other}` (flight|ncvoter|employee)").into()),
     };
     match args.value("out") {
         Some(path) => {
             write_path(&table, path, &CsvOptions::default())
                 .map_err(|e| format!("writing `{path}`: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "wrote {} rows × {} columns to {path}",
                 table.n_rows(),
                 table.n_cols()
-            );
+            )?;
         }
         None => {
-            println!(
+            writeln!(
+                out,
                 "generated {} rows × {} columns (pass --out FILE to save)",
                 table.n_rows(),
                 table.n_cols()
-            );
-            println!("columns: {}", table.schema().names().join(", "));
+            )?;
+            writeln!(out, "columns: {}", table.schema().names().join(", "))?;
         }
     }
     Ok(())

@@ -243,3 +243,31 @@ fn outliers_honours_the_discovery_options() {
     let (capped, uncapped) = (contributing(&["--max-level", "2"]), contributing(&[]));
     assert!(capped < uncapped, "capped {capped}, uncapped {uncapped}");
 }
+
+/// A reader that closes stdout early (`aod discover … | head`) ends the
+/// output: the binary exits 0 with nothing on stderr instead of panicking
+/// on "Broken pipe". The employee CSV arrives on stdin only after the
+/// pipe's read end is dropped, so no write can reach the pipe before it
+/// closes.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aod"))
+        .args(["discover", "/dev/stdin", "--epsilon", "0.15", "--ofds"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn aod");
+    drop(child.stdout.take());
+    let csv = std::fs::read(employee_csv()).expect("read the employee CSV");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(&csv).expect("send the CSV");
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for aod");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(err.is_empty(), "{err}");
+}

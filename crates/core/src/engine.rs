@@ -218,6 +218,8 @@ struct NodeTrace {
     n_oc: usize,
     /// OC candidates answered from an equal sub-context partition.
     n_inherited: usize,
+    /// OC candidates answered as invalid from four cached class counts.
+    n_bounded: usize,
 }
 
 /// A resumable, observable discovery run over one table.
@@ -596,6 +598,7 @@ impl<'t> DiscoverySession<'t> {
                     n_ofd,
                     n_oc,
                     n_inherited: eval.n_inherited,
+                    n_bounded: eval.n_bounded,
                 });
             }
         }
@@ -617,10 +620,11 @@ impl<'t> DiscoverySession<'t> {
     /// Recording order is parent-first and fully deterministic. A batch
     /// span carries its node and candidate count; an OC batch span also
     /// carries `inherited`, the candidates answered from an equal
-    /// sub-context partition without a backend call. The `partitioning`
-    /// phase span carries `shared`, how many of the next level's
-    /// partitions were shared with a parent instead of refined (0 when the
-    /// level built none).
+    /// sub-context partition without a backend call, and `bounded`, those
+    /// answered as invalid from four cached class counts without one. The
+    /// `partitioning` phase span carries `shared`, how many of the next
+    /// level's partitions were shared with a parent instead of refined (0
+    /// when the level built none).
     fn record_level_trace(
         &mut self,
         trace: &TraceSink,
@@ -659,6 +663,7 @@ impl<'t> DiscoverySession<'t> {
                         ];
                         if oc {
                             args.push(("inherited", entry.n_inherited as u64));
+                            args.push(("bounded", entry.n_bounded as u64));
                         }
                         batch_spans.push(Span {
                             id: span_id::batch(level, entry.node, phase_idx),
@@ -1080,19 +1085,22 @@ mod tests {
         }
     }
 
-    /// Every OC candidate the engine answers from an equal sub-context
-    /// partition (it survives R2–R4 and its context is not free) is one
-    /// that both built-in validators reject at the session budget. The
-    /// candidates are taken from the frontier, cache and pruning state
-    /// before each step, which is what that step's nodes read; their count
-    /// must equal the `inherited` args of the OC batch spans, and the rule
-    /// must fire on each input (employee at ε = 0.15 answers none: R2 and
-    /// R3 take those candidates first).
+    /// Every OC candidate the engine answers without a backend call is
+    /// one that both built-in validators reject at the session budget:
+    /// those answered from an equal sub-context partition (they survive
+    /// R2–R4 and their context is not free) and those the class-count
+    /// bound answers (they survive that check too, and their bound exceeds
+    /// the budget). The candidates are taken from the frontier, cache and
+    /// pruning state before each step, which is what that step's nodes
+    /// read; their counts must equal the `inherited` and `bounded` args of
+    /// the OC batch spans. The first rule must fire on each input
+    /// (employee at ε = 0.15 answers none: R2 and R3 take those candidates
+    /// first), the bound on flight.
     #[test]
     fn non_free_contexts_answer_only_rejected_candidates() {
         use crate::candidates::oc_candidates;
         use aod_obs::ManualClock;
-        use aod_validate::OcValidator;
+        use aod_validate::{oc_removal_lower_bound, OcValidator};
 
         let flight = aod_datagen::flight::flight(7).table(2000);
         let flight =
@@ -1101,7 +1109,7 @@ mod tests {
             ("employee", employee(), [0.0, 0.15]),
             ("flight", flight, [0.0, 0.1]),
         ] {
-            let mut fired = 0usize;
+            let (mut fired, mut bound_fired) = (0usize, 0usize);
             for epsilon in epsilons {
                 let trace = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
                 let mut session = DiscoveryBuilder::new()
@@ -1110,25 +1118,37 @@ mod tests {
                     .record_events(false)
                     .build(&t);
                 let mut validator = OcValidator::new();
-                let mut answered = 0usize;
+                let (mut answered, mut bounded) = (0usize, 0usize);
                 loop {
                     let (prune, table, budget) = (&session.prune, &session.table, session.budget);
-                    for cand in session
+                    let cached = |set| session.cache.get(set).expect("subset is cached");
+                    for (node, cand) in session
                         .frontier
                         .nodes
                         .iter()
-                        .flat_map(|n| oc_candidates(n.set))
+                        .flat_map(|n| oc_candidates(n.set).into_iter().map(move |c| (n.set, c)))
                     {
                         let (a, b, ctx) = (cand.a, cand.b, cand.context);
-                        let part = session.cache.get(ctx).expect("context is cached");
+                        let part = cached(ctx);
                         if prune.oc_implied(a, b, ctx)
                             || prune.constancy_implied(a, b, ctx)
                             || part.is_key()
-                            || !prune.is_non_free(ctx)
                         {
                             continue;
                         }
-                        answered += 1;
+                        if prune.is_non_free(ctx) {
+                            answered += 1;
+                        } else if oc_removal_lower_bound(
+                            part,
+                            cached(node.without(b)),
+                            cached(node.without(a)),
+                            cached(node),
+                        ) > budget
+                        {
+                            bounded += 1;
+                        } else {
+                            continue;
+                        }
                         let (ar, br) = (table.column(a).ranks(), table.column(b).ranks());
                         let at = format!("{name} ε {epsilon}: {ctx}: {a} ~ {b}");
                         let optimal = validator.min_removal_optimal(part, ar, br, budget);
@@ -1140,17 +1160,24 @@ mod tests {
                         break;
                     }
                 }
-                let inherited: u64 = trace
-                    .spans()
-                    .iter()
-                    .flat_map(|s| s.args.iter())
-                    .filter(|(key, _)| *key == "inherited")
-                    .map(|(_, k)| k)
-                    .sum();
-                assert_eq!(inherited, answered as u64, "{name} ε {epsilon}");
+                let spans = trace.spans();
+                let arg_sum = |name: &str| -> u64 {
+                    spans
+                        .iter()
+                        .flat_map(|s| s.args.iter())
+                        .filter(|(key, _)| *key == name)
+                        .map(|(_, k)| k)
+                        .sum()
+                };
+                assert_eq!(arg_sum("inherited"), answered as u64, "{name} ε {epsilon}");
+                assert_eq!(arg_sum("bounded"), bounded as u64, "{name} ε {epsilon}");
                 fired += answered;
+                bound_fired += bounded;
             }
             assert!(fired > 0, "{name}: the rule never fired");
+            if name == "flight" {
+                assert!(bound_fired > 0, "{name}: the bound never fired");
+            }
         }
     }
 

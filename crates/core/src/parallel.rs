@@ -43,7 +43,7 @@ use crate::prune_state::{PruneRule, PruneState};
 use aod_obs::Clock;
 use aod_partition::PartitionCache;
 use aod_table::RankedTable;
-use aod_validate::{min_removal_ofd, OcValidatorBackend};
+use aod_validate::{min_removal_ofd, oc_removal_lower_bound, OcValidatorBackend};
 use std::time::Duration;
 
 /// Immutable level-wide inputs shared by every worker.
@@ -76,7 +76,8 @@ pub(crate) enum OcEval {
     /// Skipped by a pruning rule (R2–R4).
     Pruned(PruneRule),
     /// Validated by the backend, or answered `None` without it when the
-    /// context is not free (`removed.is_some()` ⇔ it holds).
+    /// context is not free or the class-count bound exceeds the budget
+    /// (`removed.is_some()` ⇔ it holds).
     Validated {
         removed: Option<usize>,
         coverage: f64,
@@ -90,6 +91,9 @@ pub(crate) struct NodeEval {
     /// OC candidates answered from an equal sub-context partition, without
     /// a backend call.
     pub n_inherited: usize,
+    /// OC candidates answered as invalid from four cached class counts
+    /// ([`oc_removal_lower_bound`]), without a backend call.
+    pub n_bounded: usize,
     /// Session-clock micros of the node's OFD section. Feeds both
     /// `DiscoveryStats::ofd_validation` and the node's batch span, so the
     /// two agree; under a manual clock it is the same at every thread
@@ -111,25 +115,32 @@ pub(crate) enum NodeResult {
 }
 
 /// Evaluates one node against the cached partitions: its OFD candidates,
-/// then its OC candidates (R2–R4 first, then the survivors whose context
-/// is not free are rejected, and the backend validates the rest),
-/// bracketed by three session-clock reads.
+/// then its OC candidates, bracketed by three session-clock reads.
+///
+/// An OC candidate `Y: A ~ B` at node `N = Y ∪ {A, B}` goes through R2–R4
+/// first. A survivor whose context is not free is rejected (under R2),
+/// and so is one whose [`oc_removal_lower_bound`] over `Π_Y`, `Π_{N∖B}`,
+/// `Π_{N∖A}` and `Π_N` exceeds the budget, under every [`PruneConfig`]:
+/// all four partitions are cached for the level, and a backend that never
+/// underestimates would reject it too. Only the rest reach the backend.
 pub(crate) fn eval_node(
     ctx: &LevelCtx<'_>,
     node: &Node,
     backend: &mut dyn OcValidatorBackend,
 ) -> NodeEval {
     let set = node.set;
-    let node_part = ctx.cache.get(set).expect("node partition is cached");
+    let cached = |s| {
+        ctx.cache
+            .get(s)
+            .expect("the node and its subsets are cached")
+    };
+    let node_part = cached(set);
     let t0 = ctx.clock.now_us();
 
     // --- OFD candidates: X\{A}: [] |-> A for A in X ∩ Cc+(X) ---
     let mut ofds = Vec::new();
     for a in ofd_candidates(node) {
-        let ctx_part = ctx
-            .cache
-            .get(set.without(a))
-            .expect("parent partition is cached");
+        let ctx_part = cached(set.without(a));
         // Each context class that A splits into k classes needs at least
         // k − 1 removals, so |Π_X| − |Π_{X\A}| (unstripped class counts)
         // bounds TANE's g₃ count from below and is 0 iff the OFD holds.
@@ -156,10 +167,11 @@ pub(crate) fn eval_node(
     // --- OC candidates: X\{A,B}: A ~ B for pairs {A,B} ⊆ X ---
     let mut ocs = Vec::new();
     let mut n_inherited = 0;
+    let mut n_bounded = 0;
     if ctx.level >= 2 {
         for cand in oc_candidates(set) {
             let (a, b, ctx_set) = (cand.a, cand.b, cand.context);
-            let ctx_part = || ctx.cache.get(ctx_set).expect("context partition is cached");
+            let ctx_part = || cached(ctx_set);
             let eval = if ctx.prune_cfg.r2_context_implication
                 && ctx.prune.oc_implied(a, b, ctx_set)
             {
@@ -174,10 +186,21 @@ pub(crate) fn eval_node(
                 let ctx_part = ctx_part();
                 // A context whose partition equals a smaller one's
                 // repeats a candidate rejected one level down (see the
-                // `prune_state.rs` module docs; R2 is the gate).
+                // `prune_state.rs` module docs; R2 is the gate). Else the
+                // class counts of Y, YA, YB and YAB may already prove that
+                // more rows must go than the budget allows.
                 let removed =
                     if ctx.prune_cfg.r2_context_implication && ctx.prune.is_non_free(ctx_set) {
                         n_inherited += 1;
+                        None
+                    } else if oc_removal_lower_bound(
+                        ctx_part,
+                        cached(set.without(b)),
+                        cached(set.without(a)),
+                        node_part,
+                    ) > ctx.budget
+                    {
+                        n_bounded += 1;
                         None
                     } else {
                         let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
@@ -196,6 +219,7 @@ pub(crate) fn eval_node(
         ofds,
         ocs,
         n_inherited,
+        n_bounded,
         ofd_us: t1.saturating_sub(t0),
         oc_us: t2.saturating_sub(t1),
     }

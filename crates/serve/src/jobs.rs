@@ -465,9 +465,11 @@ impl Job {
     }
 
     /// Event lines from `from` onward, plus whether the log is complete.
-    /// Blocks up to `wait` for news when there is none yet. A finished
-    /// log's lines are handed out without copying; a live log's new tail
-    /// is copied, so the runner stays the log's only owner.
+    /// Blocks up to `wait` for news when there is none yet; a live job
+    /// signals news once per completed level and when it ends, so a
+    /// streamer gets a level's lines in one batch. A finished log's lines
+    /// are handed out without copying; a live log's new tail is copied, so
+    /// the runner stays the log's only owner.
     pub fn events_after(&self, from: usize, wait: Duration) -> (EventBatch, bool) {
         let state = lock_or_recover(&self.state);
         let state = if state.events.len() <= from && !state.events_done {
@@ -492,13 +494,19 @@ impl Job {
         }
     }
 
+    /// Appends one event line. Streamers wake once per level, on the line
+    /// that completes it: a session steps a whole level before its events
+    /// come out, ending in that level's `LevelComplete`, so waking on each
+    /// line would only make a streamer contend with the runner for the
+    /// state lock and copy one line at a time. A run's last lines (a stop
+    /// event) wake streamers through `finish` or `fail`.
     fn push_event(&self, line: &str, level_completed: bool) {
         let mut state = lock_or_recover(&self.state);
         Arc::make_mut(&mut state.events).push(line);
         if level_completed {
             state.levels_completed += 1;
+            self.cond.notify_all();
         }
-        self.cond.notify_all();
     }
 
     fn finish(&self, result_json: Arc<String>, stats_json: Arc<String>) {

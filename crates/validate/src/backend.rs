@@ -89,7 +89,12 @@ pub trait OcValidatorBackend: Send {
     ///
     /// With `limit = 0` this is exact validation: `Some(0)` when the OC
     /// holds and `None` otherwise. Backends need not find a *minimal* set
-    /// (Algorithm 1 overestimates) but must never underestimate.
+    /// (Algorithm 1 overestimates) but must never underestimate. The
+    /// discovery engine relies on that: it answers a candidate as invalid
+    /// without calling the backend when
+    /// [`oc_removal_lower_bound`](crate::oc_removal_lower_bound), a lower
+    /// bound on the minimal count read from four cached class counts,
+    /// already exceeds `limit`.
     fn min_removal(
         &mut self,
         ctx: &Partition,

@@ -307,6 +307,34 @@ impl OcValidator {
     }
 }
 
+/// A lower bound on the removal-set size of the OC `Y: A ~ B` from four
+/// unstripped class counts, read without touching a row:
+/// `|Π_{YAB}| + |Π_Y| − |Π_{YA}| − |Π_{YB}|`, or 0 when that is negative.
+///
+/// Take a class of `Π_Y` with `d_A` and `d_B` distinct `A` and `B`
+/// values and `d_AB` distinct `(A, B)` pairs. The rows an OC keeps
+/// hold no swap, so their pairs form a chain in the `(A ≤, B ≤)` order,
+/// and a chain holds at most `d_A + d_B − 1` distinct pairs. Each of the
+/// other `d_AB − d_A − d_B + 1` or more pairs loses all of its rows, at
+/// least one apiece. The class counts of `Π_{YA}`, `Π_{YB}` and `Π_{YAB}`
+/// sum `d_A`, `d_B` and `d_AB` over the classes of `Π_Y`, and a singleton
+/// class adds `1 + 1 − 1 − 1 = 0`, so the sum is the bound (a class whose
+/// own term is negative only weakens it). It never exceeds
+/// [`OcValidator::min_removal_optimal`], hence any
+/// [`OcValidatorBackend`](crate::OcValidatorBackend), which must never
+/// underestimate, rejects a candidate whose bound exceeds its budget. It
+/// is the OC analogue of the OFD bound `|Π_{YA}| − |Π_Y|`, and tight on a
+/// `k × k` grid of `(A, B)` values in one class: `(k − 1)²`.
+pub fn oc_removal_lower_bound(
+    y: &Partition,
+    ya: &Partition,
+    yb: &Partition,
+    yab: &Partition,
+) -> usize {
+    (yab.n_classes_unstripped() + y.n_classes_unstripped())
+        .saturating_sub(ya.n_classes_unstripped() + yb.n_classes_unstripped())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,6 +521,29 @@ mod tests {
                     .unwrap();
                 assert!(it >= opt, "cols {a},{b}: iterative {it} < optimal {opt}");
             }
+        }
+    }
+
+    #[test]
+    fn class_count_bound_is_tight_on_a_grid() {
+        // One class holding every pair of a k × k grid: a chain keeps
+        // 2k − 1 of the k² pairs, so (k − 1)² rows must go.
+        for k in 2..=5u32 {
+            let a: Vec<u32> = (0..k * k).map(|i| i / k).collect();
+            let b: Vec<u32> = (0..k * k).map(|i| i % k).collect();
+            let t = RankedTable::from_u32_columns(vec![a, b]);
+            let part = |attrs: &[usize]| Partition::for_attrs(&t, attrs.iter().copied());
+            let bound =
+                oc_removal_lower_bound(&part(&[]), &part(&[0]), &part(&[1]), &part(&[0, 1]));
+            let optimal = OcValidator::new().min_removal_optimal(
+                &part(&[]),
+                ranks(&t, 0),
+                ranks(&t, 1),
+                usize::MAX,
+            );
+            let expected = ((k - 1) * (k - 1)) as usize;
+            assert_eq!(bound, expected, "k = {k}");
+            assert_eq!(optimal, Some(expected), "k = {k}");
         }
     }
 

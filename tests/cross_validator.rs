@@ -7,7 +7,7 @@
 use aod::datagen::{flight, ncvoter};
 use aod::prelude::*;
 use aod_bench::Dataset;
-use aod_validate::brute_min_removal_oc;
+use aod_validate::{brute_min_removal_oc, oc_removal_lower_bound};
 use proptest::prelude::*;
 
 #[test]
@@ -117,7 +117,9 @@ proptest! {
     /// The paper's minimality claim (§3.2, Theorem 3.3) exercised through
     /// the facade: `validate_aoc` with the LNDS validator (Algorithm 2)
     /// reports exactly the brute-force minimal removal count, with the
-    /// context partition built from an [`AttrSet`] as in discovery.
+    /// context partition built from an [`AttrSet`] as in discovery. The
+    /// class-count bound discovery rejects candidates with never exceeds
+    /// that count.
     #[test]
     fn facade_optimal_aoc_matches_brute_force((a, b, ctx_vals) in small_instance()) {
         let table = RankedTable::from_u32_columns(vec![a, b, ctx_vals]);
@@ -133,6 +135,9 @@ proptest! {
         let brute =
             brute_min_removal_oc(&ctx, table.column(0).ranks(), table.column(1).ranks());
         prop_assert_eq!(out.removed, Some(brute));
+        let part = |attrs: &[usize]| Partition::for_attrs(&table, attrs.iter().copied());
+        let bound = oc_removal_lower_bound(&ctx, &part(&[0, 2]), &part(&[1, 2]), &part(&[0, 1, 2]));
+        prop_assert!(bound <= brute, "bound {} > brute {}", bound, brute);
     }
 
     /// Cross-validator agreement at every ε: Algorithm 1 (iterative

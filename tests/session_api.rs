@@ -4,6 +4,7 @@
 //! well-formed flagged partial results, and stepping must be observable
 //! level by level.
 
+use aod::obs::{ManualClock, TraceSink};
 use aod::prelude::*;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -266,8 +267,10 @@ impl OcValidatorBackend for Counting {
 /// On flight 1,000 × 10 at ε = 0.1, candidates whose context partition
 /// equals a one-smaller context's are counted as validated but never reach
 /// the backend, for both strategies. With R2 off they must: a valid OC one
-/// level down is then not pruned above it, so every validated candidate is
-/// a backend call.
+/// level down is then not pruned above it. Under every `PruneConfig` the
+/// candidates the class-count bound rejects skip the backend as well, so
+/// each validated candidate is a backend call, `inherited` or `bounded`
+/// (the OC batch span args of a `ManualClock` trace).
 #[test]
 fn non_free_contexts_skip_the_backend_only_under_r2() {
     let table = aod::datagen::flight::flight(7).table(1000);
@@ -283,10 +286,12 @@ fn non_free_contexts_skip_the_backend_only_under_r2() {
                 inner: strategy_backend(strategy),
                 calls: Arc::clone(&calls),
             };
+            let trace = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
             let result = builder()
                 .approximate(0.1)
                 .prune(prune)
                 .validator(Box::new(backend))
+                .trace_sink(Arc::clone(&trace))
                 .record_events(false)
                 .run(&table);
             let validated: usize = result
@@ -295,14 +300,25 @@ fn non_free_contexts_skip_the_backend_only_under_r2() {
                 .iter()
                 .map(|l| l.n_oc_candidates)
                 .sum();
+            let spans = trace.spans();
+            let arg_sum = |name: &str| -> usize {
+                spans
+                    .iter()
+                    .flat_map(|s| s.args.iter())
+                    .filter(|(key, _)| *key == name)
+                    .map(|(_, k)| *k as usize)
+                    .sum()
+            };
+            let (inherited, bounded) = (arg_sum("inherited"), arg_sum("bounded"));
             let calls = calls.load(Ordering::Relaxed);
+            let at = format!(
+                "{strategy:?}, R2 {skips}: {calls} calls, {inherited} inherited, {bounded} bounded"
+            );
             if skips {
-                assert!(
-                    calls < validated,
-                    "{strategy:?}: {calls} calls, {validated} validated"
-                );
+                assert!(inherited > 0, "{at}");
+                assert_eq!(calls + inherited + bounded, validated, "{at}");
             } else {
-                assert_eq!(calls, validated, "{strategy:?} without R2");
+                assert_eq!(calls + bounded, validated, "{at}");
             }
         }
     }

@@ -99,11 +99,12 @@ fn chrome_export_self_parses_with_the_expected_shape() {
 }
 
 /// OC candidate-batch spans carry `inherited`, the node's candidates
-/// answered from an equal sub-context partition without a backend call;
-/// OFD batch spans carry no such count. `partitioning` phase spans carry
+/// answered from an equal sub-context partition without a backend call,
+/// and `bounded`, those answered as invalid from four cached class counts;
+/// OFD batch spans carry neither count. `partitioning` phase spans carry
 /// `shared`, the partitions of the next level shared with a parent, at
-/// most that level's `n_products`. On employee at ε = 0 both fire, and
-/// the export stays byte-identical across threads {1, 4}.
+/// most that level's `n_products`. On employee at ε = 0 all three fire,
+/// and the export stays byte-identical across threads {1, 4}.
 #[test]
 fn oc_batch_spans_count_inherited_candidates() {
     let ranked = RankedTable::from_table(&employee_table());
@@ -122,18 +123,24 @@ fn oc_batch_spans_count_inherited_candidates() {
             .map(|s| (s.id, s.name))
             .collect();
         let arg = |s: &Span, key: &str| s.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let mut inherited = 0;
+        let (mut inherited, mut bounded) = (0, 0);
         for batch in spans.iter().filter(|s| s.cat == "batch") {
-            match (phase[&batch.parent], arg(batch, "inherited")) {
-                ("oc_validation", Some(k)) => {
-                    assert!(k <= arg(batch, "candidates").unwrap());
-                    inherited += k;
+            match (
+                phase[&batch.parent],
+                arg(batch, "inherited"),
+                arg(batch, "bounded"),
+            ) {
+                ("oc_validation", Some(i), Some(b)) => {
+                    assert!(i + b <= arg(batch, "candidates").unwrap());
+                    inherited += i;
+                    bounded += b;
                 }
-                ("ofd_validation", None) => {}
-                (name, k) => panic!("{name} batch span with inherited = {k:?}"),
+                ("ofd_validation", None, None) => {}
+                (name, i, b) => panic!("{name} batch span with inherited = {i:?}, bounded = {b:?}"),
             }
         }
         assert!(inherited > 0, "the rule never fired at {threads} threads");
+        assert!(bounded > 0, "the bound never fired at {threads} threads");
         let mut shared = 0;
         for span in spans.iter().filter(|s| s.name == "partitioning") {
             let (level, k) = (arg(span, "level").unwrap(), arg(span, "shared").unwrap());
