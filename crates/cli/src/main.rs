@@ -67,8 +67,8 @@ OPTIONS:
   --max-level N     cap the lattice level (at least 1)
   --timeout S       wall-clock budget in seconds (partial results after)
   --top K           print only the K most interesting dependencies
-  --top-k K         stop discovery once K OCs are found (early exit after
-                    the lattice level holding the K-th)
+  --top-k K         stop discovery once K OCs are found, K at least 1
+                    (early exit after the lattice level holding the K-th)
   --threads N       worker threads for parallel validation (0 = all cores,
                     default 1; results are identical for any N)
   --columns C1,...  discover only over these columns
@@ -224,6 +224,9 @@ fn discovery_builder(args: &Args, table: &Table) -> Result<DiscoveryBuilder, Str
         builder = builder.timeout(std::time::Duration::from_secs(secs as u64));
     }
     if let Some(k) = args.int("top-k")? {
+        if k == 0 {
+            return Err("--top-k must be at least 1".into());
+        }
         builder = builder.top_k(k);
     }
     if let Some(threads) = args.int("threads")? {
@@ -352,7 +355,7 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
 /// candidates/sec rate brackets each level with the injected
 /// [`Clock`](aod_obs::Clock).
 fn run_with_progress(
-    mut session: aod_core::DiscoverySession<'_>,
+    mut session: aod_core::DiscoverySession,
     metrics: &DiscoveryMetrics,
     clock: &dyn aod_obs::Clock,
 ) -> DiscoveryResult {

@@ -84,6 +84,7 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
             "unknown option `--sample-stride`",
         ),
         (&["--max-level", "0"][..], "must be at least 1"),
+        (&["--top-k", "0"][..], "--top-k must be at least 1"),
     ] {
         let out = aod(&[&["discover", sample_csv()], extra].concat());
         assert!(!out.status.success(), "{extra:?} must fail");
@@ -215,13 +216,14 @@ fn exact_is_epsilon_zero_for_validate_and_outliers() {
 }
 
 /// `aod outliers` runs discovery with the options `discover` takes: a
-/// zero level cap and an unknown column are refused, and at ε = 0.3 on
-/// the employee table a level-2 cap leaves fewer contributing
+/// zero level cap or top-k and an unknown column are refused, and at
+/// ε = 0.3 on the employee table a level-2 cap leaves fewer contributing
 /// dependencies than the uncapped run.
 #[test]
 fn outliers_honours_the_discovery_options() {
     for (extra, needle) in [
         (&["--max-level", "0"][..], "must be at least 1"),
+        (&["--top-k", "0"][..], "--top-k must be at least 1"),
         (&["--columns", "sal,nosuchcol"][..], "unknown column"),
     ] {
         let out = aod(&[&["outliers", employee_csv()], extra].concat());

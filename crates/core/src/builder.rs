@@ -199,7 +199,7 @@ impl DiscoveryBuilder {
     /// configured [`scope`](DiscoveryBuilder::scope) names a column the
     /// table doesn't have.
     #[must_use = "the session does nothing until stepped or iterated"]
-    pub fn build<'t>(self, table: &'t RankedTable) -> DiscoverySession<'t> {
+    pub fn build(self, table: &RankedTable) -> DiscoverySession {
         DiscoverySession::new(table, self.settings)
     }
 

@@ -102,7 +102,6 @@ use aod_partition::{AttrSet, PartitionCache, MAX_ATTRS};
 use aod_table::RankedTable;
 use aod_validate::{removal_budget, strategy_backend, OcValidatorBackend};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,7 +211,11 @@ pub enum DiscoveryEvent {
 /// node), like the stats timers they mirror.
 struct NodeTrace {
     node: usize,
+    /// Micros into the level's OFD phase at which the node's batch starts.
+    ofd_at: u64,
     ofd_us: u64,
+    /// Micros into the level's OC phase at which the node's batch starts.
+    oc_at: u64,
     oc_us: u64,
     n_ofd: usize,
     n_oc: usize,
@@ -235,12 +238,10 @@ struct NodeTrace {
 /// renumbered (see "Row order" in the module docs): the `ctx` partition
 /// and the rank slices an [`OcValidatorBackend`] receives use the
 /// session's row numbering, not the caller's.
-pub struct DiscoverySession<'t> {
+pub struct DiscoverySession {
     /// The session's copy of the table, rows renumbered (see "Row order"
     /// in the module docs).
     table: RankedTable,
-    /// The caller's table, which the session copies and never reads again.
-    source: PhantomData<&'t RankedTable>,
     max_level: Option<usize>,
     timeout: Option<Duration>,
     prune_cfg: PruneConfig,
@@ -272,16 +273,20 @@ pub struct DiscoverySession<'t> {
     trace_end_us: u64,
     /// Per-node timings of the level in flight (cleared each step).
     level_trace: Vec<NodeTrace>,
+    /// Session-clock micros of the level in flight per phase, in
+    /// [`Phase::ALL`] order (cleared each step). This one sum feeds the
+    /// stats timers, [`EventSink::on_phase`] and the phase spans.
+    phase_us: [u64; 3],
     finished: Option<StopReason>,
 }
 
-impl<'t> DiscoverySession<'t> {
+impl DiscoverySession {
     /// Builds a session at level 1, validating nothing yet.
     ///
     /// # Panics
     /// If the table has more than [`MAX_ATTRS`] columns, or the scope
     /// names a column the table doesn't have.
-    pub(crate) fn new(table: &'t RankedTable, settings: Settings) -> DiscoverySession<'t> {
+    pub(crate) fn new(table: &RankedTable, settings: Settings) -> DiscoverySession {
         let n_rows = table.n_rows();
         let n_attrs = table.n_cols();
         assert!(
@@ -295,8 +300,7 @@ impl<'t> DiscoverySession<'t> {
         );
         let table = table.sorted_rows(&scope.iter().collect::<Vec<_>>());
         let mut cache = PartitionCache::new();
-        let mut prune = PruneState::new(n_attrs);
-        let frontier = Frontier::seed(&table, scope, &mut cache, &mut prune);
+        let frontier = Frontier::seed(&table, scope, &mut cache);
         let mut executor = Executor::new(settings.threads);
         if let Some(gauge) = settings.queue_gauge {
             executor = executor.with_queue_gauge(gauge);
@@ -314,7 +318,6 @@ impl<'t> DiscoverySession<'t> {
         };
         DiscoverySession {
             table,
-            source: PhantomData,
             max_level: settings.max_level,
             timeout: settings.timeout,
             prune_cfg: settings.prune,
@@ -327,7 +330,7 @@ impl<'t> DiscoverySession<'t> {
             coverage_denominator: n_rows.max(1) as f64,
             cache,
             frontier,
-            prune,
+            prune: PruneState::new(n_attrs),
             executor,
             started_us: clock.now_us(),
             clock,
@@ -338,6 +341,7 @@ impl<'t> DiscoverySession<'t> {
             record_events: settings.record_events,
             trace_end_us: 0,
             level_trace: Vec::new(),
+            phase_us: [0; 3],
             trace: settings.trace,
             sink: settings.sink,
             finished: None,
@@ -400,14 +404,12 @@ impl<'t> DiscoverySession<'t> {
         }
         let level_start = self.clock.now_us();
         self.level_trace.clear();
-        // Baseline for per-phase deltas: the cumulative phase timers grow
-        // monotonically, so this level's share is (after − before).
-        let phase_before = [
-            self.stats.oc_validation,
-            self.stats.ofd_validation,
-            self.stats.partitioning,
-        ];
+        self.phase_us = [0; 3];
         let stop = self.process_level(level);
+        self.stats.oc_validation +=
+            Duration::from_micros(self.phase_us[Phase::OcValidation.index()]);
+        self.stats.ofd_validation +=
+            Duration::from_micros(self.phase_us[Phase::OfdValidation.index()]);
 
         let mut outcome = LevelOutcome {
             level,
@@ -416,7 +418,7 @@ impl<'t> DiscoverySession<'t> {
             stop: None,
         };
 
-        let (mut partition_us, mut n_shared) = (0u64, 0usize);
+        let mut n_shared = 0;
         match stop {
             Some(reason) => {
                 match reason {
@@ -432,17 +434,16 @@ impl<'t> DiscoverySession<'t> {
                 if self.max_level.is_some_and(|m| level >= m) {
                     self.finish(StopReason::MaxLevel);
                 } else {
-                    // One bracket feeds both the stats timer and the span.
                     let t0 = self.clock.now_us();
                     n_shared = self.frontier.advance(
                         &self.table,
                         &self.prune_cfg,
-                        &mut self.prune,
                         &mut self.cache,
                         &mut self.stats,
                         &self.executor,
                     );
-                    partition_us = self.clock.now_us().saturating_sub(t0);
+                    let partition_us = self.clock.now_us().saturating_sub(t0);
+                    self.phase_us[Phase::Partitioning.index()] = partition_us;
                     self.stats.partitioning += Duration::from_micros(partition_us);
                     if self.frontier.is_empty() {
                         self.finish(StopReason::Exhausted);
@@ -451,24 +452,12 @@ impl<'t> DiscoverySession<'t> {
             }
         }
         if let Some(sink) = &self.sink {
-            let phase_after = [
-                self.stats.oc_validation,
-                self.stats.ofd_validation,
-                self.stats.partitioning,
-            ];
-            for (phase, (after, before)) in Phase::ALL
-                .into_iter()
-                .zip(phase_after.into_iter().zip(phase_before))
-            {
-                sink.on_phase(
-                    level,
-                    phase,
-                    after.saturating_sub(before).as_micros() as u64,
-                );
+            for (phase, micros) in Phase::ALL.into_iter().zip(self.phase_us) {
+                sink.on_phase(level, phase, micros);
             }
         }
         if let Some(trace) = self.trace.clone() {
-            self.record_level_trace(&trace, level, level_start, n_nodes, partition_us, n_shared);
+            self.record_level_trace(&trace, level, level_start, n_nodes, n_shared);
         }
         if self.finished.is_some() {
             // The session finished during this step (it was unfinished on
@@ -588,12 +577,16 @@ impl<'t> DiscoverySession<'t> {
             // Reached only for fully merged nodes: the cut node above
             // returns first, so its time counts neither in the stats nor
             // in the trace.
-            self.stats.ofd_validation += Duration::from_micros(eval.ofd_us);
-            self.stats.oc_validation += Duration::from_micros(eval.oc_us);
+            let (oc, ofd) = (Phase::OcValidation.index(), Phase::OfdValidation.index());
+            let (oc_at, ofd_at) = (self.phase_us[oc], self.phase_us[ofd]);
+            self.phase_us[oc] += eval.oc_us;
+            self.phase_us[ofd] += eval.ofd_us;
             if self.trace.is_some() {
                 self.level_trace.push(NodeTrace {
                     node: idx,
+                    ofd_at,
                     ofd_us: eval.ofd_us,
+                    oc_at,
                     oc_us: eval.oc_us,
                     n_ofd,
                     n_oc,
@@ -614,9 +607,9 @@ impl<'t> DiscoverySession<'t> {
     /// and every parent's end is pushed to `max(own bracket, children)` —
     /// so child-within-parent nesting holds by construction under any
     /// clock, even when per-node time summed over workers exceeds the
-    /// level's wall time. A phase lasts the sum of its nodes' times (nodes
-    /// without candidates get no batch span but keep their share), which
-    /// is exactly the level's share of the matching stats timer.
+    /// level's wall time. A phase lasts the level's phase sum, which also
+    /// feeds the stats timer and [`EventSink::on_phase`] (nodes without
+    /// candidates get no batch span but keep their share).
     /// Recording order is parent-first and fully deterministic. A batch
     /// span carries its node and candidate count; an OC batch span also
     /// carries `inherited`, the candidates answered from an equal
@@ -631,7 +624,6 @@ impl<'t> DiscoverySession<'t> {
         level: usize,
         level_start: u64,
         n_nodes: usize,
-        partition_us: u64,
         n_shared: usize,
     ) {
         let level_id = span_id::level(level);
@@ -641,19 +633,17 @@ impl<'t> DiscoverySession<'t> {
         for (phase_idx, phase) in Phase::ALL.into_iter().enumerate() {
             let phase_id = span_id::phase(level, phase_idx);
             let phase_start = cursor;
-            let mut phase_us = 0u64;
+            let phase_us = self.phase_us[phase_idx];
             let mut args = vec![("level", level as u64)];
             match phase {
                 Phase::OcValidation | Phase::OfdValidation => {
                     let oc = matches!(phase, Phase::OcValidation);
                     for entry in &self.level_trace {
-                        let (us, candidates) = if oc {
-                            (entry.oc_us, entry.n_oc)
+                        let (at, us, candidates) = if oc {
+                            (entry.oc_at, entry.oc_us, entry.n_oc)
                         } else {
-                            (entry.ofd_us, entry.n_ofd)
+                            (entry.ofd_at, entry.ofd_us, entry.n_ofd)
                         };
-                        let start_us = phase_start + phase_us;
-                        phase_us += us;
                         if candidates == 0 {
                             continue;
                         }
@@ -671,16 +661,13 @@ impl<'t> DiscoverySession<'t> {
                             name: "candidates",
                             cat: "batch",
                             tid: 0,
-                            start_us,
+                            start_us: phase_start + at,
                             dur_us: us,
                             args,
                         });
                     }
                 }
-                Phase::Partitioning => {
-                    phase_us = partition_us;
-                    args.push(("shared", n_shared as u64));
-                }
+                Phase::Partitioning => args.push(("shared", n_shared as u64)),
             }
             phase_spans.push(Span {
                 id: phase_id,
@@ -814,7 +801,7 @@ impl<'t> DiscoverySession<'t> {
     }
 }
 
-impl Iterator for DiscoverySession<'_> {
+impl Iterator for DiscoverySession {
     type Item = DiscoveryEvent;
 
     /// Pops the next buffered event, stepping the engine while the buffer
@@ -834,7 +821,7 @@ impl Iterator for DiscoverySession<'_> {
     }
 }
 
-impl std::fmt::Debug for DiscoverySession<'_> {
+impl std::fmt::Debug for DiscoverySession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiscoverySession")
             .field("level", &self.frontier.level)
@@ -1090,14 +1077,14 @@ mod tests {
     /// those answered from an equal sub-context partition (they survive
     /// R2–R4 and their context is not free) and those the class-count
     /// bound answers (they survive that check too, and their bound exceeds
-    /// the budget). The candidates are taken from the frontier, cache and
-    /// pruning state before each step, which is what that step's nodes
-    /// read; their counts must equal the `inherited` and `bounded` args of
-    /// the OC batch spans. The first rule must fire on each input
-    /// (employee at ε = 0.15 answers none: R2 and R3 take those candidates
-    /// first), the bound on flight.
+    /// the budget). The candidates are taken from the frontier, the cache
+    /// (partitions and freeness) and the pruning state before each step,
+    /// which is what that step's nodes read; their counts must equal the
+    /// `inherited` and `bounded` args of the OC batch spans. The first
+    /// rule must fire on each input (employee at ε = 0.15 answers none:
+    /// R2 and R3 take those candidates first), the bound on flight.
     #[test]
-    fn non_free_contexts_answer_only_rejected_candidates() {
+    fn contexts_that_are_not_free_answer_only_rejected_candidates() {
         use crate::candidates::oc_candidates;
         use aod_obs::ManualClock;
         use aod_validate::{oc_removal_lower_bound, OcValidator};
@@ -1136,7 +1123,7 @@ mod tests {
                         {
                             continue;
                         }
-                        if prune.is_non_free(ctx) {
+                        if !session.cache.is_free(ctx) {
                             answered += 1;
                         } else if oc_removal_lower_bound(
                             part,

@@ -7,9 +7,9 @@
 //! survivors into level `ℓ+1`, (c) intersects the parents' `Cc⁺` sets, and
 //! (d) computes each child's partition — exactly the retention/generation
 //! tail of the paper's Figure 1 driver, factored out of the per-level
-//! candidate validation. Seeding and advancing also record every set whose
-//! partition equals a one-smaller subset's, i.e. every set that is not
-//! free (see the `prune_state.rs` module docs).
+//! candidate validation. The partition cache decides, as each partition
+//! is cached, whether its set is *free* (see `aod_partition`'s `cache.rs`
+//! module docs).
 //!
 //! A child whose parents are all free is built by refining a cached parent
 //! on the one column it lacks. A child `S` with a parent `S∖c` that is not
@@ -21,7 +21,6 @@
 
 use crate::candidates::oc_candidates;
 use crate::config::PruneConfig;
-use crate::prune_state::PruneState;
 use crate::stats::DiscoveryStats;
 use aod_exec::Executor;
 use aod_partition::{prefix_join, AttrSet, AttrSetMap, Partition, PartitionCache, RefineScratch};
@@ -49,23 +48,15 @@ pub(crate) struct Frontier {
 }
 
 impl Frontier {
-    /// Seeds level 1 with the singleton sets of `scope`, caching the empty
-    /// and singleton partitions the driver relies on. A singleton whose
-    /// partition equals `Π_∅` (a constant column) is recorded as not free.
-    pub fn seed(
-        table: &RankedTable,
-        scope: AttrSet,
-        cache: &mut PartitionCache,
-        prune: &mut PruneState,
-    ) -> Frontier {
-        let n_empty = cache.ensure(table, AttrSet::EMPTY).n_classes_unstripped();
+    /// Seeds level 1 with the singleton sets of `scope`, caching `Π_∅`
+    /// and then the singleton partitions the driver relies on.
+    pub fn seed(table: &RankedTable, scope: AttrSet, cache: &mut PartitionCache) -> Frontier {
+        cache.insert(AttrSet::EMPTY, Partition::unit(table.n_rows()));
         let nodes = scope
             .iter()
             .map(|a| {
                 let set = AttrSet::singleton(a);
-                if cache.ensure(table, set).n_classes_unstripped() == n_empty {
-                    prune.record_non_free(set);
-                }
+                cache.insert(set, Partition::from_ranked_column(table.column(a)));
                 Node { set, rhs: scope }
             })
             .collect();
@@ -87,14 +78,12 @@ impl Frontier {
     /// at two lattice levels. Returns how many children share a parent's
     /// partition.
     ///
-    /// A child `X` with a parent recorded as not free shares its parent
-    /// with the most classes (ties go to the lowest `c` of `X∖{c}`; see
-    /// the module docs) and is recorded as not free. Every other child
-    /// refines its cached `ℓ`-subset `X∖{c}` with the fewest grouped rows
-    /// (ties go to the lowest `c`) on column `c`, and is recorded as not
-    /// free when some subset `X∖{c}` has as many classes as `X`. The
-    /// decisions and refinements run on the executor, whose workers borrow
-    /// the cache and the pruning state read-only and own one
+    /// A child `X` with a parent that is not free shares its parent with
+    /// the most classes (ties go to the lowest `c` of `X∖{c}`; see the
+    /// module docs). Every other child refines its cached `ℓ`-subset
+    /// `X∖{c}` with the fewest grouped rows (ties go to the lowest `c`) on
+    /// column `c`. The decisions and refinements run on the executor,
+    /// whose workers borrow the cache read-only and own one
     /// [`RefineScratch`] each; the partitions are cached in child order
     /// once the map returns, so the cache contents and counts do not
     /// depend on the worker count. Shared or refined, each child counts as
@@ -103,7 +92,6 @@ impl Frontier {
         &mut self,
         table: &RankedTable,
         prune_cfg: &PruneConfig,
-        prune: &mut PruneState,
         cache: &mut PartitionCache,
         stats: &mut DiscoveryStats,
         exec: &Executor,
@@ -134,13 +122,13 @@ impl Frontier {
             stats.level_mut(self.level + 1).n_products += next.len();
         }
 
-        let (parents, recorded): (&PartitionCache, &PruneState) = (cache, prune);
+        let parents: &PartitionCache = cache;
         let built = exec.par_map_with_state(RefineScratch::default, &next, |scratch, _, node| {
             let parent = |c| parents.get(node.set.without(c)).expect("subset is cached");
             if node
                 .set
                 .iter()
-                .any(|c| recorded.is_non_free(node.set.without(c)))
+                .any(|c| !parents.is_free(node.set.without(c)))
             {
                 let richest = node
                     .set
@@ -155,28 +143,16 @@ impl Frontier {
                 .min_by_key(|&c| parent(c).n_grouped_rows())
                 .expect("a child has two or more columns");
             let col = table.column(c);
-            let partition = parent(c).refine(col.ranks(), col.n_distinct(), scratch);
-            let n_classes = partition.n_classes_unstripped();
-            let free = node
-                .set
-                .iter()
-                .all(|d| parent(d).n_classes_unstripped() < n_classes);
-            Built::Refined(partition, free)
+            Built::Refined(parent(c).refine(col.ranks(), col.n_distinct(), scratch))
         });
         let mut n_shared = 0;
         for (node, built) in next.iter().zip(built) {
             match built {
                 Built::Shared(from) => {
                     n_shared += 1;
-                    prune.record_non_free(node.set);
                     cache.share(node.set, from);
                 }
-                Built::Refined(partition, free) => {
-                    if !free {
-                        prune.record_non_free(node.set);
-                    }
-                    cache.insert(node.set, partition);
-                }
+                Built::Refined(partition) => cache.insert(node.set, partition),
             }
         }
 
@@ -192,8 +168,8 @@ impl Frontier {
 enum Built {
     /// Equal to the cached partition of this parent, which it shares.
     Shared(AttrSet),
-    /// Refined from a parent; `true` when the child is free.
-    Refined(Partition, bool),
+    /// Refined from a parent.
+    Refined(Partition),
 }
 
 /// A node is dead when it can produce no further OFD candidates (empty
@@ -236,27 +212,27 @@ mod tests {
         classes
     }
 
-    /// Checks the cache after an advance: every cached partition has the
-    /// classes of `for_attrs`, and every node of the new level with a
-    /// parent recorded as not free shares one of its parents' partitions.
-    /// Returns how many nodes share.
-    fn check_cache(
-        t: &RankedTable,
-        f: &Frontier,
-        cache: &PartitionCache,
-        prune: &PruneState,
-    ) -> usize {
+    /// Checks the cache after seeding or an advance: every cached
+    /// partition has the classes of `for_attrs`, every cached set reads
+    /// free exactly when each one-smaller subset has fewer classes by
+    /// `for_attrs`, and every node of the frontier with a parent that is
+    /// not free shares one of its parents' partitions. Returns how many
+    /// nodes share.
+    fn check_cache(t: &RankedTable, f: &Frontier, cache: &PartitionCache) -> usize {
+        let n = |s: AttrSet| Partition::for_attrs(t, s.iter()).n_classes_unstripped();
         for set in cache.cached_sets() {
             assert_eq!(
                 sorted_classes(cache.get(set).expect("listed set is cached")),
                 sorted_classes(&Partition::for_attrs(t, set.iter())),
                 "{set}"
             );
+            let free = set.iter().all(|c| n(set.without(c)) < n(set));
+            assert_eq!(cache.is_free(set), free, "{set}");
         }
         let mut n_shared = 0;
         for node in &f.nodes {
             let parents: Vec<AttrSet> = node.set.iter().map(|c| node.set.without(c)).collect();
-            if parents.iter().any(|&p| prune.is_non_free(p)) {
+            if parents.iter().any(|&p| !cache.is_free(p)) {
                 let partition = cache.get(node.set).expect("node is cached");
                 assert!(
                     parents
@@ -275,9 +251,8 @@ mod tests {
     fn seed_covers_scope_only() {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
-        let mut prune = PruneState::new(t.n_cols());
         let scope = AttrSet::from_attrs([0, 2, 5]);
-        let f = Frontier::seed(&t, scope, &mut cache, &mut prune);
+        let f = Frontier::seed(&t, scope, &mut cache);
         assert_eq!(f.level, 1);
         assert_eq!(f.nodes.len(), 3);
         assert!(f.nodes.iter().all(|n| n.rhs == scope));
@@ -291,13 +266,11 @@ mod tests {
         let t = RankedTable::from_table(&employee_table());
         let mut cache = PartitionCache::new();
         let scope = AttrSet::from_attrs([0, 1, 2]);
-        let mut prune = PruneState::new(t.n_cols());
-        let mut f = Frontier::seed(&t, scope, &mut cache, &mut prune);
+        let mut f = Frontier::seed(&t, scope, &mut cache);
         let mut stats = DiscoveryStats::default();
         f.advance(
             &t,
             &PruneConfig::default(),
-            &mut prune,
             &mut cache,
             &mut stats,
             &Executor::new(1),
@@ -309,8 +282,8 @@ mod tests {
         assert!(f.nodes.iter().all(|n| n.rhs == scope));
     }
 
-    /// One and four workers build the same levels, and both record exactly
-    /// the sets that are not free by the class counts of `for_attrs`.
+    /// One and four workers build the same levels, with the same sets free
+    /// (`check_cache` holds both to the class counts of `for_attrs`).
     #[test]
     fn advance_matches_across_worker_counts() {
         let t = RankedTable::from_table(&employee_table());
@@ -318,33 +291,19 @@ mod tests {
         let (one, four) = (Executor::new(1), Executor::new(4));
 
         let mut one_cache = PartitionCache::new();
-        let mut one_prune = PruneState::new(t.n_cols());
-        let mut one_f = Frontier::seed(&t, scope, &mut one_cache, &mut one_prune);
+        let mut one_f = Frontier::seed(&t, scope, &mut one_cache);
         let mut four_cache = PartitionCache::new();
-        let mut four_prune = PruneState::new(t.n_cols());
-        let mut four_f = Frontier::seed(&t, scope, &mut four_cache, &mut four_prune);
+        let mut four_f = Frontier::seed(&t, scope, &mut four_cache);
         let (mut one_stats, mut four_stats) =
             (DiscoveryStats::default(), DiscoveryStats::default());
-        let (mut n_non_free, mut n_shared) = (0, 0);
+        let (mut n_not_free, mut n_shared) = (0, 0);
         for _ in 0..3 {
-            for (f, cache, prune, stats, exec) in [
-                (
-                    &mut one_f,
-                    &mut one_cache,
-                    &mut one_prune,
-                    &mut one_stats,
-                    &one,
-                ),
-                (
-                    &mut four_f,
-                    &mut four_cache,
-                    &mut four_prune,
-                    &mut four_stats,
-                    &four,
-                ),
+            for (f, cache, stats, exec) in [
+                (&mut one_f, &mut one_cache, &mut one_stats, &one),
+                (&mut four_f, &mut four_cache, &mut four_stats, &four),
             ] {
-                let shared = f.advance(&t, &PruneConfig::default(), prune, cache, stats, exec);
-                assert_eq!(check_cache(&t, f, cache, prune), shared);
+                let shared = f.advance(&t, &PruneConfig::default(), cache, stats, exec);
+                assert_eq!(check_cache(&t, f, cache), shared);
                 n_shared += shared;
             }
             assert_eq!(four_f.level, one_f.level);
@@ -362,15 +321,11 @@ mod tests {
             assert_eq!(p_sets, s_sets);
             for &set in &s_sets {
                 assert_eq!(four_cache.get(set), one_cache.get(set), "{set}");
-                // Not free ⇔ some one-smaller subset has as many classes.
-                let n = |s: AttrSet| Partition::for_attrs(&t, s.iter()).n_classes_unstripped();
-                let non_free = set.iter().any(|c| n(set.without(c)) == n(set));
-                assert_eq!(one_prune.is_non_free(set), non_free, "{set}");
-                assert_eq!(four_prune.is_non_free(set), non_free, "{set}");
-                n_non_free += usize::from(non_free);
+                assert_eq!(four_cache.is_free(set), one_cache.is_free(set), "{set}");
+                n_not_free += usize::from(!one_cache.is_free(set));
             }
         }
-        assert!(n_non_free > 0, "employee has sets that are not free");
+        assert!(n_not_free > 0, "employee has sets that are not free");
         assert!(
             n_shared > 0,
             "employee has children of sets that are not free"
@@ -398,21 +353,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Over the whole lattice, every cached partition is right and
-        /// every child of a set that is not free shares a parent's.
+        /// Over the whole lattice, every cached partition is right, every
+        /// cached set reads free exactly when each one-smaller subset has
+        /// fewer classes, and every child of a set that is not free shares
+        /// a parent's partition.
         #[test]
         fn every_level_caches_right_and_shared_partitions(t in table()) {
             let scope = AttrSet::full(t.n_cols());
             let mut cache = PartitionCache::new();
-            let mut prune = PruneState::new(t.n_cols());
-            let mut f = Frontier::seed(&t, scope, &mut cache, &mut prune);
+            let mut f = Frontier::seed(&t, scope, &mut cache);
             let mut stats = DiscoveryStats::default();
             let exec = Executor::new(1);
-            check_cache(&t, &f, &cache, &prune);
+            check_cache(&t, &f, &cache);
             while !f.is_empty() {
-                let shared =
-                    f.advance(&t, &PruneConfig::default(), &mut prune, &mut cache, &mut stats, &exec);
-                prop_assert_eq!(check_cache(&t, &f, &cache, &prune), shared);
+                let shared = f.advance(&t, &PruneConfig::default(), &mut cache, &mut stats, &exec);
+                prop_assert_eq!(check_cache(&t, &f, &cache), shared);
             }
         }
     }
@@ -424,7 +379,7 @@ mod tests {
         for (n_rows, dead) in [(0u32, true), (1, true), (9, false)] {
             let t = RankedTable::from_u32_columns(vec![(0..n_rows).collect(); 2]);
             let mut cache = PartitionCache::new();
-            cache.ensure(&t, AttrSet::EMPTY);
+            cache.insert(AttrSet::EMPTY, Partition::unit(t.n_rows()));
             let node = Node {
                 set: AttrSet::from_attrs([0, 1]),
                 rhs: AttrSet::EMPTY,
@@ -442,8 +397,12 @@ mod tests {
             // Three key columns: every singleton context is a key.
             let t = RankedTable::from_u32_columns(vec![(0..n_rows).collect(); 3]);
             let mut cache = PartitionCache::new();
+            cache.insert(AttrSet::EMPTY, Partition::unit(t.n_rows()));
             for c in 0..3 {
-                cache.ensure(&t, AttrSet::singleton(c));
+                cache.insert(
+                    AttrSet::singleton(c),
+                    Partition::from_ranked_column(t.column(c)),
+                );
             }
             let set = AttrSet::from_attrs([0, 1, 2]);
             let dead_rhs = Node {

@@ -3,9 +3,10 @@
 //!
 //! The level-wise traversal makes every lattice node of level `ℓ`
 //! independent *within the level*: validation reads only the cached
-//! partitions of levels `ℓ`/`ℓ−1`/`ℓ−2` and pruning facts recorded at
-//! levels `< ℓ` — facts recorded *during* level `ℓ` cannot influence the
-//! same level, because
+//! partitions of levels `ℓ`/`ℓ−1`/`ℓ−2` (and whether their sets are
+//! free, which the cache decides when it caches them) and pruning facts
+//! recorded at levels `< ℓ` — facts recorded *during* level `ℓ` cannot
+//! influence the same level, because
 //!
 //! * an OC recorded at level `ℓ` has a context of size `ℓ−2`; rule R2
 //!   asks whether a recorded context is a subset of a candidate context of
@@ -118,8 +119,9 @@ pub(crate) enum NodeResult {
 /// then its OC candidates, bracketed by three session-clock reads.
 ///
 /// An OC candidate `Y: A ~ B` at node `N = Y ∪ {A, B}` goes through R2–R4
-/// first. A survivor whose context is not free is rejected (under R2),
-/// and so is one whose [`oc_removal_lower_bound`] over `Π_Y`, `Π_{N∖B}`,
+/// first. A survivor whose context is not free
+/// ([`PartitionCache::is_free`]) is rejected (under R2), and so is one
+/// whose [`oc_removal_lower_bound`] over `Π_Y`, `Π_{N∖B}`,
 /// `Π_{N∖A}` and `Π_N` exceeds the budget, under every [`PruneConfig`]:
 /// all four partitions are cached for the level, and a backend that never
 /// underestimates would reject it too. Only the rest reach the backend.
@@ -184,28 +186,28 @@ pub(crate) fn eval_node(
                 OcEval::Pruned(PruneRule::KeyPruning)
             } else {
                 let ctx_part = ctx_part();
-                // A context whose partition equals a smaller one's
-                // repeats a candidate rejected one level down (see the
-                // `prune_state.rs` module docs; R2 is the gate). Else the
-                // class counts of Y, YA, YB and YAB may already prove that
-                // more rows must go than the budget allows.
-                let removed =
-                    if ctx.prune_cfg.r2_context_implication && ctx.prune.is_non_free(ctx_set) {
-                        n_inherited += 1;
-                        None
-                    } else if oc_removal_lower_bound(
-                        ctx_part,
-                        cached(set.without(b)),
-                        cached(set.without(a)),
-                        node_part,
-                    ) > ctx.budget
-                    {
-                        n_bounded += 1;
-                        None
-                    } else {
-                        let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
-                        backend.min_removal(ctx_part, ar, br, ctx.budget)
-                    };
+                // A context that is not free repeats a candidate
+                // rejected one level down (see the `prune_state.rs`
+                // module docs; R2 is the gate). Else the class counts of
+                // Y, YA, YB and YAB may already prove that more rows must
+                // go than the budget allows.
+                let removed = if ctx.prune_cfg.r2_context_implication && !ctx.cache.is_free(ctx_set)
+                {
+                    n_inherited += 1;
+                    None
+                } else if oc_removal_lower_bound(
+                    ctx_part,
+                    cached(set.without(b)),
+                    cached(set.without(a)),
+                    node_part,
+                ) > ctx.budget
+                {
+                    n_bounded += 1;
+                    None
+                } else {
+                    let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
+                    backend.min_removal(ctx_part, ar, br, ctx.budget)
+                };
                 let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
                 OcEval::Validated { removed, coverage }
             };

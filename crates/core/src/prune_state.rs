@@ -20,19 +20,10 @@
 //!
 //! ## Candidates answered from a sub-context
 //!
-//! It also records the lattice sets that are not *free*. A set `S` is free
-//! when every one-smaller subset has fewer classes:
-//! `|Π_{S∖c}| < |Π_S|` for every `c ∈ S`. Otherwise `S∖C → C` holds
-//! exactly for some `C ∈ S`, and since `Π_S` refines `Π_{S∖C}`, the two
-//! partitions are equal. `Frontier::seed` compares each singleton with
-//! `Π_∅`, and `Frontier::advance` compares each child it refines with its
-//! parents, when the partition is built.
-//!
-//! The record also drives sharing. Every superset of a set that is not
-//! free is not free either, so `Frontier::advance` reads the record before
-//! building a child: a child with a parent that is not free gets no
-//! refinement, shares the cached partition of the parent it equals, and is
-//! recorded in turn (see the `frontier.rs` module docs).
+//! The partition cache records whether each cached set is *free*
+//! ([`PartitionCache::is_free`](aod_partition::PartitionCache::is_free),
+//! defined in `aod_partition`'s `cache.rs` module docs). A set `Y` that
+//! is not free has `Π_Y = Π_{Y∖C}` for some `C ∈ Y`.
 //!
 //! An OC candidate `Y: A ~ B` that survives R2–R4 and whose context `Y`
 //! is not free is invalid, and the engine reports it so without calling
@@ -62,7 +53,7 @@
 //! they are. The candidate still counts as validated and emits no event,
 //! so no output changes.
 
-use aod_partition::{AttrSet, AttrSetSet};
+use aod_partition::AttrSet;
 
 /// Which pruning rule skipped a candidate (reported in
 /// [`DiscoveryEvent::Pruned`](crate::DiscoveryEvent::Pruned)).
@@ -76,8 +67,7 @@ pub enum PruneRule {
     KeyPruning,
 }
 
-/// Cross-level pruning facts: found-OC contexts, constant attributes and
-/// sets that are not free.
+/// Cross-level pruning facts: found-OC contexts and constant attributes.
 #[derive(Debug)]
 pub(crate) struct PruneState {
     n_attrs: usize,
@@ -85,9 +75,6 @@ pub(crate) struct PruneState {
     oc_found: Vec<Vec<AttrSet>>,
     /// R3 state: contexts where each attribute is (approximately) constant.
     const_found: Vec<Vec<AttrSet>>,
-    /// Sets whose partition equals a one-smaller subset's (see the module
-    /// docs).
-    non_free: AttrSetSet,
 }
 
 impl PruneState {
@@ -97,7 +84,6 @@ impl PruneState {
             n_attrs,
             oc_found: vec![Vec::new(); n_attrs * n_attrs],
             const_found: vec![Vec::new(); n_attrs],
-            non_free: AttrSetSet::default(),
         }
     }
 
@@ -109,18 +95,6 @@ impl PruneState {
     /// Records a valid OFD `ctx: [] |-> a` for R3 lookups.
     pub fn record_constant(&mut self, a: usize, ctx: AttrSet) {
         self.const_found[a].push(ctx);
-    }
-
-    /// Records that `Π_set` equals the partition of a one-smaller subset.
-    pub fn record_non_free(&mut self, set: AttrSet) {
-        self.non_free.insert(set);
-    }
-
-    /// Does `Π_ctx` equal the partition of a one-smaller subset? Then an
-    /// OC candidate in context `ctx` that survives R2–R4 is invalid (see
-    /// the module docs).
-    pub fn is_non_free(&self, ctx: AttrSet) -> bool {
-        self.non_free.contains(&ctx)
     }
 
     /// R2: is `ctx: a ~ b` implied by an OC found in a sub-context?

@@ -13,7 +13,7 @@
 
 use crate::dep::{OcDep, OfdDep};
 use crate::result::DiscoveryResult;
-use aod_partition::{Partition, PartitionCache};
+use aod_partition::{AttrSetMap, Partition};
 use aod_table::RankedTable;
 use aod_validate::{removal_set_ofd, OcValidator};
 
@@ -56,11 +56,11 @@ impl OutlierReport {
 /// Exactly-holding dependencies are skipped — their removal sets are
 /// empty. OC removal sets come from the optimal validator (Theorem 3.3
 /// guarantees minimality); OFD removal sets keep each context class's
-/// majority value.
+/// majority value. Each distinct context's partition is built once.
 pub fn outlier_report(table: &RankedTable, result: &DiscoveryResult) -> OutlierReport {
     let mut scores = vec![0u32; table.n_rows()];
     let mut n_contributing = 0usize;
-    let mut cache = PartitionCache::new();
+    let mut contexts: AttrSetMap<Partition> = AttrSetMap::default();
     let mut validator = OcValidator::new();
 
     for dep in &result.ocs {
@@ -68,7 +68,9 @@ pub fn outlier_report(table: &RankedTable, result: &DiscoveryResult) -> OutlierR
             continue;
         }
         n_contributing += 1;
-        let ctx: &Partition = cache.ensure(table, dep.context);
+        let ctx = contexts
+            .entry(dep.context)
+            .or_insert_with(|| Partition::for_attrs(table, dep.context.iter()));
         let removal = validator.removal_set_optimal(
             ctx,
             table.column(dep.a).ranks(),
@@ -83,7 +85,9 @@ pub fn outlier_report(table: &RankedTable, result: &DiscoveryResult) -> OutlierR
             continue;
         }
         n_contributing += 1;
-        let ctx: &Partition = cache.ensure(table, dep.context);
+        let ctx = contexts
+            .entry(dep.context)
+            .or_insert_with(|| Partition::for_attrs(table, dep.context.iter()));
         let col = table.column(dep.rhs);
         for row in removal_set_ofd(ctx, col.ranks(), col.n_distinct()) {
             scores[row as usize] += 1;

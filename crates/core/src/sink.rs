@@ -54,7 +54,8 @@ impl Phase {
         Phase::Partitioning,
     ];
 
-    fn index(self) -> usize {
+    /// The phase's position in [`Phase::ALL`].
+    pub(crate) fn index(self) -> usize {
         match self {
             Phase::OcValidation => 0,
             Phase::OfdValidation => 1,

@@ -61,21 +61,6 @@ pub fn inject_transpositions(table: &mut Table, col: usize, rate: f64, seed: u64
     affected
 }
 
-/// Replaces a fraction of a column's values with nulls. Returns the
-/// affected row ids.
-pub fn inject_nulls(table: &mut Table, col: usize, rate: f64, seed: u64) -> Vec<usize> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut affected = Vec::new();
-    let column = table.column_mut(col);
-    for (row, v) in column.iter_mut().enumerate() {
-        if rng.gen_bool(rate.clamp(0.0, 1.0)) {
-            *v = Value::Null;
-            affected.push(row);
-        }
-    }
-    affected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +105,6 @@ mod tests {
         before.sort();
         after.sort();
         assert_eq!(before, after); // same values, different order
-    }
-
-    #[test]
-    fn nulls_are_injected_at_roughly_the_rate() {
-        let mut t = employee_table();
-        let affected = inject_nulls(&mut t, 6, 1.0, 9);
-        assert_eq!(affected.len(), 9);
-        assert!(t.column(6).iter().all(Value::is_null));
     }
 
     #[test]

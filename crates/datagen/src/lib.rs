@@ -12,8 +12,8 @@
 //!
 //! * [`Generator`] / [`ColumnKind`] — the composable column model.
 //! * [`flight::flight`] and [`ncvoter::ncvoter`] — the two presets.
-//! * [`dirty`] — error injectors (concatenated zeros, transpositions,
-//!   nulls) for demonstrating cleaning workflows on any [`aod_table::Table`].
+//! * [`dirty`] — error injectors (concatenated zeros, transpositions) for
+//!   demonstrating cleaning workflows on any [`aod_table::Table`].
 //!
 //! ```
 //! use aod_datagen::flight;

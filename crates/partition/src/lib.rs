@@ -10,7 +10,8 @@
 //! * [`PartitionCache`] — level-aware cache with eviction so discovery holds
 //!   at most two lattice levels of partitions in memory: one map, which a
 //!   level's scoped workers borrow read-only. Sets with equal partitions
-//!   can share one allocation.
+//!   can share one allocation, and each entry records whether its set is
+//!   *free* (see [`PartitionCache::is_free`]).
 //!
 //! ```
 //! use aod_partition::{AttrSet, Partition};

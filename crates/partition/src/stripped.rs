@@ -254,7 +254,6 @@ pub struct RefineScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttrSet, PartitionCache};
     use aod_table::{employee_table, RankedTable};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -313,7 +312,6 @@ mod tests {
     #[test]
     fn for_attrs_matches_brute_force_on_employee() {
         let r = employee_ranked();
-        let mut cache = PartitionCache::new();
         let attr_sets: &[&[usize]] = &[
             &[0, 1],
             &[0, 3],
@@ -326,8 +324,6 @@ mod tests {
             let brute = brute_partition(&r, attrs);
             let p = Partition::for_attrs(&r, attrs.iter().copied());
             assert_eq!(normalize(&p), brute, "attrs {attrs:?}");
-            let cached = cache.ensure(&r, AttrSet::from_attrs(attrs.iter().copied()));
-            assert_eq!(normalize(cached), brute, "attrs {attrs:?}");
         }
     }
 
@@ -353,12 +349,11 @@ mod tests {
 
         /// Refining column by column with one scratch (whose `n_distinct`
         /// changes from call to call) groups rows as brute force does,
-        /// keeps rows ascending and strips every singleton; `for_attrs` and
-        /// `PartitionCache::ensure` agree on every prefix.
+        /// keeps rows ascending and strips every singleton; `for_attrs`
+        /// agrees on every prefix.
         #[test]
         fn refine_matches_brute_force(t in table()) {
             let mut scratch = RefineScratch::default();
-            let mut cache = PartitionCache::new();
             let mut part = Partition::unit(t.n_rows());
             for attrs in [&[2usize][..], &[2, 0], &[2, 0, 1], &[2, 0, 1, 0]] {
                 let col = t.column(attrs[attrs.len() - 1]);
@@ -370,8 +365,6 @@ mod tests {
                 }
                 let for_attrs = Partition::for_attrs(&t, attrs.iter().copied());
                 prop_assert_eq!(&normalize(&for_attrs), &brute);
-                let cached = cache.ensure(&t, AttrSet::from_attrs(attrs.iter().copied()));
-                prop_assert_eq!(&normalize(cached), &brute);
             }
         }
     }

@@ -170,6 +170,9 @@ impl JobSpec {
         }
         let timeout_ms = uint("timeout_ms")?;
         let top_k = uint("top_k")?.map(|v| v as usize);
+        if top_k == Some(0) {
+            return Err("`top_k` must be at least 1".to_string());
+        }
         let threads = uint("threads")?.map_or(1, |v| v as usize);
         if threads > 256 {
             // The engine forks one validator backend per worker up front;
@@ -934,8 +937,10 @@ mod tests {
             assert!(parse_spec(bad, &d).is_err(), "{bad} should be rejected");
         }
         // The removed sampling strategy and its stride fail through the
-        // generic unknown-name errors.
+        // generic unknown-name errors; a `top_k` of 0, which would admit
+        // a job that ends with no dependency, fails like a `max_level` of 0.
         for (bad, needle) in [
+            (r#"{"top_k":0}"#, "`top_k` must be at least 1"),
             (r#"{"epsilon":0.1,"strategy":"hybrid"}"#, "unknown strategy"),
             (
                 r#"{"epsilon":0.1,"sample_stride":8}"#,

@@ -33,8 +33,6 @@ pub enum TableError {
         /// The maximum supported row count ([`crate::MAX_ROWS`]).
         max: usize,
     },
-    /// A named column does not exist.
-    UnknownColumn(String),
     /// A column index is out of range.
     ColumnIndex(usize),
     /// Malformed CSV (e.g. unterminated quoted field).
@@ -72,7 +70,6 @@ impl fmt::Display for TableError {
                     "table has {found} rows, more than the {max} supported by 32-bit row ids"
                 )
             }
-            TableError::UnknownColumn(name) => write!(f, "unknown column `{name}`"),
             TableError::ColumnIndex(idx) => write!(f, "column index {idx} out of range"),
             TableError::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
             TableError::Io(e) => write!(f, "I/O error: {e}"),
@@ -107,8 +104,6 @@ mod tests {
             expected: 5,
         };
         assert_eq!(e.to_string(), "row 3 has 2 fields, expected 5");
-        let e = TableError::UnknownColumn("x".into());
-        assert!(e.to_string().contains("`x`"));
         let e = TableError::Csv {
             line: 9,
             message: "unterminated quote".into(),

@@ -135,17 +135,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// A column by name.
-    ///
-    /// # Errors
-    /// [`TableError::UnknownColumn`] when no column carries that name.
-    pub fn column_by_name(&self, name: &str) -> Result<&[Value], TableError> {
-        self.schema
-            .index_of(name)
-            .map(|i| self.columns[i].as_slice())
-            .ok_or_else(|| TableError::UnknownColumn(name.to_string()))
-    }
-
     /// The value at `(row, col)`.
     pub fn value(&self, row: usize, col: usize) -> &Value {
         &self.columns[col][row]

@@ -272,7 +272,7 @@ impl OcValidatorBackend for Counting {
 /// each validated candidate is a backend call, `inherited` or `bounded`
 /// (the OC batch span args of a `ManualClock` trace).
 #[test]
-fn non_free_contexts_skip_the_backend_only_under_r2() {
+fn contexts_that_are_not_free_skip_the_backend_only_under_r2() {
     let table = aod::datagen::flight::flight(7).table(1000);
     let table = RankedTable::from_table(&table.project(&(0..10).collect::<Vec<_>>()).unwrap());
     let without_r2 = PruneConfig {
