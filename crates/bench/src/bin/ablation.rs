@@ -33,7 +33,7 @@ fn main() {
     let epsilon = args.epsilon(0.1);
     // Without node deletion the lattice is exhaustive; cap the level so the
     // no-pruning baseline terminates at any scale.
-    let max_level = args.usize("max-level", 6);
+    let max_level = args.positive("max-level", 6);
 
     println!(
         "# Ablation of pruning rules — {rows} tuples, 10 attributes, ε = {epsilon}, \

@@ -202,6 +202,16 @@ impl ExpArgs {
         self.parsed(name, default, "an integer")
     }
 
+    /// Integer option with default that must be at least 1, such as a
+    /// level cap: 0 is a usage error, as it is for `aod discover`.
+    pub fn positive(&self, name: &str, default: usize) -> usize {
+        let n = self.usize(name, default);
+        if n == 0 {
+            usage_error(&format!("--{name}: must be at least 1"));
+        }
+        n
+    }
+
     /// Float option with default.
     pub fn f64(&self, name: &str, default: f64) -> f64 {
         self.parsed(name, default, "a number")

@@ -270,18 +270,11 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let result = if args.flag("progress") {
         // --progress narrates from the same observability surface
         // `aod-serve` exports on `GET /metrics`: a [`DiscoveryMetrics`]
-        // event sink over a private registry, plus the executor's
-        // queue-depth gauge.
+        // event sink over a private registry.
         let registry = aod_obs::Registry::new();
         let metrics = std::sync::Arc::new(DiscoveryMetrics::new(&registry, &[]));
         let clock = aod_obs::MonotonicClock::new();
-        builder = builder
-            .event_sink(metrics.as_sink())
-            .queue_depth_gauge(registry.gauge(
-                "aod_exec_queue_depth",
-                "Work items remaining in the executor's current batch.",
-                &[],
-            ));
+        builder = builder.event_sink(metrics.as_sink());
         run_with_progress(builder.build(&ranked), &metrics, &clock)
     } else {
         builder.run(&ranked)

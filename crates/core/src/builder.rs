@@ -83,7 +83,11 @@ impl DiscoveryBuilder {
     }
 
     /// Stops after this lattice level (complete up to it).
+    ///
+    /// # Panics
+    /// If `level` is 0: level 1 is the first the engine processes.
     pub fn max_level(mut self, level: usize) -> DiscoveryBuilder {
+        assert!(level >= 1, "max_level must be at least 1");
         self.settings.max_level = Some(level);
         self
     }
@@ -115,7 +119,11 @@ impl DiscoveryBuilder {
     /// Stops the run (partial results, flagged `stopped_early`) as soon as
     /// `k` OCs have been found — early-exit serving for "give me the k
     /// most promising dependencies" workloads.
+    ///
+    /// # Panics
+    /// If `k` is 0: such a run would stop before validating anything.
     pub fn top_k(mut self, k: usize) -> DiscoveryBuilder {
+        assert!(k >= 1, "top_k must be at least 1");
         self.settings.top_k = Some(k);
         self
     }
@@ -163,7 +171,8 @@ impl DiscoveryBuilder {
 
     /// Attaches a gauge tracking the executor's outstanding per-level work
     /// items (queue depth): each level's node batch and partition batch
-    /// fill it and drain it to zero, at every thread count.
+    /// add their items and take them out as they complete, at every thread
+    /// count. Sessions may share one gauge; it then reads their sum.
     pub fn queue_depth_gauge(mut self, gauge: aod_obs::Gauge) -> DiscoveryBuilder {
         self.settings.queue_gauge = Some(gauge);
         self
@@ -267,6 +276,18 @@ mod tests {
     #[should_panic(expected = "within [0, 1]")]
     fn bad_epsilon_panics_at_the_builder() {
         let _ = DiscoveryBuilder::new().approximate(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "top_k must be at least 1")]
+    fn top_k_of_zero_panics_at_the_builder() {
+        let _ = DiscoveryBuilder::new().top_k(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_level must be at least 1")]
+    fn max_level_of_zero_panics_at_the_builder() {
+        let _ = DiscoveryBuilder::new().max_level(0);
     }
 
     #[test]

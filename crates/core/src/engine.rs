@@ -1043,6 +1043,13 @@ mod tests {
     #[test]
     fn discovery_metrics_match_final_stats() {
         let t = employee();
+        let candidates = |stats: &crate::DiscoveryStats| -> u64 {
+            stats
+                .per_level
+                .iter()
+                .map(|l| l.n_oc_candidates as u64)
+                .sum()
+        };
         let registry = aod_obs::Registry::new();
         let metrics = Arc::new(DiscoveryMetrics::new(&registry, &[]));
         let result = DiscoveryBuilder::new()
@@ -1054,8 +1061,7 @@ mod tests {
         let stats = &result.stats;
         assert_eq!(metrics.ocs_found().get(), stats.n_ocs() as u64);
         assert_eq!(metrics.ofds_found().get(), stats.n_ofds() as u64);
-        let candidates: usize = stats.per_level.iter().map(|l| l.n_oc_candidates).sum();
-        assert_eq!(metrics.oc_candidates().get(), candidates as u64);
+        assert_eq!(metrics.oc_candidates().get(), candidates(stats));
         let pruned: usize = stats.per_level.iter().map(|l| l.n_oc_pruned).sum();
         assert_eq!(metrics.oc_pruned().get(), pruned as u64);
         assert_eq!(
@@ -1070,6 +1076,36 @@ mod tests {
                 phase.name()
             );
         }
+
+        // Runs share a series (serve makes one sink per job and one series
+        // per dataset), and each adds its own levels' candidates: a later
+        // run cut inside a level by `top_k` adds those of its cut level.
+        let cut = DiscoveryBuilder::new()
+            .approximate(0.15)
+            .top_k(3)
+            .event_sink(Arc::new(DiscoveryMetrics::new(&registry, &[])).as_sink())
+            .run(&t);
+        assert!(cut.stats.stopped_early);
+        assert!(cut.stats.per_level.last().unwrap().n_oc_candidates > 0);
+        assert_eq!(
+            metrics.oc_candidates().get(),
+            candidates(stats) + candidates(&cut.stats)
+        );
+
+        // A run that ends at its level cap counts its last level once,
+        // though the engine reports the finish before that level's
+        // `LevelComplete`.
+        let capped_metrics = Arc::new(DiscoveryMetrics::new(&registry, &[("run", "capped")]));
+        let capped = DiscoveryBuilder::new()
+            .approximate(0.15)
+            .max_level(2)
+            .event_sink(capped_metrics.as_sink())
+            .run(&t);
+        assert!(capped.stats.per_level[1].n_oc_candidates > 0);
+        assert_eq!(
+            capped_metrics.oc_candidates().get(),
+            candidates(&capped.stats)
+        );
     }
 
     /// Every OC candidate the engine answers without a backend call is

@@ -124,9 +124,15 @@ impl EventSink for NoopSink {}
 /// | `aod_discovery_levels_completed_total` | counter | levels fully processed |
 /// | `aod_discovery_phase_duration_us{phase=...}` | histogram | per-level phase time (summed over workers) |
 ///
-/// Candidate totals are folded in at each `LevelComplete` (from the
-/// level's deterministic counters); found/pruned counters tick per event,
-/// so rates are live within a level.
+/// Candidate totals are added once per level of the run: a completed
+/// level's at its `LevelComplete` (from the level's deterministic
+/// counters), and a level cut short by a timeout, a cancel or a reached
+/// `top_k` at [`on_finish`](EventSink::on_finish). Found/pruned counters
+/// tick per event, so rates are live within a level.
+///
+/// One sink observes one run. Several sinks may share a registry and
+/// labels (serve makes one per job and one series per dataset): each adds
+/// its own run's counts to the shared series.
 #[derive(Debug, Clone)]
 pub struct DiscoveryMetrics {
     level: Gauge,
@@ -137,6 +143,9 @@ pub struct DiscoveryMetrics {
     oc_pruned: Counter,
     levels_completed: Counter,
     phases: [Histogram; 3],
+    /// Levels of this run whose candidates are in `oc_candidates`: the
+    /// `LevelComplete` events this sink has seen. Not registered.
+    run_levels: Counter,
 }
 
 impl DiscoveryMetrics {
@@ -193,6 +202,7 @@ impl DiscoveryMetrics {
                 phase_histogram(Phase::OfdValidation),
                 phase_histogram(Phase::Partitioning),
             ],
+            run_levels: Counter::new(),
         }
     }
 
@@ -222,7 +232,7 @@ impl DiscoveryMetrics {
         &self.ofds_found
     }
 
-    /// OC candidates validated so far (folded in per completed level).
+    /// OC candidates validated so far (added once per level).
     pub fn oc_candidates(&self) -> &Counter {
         &self.oc_candidates
     }
@@ -256,6 +266,7 @@ impl EventSink for DiscoveryMetrics {
             DiscoveryEvent::Pruned { .. } => self.oc_pruned.inc(),
             DiscoveryEvent::LevelComplete(outcome) => {
                 self.levels_completed.inc();
+                self.run_levels.inc();
                 self.oc_candidates.add(outcome.stats.n_oc_candidates as u64);
             }
             DiscoveryEvent::TimedOut { .. } | DiscoveryEvent::Cancelled { .. } => {}
@@ -267,16 +278,20 @@ impl EventSink for DiscoveryMetrics {
     }
 
     fn on_finish(&self, stats: &DiscoveryStats) {
-        // Candidate totals for an interrupted final level never get a
-        // LevelComplete; reconcile against the authoritative stats so the
-        // counter converges on the exact deterministic total.
-        self.oc_candidates.record_total(
-            stats
-                .per_level
-                .iter()
-                .map(|l| l.n_oc_candidates as u64)
-                .sum(),
-        );
+        // A level cut short never gets a LevelComplete, so its candidates
+        // are added here. A run that ends after a completed level gets
+        // that level's LevelComplete after this call, and adds nothing.
+        if stats.timed_out || stats.stopped_early {
+            let counted = self.run_levels.get() as usize;
+            self.oc_candidates.add(
+                stats
+                    .per_level
+                    .iter()
+                    .skip(counted)
+                    .map(|l| l.n_oc_candidates as u64)
+                    .sum(),
+            );
+        }
     }
 }
 

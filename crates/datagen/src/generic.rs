@@ -289,9 +289,7 @@ impl Generator {
             .map(|c| c.into_iter().map(|v| Value::Int(v as i64)).collect())
             .collect();
         let schema = aod_table::Schema::from_names(&names).expect("spec names are unique");
-        let mut t = Table::new(schema, columns).expect("columns are rectangular");
-        t.infer_types();
-        t
+        Table::new(schema, columns).expect("columns are rectangular")
     }
 }
 

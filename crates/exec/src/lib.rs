@@ -83,12 +83,14 @@ impl Executor {
         }
     }
 
-    /// Attaches a queue-depth gauge: each `par_map_*` call sets it to the
-    /// number of pending items and decrements it as items complete, so an
-    /// observer sees the pool's outstanding work in real time. Purely
-    /// observational — results and scheduling are unaffected. (After a
-    /// panicking map the gauge may retain the unprocessed remainder; the
-    /// panic is re-raised either way.)
+    /// Attaches a queue-depth gauge: each `par_map_*` call adds its item
+    /// count on entry and takes one out as each item completes, so an
+    /// observer sees the outstanding work in real time. Maps that share
+    /// the gauge (every job on one dataset in `aod-serve`, or a map inside
+    /// another map's item) add up: the gauge reads the sum of their
+    /// unfinished items. A map that panics takes its unfinished items back
+    /// out before the panic is re-raised. Purely observational — results
+    /// and scheduling are unaffected.
     pub fn with_queue_gauge(mut self, gauge: aod_obs::Gauge) -> Executor {
         self.queue_gauge = Some(gauge);
         self
@@ -144,12 +146,10 @@ impl Executor {
         R: Send,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        if let Some(gauge) = &self.queue_gauge {
-            gauge.set(items.len() as u64);
-        }
         if items.is_empty() {
             return Vec::new();
         }
+        let queued = Queued::new(self.queue_gauge.as_ref(), items.len());
         // Never run more workers than items; a 1-worker map degenerates
         // to the plain in-order loop (no counter, no spawn).
         let n_workers = self.threads.min(items.len());
@@ -160,9 +160,7 @@ impl Executor {
                 .enumerate()
                 .map(|(i, item)| {
                     let r = f(&mut state, i, item);
-                    if let Some(gauge) = &self.queue_gauge {
-                        gauge.sub(1);
-                    }
+                    queued.done_one();
                     r
                 })
                 .collect();
@@ -180,8 +178,7 @@ impl Executor {
                 .into_iter()
                 .enumerate()
                 .map(|(w, mut state)| {
-                    let (next, abort, f) = (&next, &abort, &f);
-                    let queue_gauge = self.queue_gauge.as_ref();
+                    let (next, abort, f, queued) = (&next, &abort, &f, &queued);
                     let trace = self.trace.as_deref();
                     scope.spawn(move || {
                         let mut done = Vec::new();
@@ -191,11 +188,9 @@ impl Executor {
                                 let Some(item) = items.get(i) else { break };
                                 let t0 = trace.map(TraceSink::now_us);
                                 done.push((i, f(&mut state, i, item)));
-                                if let Some(gauge) = queue_gauge {
-                                    gauge.sub(1);
-                                }
+                                queued.done_one();
                                 if let (Some(trace), Some(t0)) = (trace, t0) {
-                                    record_worker_span(trace, w, i, t0, queue_gauge);
+                                    record_worker_span(trace, w, i, t0, queued.gauge);
                                 }
                             }
                         }))
@@ -233,6 +228,42 @@ impl Default for Executor {
 }
 
 type Payload = Box<dyn std::any::Any + Send + 'static>;
+
+/// One map's share of the queue-depth gauge: its item count is added on
+/// creation and taken out one item at a time, and whatever is left when
+/// it drops (only after a panic) is taken out then.
+struct Queued<'a> {
+    gauge: Option<&'a aod_obs::Gauge>,
+    left: AtomicUsize,
+}
+
+impl<'a> Queued<'a> {
+    fn new(gauge: Option<&'a aod_obs::Gauge>, items: usize) -> Queued<'a> {
+        if let Some(gauge) = gauge {
+            gauge.add(items as u64);
+        }
+        Queued {
+            gauge,
+            left: AtomicUsize::new(items),
+        }
+    }
+
+    /// One item finished.
+    fn done_one(&self) {
+        if let Some(gauge) = self.gauge {
+            self.left.fetch_sub(1, Ordering::Relaxed);
+            gauge.sub(1);
+        }
+    }
+}
+
+impl Drop for Queued<'_> {
+    fn drop(&mut self) {
+        if let Some(gauge) = self.gauge {
+            gauge.sub(*self.left.get_mut() as u64);
+        }
+    }
+}
 
 /// Records one `"run"` worker-lane span for a completed item.
 fn record_worker_span(
@@ -440,6 +471,33 @@ mod tests {
             let exec = Executor::new(threads).with_queue_gauge(gauge.clone());
             let out = exec.par_map_indexed(&items, |_, &x| x);
             assert_eq!(out, items);
+            assert_eq!(gauge.get(), 0, "threads={threads}");
+
+            // Maps that share the gauge add up. Map B's five items run
+            // inside map A's first item while A's other two wait, so once
+            // B is done the gauge still reads A's three unfinished items.
+            let b = Executor::new(threads).with_queue_gauge(gauge.clone());
+            let b_done = AtomicBool::new(false);
+            let after_b = exec.par_map_indexed(&[0, 1, 2], |i, _| {
+                if i > 0 {
+                    while !b_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    return None;
+                }
+                b.par_map_indexed(&[(); 5], |_, _| ());
+                let depth = gauge.get();
+                b_done.store(true, Ordering::Release);
+                Some(depth)
+            });
+            assert_eq!(after_b[0], Some(3), "threads={threads}");
+            assert_eq!(gauge.get(), 0, "threads={threads}");
+
+            // A map that panics takes its unfinished items back out.
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                exec.par_map_indexed(&items, |i, _| assert_ne!(i, 7, "item 7"));
+            }));
+            assert!(panicked.is_err());
             assert_eq!(gauge.get(), 0, "threads={threads}");
         }
     }

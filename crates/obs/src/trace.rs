@@ -3,9 +3,11 @@
 //! The metrics core answers "how much time did phase *P* take overall";
 //! this module answers "which job, level, phase, or candidate batch burned
 //! it". A [`Span`] is one timed interval in a fixed hierarchy —
-//! job → level → phase → candidate-batch — recorded into a [`TraceSink`]:
-//! a bounded ring buffer behind one short mutex hold per span (spans are
-//! per level/phase/node, not per row, so the lock is cold).
+//! job → level → phase → candidate-batch — recorded into a [`TraceSink`]
+//! behind one short mutex hold per span (spans are per level/phase/node,
+//! not per row, so the lock is cold). A sink from [`TraceSink::new`] keeps
+//! every span, so a trace of a wide run keeps its level and phase spans;
+//! [`TraceSink::with_capacity`] bounds each lane to a ring instead.
 //!
 //! Determinism is the design center, mirroring the engine's event-stream
 //! contract:
@@ -35,10 +37,6 @@
 use crate::Clock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// Default bound on retained spans per lane; beyond it the oldest span is
-/// evicted (ring discipline) and [`TraceSink::dropped`] counts the loss.
-pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
 /// One timed interval of a discovery run.
 ///
@@ -112,15 +110,17 @@ struct TraceBuf {
     worker_seq: u64,
 }
 
-/// A bounded, thread-safe collector of [`Span`]s fed by an injectable
-/// [`Clock`].
+/// A thread-safe collector of [`Span`]s fed by an injectable [`Clock`].
 ///
 /// Two lanes: [`record`](TraceSink::record) feeds the deterministic
 /// hierarchy (driving-thread spans with content-derived ids), and
 /// [`record_worker`](TraceSink::record_worker) feeds the scheduling-
-/// dependent worker lane. Both are rings: when a lane exceeds the
-/// capacity, the oldest span is evicted and counted in
-/// [`dropped`](TraceSink::dropped).
+/// dependent worker lane. A sink from [`new`](TraceSink::new) keeps every
+/// span, so its memory grows with the run's lattice nodes (a traced job's
+/// event log grows at least as fast). A sink from
+/// [`with_capacity`](TraceSink::with_capacity) makes each lane a ring:
+/// when a lane exceeds the capacity, the oldest span is evicted and
+/// counted in [`dropped`](TraceSink::dropped).
 #[derive(Debug)]
 pub struct TraceSink {
     clock: Arc<dyn Clock>,
@@ -129,9 +129,9 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// A sink with the [`DEFAULT_TRACE_CAPACITY`].
+    /// A sink that keeps every span.
     pub fn new(clock: Arc<dyn Clock>) -> TraceSink {
-        TraceSink::with_capacity(clock, DEFAULT_TRACE_CAPACITY)
+        TraceSink::with_capacity(clock, usize::MAX)
     }
 
     /// A sink retaining at most `capacity` spans per lane (minimum 1).
@@ -200,7 +200,8 @@ impl TraceSink {
         self.lock().workers.iter().cloned().collect()
     }
 
-    /// Spans evicted by the ring bound, across both lanes.
+    /// Spans evicted by the ring bound, across both lanes (always 0 for a
+    /// sink from [`new`](TraceSink::new)).
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
     }

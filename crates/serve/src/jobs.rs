@@ -543,7 +543,8 @@ impl Job {
 
 /// How many job traces are retained, independently of
 /// [`MAX_RETAINED_JOBS`] — a serialized trace is the largest per-job
-/// payload, so its bound is much tighter.
+/// payload (its sink keeps every span, so it grows with the job's lattice
+/// nodes, as the job's event log does), so its bound is much tighter.
 pub const MAX_RETAINED_TRACES: usize = 64;
 
 /// Bounded per-job trace retention: serialized Chrome-trace documents

@@ -136,9 +136,11 @@ impl ServeMetrics {
 
     /// The per-dataset executor queue-depth gauge
     /// (`aod_exec_queue_depth{dataset=...}`), attached to every job's
-    /// discovery session. Idempotent per dataset; each lattice level's node
-    /// batch and refinement batch fill it and drain it back to zero as their
-    /// items complete, at every thread count.
+    /// discovery session. Idempotent per dataset, so the dataset's jobs
+    /// share it: each executor map of a job (a level's nodes, then its
+    /// refinements) adds its items and takes them out as they complete, at
+    /// every thread count, and the gauge reads the unfinished items of all
+    /// the dataset's running jobs.
     pub fn queue_depth_gauge(&self, dataset: &str) -> Gauge {
         self.registry.gauge(
             "aod_exec_queue_depth",

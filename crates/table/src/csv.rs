@@ -2,8 +2,9 @@
 //!
 //! Hand-rolled (the workspace's offline dependency policy excludes the `csv`
 //! crate) but complete for the datasets this project handles: quoted fields,
-//! embedded separators/newlines/escaped quotes, configurable delimiter, CRLF
-//! tolerance, and per-column type inference through [`Value::parse`].
+//! embedded separators/newlines/escaped quotes, configurable delimiter and
+//! CRLF tolerance. Each field is parsed on its own by [`Value::parse`]; no
+//! type is inferred per column, so one column may hold several variants.
 //!
 //! The reader makes one pass over the input bytes. It copies each run of
 //! field text between two stop bytes (quote, CR, LF, delimiter) into one
@@ -200,9 +201,7 @@ impl Columns {
         } else {
             (0..self.values.len()).map(|i| format!("c{i}")).collect()
         };
-        let mut table = Table::new(Schema::from_names(&names)?, self.values)?;
-        table.infer_types();
-        Ok(table)
+        Table::new(Schema::from_names(&names)?, self.values)
     }
 }
 
@@ -299,7 +298,6 @@ pub fn write_path<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ValueType;
 
     #[test]
     fn parses_simple_csv() {
@@ -352,11 +350,15 @@ mod tests {
 
     #[test]
     fn type_inference_over_rows() {
-        let t = read_str("a,b,c\n1,1.5,x\n2,,y\n", &CsvOptions::default()).unwrap();
-        assert_eq!(t.schema().column(0).ty, ValueType::Int);
-        assert_eq!(t.schema().column(1).ty, ValueType::Float);
-        assert_eq!(t.schema().column(2).ty, ValueType::Str);
+        // Each field keeps the type it parses to, whatever its column
+        // holds elsewhere: an `Int` stays an `Int` under a `Float`.
+        let t = read_str("a,b,c\n1,1.5,x\n2,,y\n3,4,5\n", &CsvOptions::default()).unwrap();
+        assert!(matches!(t.value(0, 0), Value::Int(1)));
+        assert!(matches!(t.value(0, 1), Value::Float(f) if *f == 1.5));
         assert!(t.value(1, 1).is_null());
+        assert!(matches!(t.value(2, 1), Value::Int(4)));
+        assert!(matches!(t.value(1, 2), Value::Str(s) if s == "y"));
+        assert!(matches!(t.value(2, 2), Value::Int(5)));
     }
 
     #[test]

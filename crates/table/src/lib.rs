@@ -6,9 +6,9 @@
 //! * [`Value`] — a dynamically typed cell value with a **total** order
 //!   (nulls first, numbers numerically, strings last), the one property
 //!   order-dependency semantics require.
-//! * [`Table`] — a columnar table with a [`Schema`].
-//! * [`csv`] — a hand-rolled RFC-4180-style reader/writer with type
-//!   inference.
+//! * [`Table`] — a columnar table whose [`Schema`] names its columns.
+//! * [`csv`] — a hand-rolled RFC-4180-style reader/writer; each field is
+//!   parsed into a [`Value`] on its own, with no type inferred per column.
 //! * [`RankedTable`] — the order-preserving dense rank encoding
 //!   (`Vec<u32>` per column) that every algorithm actually runs on.
 //! * [`employee_table`] — Table 1 of the paper, the running example.
@@ -36,6 +36,6 @@ mod value;
 
 pub use error::TableError;
 pub use ranked::{RankedColumn, RankedTable};
-pub use schema::{ColumnMeta, Schema};
+pub use schema::Schema;
 pub use table::{check_row_count, employee_table, Table, MAX_ROWS};
-pub use value::{Value, ValueType};
+pub use value::Value;

@@ -28,9 +28,6 @@ use crate::value::Value;
 pub struct RankedColumn {
     ranks: Vec<u32>,
     n_distinct: u32,
-    /// For each rank, the lowest row holding that rank (used to decode
-    /// ranks back into printable values).
-    witness: Vec<u32>,
 }
 
 impl RankedColumn {
@@ -48,11 +45,6 @@ impl RankedColumn {
     #[inline]
     pub fn rank(&self, row: usize) -> u32 {
         self.ranks[row]
-    }
-
-    /// The lowest row index whose value has the given rank.
-    pub fn witness_row(&self, rank: u32) -> usize {
-        self.witness[rank as usize] as usize
     }
 }
 
@@ -108,7 +100,7 @@ impl RankedTable {
                     .map(|(&v, row)| (u64::from(v), row))
                     .collect();
                 radix_sort(&mut keyed);
-                rank_sorted(n, &[], &keyed)
+                rank_sorted(n, false, &keyed)
             })
             .collect();
         RankedTable { columns, n_rows: n }
@@ -144,17 +136,10 @@ impl RankedTable {
         }
     }
 
-    /// Restricts the ranked table to its first `n` rows, re-densifying ranks.
-    pub fn head(&self, n: usize) -> RankedTable {
-        let k = n.min(self.n_rows);
-        RankedTable::from_u32_columns(self.columns.iter().map(|c| c.ranks[..k].to_vec()).collect())
-    }
-
     /// A copy with its rows renumbered in lexicographic order of their
     /// ranks on `columns`, taken in the order given; rows tied on all of
     /// them keep their relative order. Every column is copied, ranks and
-    /// `n_distinct` unchanged, and each witness is the lowest new row
-    /// holding its rank.
+    /// `n_distinct` unchanged.
     ///
     /// Classes of any partition of the copy then list their rows sorted on
     /// the first of `columns` outside the partition's attributes. Cost:
@@ -168,17 +153,9 @@ impl RankedTable {
         let columns = self
             .columns
             .iter()
-            .map(|col| {
-                let ranks: Vec<u32> = order.iter().map(|&row| col.ranks[row as usize]).collect();
-                let mut witness = vec![0u32; col.witness.len()];
-                for (row, &rank) in (0..self.n_rows as u32).zip(&ranks).rev() {
-                    witness[rank as usize] = row;
-                }
-                RankedColumn {
-                    ranks,
-                    n_distinct: col.n_distinct,
-                    witness,
-                }
+            .map(|col| RankedColumn {
+                ranks: order.iter().map(|&row| col.ranks[row as usize]).collect(),
+                n_distinct: col.n_distinct,
             })
             .collect();
         RankedTable {
@@ -281,19 +258,19 @@ impl RankedTable {
 /// Ranks one column: nulls at rank 0, then one rank per distinct value in
 /// [`Value`] order.
 fn rank_values(col: &[Value]) -> RankedColumn {
-    let mut nulls = Vec::new();
+    let mut has_null = false;
     let mut ints = Vec::with_capacity(col.len());
     let mut all_int = true;
     for (value, row) in col.iter().zip(0u32..) {
         match value {
-            Value::Null => nulls.push(row),
+            Value::Null => has_null = true,
             Value::Int(i) => ints.push((int_key(*i), row)),
             Value::Float(_) | Value::Str(_) => all_int = false,
         }
     }
     if all_int {
         radix_sort(&mut ints);
-        return rank_sorted(col.len(), &nulls, &ints);
+        return rank_sorted(col.len(), has_null, &ints);
     }
     let mut values: Vec<(&Value, u32)> = col
         .iter()
@@ -301,7 +278,7 @@ fn rank_values(col: &[Value]) -> RankedColumn {
         .filter(|(value, _)| !value.is_null())
         .collect();
     values.sort_by(|a, b| a.0.cmp(b.0));
-    rank_sorted(col.len(), &nulls, &values)
+    rank_sorted(col.len(), has_null, &values)
 }
 
 /// `i64` → `u64` preserving order: flipping the sign bit moves the
@@ -340,22 +317,18 @@ fn radix_sort(pairs: &mut Vec<(u64, u32)>) {
     }
 }
 
-/// The ranks of `n` rows: `nulls` (ascending) at rank 0, then one rank per
-/// run of equal keys in `sorted`, whose equal keys are in row order.
-fn rank_sorted<K: PartialEq>(n: usize, nulls: &[u32], sorted: &[(K, u32)]) -> RankedColumn {
+/// The ranks of `n` rows: the rows missing from `sorted` (the nulls, if
+/// `has_null`) at rank 0, then one rank per run of equal keys in `sorted`.
+fn rank_sorted<K: PartialEq>(n: usize, has_null: bool, sorted: &[(K, u32)]) -> RankedColumn {
     let mut ranks = vec![0u32; n];
-    let mut witness: Vec<u32> = nulls.first().copied().into_iter().collect();
+    let mut n_distinct = u32::from(has_null);
     for (i, (key, row)) in sorted.iter().enumerate() {
         if i == 0 || sorted[i - 1].0 != *key {
-            witness.push(*row);
+            n_distinct += 1;
         }
-        ranks[*row as usize] = witness.len() as u32 - 1;
+        ranks[*row as usize] = n_distinct - 1;
     }
-    RankedColumn {
-        ranks,
-        n_distinct: witness.len() as u32,
-        witness,
-    }
+    RankedColumn { ranks, n_distinct }
 }
 
 #[cfg(test)]
@@ -405,18 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn witness_rows_decode_ranks() {
-        let t = employee_table();
-        let r = RankedTable::from_table(&t);
-        let col = r.column(2); // sal
-        for row in 0..t.n_rows() {
-            let rank = col.rank(row);
-            let w = col.witness_row(rank);
-            assert_eq!(t.value(w, 2), t.value(row, 2));
-        }
-    }
-
-    #[test]
     fn nulls_rank_lowest() {
         let t = Table::from_rows(
             &["a"],
@@ -451,10 +412,13 @@ mod tests {
 
     #[test]
     fn head_and_column_subset() {
-        let r = RankedTable::from_u32_columns(vec![vec![5, 4, 3, 2, 1], vec![1, 1, 2, 2, 3]]);
-        let h = r.head(3);
+        // The first rows of a table, ranked on their own, get dense ranks.
+        let rows = [5, 4, 3, 2, 1].map(|v| vec![Value::Int(v), Value::Int(v / 2)]);
+        let t = Table::from_rows(&["a", "b"], rows.to_vec()).unwrap();
+        let h = RankedTable::from_table(&t.take_rows(&[0, 1, 2]));
         assert_eq!(h.n_rows(), 3);
         assert_eq!(h.column(0).ranks(), &[2, 1, 0]);
+        let r = RankedTable::from_table(&t);
         let s = r.with_first_columns(1);
         assert_eq!(s.n_cols(), 1);
         assert_eq!(s.n_rows(), 5);
@@ -493,8 +457,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The renumbering is a permutation that sorts rows on `by`,
-        /// breaks ties by old row id, moves every rank with its row and
-        /// re-points each witness at the lowest new row of its rank.
+        /// breaks ties by old row id and moves every rank with its row.
         #[test]
         fn sorted_rows_renumber_lexicographically((t, by) in table_and_columns()) {
             let order = t.lex_order(&by);
@@ -514,10 +477,6 @@ mod tests {
                 prop_assert_eq!(new.n_distinct(), old.n_distinct());
                 for (i, &row) in order.iter().enumerate() {
                     prop_assert_eq!(new.rank(i), old.rank(row as usize));
-                }
-                for r in 0..new.n_distinct() {
-                    let lowest = new.ranks().iter().position(|&x| x == r);
-                    prop_assert_eq!(Some(new.witness_row(r)), lowest);
                 }
             }
         }

@@ -1,115 +1,63 @@
-//! Relation schemas: ordered lists of named, typed columns.
+//! Relation schemas: ordered lists of column names.
 
 use crate::error::TableError;
-use crate::value::ValueType;
 use std::collections::HashSet;
-use std::fmt;
 
-/// Metadata for a single column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnMeta {
-    /// Column name, unique within a schema.
-    pub name: String,
-    /// Inferred or declared logical type.
-    pub ty: ValueType,
-}
-
-/// An ordered list of column descriptions.
+/// An ordered list of unique column names.
 ///
 /// Attribute indices used throughout the workspace (`usize` column ids,
 /// `aod-partition`'s `AttrSet` bit positions) are positions in this list.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    columns: Vec<ColumnMeta>,
+    names: Vec<String>,
 }
 
 impl Schema {
-    /// Creates a schema from column metadata.
+    /// Creates a schema from column names.
     ///
     /// # Errors
     /// Returns [`TableError::DuplicateColumn`] naming the first column
     /// whose name appeared earlier.
-    pub fn new(columns: Vec<ColumnMeta>) -> Result<Self, TableError> {
-        let mut seen = HashSet::with_capacity(columns.len());
-        if let Some(dup) = columns.iter().find(|c| !seen.insert(c.name.as_str())) {
-            return Err(TableError::DuplicateColumn(dup.name.clone()));
-        }
-        Ok(Schema { columns })
-    }
-
-    /// Creates a schema from names only, with all types `Str`.
-    /// Types are typically refined later by inference.
     pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<Self, TableError> {
-        Schema::new(
-            names
-                .iter()
-                .map(|n| ColumnMeta {
-                    name: n.as_ref().to_string(),
-                    ty: ValueType::Str,
-                })
-                .collect(),
-        )
+        let mut seen = HashSet::with_capacity(names.len());
+        if let Some(dup) = names.iter().map(AsRef::as_ref).find(|&n| !seen.insert(n)) {
+            return Err(TableError::DuplicateColumn(dup.to_string()));
+        }
+        Ok(Schema {
+            names: names.iter().map(|n| n.as_ref().to_string()).collect(),
+        })
     }
 
     /// Number of columns.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.names.len()
     }
 
     /// `true` if the schema has no columns.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Column metadata by index.
-    pub fn column(&self, idx: usize) -> &ColumnMeta {
-        &self.columns[idx]
+        self.names.is_empty()
     }
 
     /// Column name by index.
     pub fn name(&self, idx: usize) -> &str {
-        &self.columns[idx].name
+        &self.names[idx]
     }
 
     /// Finds a column index by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Iterates over column metadata.
-    pub fn iter(&self) -> impl Iterator<Item = &ColumnMeta> {
-        self.columns.iter()
+        self.names.iter().position(|n| n == name)
     }
 
     /// All column names in order.
     pub fn names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
-    /// Updates the type of a column (used by type inference).
-    pub fn set_type(&mut self, idx: usize, ty: ValueType) {
-        self.columns[idx].ty = ty;
+        self.names.iter().map(String::as_str).collect()
     }
 
     /// Returns a schema restricted to the given column indices, in order.
     pub fn project(&self, indices: &[usize]) -> Schema {
         Schema {
-            columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
+            names: indices.iter().map(|&i| self.names[i].clone()).collect(),
         }
-    }
-}
-
-impl fmt::Display for Schema {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for c in &self.columns {
-            if !first {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}:{}", c.name, c.ty)?;
-            first = false;
-        }
-        Ok(())
     }
 }
 
@@ -140,11 +88,5 @@ mod tests {
         let s = Schema::from_names(&["a", "b", "c", "d"]).unwrap();
         let p = s.project(&[2, 0]);
         assert_eq!(p.names(), vec!["c", "a"]);
-    }
-
-    #[test]
-    fn display_lists_columns() {
-        let s = Schema::from_names(&["x", "y"]).unwrap();
-        assert_eq!(s.to_string(), "x:str, y:str");
     }
 }

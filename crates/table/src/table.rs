@@ -7,7 +7,7 @@
 
 use crate::error::TableError;
 use crate::schema::Schema;
-use crate::value::{Value, ValueType};
+use crate::value::Value;
 
 /// The largest row count the workspace supports: row ids are `u32`
 /// throughout the hot paths (partitions, removal sets, rank permutations),
@@ -78,6 +78,19 @@ impl Table {
 
     /// Builds a table from rows (convenient for tests and examples).
     ///
+    /// ```
+    /// use aod_table::{Table, Value};
+    /// let t = Table::from_rows(
+    ///     &["a", "b"],
+    ///     vec![
+    ///         vec![Value::Int(1), Value::from("x")],
+    ///         vec![Value::Int(2), Value::from("y")],
+    ///     ],
+    /// )
+    /// .unwrap();
+    /// assert_eq!(t.n_rows(), 2);
+    /// ```
+    ///
     /// # Errors
     /// Returns [`TableError::RowArity`] when a row length differs from the
     /// header length, [`TableError::DuplicateColumn`] for bad headers, or
@@ -100,19 +113,7 @@ impl Table {
                 columns[c].push(v);
             }
         }
-        let mut t = Table::new(schema, columns)?;
-        t.infer_types();
-        Ok(t)
-    }
-
-    /// Re-infers column types from the data.
-    pub fn infer_types(&mut self) {
-        for (i, col) in self.columns.iter().enumerate() {
-            let ty = col
-                .iter()
-                .fold(ValueType::Null, |acc, v| acc.unify(ValueType::of(v)));
-            self.schema.set_type(i, ty);
-        }
+        Table::new(schema, columns)
     }
 
     /// The table's schema.
@@ -162,16 +163,6 @@ impl Table {
         })
     }
 
-    /// A new table containing only the first `n` rows.
-    pub fn head(&self, n: usize) -> Table {
-        let k = n.min(self.n_rows);
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c[..k].to_vec()).collect(),
-            n_rows: k,
-        }
-    }
-
     /// A new table containing only the rows whose indices are given.
     pub fn take_rows(&self, rows: &[usize]) -> Table {
         Table {
@@ -185,47 +176,11 @@ impl Table {
         }
     }
 
-    /// Appends a row to the table.
-    ///
-    /// # Errors
-    /// [`TableError::RowArity`] if the row length mismatches the schema.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), TableError> {
-        if row.len() != self.n_cols() {
-            return Err(TableError::RowArity {
-                row: self.n_rows + 1,
-                found: row.len(),
-                expected: self.n_cols(),
-            });
-        }
-        for (c, v) in row.into_iter().enumerate() {
-            self.columns[c].push(v);
-        }
-        self.n_rows += 1;
-        Ok(())
-    }
-
     /// Mutable access to a column (used by error injectors in `aod-datagen`).
     pub fn column_mut(&mut self, idx: usize) -> &mut Vec<Value> {
         &mut self.columns[idx]
     }
 }
-
-/// Convenience macro-free builder for small literal tables in tests.
-///
-/// ```
-/// use aod_table::{Table, Value};
-/// let t = Table::from_rows(
-///     &["a", "b"],
-///     vec![
-///         vec![Value::Int(1), Value::from("x")],
-///         vec![Value::Int(2), Value::from("y")],
-///     ],
-/// )
-/// .unwrap();
-/// assert_eq!(t.n_rows(), 2);
-/// ```
-#[allow(dead_code)]
-struct _DocTestAnchor;
 
 /// The running example of the paper (Table 1, employee salaries).
 ///
@@ -385,28 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn type_inference() {
-        let t = Table::from_rows(
-            &["i", "f", "s", "n"],
-            vec![
-                vec![Value::Int(1), Value::Float(0.5), "a".into(), Value::Null],
-                vec![Value::Int(2), Value::Int(3), "b".into(), Value::Null],
-            ],
-        )
-        .unwrap();
-        assert_eq!(t.schema().column(0).ty, ValueType::Int);
-        assert_eq!(t.schema().column(1).ty, ValueType::Float);
-        assert_eq!(t.schema().column(2).ty, ValueType::Str);
-        assert_eq!(t.schema().column(3).ty, ValueType::Null);
-    }
-
-    #[test]
     fn projection_and_head() {
         let t = employee_table();
         let p = t.project(&[0, 2]).unwrap();
         assert_eq!(p.schema().names(), vec!["pos", "sal"]);
         assert_eq!(p.n_rows(), 9);
-        let h = t.head(3);
+        let h = t.take_rows(&[0, 1, 2]);
         assert_eq!(h.n_rows(), 3);
         assert_eq!(h.value(2, 0), &Value::from("dev"));
         assert!(t.project(&[99]).is_err());
@@ -419,14 +358,6 @@ mod tests {
         assert_eq!(sub.n_rows(), 2);
         assert_eq!(sub.value(0, 0), &Value::from("dir"));
         assert_eq!(sub.value(1, 0), &Value::from("sec"));
-    }
-
-    #[test]
-    fn push_row_extends() {
-        let mut t = Table::from_rows(&["a"], vec![vec![Value::Int(1)]]).unwrap();
-        t.push_row(vec![Value::Int(2)]).unwrap();
-        assert_eq!(t.n_rows(), 2);
-        assert!(t.push_row(vec![]).is_err());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * `NaN` sorts after every other number,
 //! * strings sort after all numbers, lexicographically among themselves.
 //!
-//! Columns produced by the CSV reader are homogeneous, but the order must be
-//! total even for mixed columns so that rank encoding (see
+//! The CSV reader parses each field on its own, so one column may mix
+//! variants; the order is total across them, so rank encoding (see
 //! [`crate::ranked`]) never panics.
 
 use std::cmp::Ordering;
@@ -207,54 +207,6 @@ impl From<String> for Value {
     }
 }
 
-/// The logical type of a column, inferred during CSV ingestion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueType {
-    /// All non-null values are integers.
-    Int,
-    /// All non-null values are numeric, at least one a float.
-    Float,
-    /// At least one non-null value is a string (the catch-all type).
-    Str,
-    /// Column contains only nulls (or no rows).
-    Null,
-}
-
-impl ValueType {
-    /// The join of two types in the inference lattice `Null < Int < Float < Str`.
-    pub fn unify(self, other: ValueType) -> ValueType {
-        use ValueType::*;
-        match (self, other) {
-            (Null, t) | (t, Null) => t,
-            (Str, _) | (_, Str) => Str,
-            (Float, _) | (_, Float) => Float,
-            (Int, Int) => Int,
-        }
-    }
-
-    /// The type of a single value.
-    pub fn of(v: &Value) -> ValueType {
-        match v {
-            Value::Null => ValueType::Null,
-            Value::Int(_) => ValueType::Int,
-            Value::Float(_) => ValueType::Float,
-            Value::Str(_) => ValueType::Str,
-        }
-    }
-}
-
-impl fmt::Display for ValueType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ValueType::Int => "int",
-            ValueType::Float => "float",
-            ValueType::Str => "str",
-            ValueType::Null => "null",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +305,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn type_unification() {
-        use ValueType::*;
-        assert_eq!(Null.unify(Int), Int);
-        assert_eq!(Int.unify(Float), Float);
-        assert_eq!(Float.unify(Str), Str);
-        assert_eq!(Int.unify(Int), Int);
-        assert_eq!(Null.unify(Null), Null);
     }
 
     #[test]

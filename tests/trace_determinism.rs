@@ -158,6 +158,47 @@ fn oc_batch_spans_count_inherited_candidates() {
     assert_eq!(exports[0], exports[1]);
 }
 
+/// A sink from `TraceSink::new` keeps every span. A run of a 20 × 24
+/// table of two-valued columns to level 4 records about 25,000 spans,
+/// most of them in level 4's batches, which are recorded last: a ring of
+/// 8,192 spans would keep none of the level spans.
+#[test]
+fn a_wide_run_keeps_every_level_and_phase_span() {
+    let columns: Vec<Vec<u32>> = (0..24u64)
+        .map(|c| {
+            (0..20u64)
+                .map(|r| ((r * 0x9E37_79B9 + c * 0x85EB_CA6B + r * c) >> 7) as u32 & 1)
+                .collect()
+        })
+        .collect();
+    let ranked = RankedTable::from_u32_columns(columns);
+    let sink = Arc::new(TraceSink::new(Arc::new(ManualClock::new())));
+    let result = DiscoveryBuilder::new()
+        .max_level(4)
+        .trace_sink(Arc::clone(&sink))
+        .run(&ranked);
+    let spans = sink.spans();
+    assert!(spans.len() > 8_192, "{} spans", spans.len());
+    assert_eq!(sink.dropped(), 0);
+    let levels = result.stats.per_level.len() as u64;
+    assert_eq!(levels, 4);
+    let level_of = |s: &Span| s.args.iter().find(|(k, _)| *k == "level").map(|(_, v)| *v);
+    let level_spans: Vec<Option<u64>> = spans
+        .iter()
+        .filter(|s| s.cat == "level")
+        .map(level_of)
+        .collect();
+    assert_eq!(level_spans, (1..=levels).map(Some).collect::<Vec<_>>());
+    for level in 1..=levels {
+        let phases = spans
+            .iter()
+            .filter(|s| s.cat == "phase" && level_of(s) == Some(level))
+            .count();
+        assert_eq!(phases, 3, "level {level}");
+    }
+    assert_well_nested(&spans);
+}
+
 /// Attaching a trace sink is observationally free: events, dependencies
 /// and order-insensitive stats are bit-identical with tracing on or off,
 /// at one thread and at four.
