@@ -341,12 +341,12 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
 /// Drains the session's event stream, narrating per-level progress (and
 /// early stops) on stderr so long wide-schema runs stay observable.
 ///
-/// Every figure is read from the attached [`DiscoveryMetrics`] sink —
-/// level/node gauges, found/pruned/candidate counter deltas, and the
-/// per-phase duration histograms — not from the events themselves, so the
-/// narration exercises exactly the surface `GET /metrics` scrapes. The
-/// candidates/sec rate brackets each level with the injected
-/// [`Clock`](aod_obs::Clock).
+/// The level and its node count come from the `LevelComplete` event.
+/// Every other figure is read from the attached [`DiscoveryMetrics`] sink
+/// — found/pruned/candidate counter deltas and the per-phase duration
+/// histograms — so the narration exercises exactly the surface
+/// `GET /metrics` scrapes. The candidates/sec rate brackets each level
+/// with the injected [`Clock`](aod_obs::Clock).
 fn run_with_progress(
     mut session: aod_core::DiscoverySession,
     metrics: &DiscoveryMetrics,
@@ -371,7 +371,7 @@ fn run_with_progress(
     let mut seen_phases = phase_sums(metrics);
     for event in session.by_ref() {
         match event {
-            DiscoveryEvent::LevelComplete(_) => {
+            DiscoveryEvent::LevelComplete(outcome) => {
                 let now_us = clock.now_us();
                 let level_us = now_us.saturating_sub(last_us).max(1);
                 last_us = now_us;
@@ -390,8 +390,8 @@ fn run_with_progress(
                 eprintln!(
                     "level {:>2}: {:>6} nodes, {:>6} OC candidates ({} pruned), +{} OCs, \
                      +{} OFDs | {:>7.0} cand/s | oc {:>2.0}% ofd {:>2.0}% part {:>2.0}%",
-                    metrics.level().get(),
-                    metrics.level_nodes().get(),
+                    outcome.level,
+                    outcome.stats.n_nodes,
                     candidates - seen_candidates,
                     pruned - seen_pruned,
                     ocs - seen_ocs,

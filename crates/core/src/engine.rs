@@ -1108,6 +1108,36 @@ mod tests {
         );
     }
 
+    /// Runs that share a series leave no reading behind: two runs on one
+    /// registry and label set, each with its own metrics sink and both on
+    /// one queue gauge (as serve runs two jobs on a dataset), end with
+    /// every gauge series at 0.
+    #[test]
+    fn runs_sharing_a_series_leave_every_gauge_at_zero() {
+        let t = employee();
+        let registry = aod_obs::Registry::new();
+        let labels = [("dataset", "emp")];
+        let queue = registry.gauge("aod_exec_queue_depth", "Unfinished items.", &labels);
+        for (epsilon, threads) in [(0.15, 2), (0.1, 1)] {
+            DiscoveryBuilder::new()
+                .approximate(epsilon)
+                .parallelism(threads)
+                .event_sink(Arc::new(DiscoveryMetrics::new(&registry, &labels)).as_sink())
+                .queue_depth_gauge(queue.clone())
+                .run(&t);
+        }
+        let scrape = aod_obs::Scrape::parse(&registry.render()).unwrap();
+        let mut gauges = scrape
+            .samples()
+            .iter()
+            .filter(|s| scrape.family_type(&s.name) == Some("gauge"))
+            .peekable();
+        assert!(gauges.peek().is_some());
+        for gauge in gauges {
+            assert_eq!(gauge.value, 0.0, "{} {:?}", gauge.name, gauge.labels);
+        }
+    }
+
     /// Every OC candidate the engine answers without a backend call is
     /// one that both built-in validators reject at the session budget:
     /// those answered from an equal sub-context partition (they survive

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use aod_obs::{Counter, Gauge, Histogram, Registry};
+use aod_obs::{Counter, Histogram, Registry};
 
 use crate::engine::DiscoveryEvent;
 use crate::stats::DiscoveryStats;
@@ -115,8 +115,6 @@ impl EventSink for NoopSink {}
 ///
 /// | metric | kind | meaning |
 /// |--------|------|---------|
-/// | `aod_discovery_level` | gauge | level currently being processed |
-/// | `aod_discovery_level_nodes` | gauge | nodes in the current level |
 /// | `aod_discovery_ocs_found_total` | counter | OCs emitted |
 /// | `aod_discovery_ofds_found_total` | counter | OFDs emitted |
 /// | `aod_discovery_oc_candidates_total` | counter | OC candidates validated |
@@ -132,11 +130,11 @@ impl EventSink for NoopSink {}
 ///
 /// One sink observes one run. Several sinks may share a registry and
 /// labels (serve makes one per job and one series per dataset): each adds
-/// its own run's counts to the shared series.
+/// its own run's counts to the shared series. The set has no gauge, so
+/// runs sharing a series cannot overwrite each other's readings; the
+/// level a run is on and its node count come with each `LevelComplete`.
 #[derive(Debug, Clone)]
 pub struct DiscoveryMetrics {
-    level: Gauge,
-    level_nodes: Gauge,
     ocs_found: Counter,
     ofds_found: Counter,
     oc_candidates: Counter,
@@ -162,16 +160,6 @@ impl DiscoveryMetrics {
             )
         };
         DiscoveryMetrics {
-            level: registry.gauge(
-                "aod_discovery_level",
-                "Lattice level currently being processed.",
-                labels,
-            ),
-            level_nodes: registry.gauge(
-                "aod_discovery_level_nodes",
-                "Nodes in the level currently being processed.",
-                labels,
-            ),
             ocs_found: registry.counter(
                 "aod_discovery_ocs_found_total",
                 "Order compatibilities found.",
@@ -212,16 +200,6 @@ impl DiscoveryMetrics {
         Arc::clone(self) as Arc<dyn EventSink>
     }
 
-    /// The current-level gauge.
-    pub fn level(&self) -> &Gauge {
-        &self.level
-    }
-
-    /// The current level's node-count gauge.
-    pub fn level_nodes(&self) -> &Gauge {
-        &self.level_nodes
-    }
-
     /// OCs found so far.
     pub fn ocs_found(&self) -> &Counter {
         &self.ocs_found
@@ -254,11 +232,6 @@ impl DiscoveryMetrics {
 }
 
 impl EventSink for DiscoveryMetrics {
-    fn on_level_start(&self, level: usize, n_nodes: usize) {
-        self.level.set(level as u64);
-        self.level_nodes.set(n_nodes as u64);
-    }
-
     fn on_event(&self, event: &DiscoveryEvent) {
         match event {
             DiscoveryEvent::OcFound(_) => self.ocs_found.inc(),
@@ -320,13 +293,11 @@ mod tests {
     fn discovery_metrics_registers_expected_series() {
         let registry = Registry::new();
         let metrics = DiscoveryMetrics::new(&registry, &[("dataset", "t")]);
-        metrics.on_level_start(3, 7);
         metrics.on_phase(3, Phase::OcValidation, 120);
-        assert_eq!(metrics.level().get(), 3);
-        assert_eq!(metrics.level_nodes().get(), 7);
         let text = registry.render();
-        assert!(text.contains("# TYPE aod_discovery_level gauge"));
-        assert!(text.contains("aod_discovery_level{dataset=\"t\"} 3"));
+        assert!(text.contains("# TYPE aod_discovery_ocs_found_total counter"));
+        assert!(text.contains("aod_discovery_ocs_found_total{dataset=\"t\"} 0"));
+        assert!(!text.contains(" gauge"), "the set registers no gauge");
         assert!(text.contains(
             "aod_discovery_phase_duration_us_count{dataset=\"t\",phase=\"oc_validation\"} 1"
         ));

@@ -62,16 +62,6 @@ pub enum ColumnKind {
         /// Fraction of rows whose value is replaced by noise.
         noise_rate: f64,
     },
-    /// A random bijective re-labelling of another column: the FDs
-    /// `source -> this` and `this -> source` hold but the *order* is
-    /// scrambled (an FD without an OC — distinguishes the two discovery
-    /// problems).
-    RelabelOf {
-        /// Index of the source column (must precede this one).
-        source: usize,
-        /// Cardinality of the source column's domain (upper bound is fine).
-        cardinality: u32,
-    },
     /// A noisy copy: equal to the source except on a `noise_rate` fraction
     /// of rows (models near-duplicate columns like street vs. mail address).
     NoisyCopyOf {
@@ -88,20 +78,6 @@ pub enum ColumnKind {
         parent: usize,
         /// Children per parent value.
         fanout: u32,
-    },
-    /// The paper's "concatenated zero" data-entry error (Table 1's `perc`
-    /// column): a monotone copy of the source whose value is multiplied by
-    /// `factor` on an `error_rate` fraction of rows. The scaled values form
-    /// a second, overlapping increasing run — exactly the structure on
-    /// which the iterative validator's greedy removal overestimates
-    /// (Example 3.1).
-    ScaledErrorOf {
-        /// Index of the source column (must precede this one).
-        source: usize,
-        /// Fraction of rows with the error.
-        error_rate: f64,
-        /// Multiplier applied on erroneous rows (10 = concatenated zero).
-        factor: u32,
     },
 }
 
@@ -141,9 +117,7 @@ impl Generator {
             let source = match spec.kind {
                 ColumnKind::MonotoneOf { source, .. }
                 | ColumnKind::CoarsenOf { source, .. }
-                | ColumnKind::RelabelOf { source, .. }
                 | ColumnKind::NoisyCopyOf { source, .. }
-                | ColumnKind::ScaledErrorOf { source, .. }
                 | ColumnKind::RefineOf { parent: source, .. } => Some(source),
                 _ => None,
             };
@@ -220,17 +194,6 @@ impl Generator {
                         })
                         .collect()
                 }
-                ColumnKind::RelabelOf {
-                    source,
-                    cardinality,
-                } => {
-                    let mut perm: Vec<u32> = (0..cardinality.max(1)).collect();
-                    shuffle(&mut perm, &mut rng);
-                    cols[source]
-                        .iter()
-                        .map(|&v| perm[(v as usize) % perm.len()])
-                        .collect()
-                }
                 ColumnKind::NoisyCopyOf { source, noise_rate } => {
                     let src = &cols[source];
                     let max = src.iter().copied().max().unwrap_or(0);
@@ -249,23 +212,6 @@ impl Generator {
                     cols[parent]
                         .iter()
                         .map(|&v| v * f + rng.gen_range(0..f))
-                        .collect()
-                }
-                ColumnKind::ScaledErrorOf {
-                    source,
-                    error_rate,
-                    factor,
-                } => {
-                    let src = &cols[source];
-                    src.iter()
-                        .map(|&v| {
-                            let clean = monotone(v);
-                            if rng.gen_bool(error_rate.clamp(0.0, 1.0)) {
-                                clean.saturating_mul(factor.max(2))
-                            } else {
-                                clean
-                            }
-                        })
                         .collect()
                 }
             };
@@ -470,31 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn relabel_keeps_fd_but_breaks_order() {
-        let g = gen(vec![
-            ColumnSpec::new("code", ColumnKind::Uniform { cardinality: 200 }),
-            ColumnSpec::new(
-                "label",
-                ColumnKind::RelabelOf {
-                    source: 0,
-                    cardinality: 200,
-                },
-            ),
-        ]);
-        let t = g.ranked(2000);
-        // FD both ways:
-        let p = Partition::from_ranks(t.column(0).ranks(), t.column(0).n_distinct());
-        assert!(p.fd_holds(t.column(1).ranks(), t.column(1).n_distinct()));
-        // but with 200 shuffled labels the OC is all but surely broken:
-        let mut v = OcValidator::new();
-        assert!(!v.exact_oc_holds(
-            &Partition::unit(2000),
-            t.column(0).ranks(),
-            t.column(1).ranks()
-        ));
-    }
-
-    #[test]
     fn zipf_is_skewed() {
         let g = gen(vec![ColumnSpec::new(
             "z",
@@ -542,35 +463,6 @@ mod tests {
         let t = g.table(10);
         assert_eq!(t.schema().names(), vec!["x", "y"]);
         assert_eq!(t.n_rows(), 10);
-    }
-
-    #[test]
-    fn scaled_error_triggers_iterative_overestimation() {
-        // The whole point of ScaledErrorOf: on this structure the greedy
-        // max-swap heuristic (Algorithm 1) removes more tuples than the
-        // minimal removal set found by the LNDS validator (Algorithm 2).
-        let g = gen(vec![
-            ColumnSpec::new("sal", ColumnKind::Uniform { cardinality: 500 }),
-            ColumnSpec::new(
-                "tax",
-                ColumnKind::ScaledErrorOf {
-                    source: 0,
-                    error_rate: 0.1,
-                    factor: 10,
-                },
-            ),
-        ]);
-        let t = g.ranked(800);
-        let ctx = Partition::unit(800);
-        let mut v = OcValidator::new();
-        let opt = v
-            .min_removal_optimal(&ctx, t.column(0).ranks(), t.column(1).ranks(), usize::MAX)
-            .unwrap();
-        let it = v
-            .min_removal_iterative(&ctx, t.column(0).ranks(), t.column(1).ranks(), usize::MAX)
-            .unwrap();
-        assert!(opt > 0);
-        assert!(it >= opt);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! kinds and a hand-rolled [Prometheus text exposition] writer.
 //!
 //! * [`Counter`] — monotone `u64`, lock-free ([`AtomicU64`]).
-//! * [`Gauge`] — instantaneous `u64` (level number, queue depth, occupancy).
+//! * [`Gauge`] — instantaneous `u64` (queue depth, occupancy).
 //! * [`Histogram`] — latency distribution over **fixed log-spaced bucket
 //!   boundaries** (powers of 4 in microseconds, see [`BUCKET_BOUNDS_US`]).
 //!   Fixed boundaries make the wire output byte-stable: two processes — or
@@ -92,24 +92,13 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sets the counter to `max(current, total)`.
-    ///
-    /// This is for *mirroring* an externally maintained monotone total
-    /// (e.g. a request count owned by another subsystem) at scrape time:
-    /// repeated calls with the source's current value keep the counter
-    /// equal to the source without ever letting it regress, so scrapes
-    /// stay monotone even when racing the source.
-    pub fn record_total(&self, total: u64) {
-        self.value.fetch_max(total, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
 
-/// An instantaneous value (queue depth, current level, occupancy).
+/// An instantaneous value (queue depth, occupancy).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
     value: Arc<AtomicU64>,
@@ -474,16 +463,11 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counter_basics_and_record_total() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        // record_total never regresses.
-        c.record_total(3);
-        assert_eq!(c.get(), 5);
-        c.record_total(11);
-        assert_eq!(c.get(), 11);
     }
 
     #[test]

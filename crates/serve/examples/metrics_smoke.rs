@@ -8,7 +8,10 @@
 //! `GET /metrics` twice and asserts the scrape is well-formed Prometheus
 //! text exposition (HELP/TYPE lines, parseable samples) with monotone
 //! counters across scrapes, a per-dataset job-latency histogram, and the
-//! discovery instruments the job's event sink populated. Finishes with
+//! discovery instruments the job's event sink populated. After the second
+//! scrape, `GET /stats` must read every figure it shares with the scrape
+//! alike (`requests` one higher: the `/stats` request counts itself), and
+//! the dataset's executor queue-depth gauge must read 0. Finishes with
 //! `POST /shutdown` so the server process can be `wait`ed for a clean exit.
 
 use aod_serve::client::request;
@@ -191,6 +194,47 @@ fn main() {
         );
     }
     println!("second scrape: monotone over first");
+
+    // `/stats` reads the counters the scrape rendered, and the finished
+    // jobs left no executor work queued.
+    let stats = request(addr, "GET", "/stats", None).expect("fetch /stats");
+    assert_eq!(stats.status, 200, "stats: {}", stats.body);
+    let stats = stats.json().expect("stats parse");
+    for (key, series) in [
+        ("requests", "aod_serve_requests_total"),
+        ("datasets", "aod_serve_datasets"),
+        ("registry_capacity", "aod_serve_datasets_capacity"),
+        ("jobs_submitted", "aod_serve_jobs_submitted_total"),
+        ("jobs_executed", "aod_serve_jobs_executed_total"),
+        ("jobs_rejected", "aod_serve_jobs_rejected_total"),
+        ("jobs_running", "aod_serve_jobs_running"),
+        ("cache_hits", "aod_serve_cache_hits_total"),
+        ("cache_misses", "aod_serve_cache_misses_total"),
+        ("cache_entries", "aod_serve_cache_entries"),
+    ] {
+        let stat = stats
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("/stats has no `{key}`")) as f64;
+        let sample = second
+            .get(series)
+            .copied()
+            .unwrap_or_else(|| panic!("missing series `{series}`"));
+        let expected = if key == "requests" {
+            sample + 1.0
+        } else {
+            sample
+        };
+        assert_eq!(stat, expected, "/stats `{key}` disagrees with `{series}`");
+    }
+    assert_eq!(
+        second
+            .get("aod_exec_queue_depth{dataset=\"obs-smoke\"}")
+            .copied(),
+        Some(0.0),
+        "queue-depth gauge did not drain"
+    );
+    println!("stats: agree with the second scrape");
 
     // A traced job serves Chrome trace-event JSON on /jobs/{id}/trace;
     // self-parse it with the workspace JSON parser and check the shape

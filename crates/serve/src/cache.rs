@@ -10,8 +10,9 @@
 //! (`max_level`-capped runs are complete *up to that level* and the level
 //! cap is part of the canonical config, so they cache fine.)
 //!
-//! Hit/miss counters feed `GET /stats`, which is how the acceptance test
-//! asserts "served from cache without re-validating".
+//! Each lookup adds to a hit or a miss counter. In a server these are the
+//! registry's `aod_serve_cache_{hits,misses}_total` counters, which
+//! `GET /stats` and `GET /metrics` both read.
 //!
 //! The cache is bounded ([`MAX_CACHED_RUNS`], FIFO eviction): a resident
 //! server sweeping configs must not grow without bound. The key includes
@@ -23,8 +24,8 @@
 
 use crate::jobs::EventLog;
 use crate::sync::lock_or_recover;
+use aod_obs::Counter;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Maximum completed runs retained; beyond it the oldest entry is evicted.
@@ -48,12 +49,13 @@ pub struct CachedRun {
     pub levels_completed: usize,
 }
 
-/// Thread-safe bounded key → completed-run map with counters.
+/// Thread-safe bounded key → completed-run map that counts its hits and
+/// misses. The default cache counts into detached counters.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 #[derive(Debug, Default)]
@@ -64,18 +66,22 @@ struct CacheInner {
 }
 
 impl ResultCache {
-    /// An empty cache.
-    pub fn new() -> ResultCache {
-        ResultCache::default()
+    /// An empty cache whose lookups add to `hits` or `misses`.
+    pub fn new(hits: Counter, misses: Counter) -> ResultCache {
+        ResultCache {
+            inner: Mutex::default(),
+            hits,
+            misses,
+        }
     }
 
-    /// Looks up a completed run, bumping the hit/miss counters.
+    /// Looks up a completed run, adding one to the hit or the miss counter.
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedRun>> {
         let found = lock_or_recover(&self.inner).map.get(key).cloned();
         match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         found
     }
 
@@ -95,16 +101,6 @@ impl ResultCache {
             };
             inner.map.remove(&oldest);
         }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Number of cached runs.
@@ -139,20 +135,20 @@ mod tests {
 
     #[test]
     fn lookup_counts_hits_and_misses() {
-        let cache = ResultCache::new();
+        let (hits, misses) = (Counter::new(), Counter::new());
+        let cache = ResultCache::new(hits.clone(), misses.clone());
         let k = key("d", 42, "{\"mode\":\"exact\"}");
         assert!(cache.lookup(&k).is_none());
         cache.store(k.clone(), run());
         let got = cache.lookup(&k).unwrap();
         assert_eq!(got.levels_completed, 3);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!((hits.get(), misses.get()), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn distinct_names_configs_and_fingerprints_miss() {
-        let cache = ResultCache::new();
+        let cache = ResultCache::default();
         cache.store(key("d", 1, "a"), run());
         assert!(cache.lookup(&key("d", 1, "b")).is_none());
         assert!(cache.lookup(&key("d", 2, "a")).is_none());
@@ -162,7 +158,7 @@ mod tests {
 
     #[test]
     fn oldest_entries_are_evicted_beyond_the_cap() {
-        let cache = ResultCache::new();
+        let cache = ResultCache::default();
         for i in 0..(MAX_CACHED_RUNS + 10) {
             cache.store(key("d", i as u64, "cfg"), run());
         }

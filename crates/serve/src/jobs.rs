@@ -23,7 +23,7 @@ use crate::registry::Dataset;
 use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
 use aod_core::json::{JsonArray, JsonObject, JsonValue};
 use aod_core::{AocStrategy, CancelToken, DiscoveryBuilder, DiscoveryEvent};
-use aod_obs::{MonotonicClock, TraceSink};
+use aod_obs::TraceSink;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -547,9 +547,16 @@ impl Job {
 /// nodes, as the job's event log does), so its bound is much tighter.
 pub const MAX_RETAINED_TRACES: usize = 64;
 
+/// How many bytes of serialized traces are retained. The count bound alone
+/// does not bound memory: a `max_level` 4 trace of flight 2,000 × 35 with
+/// OFDs is 11.9 MB.
+pub const MAX_RETAINED_TRACE_BYTES: usize = 64 << 20;
+
 /// Bounded per-job trace retention: serialized Chrome-trace documents
-/// keyed by job id, evicted oldest-first past [`MAX_RETAINED_TRACES`] —
-/// the same FIFO discipline as the [`ResultCache`].
+/// keyed by job id, evicted oldest-first while more than
+/// [`MAX_RETAINED_TRACES`] traces or [`MAX_RETAINED_TRACE_BYTES`] bytes
+/// are held — the same FIFO discipline as the [`ResultCache`]. A trace
+/// larger than the whole byte budget is not kept.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     inner: Mutex<TraceStoreInner>,
@@ -560,21 +567,31 @@ struct TraceStoreInner {
     map: HashMap<u64, Arc<String>>,
     /// Insertion order (job ids), the FIFO eviction queue.
     order: VecDeque<u64>,
+    /// Total length of the traces in `map`.
+    bytes: usize,
 }
 
 impl TraceStore {
     /// Stores one finished job's serialized trace, evicting the oldest
-    /// stored trace beyond the retention bound.
+    /// stored traces beyond the retention bounds. A trace over the byte
+    /// budget is dropped, and evicts nothing.
     pub fn store(&self, job_id: u64, trace: Arc<String>) {
-        let mut inner = lock_or_recover(&self.inner);
-        if inner.map.insert(job_id, trace).is_none() {
-            inner.order.push_back(job_id);
+        if trace.len() > MAX_RETAINED_TRACE_BYTES {
+            return;
         }
-        while inner.map.len() > MAX_RETAINED_TRACES {
+        let mut inner = lock_or_recover(&self.inner);
+        inner.bytes += trace.len();
+        match inner.map.insert(job_id, trace) {
+            Some(replaced) => inner.bytes -= replaced.len(),
+            None => inner.order.push_back(job_id),
+        }
+        while inner.map.len() > MAX_RETAINED_TRACES || inner.bytes > MAX_RETAINED_TRACE_BYTES {
             let Some(oldest) = inner.order.pop_front() else {
                 break;
             };
-            inner.map.remove(&oldest);
+            if let Some(evicted) = inner.map.remove(&oldest) {
+                inner.bytes -= evicted.len();
+            }
         }
     }
 
@@ -605,49 +622,29 @@ pub struct JobManager {
     pub cache: Arc<ResultCache>,
     /// Bounded retention of per-job traces (`GET /jobs/{id}/trace`).
     pub traces: Arc<TraceStore>,
-    executed: AtomicU64,
-    rejected: AtomicU64,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl JobManager {
-    /// A manager allowing at most `max_jobs` concurrently running jobs.
-    pub fn new(max_jobs: usize) -> JobManager {
+    /// A manager allowing at most `max_jobs` concurrently running jobs,
+    /// counting into the server-wide series of `metrics`: submitted,
+    /// executed and rejected jobs, and the result cache's hits and misses.
+    /// Each runner records its job's latency in the dataset's histogram,
+    /// and its session feeds the dataset's discovery instruments and
+    /// queue-depth gauge.
+    pub fn new(max_jobs: usize, metrics: Arc<ServeMetrics>) -> JobManager {
         JobManager {
             jobs: Mutex::new(HashMap::new()),
             handles: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             max_jobs: max_jobs.max(1),
-            cache: Arc::new(ResultCache::new()),
+            cache: Arc::new(ResultCache::new(
+                metrics.cache_hits.clone(),
+                metrics.cache_misses.clone(),
+            )),
             traces: Arc::new(TraceStore::default()),
-            executed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Attaches the server's metric surface: runner threads then record
-    /// per-dataset job latencies and feed per-dataset discovery sinks.
-    pub fn with_metrics(mut self, metrics: Arc<ServeMetrics>) -> JobManager {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Jobs that actually ran a discovery session (cache hits excluded) —
-    /// the counter the "no recomputation" acceptance check reads.
-    pub fn executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Total jobs submitted (cache hits included).
-    pub fn submitted(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed) - 1
-    }
-
-    /// Jobs rejected at admission because `max_jobs` sessions were already
-    /// running (the 429 path).
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Jobs currently in the `Running` state.
@@ -669,7 +666,7 @@ impl JobManager {
         let canonical = spec.canonical();
         let key = (dataset.name.clone(), dataset.fingerprint, canonical.clone());
         if let Some(cached) = self.cache.lookup(&key) {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let id = self.next_id();
             let job = Arc::new(Job::new(id, &dataset.name, canonical, true));
             job.adopt_cached(&cached);
             let mut map = lock_or_recover(&self.jobs);
@@ -686,19 +683,19 @@ impl JobManager {
                 .filter(|j| j.status() == JobStatus::Running)
                 .count();
             if running >= self.max_jobs {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.metrics.jobs_rejected.inc();
                 return Err((
                     429,
                     format!("at capacity: {} jobs already running", self.max_jobs),
                 ));
             }
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let id = self.next_id();
             let job = Arc::new(Job::new(id, &dataset.name, canonical, false));
             map.insert(id, job.clone());
             evict_completed(&mut map);
             job
         };
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.jobs_executed.inc();
 
         let cache = self.cache.clone();
         let traces = self.traces.clone();
@@ -730,6 +727,12 @@ impl JobManager {
         }
         handles.push(handle);
         Ok(job)
+    }
+
+    /// The next job id, counted as a submitted job.
+    fn next_id(&self) -> u64 {
+        self.metrics.jobs_submitted.inc();
+        self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Cancels every running job and joins all runner threads.
@@ -778,28 +781,23 @@ fn run_job(
     key: crate::cache::CacheKey,
     cache: Arc<ResultCache>,
     traces: Arc<TraceStore>,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
 ) {
-    let started_us = metrics.as_ref().map(|m| m.now_us());
-    let trace_sink = spec.trace.then(|| {
-        // Traces share the metrics clock, so an injected manual clock
-        // drives both surfaces (and makes trace bytes reproducible).
-        let clock = metrics
-            .as_ref()
-            .map_or_else(|| Arc::new(MonotonicClock::new()) as _, |m| m.clock());
-        Arc::new(TraceSink::new(clock))
-    });
+    let started_us = metrics.now_us();
+    // Traces share the metrics clock, so an injected manual clock drives
+    // both surfaces (and makes trace bytes reproducible).
+    let trace_sink = spec
+        .trace
+        .then(|| Arc::new(TraceSink::new(metrics.clock())));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let delay = Duration::from_millis(spec.level_delay_ms);
         let cancel = job.cancel.clone();
-        let mut builder = spec.to_builder(cancel.clone());
-        if let Some(m) = &metrics {
-            // Per-dataset discovery instruments; the sink is passive, so
-            // the job's event stream and results stay bit-identical.
-            builder = builder
-                .event_sink(m.discovery_sink(&dataset.name))
-                .queue_depth_gauge(m.queue_depth_gauge(&dataset.name));
-        }
+        // Per-dataset discovery instruments; the sink is passive, so the
+        // job's event stream and results stay bit-identical.
+        let mut builder = spec
+            .to_builder(cancel.clone())
+            .event_sink(metrics.discovery_sink(&dataset.name))
+            .queue_depth_gauge(metrics.queue_depth_gauge(&dataset.name));
         if let Some(sink) = &trace_sink {
             builder = builder.trace_sink(Arc::clone(sink));
         }
@@ -846,14 +844,13 @@ fn run_job(
                 // Deterministic lane only — worker-lane spans are
                 // scheduling-dependent and excluded from served bytes.
                 // Stored before the status flips to Done, so a job
-                // observed as done always has its trace servable.
+                // observed as done has its trace servable unless the
+                // trace is over the byte budget.
                 let chrome = aod_core::chrome_trace(&sink.spans());
                 traces.store(job.id, Arc::new(chrome));
             }
             job.finish(result_json, stats_json);
-            if let (Some(m), Some(started)) = (&metrics, started_us) {
-                m.observe_job(&dataset.name, started);
-            }
+            metrics.observe_job(&dataset.name, started_us);
         }
         Err(panic) => {
             let message = panic
@@ -880,6 +877,10 @@ mod tests {
 
     fn parse_spec(text: &str, dataset: &Dataset) -> Result<JobSpec, String> {
         JobSpec::parse(&JsonValue::parse(text).unwrap(), dataset)
+    }
+
+    fn new_manager(max_jobs: usize) -> JobManager {
+        JobManager::new(max_jobs, Arc::new(ServeMetrics::new()))
     }
 
     #[test]
@@ -956,7 +957,7 @@ mod tests {
     #[test]
     fn jobs_run_to_done_and_cache() {
         let d = employee_dataset();
-        let manager = JobManager::new(2);
+        let manager = new_manager(2);
         let spec = parse_spec(r#"{"epsilon":0.15}"#, &d).unwrap();
         let job = manager.submit(d.clone(), spec.clone()).unwrap();
         job.wait_done();
@@ -964,23 +965,24 @@ mod tests {
         assert!(!job.cached);
         let result = job.result_json().unwrap();
         assert!(result.contains("\"ocs\""));
-        assert_eq!(manager.executed(), 1);
+        let metrics = &manager.metrics;
+        assert_eq!(metrics.jobs_executed.get(), 1);
 
         // Identical resubmission: cache hit, no new execution, same bytes.
         let again = manager.submit(d.clone(), spec).unwrap();
         assert_eq!(again.status(), JobStatus::Done);
         assert!(again.cached);
-        assert_eq!(manager.executed(), 1);
-        assert_eq!(manager.cache.hits(), 1);
+        assert_eq!(metrics.jobs_executed.get(), 1);
+        assert_eq!(metrics.cache_hits.get(), 1);
         assert_eq!(*again.result_json().unwrap(), *result);
-        assert_eq!(manager.submitted(), 2);
+        assert_eq!(metrics.jobs_submitted.get(), 2);
         manager.shutdown();
     }
 
     #[test]
     fn cancel_mid_run_yields_partial_results() {
         let d = employee_dataset();
-        let manager = JobManager::new(2);
+        let manager = new_manager(2);
         let spec = parse_spec(r#"{"epsilon":0.1,"level_delay_ms":500}"#, &d).unwrap();
         let job = manager.submit(d.clone(), spec).unwrap();
         // Wait for the first level_complete, then cancel during the pause.
@@ -1015,7 +1017,7 @@ mod tests {
     #[test]
     fn live_batches_are_copied_and_finished_batches_shared() {
         let d = employee_dataset();
-        let manager = JobManager::new(2);
+        let manager = new_manager(2);
         let spec = parse_spec(r#"{"epsilon":0.1,"level_delay_ms":60000}"#, &d).unwrap();
         let job = manager.submit(d.clone(), spec).unwrap();
         let (first, done) = job.events_after(0, Duration::from_secs(30));
@@ -1037,7 +1039,7 @@ mod tests {
     #[test]
     fn completed_jobs_are_evicted_beyond_the_retention_cap() {
         let d = employee_dataset();
-        let manager = JobManager::new(2);
+        let manager = new_manager(2);
         let spec = parse_spec(r#"{"epsilon":0.15}"#, &d).unwrap();
         // One real run to warm the cache, then a flood of cache-hit jobs.
         manager.submit(d.clone(), spec.clone()).unwrap().wait_done();
@@ -1058,7 +1060,7 @@ mod tests {
     #[test]
     fn traced_jobs_store_a_bounded_chrome_trace() {
         let d = employee_dataset();
-        let manager = JobManager::new(2);
+        let manager = new_manager(2);
         let traced = parse_spec(r#"{"epsilon":0.15,"trace":true}"#, &d).unwrap();
         let plain = parse_spec(r#"{"epsilon":0.15}"#, &d).unwrap();
         // Tracing is part of the canonical form: distinct cache entries.
@@ -1094,12 +1096,28 @@ mod tests {
         assert!(store.get(9).is_none());
         assert!(store.get(10).is_some());
         assert!(store.get(MAX_RETAINED_TRACES as u64 + 9).is_some());
+
+        // Bytes bound the store too: of two traces just over half the
+        // budget each, only the newer is kept.
+        let store = TraceStore::default();
+        let half = MAX_RETAINED_TRACE_BYTES / 2 + 1;
+        store.store(1, Arc::new("a".repeat(half)));
+        store.store(2, Arc::new("b".repeat(half)));
+        assert!(
+            store.get(1).is_none(),
+            "oldest evicted over the byte budget"
+        );
+        assert!(store.get(2).is_some());
+        // A trace over the whole budget is not kept, and evicts nothing.
+        store.store(3, Arc::new("c".repeat(MAX_RETAINED_TRACE_BYTES + 1)));
+        assert!(store.get(3).is_none());
+        assert!(store.get(2).is_some());
     }
 
     #[test]
     fn capacity_is_enforced() {
         let d = employee_dataset();
-        let manager = JobManager::new(1);
+        let manager = new_manager(1);
         let slow = parse_spec(r#"{"epsilon":0.1,"level_delay_ms":2000}"#, &d).unwrap();
         let job = manager.submit(d.clone(), slow.clone()).unwrap();
         let err = manager

@@ -19,8 +19,8 @@
 //! | method & path | behaviour |
 //! |---------------|-----------|
 //! | `GET /health` | liveness + wire schema version |
-//! | `GET /stats` | request/job/cache counters, registry occupancy/capacity, admission rejections |
-//! | `GET /metrics` | Prometheus text exposition: per-dataset job-latency histograms and discovery instruments plus the `/stats` counters (see [`metrics`](ServeMetrics)) |
+//! | `GET /stats` | request/job/cache counters, registry occupancy/capacity, admission rejections: the server-wide series of `GET /metrics`, as JSON |
+//! | `GET /metrics` | Prometheus text exposition: the `/stats` counters and gauges, read from the same cells, plus per-dataset job-latency histograms, discovery instruments and executor queue depths (see [`ServeMetrics`]) |
 //! | `POST /datasets` | register `{"name":..., "csv":"path"}` or `{"name":..., "generate":{"dataset":"flight\|ncvoter\|employee","rows":N,"seed":S}}` |
 //! | `GET /datasets` | list registered datasets |
 //! | `GET /datasets/{name}` | one dataset's metadata |
@@ -29,7 +29,7 @@
 //! | `GET /jobs/{id}` | status, progress, final stats |
 //! | `GET /jobs/{id}/result` | the completed `DiscoveryResult` (409 while running) |
 //! | `GET /jobs/{id}/events` | NDJSON `DiscoveryEvent` stream: full replay, then live tail |
-//! | `GET /jobs/{id}/trace` | the job's span trace as Chrome `trace_event` JSON, byte-for-byte as stored (409 while running; 404 when not requested with `"trace":true`, answered from the cache, or evicted past [`MAX_RETAINED_TRACES`]) |
+//! | `GET /jobs/{id}/trace` | the job's span trace as Chrome `trace_event` JSON, byte-for-byte as stored (409 while running; 404 when not requested with `"trace":true`, answered from the cache, or evicted past [`MAX_RETAINED_TRACES`] traces or [`MAX_RETAINED_TRACE_BYTES`] bytes; a trace over that byte budget is never kept) |
 //! | `DELETE /jobs/{id}` | cooperative cancel; the job finishes with partial results flagged `stopped_early` |
 //! | `POST /shutdown` | stop accepting, cancel running jobs, exit cleanly |
 //!
@@ -72,9 +72,9 @@ pub use cache::{CachedRun, ResultCache, MAX_CACHED_RUNS};
 pub use http::{status_text, ChunkedWriter, HttpError, Request};
 pub use jobs::{
     EventBatch, EventLog, Job, JobManager, JobSpec, JobStatus, TraceStore, MAX_RETAINED_JOBS,
-    MAX_RETAINED_TRACES,
+    MAX_RETAINED_TRACES, MAX_RETAINED_TRACE_BYTES,
 };
-pub use metrics::{ServeMetrics, ServeSnapshot};
+pub use metrics::ServeMetrics;
 pub use registry::{Dataset, Registry, MAX_DATASETS};
 pub use server::{ServeConfig, Server, ServerHandle};
 

@@ -1,66 +1,43 @@
 //! The server's metric surface: one [`ServeMetrics`] per server, rendered
 //! by `GET /metrics` in the Prometheus text exposition format.
 //!
-//! Two kinds of series live here:
-//!
-//! * **owned** — per-dataset job-latency histograms (observed by runner
-//!   threads as jobs finish) and the per-dataset discovery instruments
-//!   ([`DiscoveryMetrics`] sinks attached to each job's session);
-//! * **mirrored** — counters the registry/job-manager/cache subsystems
-//!   already maintain for `GET /stats`. Those stay authoritative; at
-//!   scrape time [`ServeMetrics::render`] copies them in via
-//!   [`Counter::record_total`] (monotone set-to-max, so scrapes never
-//!   regress even when racing the source) and plain gauge sets.
+//! The registry's counters are the only cells of the server-wide counts.
+//! The request handler counts requests,
+//! [`JobManager::submit`](crate::JobManager::submit) counts submitted,
+//! executed and rejected jobs, and
+//! [`ResultCache::lookup`](crate::ResultCache::lookup) counts hits and
+//! misses, each as the thing happens; `GET /stats` reads the same
+//! counters. The three occupancy gauges (datasets, running jobs, cached
+//! runs) are set from their owners just before either endpoint reads
+//! them. Per-dataset series are registered on first use: job-latency
+//! histograms (observed by runner threads as jobs finish), executor
+//! queue-depth gauges and the discovery instruments ([`DiscoveryMetrics`]
+//! sinks attached to each job's session).
 //!
 //! Time enters only through the injectable [`Clock`], keeping this module
 //! out of the D2 timing allowlist.
 
 use std::sync::Arc;
 
+use crate::registry::MAX_DATASETS;
 use aod_core::DiscoveryMetrics;
 use aod_obs::{Clock, Counter, Gauge, MonotonicClock, Registry};
 
-/// Scrape-time values for the mirrored series, gathered by the request
-/// handler from the authoritative subsystems.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeSnapshot {
-    /// Total HTTP requests accepted.
-    pub requests: u64,
-    /// Registered datasets (registry occupancy).
-    pub datasets: u64,
-    /// Maximum registerable datasets.
-    pub datasets_capacity: u64,
-    /// Jobs submitted (cache hits included).
-    pub jobs_submitted: u64,
-    /// Jobs that actually ran a discovery session.
-    pub jobs_executed: u64,
-    /// Jobs rejected at admission (capacity 429s).
-    pub jobs_rejected: u64,
-    /// Jobs currently running.
-    pub jobs_running: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache resident entries.
-    pub cache_entries: u64,
-}
-
-/// The server's metrics registry plus handles to every mirrored series.
+/// The server's metrics registry plus handles to its server-wide series.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     registry: Registry,
     clock: Arc<dyn Clock>,
-    requests: Counter,
-    datasets: Gauge,
-    datasets_capacity: Gauge,
-    jobs_submitted: Counter,
-    jobs_executed: Counter,
-    jobs_rejected: Counter,
-    jobs_running: Gauge,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_entries: Gauge,
+    pub(crate) requests: Counter,
+    pub(crate) datasets: Gauge,
+    pub(crate) datasets_capacity: Gauge,
+    pub(crate) jobs_submitted: Counter,
+    pub(crate) jobs_executed: Counter,
+    pub(crate) jobs_rejected: Counter,
+    pub(crate) jobs_running: Gauge,
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    pub(crate) cache_entries: Gauge,
 }
 
 impl ServeMetrics {
@@ -73,7 +50,7 @@ impl ServeMetrics {
     /// [`ManualClock`](aod_obs::ManualClock)).
     pub fn with_clock(clock: Arc<dyn Clock>) -> ServeMetrics {
         let registry = Registry::new();
-        ServeMetrics {
+        let metrics = ServeMetrics {
             requests: registry.counter("aod_serve_requests_total", "HTTP requests accepted.", &[]),
             datasets: registry.gauge(
                 "aod_serve_datasets",
@@ -114,7 +91,9 @@ impl ServeMetrics {
             ),
             registry,
             clock,
-        }
+        };
+        metrics.datasets_capacity.set(MAX_DATASETS as u64);
+        metrics
     }
 
     /// The underlying registry (job sinks and tests register through it).
@@ -144,7 +123,7 @@ impl ServeMetrics {
     pub fn queue_depth_gauge(&self, dataset: &str) -> Gauge {
         self.registry.gauge(
             "aod_exec_queue_depth",
-            "Work items remaining in the executor's current batch (a level's nodes or products).",
+            "Unfinished executor work items (a level's nodes or products), summed over the dataset's running jobs.",
             &[("dataset", dataset)],
         )
     }
@@ -173,19 +152,8 @@ impl ServeMetrics {
         ))
     }
 
-    /// Refreshes the mirrored series from `snapshot` and renders the full
-    /// exposition text.
-    pub fn render(&self, snapshot: &ServeSnapshot) -> String {
-        self.requests.record_total(snapshot.requests);
-        self.jobs_submitted.record_total(snapshot.jobs_submitted);
-        self.jobs_executed.record_total(snapshot.jobs_executed);
-        self.jobs_rejected.record_total(snapshot.jobs_rejected);
-        self.cache_hits.record_total(snapshot.cache_hits);
-        self.cache_misses.record_total(snapshot.cache_misses);
-        self.datasets.set(snapshot.datasets);
-        self.datasets_capacity.set(snapshot.datasets_capacity);
-        self.jobs_running.set(snapshot.jobs_running);
-        self.cache_entries.set(snapshot.cache_entries);
+    /// Renders the full exposition text.
+    pub fn render(&self) -> String {
         self.registry.render()
     }
 }
@@ -208,33 +176,8 @@ mod tests {
         let started = metrics.now_us();
         clock.advance_us(3000);
         metrics.observe_job("flight", started);
-        let text = metrics.render(&ServeSnapshot::default());
+        let text = metrics.render();
         assert!(text.contains("aod_serve_job_duration_us_bucket{dataset=\"flight\",le=\"4096\"} 1"));
         assert!(text.contains("aod_serve_job_duration_us_sum{dataset=\"flight\"} 3000"));
-    }
-
-    #[test]
-    fn mirrored_counters_stay_monotone_across_scrapes() {
-        let metrics = ServeMetrics::new();
-        let first = metrics.render(&ServeSnapshot {
-            requests: 5,
-            cache_hits: 2,
-            ..ServeSnapshot::default()
-        });
-        assert!(first.contains("aod_serve_requests_total 5"));
-        // A stale (smaller) snapshot cannot regress the scrape.
-        let second = metrics.render(&ServeSnapshot {
-            requests: 3,
-            cache_hits: 2,
-            ..ServeSnapshot::default()
-        });
-        assert!(second.contains("aod_serve_requests_total 5"));
-        let third = metrics.render(&ServeSnapshot {
-            requests: 9,
-            cache_hits: 4,
-            ..ServeSnapshot::default()
-        });
-        assert!(third.contains("aod_serve_requests_total 9"));
-        assert!(third.contains("aod_serve_cache_hits_total 4"));
     }
 }

@@ -17,11 +17,11 @@
 
 use crate::http::{read_request, write_json, write_response, ChunkedWriter, HttpError, Request};
 use crate::jobs::{JobManager, JobSpec, JobStatus};
-use crate::metrics::{ServeMetrics, ServeSnapshot};
-use crate::registry::{Registry, MAX_DATASETS};
+use crate::metrics::ServeMetrics;
+use crate::registry::Registry;
 use aod_core::json::{JsonArray, JsonObject, JsonValue};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,13 +55,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared server state: registry, jobs, counters, metrics, shutdown flag.
+/// Shared server state: registry, jobs, metrics, shutdown flag.
 struct ServerCtx {
     registry: Registry,
     jobs: JobManager,
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
-    requests: AtomicU64,
     /// Accept-worker count: one wake connection each at shutdown.
     workers: usize,
     /// Where shutdown connects to wake the workers: the bound address,
@@ -78,6 +77,16 @@ impl ServerCtx {
         for _ in 0..self.workers {
             let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
         }
+    }
+
+    /// The metrics, with the occupancy gauges just set from their owners:
+    /// what `GET /stats` and `GET /metrics` read.
+    fn read_metrics(&self) -> &ServeMetrics {
+        let metrics = &self.metrics;
+        metrics.datasets.set(self.registry.len() as u64);
+        metrics.jobs_running.set(self.jobs.running());
+        metrics.cache_entries.set(self.jobs.cache.len() as u64);
+        metrics
     }
 }
 
@@ -109,10 +118,9 @@ impl Server {
             listener,
             ctx: Arc::new(ServerCtx {
                 registry: Registry::new(),
-                jobs: JobManager::new(config.max_jobs).with_metrics(metrics.clone()),
+                jobs: JobManager::new(config.max_jobs, metrics.clone()),
                 metrics,
                 shutdown: AtomicBool::new(false),
-                requests: AtomicU64::new(0),
                 workers,
                 wake_addr,
             }),
@@ -213,7 +221,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
 fn handle_connection(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
-    ctx.requests.fetch_add(1, Ordering::Relaxed);
+    ctx.metrics.requests.inc();
     match read_request(&mut stream) {
         Ok(request) => route(&mut stream, ctx, &request),
         Err(HttpError::TooLarge) => {
@@ -261,7 +269,7 @@ fn route(stream: &mut TcpStream, ctx: &Arc<ServerCtx>, request: &Request) {
                 stream,
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                &ctx.metrics.render(&server_snapshot(ctx)),
+                &ctx.read_metrics().render(),
             ),
             _ => not_allowed(stream),
         },
@@ -366,36 +374,20 @@ fn route(stream: &mut TcpStream, ctx: &Arc<ServerCtx>, request: &Request) {
     let _ = outcome;
 }
 
-/// One consistent-enough read of every mirrored counter; feeds both
-/// `GET /stats` (JSON) and `GET /metrics` (exposition).
-fn server_snapshot(ctx: &ServerCtx) -> ServeSnapshot {
-    ServeSnapshot {
-        requests: ctx.requests.load(Ordering::Relaxed),
-        datasets: ctx.registry.len() as u64,
-        datasets_capacity: MAX_DATASETS as u64,
-        jobs_submitted: ctx.jobs.submitted(),
-        jobs_executed: ctx.jobs.executed(),
-        jobs_rejected: ctx.jobs.rejected(),
-        jobs_running: ctx.jobs.running(),
-        cache_hits: ctx.jobs.cache.hits(),
-        cache_misses: ctx.jobs.cache.misses(),
-        cache_entries: ctx.jobs.cache.len() as u64,
-    }
-}
-
+/// `GET /stats`: the server-wide series of `GET /metrics`, as JSON.
 fn server_stats(ctx: &ServerCtx) -> String {
-    let snapshot = server_snapshot(ctx);
+    let m = ctx.read_metrics();
     let mut obj = JsonObject::new();
-    obj.num_u64("requests", snapshot.requests)
-        .num_u64("datasets", snapshot.datasets)
-        .num_u64("registry_capacity", snapshot.datasets_capacity)
-        .num_u64("jobs_submitted", snapshot.jobs_submitted)
-        .num_u64("jobs_executed", snapshot.jobs_executed)
-        .num_u64("jobs_rejected", snapshot.jobs_rejected)
-        .num_u64("jobs_running", snapshot.jobs_running)
-        .num_u64("cache_hits", snapshot.cache_hits)
-        .num_u64("cache_misses", snapshot.cache_misses)
-        .num_u64("cache_entries", snapshot.cache_entries);
+    obj.num_u64("requests", m.requests.get())
+        .num_u64("datasets", m.datasets.get())
+        .num_u64("registry_capacity", m.datasets_capacity.get())
+        .num_u64("jobs_submitted", m.jobs_submitted.get())
+        .num_u64("jobs_executed", m.jobs_executed.get())
+        .num_u64("jobs_rejected", m.jobs_rejected.get())
+        .num_u64("jobs_running", m.jobs_running.get())
+        .num_u64("cache_hits", m.cache_hits.get())
+        .num_u64("cache_misses", m.cache_misses.get())
+        .num_u64("cache_entries", m.cache_entries.get());
     obj.finish()
 }
 

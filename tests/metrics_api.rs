@@ -4,13 +4,12 @@
 //! The acceptance bar: the scrape is structurally valid exposition text
 //! (HELP/TYPE before samples, parseable values, no duplicate series),
 //! carries the per-dataset job-latency histogram and the discovery
-//! instruments populated by the job's event sink, and every cumulative
-//! series is monotone across scrapes — including when a scrape races a
-//! stale snapshot.
+//! instruments populated by the job's event sink, every cumulative series
+//! is monotone across scrapes, and `/stats` reads the same counters.
 
 use aod::obs::{Registry, Scrape, BUCKET_BOUNDS_US};
 use aod::serve::client::request;
-use aod::serve::{ServeConfig, ServeMetrics, ServeSnapshot, Server, ServerHandle, MAX_DATASETS};
+use aod::serve::{ServeConfig, ServeMetrics, Server, ServerHandle, MAX_DATASETS};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -176,7 +175,7 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
             format!("aod_discovery_phase_duration_us_count{{dataset=\"emp\",phase=\"{phase}\"}}");
         assert!(first[&series] >= 1.0, "missing phase series {series}");
     }
-    // Mirrored serve counters are present and plausible.
+    // Server-wide serve counters are present and plausible.
     assert!(first["aod_serve_requests_total"] >= 3.0);
     assert_eq!(first["aod_serve_jobs_submitted_total"], 1.0);
     assert_eq!(first["aod_serve_jobs_executed_total"], 1.0);
@@ -224,6 +223,20 @@ fn stats_reports_occupancy_capacity_and_rejections() {
     handle.join();
 }
 
+/// The figures `/stats` and `/metrics` share, as `(stats key, series)`.
+const SHARED_FIGURES: [(&str, &str); 10] = [
+    ("requests", "aod_serve_requests_total"),
+    ("datasets", "aod_serve_datasets"),
+    ("registry_capacity", "aod_serve_datasets_capacity"),
+    ("jobs_submitted", "aod_serve_jobs_submitted_total"),
+    ("jobs_executed", "aod_serve_jobs_executed_total"),
+    ("jobs_rejected", "aod_serve_jobs_rejected_total"),
+    ("jobs_running", "aod_serve_jobs_running"),
+    ("cache_hits", "aod_serve_cache_hits_total"),
+    ("cache_misses", "aod_serve_cache_misses_total"),
+    ("cache_entries", "aod_serve_cache_entries"),
+];
+
 #[test]
 fn admission_rejections_are_counted_in_stats_and_metrics() {
     // max_jobs = 1 and paced jobs make overflow deterministic.
@@ -237,6 +250,11 @@ fn admission_rejections_are_counted_in_stats_and_metrics() {
     let handle = server.spawn().unwrap();
     let addr = handle.addr();
     register_employee(addr, "emp");
+    // A completed job, then its resubmission answered from the cache.
+    let quick = r#"{"dataset":"emp","config":{"epsilon":0.15}}"#;
+    run_job(addr, quick);
+    run_job(addr, quick);
+
     let slow = r#"{"dataset":"emp","config":{"epsilon":0.1,"level_delay_ms":1500}}"#;
     let r = request(addr, "POST", "/jobs", Some(slow)).unwrap();
     assert_eq!(r.status, 201, "{}", r.body);
@@ -247,15 +265,30 @@ fn admission_rejections_are_counted_in_stats_and_metrics() {
     let rejected = request(addr, "POST", "/jobs", Some(overflow)).unwrap();
     assert_eq!(rejected.status, 429, "{}", rejected.body);
 
+    let metrics = scrape(addr);
     let stats = request(addr, "GET", "/stats", None)
         .unwrap()
         .json()
         .unwrap();
     assert_eq!(stats.get("jobs_rejected").unwrap().as_u64(), Some(1));
     assert_eq!(stats.get("jobs_running").unwrap().as_u64(), Some(1));
-    let metrics = scrape(addr);
-    assert_eq!(metrics["aod_serve_jobs_rejected_total"], 1.0);
-    assert_eq!(metrics["aod_serve_jobs_running"], 1.0);
+    assert_eq!(stats.get("jobs_submitted").unwrap().as_u64(), Some(3));
+    assert_eq!(stats.get("jobs_executed").unwrap().as_u64(), Some(2));
+    assert_eq!(stats.get("cache_hits").unwrap().as_u64(), Some(1));
+    assert_eq!(stats.get("cache_misses").unwrap().as_u64(), Some(3));
+    assert_eq!(stats.get("cache_entries").unwrap().as_u64(), Some(1));
+    // Both endpoints read the same cells: every shared figure agrees,
+    // except that the `/stats` request counts itself.
+    for (key, series) in SHARED_FIGURES {
+        let stat = stats.get(key).unwrap().as_u64().unwrap() as f64;
+        let sample = metrics[series];
+        let expected = if key == "requests" {
+            sample + 1.0
+        } else {
+            sample
+        };
+        assert_eq!(stat, expected, "/stats {key} against {series}");
+    }
 
     // Let the paced job finish cleanly before shutdown.
     let _ = request(addr, "DELETE", &format!("/jobs/{id}"), None);
@@ -401,7 +434,7 @@ fn per_dataset_gauge_labels_escape_and_round_trip() {
     let hostile = "flight \"2021\" \\ final\nbatch";
     let metrics = ServeMetrics::new();
     metrics.queue_depth_gauge(hostile).set(7);
-    let text = metrics.render(&ServeSnapshot::default());
+    let text = metrics.render();
     let scrape = Scrape::parse(&text).expect("render with escaped labels parses");
     assert_eq!(
         scrape.value("aod_exec_queue_depth", &[("dataset", hostile)]),
@@ -445,14 +478,14 @@ fn observability_docs_reference_only_exported_metric_names() {
         "docs reference suspiciously few metrics: {referenced:?}"
     );
 
-    // A render with every family the server can export: mirrored serve
-    // counters, a per-dataset latency histogram, the discovery
+    // A render with every family the server can export: the server-wide
+    // serve series, a per-dataset latency histogram, the discovery
     // instruments, and the executor queue gauge.
     let metrics = ServeMetrics::new();
     metrics.queue_depth_gauge("docs");
     let _ = metrics.discovery_sink("docs");
     metrics.observe_job("docs", 0);
-    let rendered = metrics.render(&ServeSnapshot::default());
+    let rendered = metrics.render();
     for (file, name) in &referenced {
         assert!(
             rendered.contains(name),
