@@ -18,8 +18,9 @@
 //! candidates it otherwise answers from an equal sub-context partition
 //! (a context whose partition equals a one-smaller context's): that
 //! answer relies on R2 pruning every OC found one level down. The
-//! class-count bound, which rejects a candidate without a backend call,
-//! runs under every `PruneConfig`, so no variant here turns it off.
+//! class-count bound and the disjoint swapped pairs, which each reject a
+//! candidate without a backend call, run under every `PruneConfig`, so no
+//! variant here turns them off.
 //!
 //! Usage: `cargo run --release -p aod-bench --bin ablation [--rows 10000]
 //!         [--epsilon 0.1] [--max-level 6]`

@@ -441,6 +441,16 @@ fn cmd_validate(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
             context = context.with(col(name)?);
         }
     }
+    // A canonical `X: A ~ B` (or `X: A |-> B`) has A ≠ B and A, B ∉ X;
+    // any other candidate holds trivially.
+    if a == b {
+        return Err(format!("--pair names `{}` twice", a_name.trim()).into());
+    }
+    for (name, c) in [(a_name, a), (b_name, b)] {
+        if context.contains(c) {
+            return Err(format!("--context holds `{}`, a column of --pair", name.trim()).into());
+        }
+    }
 
     let ctx_partition = Partition::for_attrs(&ranked, context.iter());
     let budget = removal_budget(table.n_rows(), epsilon);

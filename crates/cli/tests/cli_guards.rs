@@ -196,6 +196,44 @@ fn validate_od_with_an_iterative_strategy_is_a_usage_error() {
     );
 }
 
+/// `aod validate` takes only canonical candidates: `X: A ~ B` (and
+/// `X: A |-> B`) needs `A ≠ B` and `A, B ∉ X`, and anything else holds
+/// trivially. It refuses the rest the way it refuses an unknown column:
+/// an error line, the usage text and exit status 1, with nothing on
+/// stdout.
+#[test]
+fn validate_refuses_candidates_that_are_not_canonical() {
+    for (extra, needle) in [
+        (
+            &["--pair", "sal,nosuchcol"][..],
+            "unknown column `nosuchcol`",
+        ),
+        (&["--pair", "sal,sal"][..], "--pair names `sal` twice"),
+        (
+            &["--pair", "sal,sal", "--od"][..],
+            "--pair names `sal` twice",
+        ),
+        (
+            &["--pair", "sal,tax", "--context", "sal"][..],
+            "--context holds `sal`",
+        ),
+        (
+            &["--pair", "sal,tax", "--context", "pos,tax", "--od"][..],
+            "--context holds `tax`",
+        ),
+    ] {
+        let out = aod(&[&["validate", employee_csv()], extra].concat());
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {out:?}");
+        assert_eq!(stdout(&out), "", "{extra:?}");
+        let err = stderr(&out);
+        assert!(
+            err.starts_with(&format!("error: {needle}")),
+            "{extra:?}: {err}"
+        );
+        assert!(err.contains("USAGE:"), "{extra:?}: {err}");
+    }
+}
+
 /// `--exact` is ε = 0 for every command that takes a threshold: `validate`
 /// and `outliers` print what `--epsilon 0` prints. On the 200-row sample
 /// the default ε = 0.1 would allow 20 removals.

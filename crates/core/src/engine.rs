@@ -223,6 +223,8 @@ struct NodeTrace {
     n_inherited: usize,
     /// OC candidates answered as invalid from four cached class counts.
     n_bounded: usize,
+    /// OC candidates answered as invalid from disjoint swapped row pairs.
+    n_paired: usize,
 }
 
 /// A resumable, observable discovery run over one table.
@@ -592,6 +594,7 @@ impl DiscoverySession {
                     n_oc,
                     n_inherited: eval.n_inherited,
                     n_bounded: eval.n_bounded,
+                    n_paired: eval.n_paired,
                 });
             }
         }
@@ -613,11 +616,12 @@ impl DiscoverySession {
     /// Recording order is parent-first and fully deterministic. A batch
     /// span carries its node and candidate count; an OC batch span also
     /// carries `inherited`, the candidates answered from an equal
-    /// sub-context partition without a backend call, and `bounded`, those
-    /// answered as invalid from four cached class counts without one. The
-    /// `partitioning` phase span carries `shared`, how many of the next
-    /// level's partitions were shared with a parent instead of refined (0
-    /// when the level built none).
+    /// sub-context partition without a backend call, `bounded`, those
+    /// answered as invalid from four cached class counts without one, and
+    /// `paired`, those answered as invalid from disjoint swapped row pairs
+    /// without one. The `partitioning` phase span carries `shared`, how
+    /// many of the next level's partitions were shared with a parent
+    /// instead of refined (0 when the level built none).
     fn record_level_trace(
         &mut self,
         trace: &TraceSink,
@@ -654,6 +658,7 @@ impl DiscoverySession {
                         if oc {
                             args.push(("inherited", entry.n_inherited as u64));
                             args.push(("bounded", entry.n_bounded as u64));
+                            args.push(("paired", entry.n_paired as u64));
                         }
                         batch_spans.push(Span {
                             id: span_id::batch(level, entry.node, phase_idx),
@@ -1141,19 +1146,22 @@ mod tests {
     /// Every OC candidate the engine answers without a backend call is
     /// one that both built-in validators reject at the session budget:
     /// those answered from an equal sub-context partition (they survive
-    /// R2–R4 and their context is not free) and those the class-count
-    /// bound answers (they survive that check too, and their bound exceeds
-    /// the budget). The candidates are taken from the frontier, the cache
-    /// (partitions and freeness) and the pruning state before each step,
-    /// which is what that step's nodes read; their counts must equal the
-    /// `inherited` and `bounded` args of the OC batch spans. The first
-    /// rule must fire on each input (employee at ε = 0.15 answers none:
-    /// R2 and R3 take those candidates first), the bound on flight.
+    /// R2–R4 and their context is not free), those the class-count bound
+    /// answers (they survive that check too, and their bound exceeds the
+    /// budget) and those the disjoint swapped pairs answer (they survive
+    /// the bound, and their pairs exceed the budget). The candidates are
+    /// taken from the frontier, the cache (partitions and freeness) and
+    /// the pruning state before each step, which is what that step's nodes
+    /// read; their counts must equal the `inherited`, `bounded` and
+    /// `paired` args of the OC batch spans. The first rule must fire on
+    /// each input (employee at ε = 0.15 answers none: R2 and R3 take those
+    /// candidates first), the bound on flight, and the pairs on flight at
+    /// each ε.
     #[test]
     fn contexts_that_are_not_free_answer_only_rejected_candidates() {
         use crate::candidates::oc_candidates;
         use aod_obs::ManualClock;
-        use aod_validate::{oc_removal_lower_bound, OcValidator};
+        use aod_validate::{oc_disjoint_swaps, oc_removal_lower_bound, OcValidator};
 
         let flight = aod_datagen::flight::flight(7).table(2000);
         let flight =
@@ -1171,7 +1179,7 @@ mod tests {
                     .record_events(false)
                     .build(&t);
                 let mut validator = OcValidator::new();
-                let (mut answered, mut bounded) = (0usize, 0usize);
+                let (mut answered, mut bounded, mut paired) = (0usize, 0usize, 0usize);
                 loop {
                     let (prune, table, budget) = (&session.prune, &session.table, session.budget);
                     let cached = |set| session.cache.get(set).expect("subset is cached");
@@ -1189,6 +1197,7 @@ mod tests {
                         {
                             continue;
                         }
+                        let (ar, br) = (table.column(a).ranks(), table.column(b).ranks());
                         if !session.cache.is_free(ctx) {
                             answered += 1;
                         } else if oc_removal_lower_bound(
@@ -1199,10 +1208,11 @@ mod tests {
                         ) > budget
                         {
                             bounded += 1;
+                        } else if oc_disjoint_swaps(part, ar, br, budget) > budget {
+                            paired += 1;
                         } else {
                             continue;
                         }
-                        let (ar, br) = (table.column(a).ranks(), table.column(b).ranks());
                         let at = format!("{name} ε {epsilon}: {ctx}: {a} ~ {b}");
                         let optimal = validator.min_removal_optimal(part, ar, br, budget);
                         assert_eq!(optimal, None, "{at}");
@@ -1224,6 +1234,10 @@ mod tests {
                 };
                 assert_eq!(arg_sum("inherited"), answered as u64, "{name} ε {epsilon}");
                 assert_eq!(arg_sum("bounded"), bounded as u64, "{name} ε {epsilon}");
+                assert_eq!(arg_sum("paired"), paired as u64, "{name} ε {epsilon}");
+                if name == "flight" {
+                    assert!(paired > 0, "{name} ε {epsilon}: the pairs never fired");
+                }
                 fired += answered;
                 bound_fired += bounded;
             }

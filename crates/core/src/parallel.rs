@@ -44,7 +44,9 @@ use crate::prune_state::{PruneRule, PruneState};
 use aod_obs::Clock;
 use aod_partition::PartitionCache;
 use aod_table::RankedTable;
-use aod_validate::{min_removal_ofd, oc_removal_lower_bound, OcValidatorBackend};
+use aod_validate::{
+    min_removal_ofd, oc_disjoint_swaps, oc_removal_lower_bound, OcValidatorBackend,
+};
 use std::time::Duration;
 
 /// Immutable level-wide inputs shared by every worker.
@@ -77,8 +79,8 @@ pub(crate) enum OcEval {
     /// Skipped by a pruning rule (R2–R4).
     Pruned(PruneRule),
     /// Validated by the backend, or answered `None` without it when the
-    /// context is not free or the class-count bound exceeds the budget
-    /// (`removed.is_some()` ⇔ it holds).
+    /// context is not free, or when the class-count bound or the disjoint
+    /// swapped pairs exceed the budget (`removed.is_some()` ⇔ it holds).
     Validated {
         removed: Option<usize>,
         coverage: f64,
@@ -95,6 +97,10 @@ pub(crate) struct NodeEval {
     /// OC candidates answered as invalid from four cached class counts
     /// ([`oc_removal_lower_bound`]), without a backend call.
     pub n_bounded: usize,
+    /// OC candidates answered as invalid from disjoint swapped row pairs
+    /// ([`oc_disjoint_swaps`]), after the class-count bound and without a
+    /// backend call.
+    pub n_paired: usize,
     /// Session-clock micros of the node's OFD section. Feeds both
     /// `DiscoveryStats::ofd_validation` and the node's batch span, so the
     /// two agree; under a manual clock it is the same at every thread
@@ -120,11 +126,14 @@ pub(crate) enum NodeResult {
 ///
 /// An OC candidate `Y: A ~ B` at node `N = Y ∪ {A, B}` goes through R2–R4
 /// first. A survivor whose context is not free
-/// ([`PartitionCache::is_free`]) is rejected (under R2), and so is one
-/// whose [`oc_removal_lower_bound`] over `Π_Y`, `Π_{N∖B}`,
-/// `Π_{N∖A}` and `Π_N` exceeds the budget, under every [`PruneConfig`]:
-/// all four partitions are cached for the level, and a backend that never
-/// underestimates would reject it too. Only the rest reach the backend.
+/// ([`PartitionCache::is_free`]) is rejected (under R2). Then two lower
+/// bounds on the minimal removal count are read, under every
+/// [`PruneConfig`]: [`oc_removal_lower_bound`] over `Π_Y`, `Π_{N∖B}`,
+/// `Π_{N∖A}` and `Π_N`, which are all cached for the level, and, when
+/// that is within the budget, [`oc_disjoint_swaps`], one pass over the
+/// rows of `Π_Y`'s classes. A candidate whose bound exceeds the budget is
+/// rejected, since a backend that never underestimates would reject it
+/// too. Only the rest reach the backend.
 pub(crate) fn eval_node(
     ctx: &LevelCtx<'_>,
     node: &Node,
@@ -170,6 +179,7 @@ pub(crate) fn eval_node(
     let mut ocs = Vec::new();
     let mut n_inherited = 0;
     let mut n_bounded = 0;
+    let mut n_paired = 0;
     if ctx.level >= 2 {
         for cand in oc_candidates(set) {
             let (a, b, ctx_set) = (cand.a, cand.b, cand.context);
@@ -186,13 +196,15 @@ pub(crate) fn eval_node(
                 OcEval::Pruned(PruneRule::KeyPruning)
             } else {
                 let ctx_part = ctx_part();
+                let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
                 // A context that is not free repeats a candidate
                 // rejected one level down (see the `prune_state.rs`
                 // module docs; R2 is the gate). Else the class counts of
-                // Y, YA, YB and YAB may already prove that more rows must
-                // go than the budget allows.
-                let removed = if ctx.prune_cfg.r2_context_implication && !ctx.cache.is_free(ctx_set)
-                {
+                // Y, YA, YB and YAB, then the disjoint swapped pairs in
+                // Y's classes, may already prove that more rows must go
+                // than the budget allows.
+                let inherited = ctx.prune_cfg.r2_context_implication && !ctx.cache.is_free(ctx_set);
+                let removed = if inherited {
                     n_inherited += 1;
                     None
                 } else if oc_removal_lower_bound(
@@ -204,8 +216,10 @@ pub(crate) fn eval_node(
                 {
                     n_bounded += 1;
                     None
+                } else if oc_disjoint_swaps(ctx_part, ar, br, ctx.budget) > ctx.budget {
+                    n_paired += 1;
+                    None
                 } else {
-                    let (ar, br) = (ctx.table.column(a).ranks(), ctx.table.column(b).ranks());
                     backend.min_removal(ctx_part, ar, br, ctx.budget)
                 };
                 let coverage = ctx_part.n_grouped_rows() as f64 / ctx.coverage_denominator;
@@ -222,6 +236,7 @@ pub(crate) fn eval_node(
         ocs,
         n_inherited,
         n_bounded,
+        n_paired,
         ofd_us: t1.saturating_sub(t0),
         oc_us: t2.saturating_sub(t1),
     }

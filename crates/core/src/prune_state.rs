@@ -38,9 +38,12 @@
 //!   `Y: A ~ B`: R2 and R3 test subsets of the context, and a partition
 //!   equal to a key is a key. Had `W: A ~ B` been valid, it would have
 //!   been recorded, and R2 would prune `Y: A ~ B`. So `W: A ~ B` was
-//!   rejected: by the backend, by the class-count bound (see `eval_node`
-//!   in `parallel.rs`), which answers only candidates every backend
-//!   rejects, or by this rule, which by induction on the level does too.
+//!   rejected: by the backend; by the class-count bound or the disjoint
+//!   swapped pairs (see `eval_node` in `parallel.rs`), each a lower bound
+//!   on the minimal removal count, so a bounded or paired rejection is a
+//!   true rejection that every backend makes too; or by this rule, which
+//!   by induction on the level answers only candidates the backend
+//!   rejects.
 //! * A backend's verdict depends only on the context's classes as row
 //!   sets, the two rank slices and the budget (the
 //!   [`OcValidatorBackend`](aod_validate::OcValidatorBackend) contract),
@@ -48,10 +51,10 @@
 //!
 //! The check therefore runs only when R2 is on: with R2 off, a valid
 //! `W: A ~ B` is not pruned one level up, and `Y: A ~ B` must reach the
-//! backend. It runs after R4 and before the class-count bound and the
-//! backend call, so every R2–R4 prune and its `Pruned` event stay where
-//! they are. The candidate still counts as validated and emits no event,
-//! so no output changes.
+//! backend. It runs after R4 and before the class-count bound, the
+//! disjoint swapped pairs and the backend call, so every R2–R4 prune and
+//! its `Pruned` event stay where they are. The candidate still counts as
+//! validated and emits no event, so no output changes.
 
 use aod_partition::AttrSet;
 

@@ -16,9 +16,10 @@ pub struct LevelStats {
     pub n_nodes: usize,
     /// OC candidates validated (after pruning). The count includes the
     /// candidates answered without a backend call, from an equal
-    /// sub-context partition or as invalid from four cached class counts,
-    /// so it can exceed the backend's call count; the OC batch trace spans
-    /// carry those two parts as their `inherited` and `bounded` args.
+    /// sub-context partition, as invalid from four cached class counts or
+    /// as invalid from disjoint swapped row pairs, so it can exceed the
+    /// backend's call count; the OC batch trace spans carry those three
+    /// parts as their `inherited`, `bounded` and `paired` args.
     pub n_oc_candidates: usize,
     /// OC candidates skipped by pruning rules R2–R4.
     pub n_oc_pruned: usize,

@@ -77,7 +77,8 @@ impl Registry {
     }
 
     /// Registers a dataset loaded from a CSV file (header row expected;
-    /// types inferred), which must be a regular file of at most 1 GiB.
+    /// each field parsed on its own, no column type inferred), which must
+    /// be a regular file of at most 1 GiB.
     /// Errors are user-facing strings for 4xx responses.
     pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, String> {
         self.admit(name)?;

@@ -74,10 +74,17 @@ pub enum SampleVerdict {
 /// partitions whose classes are listed in different orders must get the
 /// same verdict. The engine relies on this: when a context's partition
 /// equals that of a context one column smaller, the candidate repeats one
-/// the backend already rejected a level down, and the engine answers it
-/// from that earlier verdict without calling the backend (see the
-/// `prune_state.rs` module docs in `aod-core`). The built-in backends sum
-/// per-class counts, which meets the contract.
+/// rejected a level down, and the engine answers it from that earlier
+/// verdict without calling the backend (see the `prune_state.rs` module
+/// docs in `aod-core`). The built-in backends sum per-class counts, which
+/// meets the contract.
+///
+/// The engine also answers candidates from two lower bounds on the
+/// minimal removal count, before any call:
+/// [`oc_removal_lower_bound`](crate::oc_removal_lower_bound) and
+/// [`oc_disjoint_swaps`](crate::oc_disjoint_swaps). Each depends on the
+/// same inputs, so the earlier verdict a repeated candidate inherits is
+/// one of the backend's or a rejection every backend makes.
 pub trait OcValidatorBackend: Send {
     /// A short stable identifier ("optimal", "iterative", …) for logs and
     /// experiment tables.
@@ -91,10 +98,13 @@ pub trait OcValidatorBackend: Send {
     /// holds and `None` otherwise. Backends need not find a *minimal* set
     /// (Algorithm 1 overestimates) but must never underestimate. The
     /// discovery engine relies on that: it answers a candidate as invalid
-    /// without calling the backend when
-    /// [`oc_removal_lower_bound`](crate::oc_removal_lower_bound), a lower
-    /// bound on the minimal count read from four cached class counts,
-    /// already exceeds `limit`.
+    /// without calling the backend when a lower bound on the minimal
+    /// count already exceeds `limit`, either
+    /// [`oc_removal_lower_bound`](crate::oc_removal_lower_bound), read from
+    /// four cached class counts, or
+    /// [`oc_disjoint_swaps`](crate::oc_disjoint_swaps), the disjoint
+    /// swapped row pairs of one pass over `ctx`'s classes. So the
+    /// candidates a backend sees are those neither bound refutes.
     fn min_removal(
         &mut self,
         ctx: &Partition,

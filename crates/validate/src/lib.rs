@@ -18,6 +18,9 @@
 //! * [`oc_removal_lower_bound`] — a lower bound on an OC's removal count
 //!   from four partitions' class counts, which lets discovery reject a
 //!   candidate without reading a row.
+//! * [`oc_disjoint_swaps`] — a second lower bound on that count: the
+//!   disjoint swapped row pairs one linear pass over the context's classes
+//!   finds, which lets discovery reject a candidate without sorting.
 //! * [`list_od_holds`] / [`list_od_min_removal`] — list-based `X |-> Y`
 //!   validation through lexicographic projection ranks (footnote 1).
 //! * [`brute_min_removal_oc`] / [`brute_min_removal_od`] — exponential
@@ -58,7 +61,7 @@ pub use brute::{
     brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs, ViolationKind,
     MAX_BRUTE_CLASS,
 };
-pub use oc::{oc_removal_lower_bound, OcValidator, PairMode};
+pub use oc::{oc_disjoint_swaps, oc_removal_lower_bound, OcValidator, PairMode};
 pub use od::{
     list_oc_holds, list_oc_min_removal, list_od_holds, list_od_min_removal, list_od_removal_set,
     projection_ranks,

@@ -335,6 +335,48 @@ pub fn oc_removal_lower_bound(
         .saturating_sub(ya.n_classes_unstripped() + yb.n_classes_unstripped())
 }
 
+/// A lower bound on the removal-set size of the OC `Y: A ~ B` from one
+/// linear pass over the classes of `ctx = Π_Y`: the number of disjoint
+/// swapped row pairs it finds, or `limit + 1` as soon as that number
+/// exceeds `limit` (pass `usize::MAX` for the whole count).
+///
+/// Each class starts with no pending row. The pass reads the class's rows
+/// in ascending row id and pairs each with the pending row when the two
+/// swap ([`is_swap`](crate::is_swap), strict on `A` and on `B`, so rows
+/// tied on either never pair); a paired row leaves the class with no
+/// pending row, and any other row becomes the pending one. The pairs are
+/// disjoint and each is a swap inside one class, so every swap-free
+/// subset keeps at most one row of each: a matching of the swap graph
+/// never exceeds its minimum vertex cover, which is the minimal removal
+/// set. The count therefore never exceeds
+/// [`OcValidator::min_removal_optimal`], and any
+/// [`OcValidatorBackend`](crate::OcValidatorBackend) rejects a candidate
+/// whose count exceeds its budget.
+///
+/// It sorts nothing and allocates nothing. Unlike the LNDS kernel it can
+/// only refute a candidate, never accept one: a count within the budget
+/// proves nothing.
+pub fn oc_disjoint_swaps(ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32], limit: usize) -> usize {
+    let mut pairs = 0usize;
+    for class in ctx.classes() {
+        let mut pending = None;
+        for &row in class {
+            let pair = (a_ranks[row as usize], b_ranks[row as usize]);
+            match pending {
+                Some(last) if is_swap(last, pair) => {
+                    pairs += 1;
+                    if pairs > limit {
+                        return pairs;
+                    }
+                    pending = None;
+                }
+                _ => pending = Some(pair),
+            }
+        }
+    }
+    pairs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,6 +587,67 @@ mod tests {
             assert_eq!(bound, expected, "k = {k}");
             assert_eq!(optimal, Some(expected), "k = {k}");
         }
+    }
+
+    #[test]
+    fn a_two_row_class_pairs_exactly_when_its_rows_swap() {
+        let ctx = unit_ctx(2);
+        for a in 0..3u32 {
+            for b in 0..3u32 {
+                let (ar, br) = ([1, a], [1, b]);
+                let swaps = (a < 1 && b > 1) || (a > 1 && b < 1);
+                assert_eq!(
+                    oc_disjoint_swaps(&ctx, &ar, &br, usize::MAX),
+                    usize::from(swaps),
+                    "(1, 1) and ({a}, {b})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_tied_on_a_or_on_b_never_pair() {
+        // Equal A and descending B, then descending A and equal B: every
+        // adjacent pair is opposite on one column and tied on the other.
+        let ctx = unit_ctx(4);
+        for (a, b) in [
+            ([5u32, 5, 5, 5], [3u32, 2, 1, 0]),
+            ([3, 2, 1, 0], [5, 5, 5, 5]),
+        ] {
+            assert_eq!(
+                oc_disjoint_swaps(&ctx, &a, &b, usize::MAX),
+                0,
+                "{a:?} {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pending_row_does_not_cross_a_class_boundary() {
+        // Classes {0, 1} and {2, 3}, each co-ordered inside; only rows 1
+        // and 2, in different classes, are ordered opposite ways.
+        let ctx = Partition::from_ranks(&[0, 0, 1, 1], 2);
+        assert_eq!(ctx.classes().collect::<Vec<_>>(), [[0, 1], [2, 3]]);
+        let (a, b) = ([0u32, 1, 0, 2], [0u32, 1, 2, 3]);
+        assert!(is_swap((a[1], b[1]), (a[2], b[2])));
+        assert_eq!(oc_disjoint_swaps(&ctx, &a, &b, usize::MAX), 0);
+    }
+
+    #[test]
+    fn the_pair_count_stops_once_it_passes_the_limit() {
+        // A strictly descending class of 8 rows: rows 2i and 2i + 1 pair,
+        // four pairs in all, and the minimal removal set is 7 rows.
+        let ctx = unit_ctx(8);
+        let a: Vec<u32> = (0..8).collect();
+        let b: Vec<u32> = (0..8).rev().collect();
+        for limit in 0..4 {
+            assert_eq!(oc_disjoint_swaps(&ctx, &a, &b, limit), limit + 1);
+        }
+        for limit in [4, 7, usize::MAX] {
+            assert_eq!(oc_disjoint_swaps(&ctx, &a, &b, limit), 4);
+        }
+        let optimal = OcValidator::new().min_removal_optimal(&ctx, &a, &b, usize::MAX);
+        assert_eq!(optimal, Some(7));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use aod::datagen::{flight, ncvoter};
 use aod::prelude::*;
 use aod_bench::Dataset;
-use aod_validate::{brute_min_removal_oc, oc_removal_lower_bound};
+use aod_validate::{brute_min_removal_oc, oc_disjoint_swaps, oc_removal_lower_bound};
 use proptest::prelude::*;
 
 #[test]
@@ -118,8 +118,8 @@ proptest! {
     /// the facade: `validate_aoc` with the LNDS validator (Algorithm 2)
     /// reports exactly the brute-force minimal removal count, with the
     /// context partition built from an [`AttrSet`] as in discovery. The
-    /// class-count bound discovery rejects candidates with never exceeds
-    /// that count.
+    /// class-count bound and the disjoint swapped pairs discovery rejects
+    /// candidates with never exceed that count.
     #[test]
     fn facade_optimal_aoc_matches_brute_force((a, b, ctx_vals) in small_instance()) {
         let table = RankedTable::from_u32_columns(vec![a, b, ctx_vals]);
@@ -138,6 +138,9 @@ proptest! {
         let part = |attrs: &[usize]| Partition::for_attrs(&table, attrs.iter().copied());
         let bound = oc_removal_lower_bound(&ctx, &part(&[0, 2]), &part(&[1, 2]), &part(&[0, 1, 2]));
         prop_assert!(bound <= brute, "bound {} > brute {}", bound, brute);
+        let (ar, br) = (table.column(0).ranks(), table.column(1).ranks());
+        let paired = oc_disjoint_swaps(&ctx, ar, br, usize::MAX);
+        prop_assert!(paired <= brute, "paired {} > brute {}", paired, brute);
     }
 
     /// Cross-validator agreement at every ε: Algorithm 1 (iterative

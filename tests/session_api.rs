@@ -268,9 +268,10 @@ impl OcValidatorBackend for Counting {
 /// equals a one-smaller context's are counted as validated but never reach
 /// the backend, for both strategies. With R2 off they must: a valid OC one
 /// level down is then not pruned above it. Under every `PruneConfig` the
-/// candidates the class-count bound rejects skip the backend as well, so
-/// each validated candidate is a backend call, `inherited` or `bounded`
-/// (the OC batch span args of a `ManualClock` trace).
+/// candidates the class-count bound or the disjoint swapped pairs reject
+/// skip the backend as well, so each validated candidate is a backend
+/// call, `inherited`, `bounded` or `paired` (the OC batch span args of a
+/// `ManualClock` trace), and the pairs fire in every configuration.
 #[test]
 fn contexts_that_are_not_free_skip_the_backend_only_under_r2() {
     let table = aod::datagen::flight::flight(7).table(1000);
@@ -310,15 +311,18 @@ fn contexts_that_are_not_free_skip_the_backend_only_under_r2() {
                     .sum()
             };
             let (inherited, bounded) = (arg_sum("inherited"), arg_sum("bounded"));
+            let paired = arg_sum("paired");
             let calls = calls.load(Ordering::Relaxed);
             let at = format!(
-                "{strategy:?}, R2 {skips}: {calls} calls, {inherited} inherited, {bounded} bounded"
+                "{strategy:?}, R2 {skips}: {calls} calls, {inherited} inherited, \
+                 {bounded} bounded, {paired} paired"
             );
+            assert!(paired > 0, "{at}");
             if skips {
                 assert!(inherited > 0, "{at}");
-                assert_eq!(calls + inherited + bounded, validated, "{at}");
+                assert_eq!(calls + inherited + bounded + paired, validated, "{at}");
             } else {
-                assert_eq!(calls + bounded, validated, "{at}");
+                assert_eq!(calls + bounded + paired, validated, "{at}");
             }
         }
     }

@@ -100,11 +100,15 @@ fn chrome_export_self_parses_with_the_expected_shape() {
 
 /// OC candidate-batch spans carry `inherited`, the node's candidates
 /// answered from an equal sub-context partition without a backend call,
-/// and `bounded`, those answered as invalid from four cached class counts;
-/// OFD batch spans carry neither count. `partitioning` phase spans carry
-/// `shared`, the partitions of the next level shared with a parent, at
-/// most that level's `n_products`. On employee at ε = 0 all three fire,
-/// and the export stays byte-identical across threads {1, 4}.
+/// `bounded`, those answered as invalid from four cached class counts,
+/// and `paired`, those answered as invalid from disjoint swapped row
+/// pairs; the three sum to at most the candidates, and OFD batch spans
+/// carry none of them. `partitioning` phase spans carry `shared`, the
+/// partitions of the next level shared with a parent, at most that
+/// level's `n_products`. On employee at ε = 0 `inherited`, `bounded` and
+/// `shared` fire, `paired` sums to 55 (a pass that paired tied rows or
+/// rows of two classes would refute more), and the export stays
+/// byte-identical across threads {1, 4}.
 #[test]
 fn oc_batch_spans_count_inherited_candidates() {
     let ranked = RankedTable::from_table(&employee_table());
@@ -123,24 +127,29 @@ fn oc_batch_spans_count_inherited_candidates() {
             .map(|s| (s.id, s.name))
             .collect();
         let arg = |s: &Span, key: &str| s.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let (mut inherited, mut bounded) = (0, 0);
+        let (mut inherited, mut bounded, mut paired) = (0, 0, 0);
         for batch in spans.iter().filter(|s| s.cat == "batch") {
             match (
                 phase[&batch.parent],
                 arg(batch, "inherited"),
                 arg(batch, "bounded"),
+                arg(batch, "paired"),
             ) {
-                ("oc_validation", Some(i), Some(b)) => {
-                    assert!(i + b <= arg(batch, "candidates").unwrap());
+                ("oc_validation", Some(i), Some(b), Some(p)) => {
+                    assert!(i + b + p <= arg(batch, "candidates").unwrap());
                     inherited += i;
                     bounded += b;
+                    paired += p;
                 }
-                ("ofd_validation", None, None) => {}
-                (name, i, b) => panic!("{name} batch span with inherited = {i:?}, bounded = {b:?}"),
+                ("ofd_validation", None, None, None) => {}
+                (name, i, b, p) => panic!(
+                    "{name} batch span with inherited = {i:?}, bounded = {b:?}, paired = {p:?}"
+                ),
             }
         }
         assert!(inherited > 0, "the rule never fired at {threads} threads");
         assert!(bounded > 0, "the bound never fired at {threads} threads");
+        assert_eq!(paired, 55, "{threads} threads");
         let mut shared = 0;
         for span in spans.iter().filter(|s| s.name == "partitioning") {
             let (level, k) = (arg(span, "level").unwrap(), arg(span, "shared").unwrap());
