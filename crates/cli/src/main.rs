@@ -252,6 +252,10 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let ranked = RankedTable::from_table(&table);
     let epsilon = epsilon_arg(args)?;
     let mut builder = discovery_builder(args, &table)?;
+    // The report prints no cell value, so the parsed table goes before
+    // discovery runs; only its column names are kept.
+    let schema = table.schema().clone();
+    drop(table);
     // --trace records a deterministic span hierarchy (job → level → phase
     // → candidate batch) alongside the run; it never changes the
     // discovered dependencies.
@@ -288,7 +292,7 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
             spans.len()
         );
     }
-    let names = table.schema().names();
+    let names = schema.names();
     let top = args.int("top")?.unwrap_or(usize::MAX);
 
     if result.is_partial() {
@@ -306,8 +310,8 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
         out,
         "{} rows × {} columns; mode: {}; found {} OCs, {} OFDs in {:.3}s \
          ({:.1}% of {} in OC validation)",
-        table.n_rows(),
-        table.n_cols(),
+        ranked.n_rows(),
+        ranked.n_cols(),
         if args.flag("exact") {
             "exact".into()
         } else {

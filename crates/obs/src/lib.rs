@@ -13,7 +13,7 @@
 //!   boundaries** (powers of 4 in microseconds, see [`BUCKET_BOUNDS_US`]).
 //!   Fixed boundaries make the wire output byte-stable: two processes — or
 //!   two thread counts — observing the same multiset of samples render the
-//!   same exposition text, and snapshots merge associatively.
+//!   same exposition text.
 //!
 //! Handles are cheap `Arc`-backed clones; recording is a handful of relaxed
 //! atomic ops and never takes the registry lock. Time itself enters only
@@ -57,8 +57,8 @@ use std::sync::{Arc, Mutex};
 /// Finite histogram bucket upper bounds, in microseconds: powers of 4 from
 /// 1 µs to 4¹³ ≈ 67 s. Everything above falls into the implicit `+Inf`
 /// bucket. The boundaries are a compile-time constant — never derived from
-/// observed data — so bucket assignment is deterministic and snapshots from
-/// different threads/processes merge exactly.
+/// observed data — so bucket assignment is deterministic: the same samples
+/// fill the same buckets whichever thread observed them.
 pub const BUCKET_BOUNDS_US: [u64; 14] = [
     1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216,
     67_108_864,
@@ -205,7 +205,7 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state.
+/// An owned copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Non-cumulative per-bucket counts (last entry is the `+Inf` bucket).
@@ -217,7 +217,7 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (identity element for [`merge`](Self::merge)).
+    /// An empty snapshot.
     pub fn empty() -> HistogramSnapshot {
         HistogramSnapshot::default()
     }
@@ -228,17 +228,6 @@ impl HistogramSnapshot {
         self.buckets[bucket_index(value_us)] += 1;
         self.sum += value_us;
         self.count += 1;
-    }
-
-    /// Adds `other` into `self`. Merging is commutative and associative —
-    /// the algebraic property that makes per-thread histograms combine
-    /// into the same totals regardless of how work was split.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
     }
 }
 
@@ -575,10 +564,12 @@ mod tests {
 
     /// Minimal structural validator for the exposition text: every line is
     /// a `# HELP`/`# TYPE` comment or `name[{labels}] value`, TYPE precedes
-    /// its samples, and each family has exactly one HELP/TYPE pair.
+    /// its samples, and each family has exactly one HELP/TYPE pair, the
+    /// TYPE line directly after its HELP line (the writer's layout).
     fn assert_valid_exposition(text: &str) {
         let mut typed: std::collections::BTreeMap<String, String> =
             std::collections::BTreeMap::new();
+        let mut pending_help: Option<&str> = None;
         for line in text.lines() {
             assert!(!line.trim().is_empty(), "no blank lines emitted");
             if let Some(rest) = line.strip_prefix("# ") {
@@ -587,7 +578,15 @@ mod tests {
                 let name = parts.next().expect("comment metric name");
                 let body = parts.next().unwrap_or("");
                 assert!(keyword == "HELP" || keyword == "TYPE", "line: {line}");
-                if keyword == "TYPE" {
+                if keyword == "HELP" {
+                    assert!(pending_help.is_none(), "HELP without TYPE before {line}");
+                    pending_help = Some(name);
+                } else {
+                    assert_eq!(
+                        pending_help.take(),
+                        Some(name),
+                        "TYPE not directly after its HELP: {line}"
+                    );
                     assert!(
                         ["counter", "gauge", "histogram"].contains(&body),
                         "unknown type {body:?}"
@@ -597,6 +596,7 @@ mod tests {
                 }
                 continue;
             }
+            assert!(pending_help.is_none(), "HELP without TYPE before {line}");
             let (series, value) = line.rsplit_once(' ').expect("sample has a value");
             value.parse::<u64>().expect("sample value is an integer");
             let base = match series.find('{') {
@@ -685,45 +685,6 @@ mod tests {
             prop_assert_eq!(snap.count, samples.len() as u64);
             prop_assert_eq!(snap.sum, samples.iter().sum::<u64>());
             prop_assert_eq!(snap.buckets.iter().sum::<u64>(), samples.len() as u64);
-        }
-
-        #[test]
-        fn merge_is_associative_and_split_invariant(
-            samples in proptest::collection::vec(0u64..100_000_000, 0..300),
-            cut_a in 0usize..300,
-            cut_b in 0usize..300,
-        ) {
-            // Whole-run snapshot.
-            let mut whole = HistogramSnapshot::empty();
-            for &s in &samples {
-                whole.observe(s);
-            }
-            // Split into three chunks at arbitrary points, as if three
-            // workers had each observed a share.
-            let mut cuts = [cut_a.min(samples.len()), cut_b.min(samples.len())];
-            cuts.sort_unstable();
-            let parts = [&samples[..cuts[0]], &samples[cuts[0]..cuts[1]], &samples[cuts[1]..]];
-            let snaps: Vec<HistogramSnapshot> = parts
-                .iter()
-                .map(|part| {
-                    let mut snap = HistogramSnapshot::empty();
-                    for &s in *part {
-                        snap.observe(s);
-                    }
-                    snap
-                })
-                .collect();
-            // (a ⊕ b) ⊕ c
-            let mut left = snaps[0].clone();
-            left.merge(&snaps[1]);
-            left.merge(&snaps[2]);
-            // a ⊕ (b ⊕ c)
-            let mut right_tail = snaps[1].clone();
-            right_tail.merge(&snaps[2]);
-            let mut right = snaps[0].clone();
-            right.merge(&right_tail);
-            prop_assert_eq!(&left, &right);
-            prop_assert_eq!(&left, &whole);
         }
     }
 }

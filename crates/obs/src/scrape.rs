@@ -16,8 +16,11 @@
 //!
 //! Malformed lines are hard errors carrying the line number — a monitor
 //! silently misreading a scrape is worse than one that says why it can't.
+//! So are three things the format forbids in well-formed lines: a second
+//! `# TYPE` for a family, a `# TYPE` after the family's first sample, and
+//! a series (name and label set) that repeats.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One parsed sample line: series name, sorted label set, value.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,11 +45,13 @@ impl Sample {
     }
 }
 
-/// A parsed scrape: every sample plus the announced family types.
+/// A parsed scrape: every sample plus the announced family types and
+/// help texts.
 #[derive(Debug, Clone, Default)]
 pub struct Scrape {
     samples: Vec<Sample>,
     types: BTreeMap<String, String>,
+    helps: BTreeMap<String, String>,
 }
 
 /// A parse failure, with the 1-based line number it occurred on.
@@ -68,6 +73,8 @@ impl Scrape {
     /// Parses exposition text into samples, rejecting malformed lines.
     pub fn parse(text: &str) -> Result<Scrape, ScrapeError> {
         let mut scrape = Scrape::default();
+        // Every series seen so far, as (name, sorted labels).
+        let mut series: BTreeSet<(String, Vec<(String, String)>)> = BTreeSet::new();
         for (idx, line) in text.lines().enumerate() {
             let lineno = idx + 1;
             let err = |message: String| ScrapeError {
@@ -86,13 +93,35 @@ impl Scrape {
                 let kind = parts
                     .next()
                     .ok_or_else(|| err(format!("TYPE line for `{name}` without a kind")))?;
+                if scrape.types.contains_key(name) {
+                    return Err(err(format!("second TYPE line for `{name}`")));
+                }
+                let suffixes: &[&str] = match kind {
+                    "histogram" => &["", "_bucket", "_sum", "_count"],
+                    "summary" => &["", "_sum", "_count"],
+                    _ => &[""],
+                };
+                if suffixes
+                    .iter()
+                    .any(|suffix| has_series(&series, &format!("{name}{suffix}")))
+                {
+                    return Err(err(format!("TYPE line for `{name}` after its samples")));
+                }
                 scrape.types.insert(name.to_string(), kind.to_string());
                 continue;
             }
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
+                scrape.helps.insert(name.to_string(), help.to_string());
+                continue;
+            }
             if line.starts_with('#') {
-                continue; // HELP and free-form comments
+                continue; // free-form comments
             }
             let sample = parse_sample(line).map_err(err)?;
+            if !series.insert((sample.name.clone(), sample.labels.clone())) {
+                return Err(err(format!("series `{}` repeats", sample.name)));
+            }
             scrape.samples.push(sample);
         }
         Ok(scrape)
@@ -106,6 +135,12 @@ impl Scrape {
     /// The announced `# TYPE` kind of a family, if any.
     pub fn family_type(&self, name: &str) -> Option<&str> {
         self.types.get(name).map(String::as_str)
+    }
+
+    /// The announced `# HELP` text of a family, if any, with its escapes
+    /// as written.
+    pub fn family_help(&self, name: &str) -> Option<&str> {
+        self.helps.get(name).map(String::as_str)
     }
 
     /// The value of the series with exactly this name and label set.
@@ -130,6 +165,15 @@ impl Scrape {
     pub fn series<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Sample> {
         self.samples.iter().filter(move |s| s.name == name)
     }
+}
+
+/// `true` when `series` holds a series of this name, whatever its labels:
+/// the empty label set sorts first among a name's series.
+fn has_series(series: &BTreeSet<(String, Vec<(String, String)>)>, name: &str) -> bool {
+    series
+        .range((name.to_string(), Vec::new())..)
+        .next()
+        .is_some_and(|(first, _)| first == name)
 }
 
 fn valid_name(name: &str) -> bool {
@@ -345,12 +389,47 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_help_lines_are_skipped_types_retained() {
-        let text = "# HELP m Things.\n# TYPE m counter\n# arbitrary comment\nm 3\n";
+    fn comments_are_skipped_help_and_types_retained() {
+        let text = "# HELP m Things \\\\ more.\n# TYPE m counter\n# arbitrary comment\nm 3\n";
         let scrape = Scrape::parse(text).unwrap();
         assert_eq!(scrape.family_type("m"), Some("counter"));
+        assert_eq!(scrape.family_help("m"), Some("Things \\\\ more."));
+        assert_eq!(scrape.family_help("other"), None);
         assert_eq!(scrape.value("m", &[]), Some(3.0));
         assert_eq!(scrape.samples().len(), 1);
+    }
+
+    #[test]
+    fn a_second_type_line_for_a_family_is_rejected() {
+        let text = "# TYPE m counter\nm 1\n# TYPE m counter\n";
+        let err = Scrape::parse(text).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.message.contains("second TYPE"), "{err}");
+    }
+
+    #[test]
+    fn a_type_line_after_its_family_samples_is_rejected() {
+        for text in [
+            "m 1\n# TYPE m gauge\n",
+            "h_bucket{le=\"+Inf\"} 1\n# TYPE h histogram\n",
+            "h_count 1\n# TYPE h histogram\n",
+        ] {
+            let err = Scrape::parse(text).expect_err(text);
+            assert_eq!(err.line, 2, "{text}: {err}");
+            assert!(err.message.contains("after its samples"), "{err}");
+        }
+        // Only a histogram's TYPE covers `_count`: here `m_count` is
+        // another family.
+        let ok = "m_count 1\n# TYPE m counter\nm 2\n";
+        assert!(Scrape::parse(ok).is_ok());
+    }
+
+    #[test]
+    fn a_repeated_series_is_rejected() {
+        let text = "q{a=\"1\",b=\"2\"} 1\nq{a=\"2\"} 1\nq{b=\"2\",a=\"1\"} 3\n";
+        let err = Scrape::parse(text).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(err.message.contains("repeats"), "{err}");
     }
 
     /// How generated lines start: metric names with and without a label

@@ -5,8 +5,9 @@
 //!
 //! Connects (retrying while the server starts), registers a generated
 //! dataset, runs one discovery job to completion, then scrapes
-//! `GET /metrics` twice and asserts the scrape is well-formed Prometheus
-//! text exposition (HELP/TYPE lines, parseable samples) with monotone
+//! `GET /metrics` twice and asserts, through `aod_obs::Scrape`, that the
+//! scrape is well-formed Prometheus text exposition (HELP and TYPE for
+//! every family, parseable samples, no repeated series) with monotone
 //! counters across scrapes, a per-dataset job-latency histogram, and the
 //! discovery instruments the job's event sink populated. After the second
 //! scrape, `GET /stats` must read every figure it shares with the scrape
@@ -14,72 +15,52 @@
 //! the dataset's executor queue-depth gauge must read 0. Finishes with
 //! `POST /shutdown` so the server process can be `wait`ed for a clean exit.
 
+use aod_obs::Scrape;
 use aod_serve::client::request;
 use aod_serve::json::JsonValue;
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Parses one exposition scrape into `name{labels} -> value`, asserting
-/// structural validity: every sample line is `name{labels} value`, every
-/// metric family is preceded by `# HELP` and `# TYPE` lines, and no
-/// sample appears twice.
-fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
-    let mut samples = BTreeMap::new();
-    let mut helped: Vec<String> = Vec::new();
-    let mut typed: Vec<String> = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().expect("HELP has a name");
-            helped.push(name.to_string());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().expect("TYPE has a name");
-            let kind = parts.next().expect("TYPE has a kind");
-            assert!(
-                matches!(kind, "counter" | "gauge" | "histogram"),
-                "unknown TYPE kind: {line}"
-            );
-            typed.push(name.to_string());
-            continue;
-        }
-        assert!(!line.starts_with('#'), "unexpected comment line: {line}");
-        let (series, value) = line.rsplit_once(' ').expect("sample has a value");
-        let value: f64 = value.parse().unwrap_or_else(|e| {
-            panic!("unparseable sample value in `{line}`: {e}");
-        });
-        let base = series
-            .split(['{', '_'])
-            .next()
-            .map(|_| {
-                // The family name is the series name minus `{labels}` and
-                // any histogram suffix.
-                let name = series.split('{').next().unwrap_or(series);
-                name.trim_end_matches("_bucket")
-                    .trim_end_matches("_sum")
-                    .trim_end_matches("_count")
-                    .to_string()
-            })
-            .unwrap_or_default();
-        assert!(
-            helped.contains(&base) && typed.contains(&base),
-            "sample `{series}` has no preceding HELP/TYPE for `{base}`"
-        );
-        let dup = samples.insert(series.to_string(), value);
-        assert!(dup.is_none(), "duplicate sample: {series}");
-    }
-    samples
+/// The family a sample belongs to: its name, or for a histogram's
+/// `_bucket`, `_sum` and `_count` series, the histogram's name.
+fn family<'a>(scrape: &Scrape, sample: &'a str) -> &'a str {
+    ["_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| {
+            sample
+                .strip_suffix(suffix)
+                .filter(|stem| scrape.family_type(stem) == Some("histogram"))
+        })
+        .unwrap_or(sample)
 }
 
-fn scrape(addr: SocketAddr) -> BTreeMap<String, f64> {
+/// Scrapes `GET /metrics` through the conformant [`Scrape`] reader (which
+/// rejects unparseable samples, a TYPE after its samples and repeated
+/// series) and asserts the rest of the structure: no comment but HELP and
+/// TYPE, and every sample's family announced by both, with a known kind.
+fn scrape(addr: SocketAddr) -> Scrape {
     let response = request(addr, "GET", "/metrics", None).expect("scrape /metrics");
     assert_eq!(response.status, 200, "metrics: {}", response.body);
-    parse_exposition(&response.body)
+    for line in response.body.lines().filter(|l| l.starts_with('#')) {
+        assert!(
+            line.starts_with("# HELP ") || line.starts_with("# TYPE "),
+            "unexpected comment line: {line}"
+        );
+    }
+    let scrape = Scrape::parse(&response.body).unwrap_or_else(|e| panic!("scrape parses: {e}"));
+    for sample in scrape.samples() {
+        let family = family(&scrape, &sample.name);
+        assert!(
+            scrape.family_help(family).is_some()
+                && matches!(
+                    scrape.family_type(family),
+                    Some("counter" | "gauge" | "histogram")
+                ),
+            "sample `{}` has no HELP or known TYPE for `{family}`",
+            sample.name
+        );
+    }
+    scrape
 }
 
 fn main() {
@@ -141,16 +122,15 @@ fn main() {
     println!("job {id}: completed");
 
     let first = scrape(addr);
+    let smoke = [("dataset", "obs-smoke")];
     // The per-dataset latency histogram recorded the finished job.
     let count = first
-        .get("aod_serve_job_duration_us_count{dataset=\"obs-smoke\"}")
-        .copied()
+        .value("aod_serve_job_duration_us_count", &smoke)
         .expect("per-dataset job-duration histogram present");
     assert!(count >= 1.0, "job duration histogram is empty");
     // The job's event sink populated the discovery instruments.
     let ocs = first
-        .get("aod_discovery_ocs_found_total{dataset=\"obs-smoke\"}")
-        .copied()
+        .value("aod_discovery_ocs_found_total", &smoke)
         .expect("discovery instruments present");
     assert!(ocs > 0.0, "discovery found no OCs on the smoke dataset");
     for series in [
@@ -161,9 +141,12 @@ fn main() {
         "aod_serve_datasets",
         "aod_serve_datasets_capacity",
     ] {
-        assert!(first.contains_key(series), "missing series `{series}`");
+        assert!(
+            first.value(series, &[]).is_some(),
+            "missing series `{series}`"
+        );
     }
-    println!("first scrape: {} samples", first.len());
+    println!("first scrape: {} samples", first.samples().len());
 
     // A second, identical job must be a cache hit; the second scrape's
     // counters must be monotone over the first.
@@ -171,26 +154,32 @@ fn main() {
     assert_eq!(again.status, 201);
     let second = scrape(addr);
     assert!(
-        second.get("aod_serve_cache_hits_total").copied() >= Some(1.0),
+        second.value("aod_serve_cache_hits_total", &[]) >= Some(1.0),
         "resubmission did not register as a cache hit"
     );
-    for (series, value) in &first {
+    for sample in first.samples() {
         // Gauges may move either way; counters and histogram cells are
         // cumulative and must never regress between scrapes.
-        let cumulative = series.contains("_total")
-            || series.contains("_bucket")
-            || series.contains("_sum")
-            || series.contains("_count");
-        if !cumulative {
+        let kind = first.family_type(family(&first, &sample.name));
+        if !matches!(kind, Some("counter" | "histogram")) {
             continue;
         }
-        let now = second
-            .get(series)
-            .copied()
-            .unwrap_or_else(|| panic!("series `{series}` vanished between scrapes"));
+        let labels: Vec<(&str, &str)> = sample
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        let now = second.value(&sample.name, &labels).unwrap_or_else(|| {
+            panic!(
+                "series `{}` {labels:?} vanished between scrapes",
+                sample.name
+            )
+        });
         assert!(
-            now >= *value,
-            "counter `{series}` regressed: {value} -> {now}"
+            now >= sample.value,
+            "counter `{}` {labels:?} regressed: {} -> {now}",
+            sample.name,
+            sample.value
         );
     }
     println!("second scrape: monotone over first");
@@ -217,8 +206,7 @@ fn main() {
             .and_then(JsonValue::as_u64)
             .unwrap_or_else(|| panic!("/stats has no `{key}`")) as f64;
         let sample = second
-            .get(series)
-            .copied()
+            .value(series, &[])
             .unwrap_or_else(|| panic!("missing series `{series}`"));
         let expected = if key == "requests" {
             sample + 1.0
@@ -228,9 +216,7 @@ fn main() {
         assert_eq!(stat, expected, "/stats `{key}` disagrees with `{series}`");
     }
     assert_eq!(
-        second
-            .get("aod_exec_queue_depth{dataset=\"obs-smoke\"}")
-            .copied(),
+        second.value("aod_exec_queue_depth", &smoke),
         Some(0.0),
         "queue-depth gauge did not drain"
     );

@@ -1,10 +1,11 @@
 //! The result cache: identical requests never recompute.
 //!
 //! Interactive profiling workloads re-run the same configurations over the
-//! same datasets; a completed run is therefore stored under
-//! `(dataset fingerprint, canonicalized config)` and replayed — result
-//! JSON, final stats JSON and the full NDJSON event log — without touching
-//! the engine. Only **complete** runs are cached: partial results
+//! same datasets; a completed run's record ([`CachedRun`]: result JSON,
+//! final stats JSON and the full NDJSON event log, shared by `Arc` with
+//! the job that ran it) is therefore stored under
+//! `(dataset fingerprint, canonicalized config)` and replayed without
+//! touching the engine. Only **complete** runs are cached: partial results
 //! (cancelled / timed-out / top-k-stopped) depend on when the interruption
 //! landed, so caching them would serve non-deterministic answers.
 //! (`max_level`-capped runs are complete *up to that level* and the level
@@ -34,12 +35,16 @@ pub const MAX_CACHED_RUNS: usize = 256;
 /// Cache key: dataset name + content fingerprint + canonicalized config.
 pub type CacheKey = (String, u64, String);
 
-/// Everything needed to replay a completed run without recomputation.
+/// The record of one finished run: everything needed to serve or replay
+/// it without recomputation.
+///
+/// Every finished job holds its run's record by `Arc`, partial runs
+/// included. A complete run's record is also the cache entry, so the job
+/// that ran it, the jobs answered from the cache and every replay share
+/// one record and copy no event.
 #[derive(Debug)]
 pub struct CachedRun {
-    /// The run's NDJSON event log, shared by `Arc` with the job that ran
-    /// it and with every job and replay answered from this entry: a hit
-    /// copies no event.
+    /// The run's NDJSON event log.
     pub events: Arc<EventLog>,
     /// `DiscoveryResult::to_json` of the completed run.
     pub result_json: Arc<String>,
@@ -85,15 +90,15 @@ impl ResultCache {
         found
     }
 
-    /// Stores a completed run (first writer wins; identical by
-    /// determinism, so losing a race is harmless), evicting the oldest
-    /// entry beyond [`MAX_CACHED_RUNS`].
-    pub fn store(&self, key: CacheKey, run: CachedRun) {
+    /// Stores a complete run's record, the same `Arc` its job holds
+    /// (first writer wins; identical by determinism, so losing a race is
+    /// harmless), evicting the oldest entry beyond [`MAX_CACHED_RUNS`].
+    pub fn store(&self, key: CacheKey, run: Arc<CachedRun>) {
         let mut inner = lock_or_recover(&self.inner);
         if inner.map.contains_key(&key) {
             return;
         }
-        inner.map.insert(key.clone(), Arc::new(run));
+        inner.map.insert(key.clone(), run);
         inner.order.push_back(key);
         while inner.map.len() > MAX_CACHED_RUNS {
             let Some(oldest) = inner.order.pop_front() else {
@@ -118,15 +123,15 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn run() -> CachedRun {
+    fn run() -> Arc<CachedRun> {
         let mut events = EventLog::default();
         events.push("{\"event\":\"x\"}");
-        CachedRun {
+        Arc::new(CachedRun {
             events: Arc::new(events),
             result_json: Arc::new("{}".to_string()),
             stats_json: Arc::new("{}".to_string()),
             levels_completed: 3,
-        }
+        })
     }
 
     fn key(name: &str, fp: u64, cfg: &str) -> CacheKey {

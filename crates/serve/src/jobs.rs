@@ -14,8 +14,10 @@
 //! * `DELETE /jobs/{id}` fires the session's `CancelToken`; the engine
 //!   stops at the next node boundary and the job finishes with partial,
 //!   well-formed results flagged `stopped_early`;
-//! * completed (non-partial) runs are stored in the cache, so an identical
-//!   later request is answered without re-validating anything.
+//! * a finished run is one [`CachedRun`] record — event log, result and
+//!   stats — that the job shares with the cache when the run is complete
+//!   (not partial), so an identical later request is answered from the
+//!   same record without re-validating anything.
 
 use crate::cache::{CachedRun, ResultCache};
 use crate::metrics::ServeMetrics;
@@ -298,16 +300,18 @@ impl JobSpec {
 }
 
 /// A job's event log: append-only NDJSON text, every line ending in
-/// `\n`, plus the byte offset where each line ends.
+/// `\n`, and its line count.
 ///
-/// A finished log is shared by `Arc` — between its job, its
+/// Readers resume at a byte offset: the lengths of the batches a streamer
+/// has written add up to a line boundary, so the log keeps no per-line
+/// offsets. A finished log is shared by `Arc` — between its job, its
 /// [`CachedRun`] and every replay — and never copied. Only the runner
 /// appends, and it stays the log's only owner while it does, because
 /// [`Job::events_after`] copies a live log's tail instead of sharing it.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     text: String,
-    ends: Vec<usize>,
+    lines: usize,
 }
 
 impl EventLog {
@@ -315,26 +319,23 @@ impl EventLog {
     pub fn push(&mut self, line: &str) {
         self.text.push_str(line);
         self.text.push('\n');
-        self.ends.push(self.text.len());
+        self.lines += 1;
     }
 
     /// Number of lines.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.lines
     }
 
     /// `true` when no line was pushed.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.lines == 0
     }
 
-    /// The NDJSON text of lines `from..` (empty past the end).
+    /// The NDJSON text from byte `from` on: whole lines when `from` is a
+    /// line boundary, and empty at or past the end.
     pub fn text_from(&self, from: usize) -> &str {
-        let start = match from.checked_sub(1) {
-            None => 0,
-            Some(last) => self.ends.get(last).copied().unwrap_or(self.text.len()),
-        };
-        self.text.get(start..).unwrap_or_default()
+        self.text.get(from..).unwrap_or_default()
     }
 }
 
@@ -342,12 +343,11 @@ impl EventLog {
 #[derive(Debug)]
 pub struct EventBatch {
     text: BatchText,
-    lines: usize,
 }
 
 #[derive(Debug)]
 enum BatchText {
-    /// A finished log, shared: the batch is its lines from this index on.
+    /// A finished log, shared: the batch is its text from this byte on.
     Shared(Arc<EventLog>, usize),
     /// The new tail of a live log, copied out.
     Copied(String),
@@ -362,29 +362,22 @@ impl EventBatch {
         }
     }
 
-    /// Number of lines.
-    pub fn len(&self) -> usize {
-        self.lines
-    }
-
     /// `true` when the batch holds no line.
     pub fn is_empty(&self) -> bool {
-        self.lines == 0
+        self.text().is_empty()
     }
 }
 
 #[derive(Debug)]
 struct JobState {
     status: JobStatus,
-    cancel_requested: bool,
     levels_completed: usize,
-    /// `Arc` so a finished log is shared, not copied, by the cache, by
-    /// cache-hit jobs and by replays; a live runner is the unique owner,
-    /// so `Arc::make_mut` appends in place.
+    /// `Arc` so a finished log is shared, not copied, by the job's run
+    /// record, by the cache and by replays; a live runner is the unique
+    /// owner, so `Arc::make_mut` appends in place.
     events: Arc<EventLog>,
-    events_done: bool,
-    result_json: Option<Arc<String>>,
-    stats_json: Option<Arc<String>>,
+    /// The finished run's record, once done.
+    run: Option<Arc<CachedRun>>,
     error: Option<String>,
 }
 
@@ -414,12 +407,9 @@ impl Job {
             cancel: CancelToken::new(),
             state: Mutex::new(JobState {
                 status: JobStatus::Running,
-                cancel_requested: false,
                 levels_completed: 0,
                 events: Arc::new(EventLog::default()),
-                events_done: false,
-                result_json: None,
-                stats_json: None,
+                run: None,
                 error: None,
             }),
             cond: Condvar::new(),
@@ -434,14 +424,12 @@ impl Job {
     /// Requests cooperative cancellation (idempotent).
     pub fn cancel(&self) {
         self.cancel.cancel();
-        let mut state = lock_or_recover(&self.state);
-        state.cancel_requested = true;
-        self.cond.notify_all();
     }
 
     /// The completed result's JSON, once done.
     pub fn result_json(&self) -> Option<Arc<String>> {
-        lock_or_recover(&self.state).result_json.clone()
+        let state = lock_or_recover(&self.state);
+        state.run.as_ref().map(|run| Arc::clone(&run.result_json))
     }
 
     /// Status + progress description (`GET /jobs/{id}`).
@@ -452,12 +440,12 @@ impl Job {
             .str("dataset", &self.dataset)
             .str("status", state.status.wire_name())
             .bool("cached", self.cached)
-            .bool("cancel_requested", state.cancel_requested)
+            .bool("cancel_requested", self.cancel.is_cancelled())
             .num_u64("levels_completed", state.levels_completed as u64)
             .num_u64("n_events", state.events.len() as u64)
             .raw("config", &self.config);
-        match &state.stats_json {
-            Some(stats) => obj.raw("stats", stats),
+        match &state.run {
+            Some(run) => obj.raw("stats", &run.stats_json),
             None => obj.null("stats"),
         };
         match &state.error {
@@ -467,26 +455,28 @@ impl Job {
         obj.finish()
     }
 
-    /// Event lines from `from` onward, plus whether the log is complete.
-    /// Blocks up to `wait` for news when there is none yet; a live job
-    /// signals news once per completed level and when it ends, so a
-    /// streamer gets a level's lines in one batch. A finished log's lines
-    /// are handed out without copying; a live log's new tail is copied, so
-    /// the runner stays the log's only owner.
+    /// Event text from byte `from` onward, plus whether the log is
+    /// complete (the job left `Running`). A streamer resumes at the sum of
+    /// the text lengths it was handed. Blocks up to `wait` for news when
+    /// there is none yet; a live job signals news once per completed level
+    /// and when it ends, so a streamer gets a level's lines in one batch. A
+    /// finished log's lines are handed out without copying; a live log's
+    /// new tail is copied, so the runner stays the log's only owner.
     pub fn events_after(&self, from: usize, wait: Duration) -> (EventBatch, bool) {
         let state = lock_or_recover(&self.state);
-        let state = if state.events.len() <= from && !state.events_done {
+        let state = if state.status == JobStatus::Running && state.events.text_from(from).is_empty()
+        {
             wait_timeout_or_recover(&self.cond, state, wait)
         } else {
             state
         };
-        let text = if state.events_done {
+        let done = state.status != JobStatus::Running;
+        let text = if done {
             BatchText::Shared(Arc::clone(&state.events), from)
         } else {
             BatchText::Copied(state.events.text_from(from).to_string())
         };
-        let lines = state.events.len().saturating_sub(from);
-        (EventBatch { text, lines }, state.events_done)
+        (EventBatch { text }, done)
     }
 
     /// Blocks until the job leaves `Running` (test/smoke convenience).
@@ -512,23 +502,15 @@ impl Job {
         }
     }
 
-    fn finish(&self, result_json: Arc<String>, stats_json: Arc<String>) {
-        let mut state = lock_or_recover(&self.state);
-        state.status = JobStatus::Done;
-        state.result_json = Some(result_json);
-        state.stats_json = Some(stats_json);
-        state.events_done = true;
-        self.cond.notify_all();
-    }
-
-    fn adopt_cached(&self, run: &CachedRun) {
+    /// The one transition to `Done`: the job serves `run`'s log, result
+    /// and stats from here on, whether it ran them or was answered from
+    /// the cache.
+    fn finish(&self, run: Arc<CachedRun>) {
         let mut state = lock_or_recover(&self.state);
         state.status = JobStatus::Done;
         state.events = Arc::clone(&run.events);
-        state.events_done = true;
         state.levels_completed = run.levels_completed;
-        state.result_json = Some(run.result_json.clone());
-        state.stats_json = Some(run.stats_json.clone());
+        state.run = Some(run);
         self.cond.notify_all();
     }
 
@@ -536,7 +518,6 @@ impl Job {
         let mut state = lock_or_recover(&self.state);
         state.status = JobStatus::Failed;
         state.error = Some(message);
-        state.events_done = true;
         self.cond.notify_all();
     }
 }
@@ -668,7 +649,7 @@ impl JobManager {
         if let Some(cached) = self.cache.lookup(&key) {
             let id = self.next_id();
             let job = Arc::new(Job::new(id, &dataset.name, canonical, true));
-            job.adopt_cached(&cached);
+            job.finish(cached);
             let mut map = lock_or_recover(&self.jobs);
             map.insert(id, job.clone());
             evict_completed(&mut map);
@@ -772,8 +753,8 @@ fn evict_completed(map: &mut HashMap<u64, Arc<Job>>) {
     }
 }
 
-/// The runner-thread body: stream the session, log events, finish the job,
-/// feed the cache.
+/// The runner-thread body: stream the session and log its events, then
+/// build the run's record, feed the cache and finish the job.
 fn run_job(
     job: Arc<Job>,
     dataset: Arc<Dataset>,
@@ -819,38 +800,33 @@ fn run_job(
     }));
     match outcome {
         Ok(result) => {
-            let complete = !result.is_partial();
+            // Everything a done job promises is in place before its status
+            // changes: its run record, the cache entry of a complete run,
+            // its trace and its latency in the dataset's histogram. So a
+            // client that reads `done` finds each of them.
             let result_json = Arc::new(result.to_json());
             let stats_json = Arc::new(result.stats.to_json());
-            let levels_completed = {
+            let run = {
                 let state = lock_or_recover(&job.state);
-                state.levels_completed
+                Arc::new(CachedRun {
+                    events: Arc::clone(&state.events),
+                    result_json,
+                    stats_json,
+                    levels_completed: state.levels_completed,
+                })
             };
-            if complete {
-                // Share (not copy) the job's own log and payloads: cached
-                // replays and the finished job point at the same bytes.
-                let events = lock_or_recover(&job.state).events.clone();
-                cache.store(
-                    key,
-                    CachedRun {
-                        events,
-                        result_json: result_json.clone(),
-                        stats_json: stats_json.clone(),
-                        levels_completed,
-                    },
-                );
+            if !result.is_partial() {
+                cache.store(key, Arc::clone(&run));
             }
             if let Some(sink) = &trace_sink {
                 // Deterministic lane only — worker-lane spans are
-                // scheduling-dependent and excluded from served bytes.
-                // Stored before the status flips to Done, so a job
-                // observed as done has its trace servable unless the
-                // trace is over the byte budget.
+                // scheduling-dependent and excluded from served bytes. A
+                // trace over the byte budget is not kept.
                 let chrome = aod_core::chrome_trace(&sink.spans());
                 traces.store(job.id, Arc::new(chrome));
             }
-            job.finish(result_json, stats_json);
             metrics.observe_job(&dataset.name, started_us);
+            job.finish(run);
         }
         Err(panic) => {
             let message = panic
@@ -1009,9 +985,10 @@ mod tests {
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.text_from(0), "{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n");
-        assert_eq!(log.text_from(2), "{\"c\":3}\n");
-        assert_eq!(log.text_from(3), "");
-        assert_eq!(log.text_from(9), "");
+        // Offsets are bytes: each line here is 8 bytes with its newline.
+        assert_eq!(log.text_from(16), "{\"c\":3}\n");
+        assert_eq!(log.text_from(24), "");
+        assert_eq!(log.text_from(99), "");
     }
 
     #[test]
@@ -1030,9 +1007,30 @@ mod tests {
         let (all, done) = job.events_after(0, Duration::ZERO);
         assert!(done);
         assert!(all.text().starts_with(first.text()));
-        assert_eq!(all.len(), all.text().lines().count());
-        // A finished batch shares the job's log.
-        assert_eq!(Arc::strong_count(&lock_or_recover(&job.state).events), 2);
+        // A finished batch shares the log of the job and its run record.
+        assert_eq!(Arc::strong_count(&lock_or_recover(&job.state).events), 3);
+        manager.shutdown();
+    }
+
+    #[test]
+    fn a_done_job_has_its_latency_observed() {
+        let d = employee_dataset();
+        let manager = new_manager(2);
+        let observed = || {
+            aod_obs::Scrape::parse(&manager.metrics.render())
+                .unwrap()
+                .value("aod_serve_job_duration_us_count", &[("dataset", "emp")])
+                .unwrap_or(0.0)
+        };
+        for i in 0..300 {
+            let spec = parse_spec(&format!(r#"{{"epsilon":{}}}"#, i as f64 / 1000.0), &d);
+            let job = manager.submit(d.clone(), spec.unwrap()).unwrap();
+            assert!(!job.cached);
+            while job.status() == JobStatus::Running {
+                std::hint::spin_loop();
+            }
+            assert_eq!(observed(), (i + 1) as f64, "job {i} read done first");
+        }
         manager.shutdown();
     }
 

@@ -506,7 +506,8 @@ fn parse_body(request: &Request) -> Result<JsonValue, String> {
 /// Streams the job's NDJSON event log as chunked transfer encoding: replay
 /// from the start, then follow live until the log completes (or the server
 /// shuts down, which ends the stream cleanly). Each `events_after` batch
-/// leaves as one chunk.
+/// leaves as one chunk, and the cursor, a byte offset into the log,
+/// advances by the text written.
 fn stream_events(
     stream: &mut TcpStream,
     ctx: &Arc<ServerCtx>,
@@ -517,7 +518,7 @@ fn stream_events(
     loop {
         let (batch, done) = job.events_after(cursor, Duration::from_millis(100));
         writer.chunk(batch.text())?;
-        cursor += batch.len();
+        cursor += batch.text().len();
         if done || ctx.shutdown.load(Ordering::SeqCst) {
             // Drain anything that landed between the last wait and `done`.
             let (rest, _) = job.events_after(cursor, Duration::ZERO);

@@ -2,7 +2,8 @@
 //! the extended `GET /stats` counters, over real loopback sockets.
 //!
 //! The acceptance bar: the scrape is structurally valid exposition text
-//! (HELP/TYPE before samples, parseable values, no duplicate series),
+//! (HELP and TYPE for every family, TYPE before its samples, parseable
+//! values, no duplicate series, as read by `aod_obs::Scrape`),
 //! carries the per-dataset job-latency histogram and the discovery
 //! instruments populated by the job's event sink, every cumulative series
 //! is monotone across scrapes, and `/stats` reads the same counters.
@@ -10,7 +11,6 @@
 use aod::obs::{Registry, Scrape, BUCKET_BOUNDS_US};
 use aod::serve::client::request;
 use aod::serve::{ServeConfig, ServeMetrics, Server, ServerHandle, MAX_DATASETS};
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -55,61 +55,25 @@ fn run_job(addr: SocketAddr, body: &str) -> u64 {
     }
 }
 
-/// Parses a scrape into `series -> value` while asserting exposition
-/// structure: every sample belongs to a family announced by `# HELP` and
-/// `# TYPE` lines, values parse as floats, and no series repeats.
-fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
-    let mut samples = BTreeMap::new();
-    let mut announced: Vec<(String, String)> = Vec::new();
-    let mut pending_help: Option<String> = None;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().unwrap().to_string();
-            assert!(pending_help.is_none(), "HELP without TYPE before {line}");
-            pending_help = Some(name);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().unwrap().to_string();
-            let kind = parts.next().unwrap().to_string();
-            assert!(
-                matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
-                "unknown TYPE kind in {line}"
-            );
-            assert_eq!(
-                pending_help.take().as_deref(),
-                Some(name.as_str()),
-                "TYPE not immediately after its HELP: {line}"
-            );
-            announced.push((name, kind));
-            continue;
-        }
-        assert!(!line.starts_with('#'), "unexpected comment: {line}");
-        let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
-        let value: f64 = value.parse().expect("sample value parses");
-        let name = series.split('{').next().unwrap();
-        let family = announced.iter().find(|(n, kind)| match kind.as_str() {
-            "histogram" => {
-                name == format!("{n}_bucket")
-                    || name == format!("{n}_sum")
-                    || name == format!("{n}_count")
-            }
-            _ => name == n,
-        });
-        assert!(family.is_some(), "sample `{series}` has no HELP/TYPE");
-        assert!(
-            samples.insert(series.to_string(), value).is_none(),
-            "duplicate series `{series}`"
-        );
-    }
-    samples
+/// The family a sample belongs to: its name, or for a histogram's
+/// `_bucket`, `_sum` and `_count` series, the histogram's name.
+fn family<'a>(scrape: &Scrape, sample: &'a str) -> &'a str {
+    ["_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| {
+            sample
+                .strip_suffix(suffix)
+                .filter(|stem| scrape.family_type(stem) == Some("histogram"))
+        })
+        .unwrap_or(sample)
 }
 
-fn scrape(addr: SocketAddr) -> BTreeMap<String, f64> {
+/// Scrapes `GET /metrics` through the conformant [`Scrape`] reader, which
+/// rejects unparseable values, a TYPE after its samples and repeated
+/// series, and asserts the rest of the exposition structure: no comment
+/// but HELP and TYPE, and every sample's family announced by both, with a
+/// known kind.
+fn scrape(addr: SocketAddr) -> Scrape {
     let r = request(addr, "GET", "/metrics", None).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     let content_type = r
@@ -122,28 +86,63 @@ fn scrape(addr: SocketAddr) -> BTreeMap<String, f64> {
         content_type.starts_with("text/plain"),
         "wrong content type: {content_type}"
     );
-    parse_exposition(&r.body)
+    for line in r.body.lines().filter(|l| l.starts_with('#')) {
+        assert!(
+            line.starts_with("# HELP ") || line.starts_with("# TYPE "),
+            "unexpected comment: {line}"
+        );
+    }
+    let scrape = Scrape::parse(&r.body).unwrap_or_else(|e| panic!("scrape parses: {e}"));
+    for sample in scrape.samples() {
+        let family = family(&scrape, &sample.name);
+        assert!(
+            scrape.family_help(family).is_some(),
+            "sample `{}` has no HELP",
+            sample.name
+        );
+        assert!(
+            matches!(
+                scrape.family_type(family),
+                Some("counter" | "gauge" | "histogram")
+            ),
+            "sample `{}` has no known TYPE",
+            sample.name
+        );
+    }
+    scrape
+}
+
+/// The value of one series, which must be present.
+fn get(scrape: &Scrape, name: &str, labels: &[(&str, &str)]) -> f64 {
+    scrape
+        .value(name, labels)
+        .unwrap_or_else(|| panic!("missing series `{name}` {labels:?}"))
 }
 
 /// Cumulative series (counters and histogram cells) must never regress
 /// between two scrapes; gauges are exempt.
-fn assert_monotone(first: &BTreeMap<String, f64>, second: &BTreeMap<String, f64>) {
-    for (series, value) in first {
-        let cumulative = series.contains("_total")
-            || series.contains("_bucket")
-            || series.contains("_sum{")
-            || series.ends_with("_sum")
-            || series.contains("_count{")
-            || series.ends_with("_count");
-        if !cumulative {
+fn assert_monotone(first: &Scrape, second: &Scrape) {
+    for sample in first.samples() {
+        let kind = first.family_type(family(first, &sample.name));
+        if !matches!(kind, Some("counter" | "histogram")) {
             continue;
         }
-        let now = second
-            .get(series)
-            .unwrap_or_else(|| panic!("series `{series}` vanished between scrapes"));
+        let labels: Vec<(&str, &str)> = sample
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        let now = second.value(&sample.name, &labels).unwrap_or_else(|| {
+            panic!(
+                "series `{}` {labels:?} vanished between scrapes",
+                sample.name
+            )
+        });
         assert!(
-            now >= value,
-            "cumulative series `{series}` regressed: {value} -> {now}"
+            now >= sample.value,
+            "cumulative series `{}` {labels:?} regressed: {} -> {now}",
+            sample.name,
+            sample.value
         );
     }
 }
@@ -156,31 +155,37 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
     run_job(addr, r#"{"dataset":"emp","config":{"epsilon":0.15}}"#);
 
     let first = scrape(addr);
+    let emp = [("dataset", "emp")];
     // The finished job landed in the per-dataset latency histogram.
     assert_eq!(
-        first.get("aod_serve_job_duration_us_count{dataset=\"emp\"}"),
-        Some(&1.0)
+        first.value("aod_serve_job_duration_us_count", &emp),
+        Some(1.0)
     );
     let inf = first
-        .get("aod_serve_job_duration_us_bucket{dataset=\"emp\",le=\"+Inf\"}")
+        .value(
+            "aod_serve_job_duration_us_bucket",
+            &[("dataset", "emp"), ("le", "+Inf")],
+        )
         .expect("+Inf bucket present");
-    assert_eq!(*inf, 1.0);
+    assert_eq!(inf, 1.0);
     // The event sink fed the discovery instruments for this dataset.
-    assert!(first["aod_discovery_ocs_found_total{dataset=\"emp\"}"] > 0.0);
-    assert!(first["aod_discovery_levels_completed_total{dataset=\"emp\"}"] >= 1.0);
-    assert!(first["aod_discovery_oc_candidates_total{dataset=\"emp\"}"] > 0.0);
+    assert!(get(&first, "aod_discovery_ocs_found_total", &emp) > 0.0);
+    assert!(get(&first, "aod_discovery_levels_completed_total", &emp) >= 1.0);
+    assert!(get(&first, "aod_discovery_oc_candidates_total", &emp) > 0.0);
     // Per-phase timing histograms exist for every phase label.
     for phase in ["oc_validation", "ofd_validation", "partitioning"] {
-        let series =
-            format!("aod_discovery_phase_duration_us_count{{dataset=\"emp\",phase=\"{phase}\"}}");
-        assert!(first[&series] >= 1.0, "missing phase series {series}");
+        let labels = [("dataset", "emp"), ("phase", phase)];
+        assert!(get(&first, "aod_discovery_phase_duration_us_count", &labels) >= 1.0);
     }
     // Server-wide serve counters are present and plausible.
-    assert!(first["aod_serve_requests_total"] >= 3.0);
-    assert_eq!(first["aod_serve_jobs_submitted_total"], 1.0);
-    assert_eq!(first["aod_serve_jobs_executed_total"], 1.0);
-    assert_eq!(first["aod_serve_datasets"], 1.0);
-    assert_eq!(first["aod_serve_datasets_capacity"], MAX_DATASETS as f64);
+    assert!(get(&first, "aod_serve_requests_total", &[]) >= 3.0);
+    assert_eq!(get(&first, "aod_serve_jobs_submitted_total", &[]), 1.0);
+    assert_eq!(get(&first, "aod_serve_jobs_executed_total", &[]), 1.0);
+    assert_eq!(get(&first, "aod_serve_datasets", &[]), 1.0);
+    assert_eq!(
+        get(&first, "aod_serve_datasets_capacity", &[]),
+        MAX_DATASETS as f64
+    );
 
     // A cache-hit resubmission and a fresh config both move counters the
     // right way, and nothing cumulative regresses.
@@ -191,11 +196,12 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
     );
     let second = scrape(addr);
     assert_monotone(&first, &second);
-    assert_eq!(second["aod_serve_jobs_submitted_total"], 3.0);
-    assert_eq!(second["aod_serve_jobs_executed_total"], 2.0);
-    assert!(second["aod_serve_cache_hits_total"] >= 1.0);
+    assert_eq!(get(&second, "aod_serve_jobs_submitted_total", &[]), 3.0);
+    assert_eq!(get(&second, "aod_serve_jobs_executed_total", &[]), 2.0);
+    assert!(get(&second, "aod_serve_cache_hits_total", &[]) >= 1.0);
     assert_eq!(
-        second["aod_serve_job_duration_us_count{dataset=\"emp\"}"], 2.0,
+        get(&second, "aod_serve_job_duration_us_count", &emp),
+        2.0,
         "cache hits must not observe job latency"
     );
 
@@ -281,7 +287,7 @@ fn admission_rejections_are_counted_in_stats_and_metrics() {
     // except that the `/stats` request counts itself.
     for (key, series) in SHARED_FIGURES {
         let stat = stats.get(key).unwrap().as_u64().unwrap() as f64;
-        let sample = metrics[series];
+        let sample = get(&metrics, series, &[]);
         let expected = if key == "requests" {
             sample + 1.0
         } else {
@@ -331,8 +337,8 @@ fn traced_jobs_serve_their_trace_and_the_queue_gauge_drains() {
     // executor queue-depth gauge; after completion it must read zero.
     let metrics = scrape(addr);
     assert_eq!(
-        metrics.get("aod_exec_queue_depth{dataset=\"emp\"}"),
-        Some(&0.0),
+        metrics.value("aod_exec_queue_depth", &[("dataset", "emp")]),
+        Some(0.0),
         "queue-depth gauge did not drain"
     );
 
