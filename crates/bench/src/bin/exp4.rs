@@ -15,8 +15,11 @@
 //! It closes with Section 3's per-candidate costs: on one context class of
 //! `m` rows, Algorithm 2 runs in `O(m log m)` and Algorithm 1 in
 //! `O(m log m + εm²)`, so the iterative column grows super-linearly in `m`
-//! while the exact check and Algorithm 2 stay close together. The class
-//! sizes are fixed; `--rows` does not change them.
+//! while the exact check and Algorithm 2 stay close together. Beside them
+//! stands the linear pass discovery runs before either validator, the
+//! disjoint swapped pairs (`oc_disjoint_swaps`): its pair count, a lower
+//! bound on Algorithm 2's removals, and its cost. The class sizes are
+//! fixed; `--rows` does not change them.
 //!
 //! Usage: `cargo run --release -p aod-bench --bin exp4 [--rows 10000]`
 
@@ -24,7 +27,7 @@ use aod_bench::{print_table, Dataset, ExpArgs};
 use aod_datagen::{ColumnKind, ColumnSpec, Generator};
 use aod_obs::{Clock, MonotonicClock};
 use aod_partition::Partition;
-use aod_validate::{removal_budget, OcValidator};
+use aod_validate::{oc_disjoint_swaps, removal_budget, OcValidator};
 
 fn main() {
     let args = ExpArgs::from_env();
@@ -138,9 +141,10 @@ fn main() {
     per_candidate_costs();
 }
 
-/// Section 3's per-candidate costs: both validators' removal counts on one
-/// class of `m` rows, and the µs per call of the exact check (Algorithm 2
-/// at budget 0), Algorithm 2 and Algorithm 1.
+/// Section 3's per-candidate costs: both validators' removal counts and
+/// the disjoint swapped pairs on one class of `m` rows, and the µs per
+/// call of the pairs pass, the exact check (Algorithm 2 at budget 0),
+/// Algorithm 2 and Algorithm 1.
 fn per_candidate_costs() {
     println!("## per-candidate cost (one class of m rows, median of 5 calls)\n");
     let clock = MonotonicClock::new();
@@ -157,6 +161,8 @@ fn per_candidate_costs() {
             let iter = v
                 .min_removal_iterative(&ctx, &a, &b, usize::MAX)
                 .expect(unlimited);
+            let pairs = oc_disjoint_swaps(&ctx, &a, &b, usize::MAX);
+            let pairs_us = median_us(&clock, || oc_disjoint_swaps(&ctx, &a, &b, usize::MAX));
             let exact_us = median_us(&clock, || v.exact_oc_holds(&ctx, &a, &b));
             let opt_us = median_us(&clock, || v.min_removal_optimal(&ctx, &a, &b, usize::MAX));
             let iter_us = median_us(&clock, || v.min_removal_iterative(&ctx, &a, &b, usize::MAX));
@@ -165,6 +171,8 @@ fn per_candidate_costs() {
                 format!("{noise_rate:.2}"),
                 opt.to_string(),
                 iter.to_string(),
+                pairs.to_string(),
+                pairs_us.to_string(),
                 exact_us.to_string(),
                 opt_us.to_string(),
                 iter_us.to_string(),
@@ -177,6 +185,8 @@ fn per_candidate_costs() {
             "noise",
             "removed (Alg. 2)",
             "removed (Alg. 1)",
+            "pairs",
+            "pairs µs",
             "exact µs",
             "Alg. 2 µs",
             "Alg. 1 µs",

@@ -25,8 +25,7 @@ use aod_core::{
     DiscoveryResult, Phase,
 };
 use aod_datagen::{flight, ncvoter};
-use aod_partition::AttrSet;
-use aod_partition::Partition;
+use aod_partition::{AttrSet, Partition, MAX_ATTRS};
 use aod_table::csv::{read_path, write_path, CsvOptions};
 use aod_table::{employee_table, RankedTable, Table};
 use aod_validate::{removal_budget, OcValidator};
@@ -172,7 +171,8 @@ fn epsilon_arg(args: &Args) -> Result<f64, String> {
     if !(0.0..=1.0).contains(&epsilon) {
         return Err(format!("--epsilon: `{epsilon}` is not within [0, 1]"));
     }
-    Ok(epsilon)
+    // `-0` is the threshold 0, and the report prints it as such.
+    Ok(if epsilon == 0.0 { 0.0 } else { epsilon })
 }
 
 fn load_table(args: &Args) -> Result<Table, String> {
@@ -209,8 +209,15 @@ fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
 
 /// The discovery options `discover` and `outliers` share: the threshold,
 /// `--strategy`/`--iterative`, `--max-level`, `--timeout`, `--top-k`,
-/// `--threads` and `--columns` (names resolved against `table`).
+/// `--threads` and `--columns` (names resolved against `table`). A table
+/// wider than discovery takes is refused here, whatever `--columns` says.
 fn discovery_builder(args: &Args, table: &Table) -> Result<DiscoveryBuilder, String> {
+    if table.n_cols() > MAX_ATTRS {
+        return Err(format!(
+            "the table has {} columns; discovery takes at most {MAX_ATTRS}",
+            table.n_cols()
+        ));
+    }
     let mut builder = DiscoveryBuilder::new()
         .approximate(epsilon_arg(args)?)
         .strategy(strategy_arg(args)?);
@@ -442,7 +449,15 @@ fn cmd_validate(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     let mut context = AttrSet::EMPTY;
     if let Some(ctx) = args.value("context") {
         for name in ctx.split(',') {
-            context = context.with(col(name)?);
+            let c = col(name)?;
+            if c >= MAX_ATTRS {
+                return Err(format!(
+                    "--context: `{}` is column {c}; a context takes only the first {MAX_ATTRS} columns",
+                    name.trim()
+                )
+                .into());
+            }
+            context = context.with(c);
         }
     }
     // A canonical `X: A ~ B` (or `X: A |-> B`) has A ≠ B and A, B ∉ X;

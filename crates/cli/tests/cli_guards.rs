@@ -253,6 +253,55 @@ fn exact_is_epsilon_zero_for_validate_and_outliers() {
     assert_eq!(stdout(&exact), stdout(&zero));
 }
 
+/// `--epsilon -0` is the threshold 0, and the reports print it as `0`.
+#[test]
+fn a_negative_zero_epsilon_is_epsilon_zero() {
+    let discover = aod(&["discover", employee_csv(), "--epsilon", "-0"]);
+    assert!(discover.status.success(), "{discover:?}");
+    let text = stdout(&discover);
+    assert!(text.contains("mode: ε = 0;"), "{text}");
+    let outliers = aod(&["outliers", employee_csv(), "--epsilon", "-0"]);
+    assert!(outliers.status.success(), "{outliers:?}");
+    let text = stdout(&outliers);
+    assert!(text.contains("(ε = 0)"), "{text}");
+}
+
+/// Discovery takes tables of at most 64 columns, and a context is a set
+/// of the first 64. On a 70-column file `discover` and `outliers` (even
+/// scoped by `--columns`) and a `validate` context at column 65 are usage
+/// errors, not panics; a `validate --pair` beyond column 64 still runs.
+#[test]
+fn tables_wider_than_64_columns_are_refused_not_a_panic() {
+    let path = std::env::temp_dir().join(format!("aod_cli_guards_wide_{}.csv", std::process::id()));
+    let header: Vec<String> = (0..70).map(|c| format!("c{c}")).collect();
+    let row = vec!["1"; 70].join(",");
+    std::fs::write(&path, format!("{}\n{row}\n{row}\n", header.join(","))).unwrap();
+    let csv = path.to_str().unwrap();
+    for (args, needle) in [
+        (&["discover", csv][..], "discovery takes at most 64"),
+        (
+            &["discover", csv, "--columns", "c0,c1,c2"][..],
+            "discovery takes at most 64",
+        ),
+        (&["outliers", csv][..], "discovery takes at most 64"),
+        (
+            &["validate", csv, "--pair", "c0,c1", "--context", "c65"][..],
+            "only the first 64 columns",
+        ),
+    ] {
+        let out = aod(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let err = stderr(&out);
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let pair = aod(&["validate", csv, "--pair", "c0,c66"]);
+    assert!(pair.status.success(), "{pair:?}");
+    assert!(stdout(&pair).contains("c0 ~ c66"), "{}", stdout(&pair));
+    std::fs::remove_file(&path).ok();
+}
+
 /// `aod outliers` runs discovery with the options `discover` takes: a
 /// zero level cap or top-k and an unknown column are refused, and at
 /// ε = 0.3 on the employee table a level-2 cap leaves fewer contributing

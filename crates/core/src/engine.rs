@@ -1149,7 +1149,8 @@ mod tests {
     /// R2–R4 and their context is not free), those the class-count bound
     /// answers (they survive that check too, and their bound exceeds the
     /// budget) and those the disjoint swapped pairs answer (they survive
-    /// the bound, and their pairs exceed the budget). The candidates are
+    /// the bound, and their pairs, recounted by the closed-form reference
+    /// `brute_disjoint_swaps`, exceed the budget). The candidates are
     /// taken from the frontier, the cache (partitions and freeness) and
     /// the pruning state before each step, which is what that step's nodes
     /// read; their counts must equal the `inherited`, `bounded` and
@@ -1161,7 +1162,7 @@ mod tests {
     fn contexts_that_are_not_free_answer_only_rejected_candidates() {
         use crate::candidates::oc_candidates;
         use aod_obs::ManualClock;
-        use aod_validate::{oc_disjoint_swaps, oc_removal_lower_bound, OcValidator};
+        use aod_validate::{brute_disjoint_swaps, oc_removal_lower_bound, OcValidator};
 
         let flight = aod_datagen::flight::flight(7).table(2000);
         let flight =
@@ -1208,7 +1209,7 @@ mod tests {
                         ) > budget
                         {
                             bounded += 1;
-                        } else if oc_disjoint_swaps(part, ar, br, budget) > budget {
+                        } else if brute_disjoint_swaps(part, ar, br) > budget {
                             paired += 1;
                         } else {
                             continue;

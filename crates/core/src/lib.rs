@@ -86,4 +86,5 @@ pub use trace_export::{chrome_trace, trace_ndjson};
 pub use wire::SCHEMA_VERSION;
 
 // Re-exports so callers can configure runs with one import.
+pub use aod_partition::MAX_ATTRS;
 pub use aod_validate::{AocStrategy, OcValidatorBackend, SampleVerdict};

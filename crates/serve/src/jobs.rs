@@ -121,7 +121,9 @@ impl JobSpec {
                 if !(0.0..=1.0).contains(&e) {
                     return Err(format!("`epsilon`: {e} is not within [0, 1]"));
                 }
-                Some(e)
+                // `-0` is the threshold 0: one canonical form, one cache
+                // entry, and the config echoes `0`.
+                Some(if e == 0.0 { 0.0 } else { e })
             }
         };
         let epsilon = match mode {
@@ -952,6 +954,23 @@ mod tests {
         assert_eq!(metrics.cache_hits.get(), 1);
         assert_eq!(*again.result_json().unwrap(), *result);
         assert_eq!(metrics.jobs_submitted.get(), 2);
+        manager.shutdown();
+    }
+
+    /// `-0` is the threshold 0: after a finished `{"epsilon":0}` job, a
+    /// `{"epsilon":-0}` job is answered from its cache entry, and its
+    /// config echoes `"epsilon":0`.
+    #[test]
+    fn a_negative_zero_epsilon_is_epsilon_zero() {
+        let d = employee_dataset();
+        let manager = new_manager(2);
+        let zero = parse_spec(r#"{"epsilon":0}"#, &d).unwrap();
+        manager.submit(d.clone(), zero).unwrap().wait_done();
+        let negative = parse_spec(r#"{"epsilon":-0}"#, &d).unwrap();
+        let job = manager.submit(d.clone(), negative).unwrap();
+        assert!(job.cached);
+        let description = job.describe();
+        assert!(description.contains("\"epsilon\":0,"), "{description}");
         manager.shutdown();
     }
 

@@ -12,6 +12,7 @@
 
 use crate::sync::lock_or_recover;
 use aod_core::json::{JsonArray, JsonObject};
+use aod_core::MAX_ATTRS;
 use aod_datagen::{flight, ncvoter};
 use aod_table::csv::{read_str, CsvOptions};
 use aod_table::{employee_table, RankedTable, Table, TableError};
@@ -78,12 +79,19 @@ impl Registry {
 
     /// Registers a dataset loaded from a CSV file (header row expected;
     /// each field parsed on its own, no column type inferred), which must
-    /// be a regular file of at most 1 GiB.
+    /// be a regular file of at most 1 GiB with at most [`MAX_ATTRS`]
+    /// columns, the widest table discovery takes.
     /// Errors are user-facing strings for 4xx responses.
     pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, String> {
         self.admit(name)?;
         let table =
             read_regular_file(path, MAX_CSV_BYTES).map_err(|e| format!("reading `{path}`: {e}"))?;
+        if table.n_cols() > MAX_ATTRS {
+            return Err(format!(
+                "`{path}` has {} columns; discovery takes at most {MAX_ATTRS}",
+                table.n_cols()
+            ));
+        }
         let columns: Vec<String> = table
             .schema()
             .names()
@@ -313,6 +321,24 @@ mod tests {
         assert_eq!(d.table.n_rows(), 3);
         assert_eq!(d.columns, vec!["a", "b"]);
         assert!(r.register_csv("miss", "/nonexistent/x.csv").is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tables_wider_than_discovery_takes_are_refused() {
+        let dir = std::env::temp_dir().join(format!("aod_serve_wide_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wide.csv");
+        let header: Vec<String> = (0..MAX_ATTRS + 6).map(|c| format!("c{c}")).collect();
+        let row = vec!["1"; MAX_ATTRS + 6].join(",");
+        std::fs::write(&path, format!("{}\n{row}\n{row}\n", header.join(","))).unwrap();
+        let r = Registry::new();
+        let err = r.register_csv("wide", path.to_str().unwrap()).unwrap_err();
+        assert!(
+            err.contains("has 70 columns; discovery takes at most 64"),
+            "{err}"
+        );
+        assert!(r.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

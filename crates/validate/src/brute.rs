@@ -8,6 +8,10 @@
 //! * the iterative baseline's overestimation (never an *under*estimate);
 //! * the OD variant's split+swap handling.
 //!
+//! [`brute_disjoint_swaps`] is a reference of another kind: a closed form
+//! for the pair count of the linear disjoint-swaps pass, written without
+//! that pass's pending row.
+//!
 //! They live in the library (not `#[cfg(test)]`) so that integration tests
 //! and the property suites of other crates can reuse them.
 
@@ -89,6 +93,30 @@ pub fn brute_min_removal_oc(ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32]) -
 /// Exact minimal removal-set size for the canonical AOD `ctx: A |-> B`.
 pub fn brute_min_removal_od(ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32]) -> usize {
     brute_min_removal(ctx, a_ranks, b_ranks, ViolationKind::SwapOrSplit)
+}
+
+/// The number of pairs [`oc_disjoint_swaps`](crate::oc_disjoint_swaps)
+/// counts, in closed form and with no pending row. In each class, in
+/// ascending row id, take the maximal runs of consecutive rows that each
+/// swap with the row before them: the pass, pairing greedily from the
+/// left, pairs every other row of a run, starting with its first, so a
+/// run of `r` rows gives `⌈r / 2⌉` pairs.
+pub fn brute_disjoint_swaps(ctx: &Partition, a_ranks: &[u32], b_ranks: &[u32]) -> usize {
+    let pair = |row: u32| (a_ranks[row as usize], b_ranks[row as usize]);
+    let mut total = 0usize;
+    for class in ctx.classes() {
+        let mut run = 0usize;
+        for rows in class.windows(2) {
+            if is_swap(pair(rows[0]), pair(rows[1])) {
+                run += 1;
+            } else {
+                total += run.div_ceil(2);
+                run = 0;
+            }
+        }
+        total += run.div_ceil(2);
+    }
+    total
 }
 
 fn brute_min_removal(

@@ -24,7 +24,9 @@
 //! * [`list_od_holds`] / [`list_od_min_removal`] — list-based `X |-> Y`
 //!   validation through lexicographic projection ranks (footnote 1).
 //! * [`brute_min_removal_oc`] / [`brute_min_removal_od`] — exponential
-//!   ground-truth oracles used by the property-test suites.
+//!   ground-truth oracles used by the property-test suites, and
+//!   [`brute_disjoint_swaps`], a closed-form reference for
+//!   [`oc_disjoint_swaps`].
 //!
 //! High-level one-shot entry points ([`validate_aoc`], [`validate_aofd`],
 //! [`validate_aod`]) build the context partition on the fly and report an
@@ -58,8 +60,8 @@ pub use backend::{
     strategy_backend, IterativeOcBackend, OcValidatorBackend, OptimalOcBackend, SampleVerdict,
 };
 pub use brute::{
-    brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs, ViolationKind,
-    MAX_BRUTE_CLASS,
+    brute_disjoint_swaps, brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs,
+    ViolationKind, MAX_BRUTE_CLASS,
 };
 pub use oc::{oc_disjoint_swaps, oc_removal_lower_bound, OcValidator, PairMode};
 pub use od::{
@@ -357,6 +359,18 @@ mod tests {
             for limit in 0..=brute + 1 {
                 let bounded = v.min_removal_optimal(&ctx, &a, &b, limit);
                 prop_assert_eq!(bounded, (brute <= limit).then_some(brute), "limit {}", limit);
+            }
+        }
+
+        /// The disjoint swapped pairs are the closed-form reference's
+        /// count, or `limit + 1` under every limit that count exceeds.
+        #[test]
+        fn disjoint_swaps_match_the_reference((a, b, ctx_vals) in small_instance()) {
+            let ctx = aod_partition::Partition::from_ranks(&ctx_vals, 3);
+            let count = brute_disjoint_swaps(&ctx, &a, &b);
+            for limit in (0..=count + 1).chain([usize::MAX]) {
+                let expected = if count > limit { limit + 1 } else { count };
+                prop_assert_eq!(oc_disjoint_swaps(&ctx, &a, &b, limit), expected, "limit {}", limit);
             }
         }
 
