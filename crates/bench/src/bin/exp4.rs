@@ -146,7 +146,9 @@ fn main() {
 /// call of the pairs pass, the exact check (Algorithm 2 at budget 0),
 /// Algorithm 2 and Algorithm 1.
 fn per_candidate_costs() {
-    println!("## per-candidate cost (one class of m rows, median of 5 calls)\n");
+    println!(
+        "## per-candidate cost (one class of m rows; µs per call, median of 5 batches of ≥ 1 ms)\n"
+    );
     let clock = MonotonicClock::new();
     let mut rows = Vec::new();
     for noise_rate in [0.02, 0.10] {
@@ -172,10 +174,10 @@ fn per_candidate_costs() {
                 opt.to_string(),
                 iter.to_string(),
                 pairs.to_string(),
-                pairs_us.to_string(),
-                exact_us.to_string(),
-                opt_us.to_string(),
-                iter_us.to_string(),
+                format!("{pairs_us:.2}"),
+                format!("{exact_us:.2}"),
+                format!("{opt_us:.2}"),
+                format!("{iter_us:.2}"),
             ]);
         }
     }
@@ -218,13 +220,22 @@ fn dirty_pair(m: usize, noise_rate: f64) -> (Vec<u32>, Vec<u32>) {
     (a, b)
 }
 
-/// The median over five calls of `call`, in microseconds on `clock`.
-fn median_us<T>(clock: &dyn Clock, mut call: impl FnMut() -> T) -> u64 {
-    let mut us: [u64; 5] = std::array::from_fn(|_| {
+/// The median time per call of `call`, in microseconds on `clock`, over
+/// five batches of one size. The size doubles until a batch spans at least
+/// 1 ms, so a call of a few µs is not read at the clock's resolution.
+fn median_us<T>(clock: &dyn Clock, mut call: impl FnMut() -> T) -> f64 {
+    let mut batch_us = |calls: u32| {
         let t0 = clock.now_us();
-        std::hint::black_box(call());
+        for _ in 0..calls {
+            std::hint::black_box(call());
+        }
         clock.now_us() - t0
-    });
-    us.sort_unstable();
+    };
+    let mut calls = 1;
+    while batch_us(calls) < 1_000 {
+        calls *= 2;
+    }
+    let mut us: [f64; 5] = std::array::from_fn(|_| batch_us(calls) as f64 / f64::from(calls));
+    us.sort_unstable_by(f64::total_cmp);
     us[2]
 }

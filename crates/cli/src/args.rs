@@ -2,14 +2,12 @@
 //!
 //! Grammar: `aod <command> [positional...] [--flag] [--key value]...`.
 //! Boolean flags and valued options are distinguished by fixed lists of
-//! known names, so `--exact file.csv` parses unambiguously, a valued
+//! known names, so `--ofds file.csv` parses unambiguously, a valued
 //! option can never swallow a following `--flag` as its value, and a
 //! mistyped option is an error instead of a silent no-op.
 
 /// Flags that never take a value.
 const BOOL_FLAGS: &[&str] = &[
-    "exact",
-    "iterative",
     "ofds",
     "od",
     "progress",
@@ -138,10 +136,10 @@ mod tests {
 
     #[test]
     fn parses_flags_and_options() {
-        let a = parse(&["discover", "f.csv", "--exact", "--top", "5", "--ofds"]);
-        assert!(a.flag("exact"));
+        let a = parse(&["discover", "f.csv", "--progress", "--top", "5", "--ofds"]);
+        assert!(a.flag("progress"));
         assert!(a.flag("ofds"));
-        assert!(!a.flag("iterative"));
+        assert!(!a.flag("once"));
         assert_eq!(a.int("top").unwrap(), Some(5));
     }
 
@@ -167,9 +165,9 @@ mod tests {
 
     #[test]
     fn option_cannot_swallow_a_flag() {
-        // `--epsilon --exact file.csv` must not consume `--exact` as the
+        // `--epsilon --ofds file.csv` must not consume `--ofds` as the
         // epsilon value.
-        let argv: Vec<String> = ["discover", "--epsilon", "--exact", "f.csv"]
+        let argv: Vec<String> = ["discover", "--epsilon", "--ofds", "f.csv"]
             .iter()
             .map(|s| s.to_string())
             .collect();

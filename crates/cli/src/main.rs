@@ -39,17 +39,15 @@ const USAGE: &str = "\
 aod — approximate order dependency discovery (EDBT 2021 reproduction)
 
 USAGE:
-  aod discover <file.csv> [--epsilon E] [--strategy S] [--iterative]
-               [--exact]
+  aod discover <file.csv> [--epsilon E] [--strategy S]
                [--max-level N] [--timeout S] [--top K] [--top-k K]
                [--threads N] [--columns C1,C2,...] [--progress] [--ofds]
                [--trace FILE] [--no-header]
   aod validate <file.csv> --pair A,B [--context C1,C2,...] [--epsilon E]
-               [--exact] [--od] [--strategy S] [--iterative]
-               [--show-removals] [--no-header]
+               [--od] [--strategy S] [--show-removals] [--no-header]
   aod generate <flight|ncvoter|employee> [--rows N] [--seed S] [--out FILE]
-  aod outliers <file.csv> [--epsilon E] [--strategy S] [--iterative]
-               [--exact] [--max-level N] [--timeout S] [--top K]
+  aod outliers <file.csv> [--epsilon E] [--strategy S]
+               [--max-level N] [--timeout S] [--top K]
                [--top-k K] [--threads N] [--columns C1,C2,...]
                [--no-header]
   aod serve [file.csv ...] [--port P] [--bind ADDR] [--threads N]
@@ -57,12 +55,10 @@ USAGE:
   aod monitor <host:port> [--interval S] [--once]
 
 OPTIONS:
-  --epsilon E       approximation threshold in [0,1] (default 0.1)
-  --exact           exact dependencies: epsilon = 0 (excludes --epsilon,
-                    --strategy and --iterative)
+  --epsilon E       approximation threshold in [0,1] (default 0.1);
+                    0 finds exact dependencies
   --strategy S      AOC validator: optimal (Algorithm 2, default) or
                     iterative (Algorithm 1)
-  --iterative       shorthand for --strategy iterative
   --max-level N     cap the lattice level (at least 1)
   --timeout S       wall-clock budget in seconds (partial results after)
   --top K           print only the K most interesting dependencies
@@ -156,17 +152,10 @@ fn run(argv: &[String], out: &mut dyn Write) -> Result<(), Error> {
     }
 }
 
-/// The threshold every command runs at: 0 under `--exact`, which excludes
-/// `--epsilon`, else `--epsilon` with its default, rejected before it can
-/// reach the validators' `assert!` (a bad threshold is a usage error, not a
-/// panic).
+/// The threshold every command runs at: `--epsilon` with its default,
+/// rejected before it can reach the validators' `assert!` (a bad threshold
+/// is a usage error, not a panic). Exact discovery is `--epsilon 0`.
 fn epsilon_arg(args: &Args) -> Result<f64, String> {
-    if args.flag("exact") {
-        if args.value("epsilon").is_some() {
-            return Err("--epsilon is meaningless with --exact".into());
-        }
-        return Ok(0.0);
-    }
     let epsilon = args.float("epsilon")?.unwrap_or(0.1);
     if !(0.0..=1.0).contains(&epsilon) {
         return Err(format!("--epsilon: `{epsilon}` is not within [0, 1]"));
@@ -184,31 +173,14 @@ fn load_table(args: &Args) -> Result<Table, String> {
     read_path(path, &options).map_err(|e| format!("reading `{path}`: {e}"))
 }
 
-/// `--strategy`/`--iterative` resolved to an [`AocStrategy`] through the
-/// shared [`AocStrategy::from_name`] parser, with usage errors for
-/// conflicting spellings — including the exact-mode conflict, so
-/// `--exact --iterative` errors instead of being silently dropped
-/// (matching the HTTP boundary's 400).
+/// `--strategy` (default `optimal`) through the [`AocStrategy::from_name`]
+/// parser the HTTP boundary shares.
 fn strategy_arg(args: &Args) -> Result<AocStrategy, String> {
-    let name = args.value("strategy");
-    if args.flag("exact") && (name.is_some() || args.flag("iterative")) {
-        return Err("--strategy/--iterative are meaningless with --exact".into());
-    }
-    if let Some(name) = name {
-        if args.flag("iterative") && name != "iterative" {
-            return Err(format!("--iterative conflicts with --strategy {name}"));
-        }
-    }
-    let effective = name.unwrap_or(if args.flag("iterative") {
-        "iterative"
-    } else {
-        "optimal"
-    });
-    AocStrategy::from_name(effective)
+    AocStrategy::from_name(args.value("strategy").unwrap_or("optimal"))
 }
 
 /// The discovery options `discover` and `outliers` share: the threshold,
-/// `--strategy`/`--iterative`, `--max-level`, `--timeout`, `--top-k`,
+/// `--strategy`, `--max-level`, `--timeout`, `--top-k`,
 /// `--threads` and `--columns` (names resolved against `table`). A table
 /// wider than discovery takes is refused here, whatever `--columns` says.
 fn discovery_builder(args: &Args, table: &Table) -> Result<DiscoveryBuilder, String> {
@@ -315,15 +287,10 @@ fn cmd_discover(args: &Args, out: &mut dyn Write) -> Result<(), Error> {
     }
     writeln!(
         out,
-        "{} rows × {} columns; mode: {}; found {} OCs, {} OFDs in {:.3}s \
+        "{} rows × {} columns; mode: ε = {epsilon}; found {} OCs, {} OFDs in {:.3}s \
          ({:.1}% of {} in OC validation)",
         ranked.n_rows(),
         ranked.n_cols(),
-        if args.flag("exact") {
-            "exact".into()
-        } else {
-            format!("ε = {epsilon}")
-        },
         result.n_ocs(),
         result.n_ofds(),
         result.stats.total.as_secs_f64(),

@@ -92,33 +92,6 @@ fn unknown_strategy_and_bad_stride_are_usage_errors() {
         assert!(err.contains(needle), "{extra:?}: {err:?}");
         assert!(!err.contains("panicked"), "{extra:?} panicked: {err}");
     }
-
-    // So is combining the legacy flag with a contradicting strategy.
-    let out = aod(&[
-        "discover",
-        sample_csv(),
-        "--iterative",
-        "--strategy",
-        "optimal",
-    ]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("conflicts"), "{:?}", stderr(&out));
-
-    // And exact mode rejects approximate-only options instead of silently
-    // ignoring them (parity with the HTTP boundary's 400).
-    for extra in [
-        &["--exact", "--strategy", "optimal"][..],
-        &["--exact", "--iterative"][..],
-        &["--exact", "--epsilon", "0.3"][..],
-    ] {
-        let out = aod(&[&["discover", sample_csv()], extra].concat());
-        assert!(!out.status.success(), "{extra:?} must fail");
-        assert!(
-            stderr(&out).contains("meaningless with --exact"),
-            "{extra:?}: {:?}",
-            stderr(&out)
-        );
-    }
 }
 
 #[test]
@@ -155,7 +128,6 @@ fn validate_runs_the_requested_strategy() {
         (&[][..], 4, "VALID"),
         (&["--strategy", "optimal"][..], 4, "VALID"),
         (&["--strategy", "iterative"][..], 5, "INVALID"),
-        (&["--iterative"][..], 5, "INVALID"),
     ] {
         let out = run(extra);
         assert!(out.status.success(), "{extra:?}: {out:?}");
@@ -172,21 +144,19 @@ fn validate_runs_the_requested_strategy() {
 /// strategy is a usage error instead of silently running Algorithm 2.
 #[test]
 fn validate_od_with_an_iterative_strategy_is_a_usage_error() {
-    for extra in [&["--iterative"][..], &["--strategy", "iterative"][..]] {
-        let args = [
-            &["validate", employee_csv(), "--pair", "sal,taxGrp", "--od"],
-            extra,
-        ]
-        .concat();
-        let out = aod(&args);
-        assert!(!out.status.success(), "{extra:?} must fail");
-        let err = stderr(&out);
-        assert!(
-            err.contains("--od has no iterative validator"),
-            "{extra:?}: {err}"
-        );
-        assert!(!err.contains("panicked"), "{extra:?} panicked: {err}");
-    }
+    let out = aod(&[
+        "validate",
+        employee_csv(),
+        "--pair",
+        "sal,taxGrp",
+        "--od",
+        "--strategy",
+        "iterative",
+    ]);
+    assert!(!out.status.success(), "--od --strategy iterative must fail");
+    let err = stderr(&out);
+    assert!(err.contains("--od has no iterative validator"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     let od = aod(&["validate", employee_csv(), "--pair", "sal,taxGrp", "--od"]);
     assert!(od.status.success(), "{od:?}");
     assert!(
@@ -234,23 +204,35 @@ fn validate_refuses_candidates_that_are_not_canonical() {
     }
 }
 
-/// `--exact` is ε = 0 for every command that takes a threshold: `validate`
-/// and `outliers` print what `--epsilon 0` prints. On the 200-row sample
-/// the default ε = 0.1 would allow 20 removals.
+/// Exact discovery is spelled `--epsilon 0` and nothing else: `validate`
+/// then has a budget of 0 (the default ε = 0.1 would allow 20 removals on
+/// the 200-row sample) and `outliers` reports ε = 0, while the flags
+/// `exact` and `iterative` are unknown options for every command, not
+/// panics.
 #[test]
 fn exact_is_epsilon_zero_for_validate_and_outliers() {
     const PAIR: &[&str] = &["--pair", "originAirport,originIATA"];
-    let validate = |extra: &[&str]| aod(&[&["validate", sample_csv()], PAIR, extra].concat());
-    let (exact, zero) = (validate(&["--exact"]), validate(&["--epsilon", "0"]));
-    assert!(exact.status.success(), "{exact:?}");
-    assert!(stdout(&exact).contains("budget 0)"), "{}", stdout(&exact));
-    assert_eq!(stdout(&exact), stdout(&zero));
+    let zero = aod(&[&["validate", sample_csv()], PAIR, &["--epsilon", "0"]].concat());
+    assert!(zero.status.success(), "{zero:?}");
+    assert!(stdout(&zero).contains("budget 0)"), "{}", stdout(&zero));
 
-    let outliers = |extra: &[&str]| aod(&[&["outliers", employee_csv()], extra].concat());
-    let (exact, zero) = (outliers(&["--exact"]), outliers(&["--epsilon", "0"]));
-    assert!(exact.status.success(), "{exact:?}");
-    assert!(stdout(&exact).contains("(ε = 0)"), "{}", stdout(&exact));
-    assert_eq!(stdout(&exact), stdout(&zero));
+    let zero = aod(&["outliers", employee_csv(), "--epsilon", "0"]);
+    assert!(zero.status.success(), "{zero:?}");
+    assert!(stdout(&zero).contains("(ε = 0)"), "{}", stdout(&zero));
+
+    for command in ["discover", "validate", "outliers"] {
+        for name in ["exact", "iterative"] {
+            let flag = format!("--{name}");
+            let out = aod(&[command, sample_csv(), &flag]);
+            assert_eq!(out.status.code(), Some(1), "{command} {flag}: {out:?}");
+            let err = stderr(&out);
+            assert!(
+                err.starts_with(&format!("error: unknown option `{flag}`")),
+                "{command} {flag}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{command} {flag}: {err}");
+        }
+    }
 }
 
 /// `--epsilon -0` is the threshold 0, and the reports print it as `0`.

@@ -142,7 +142,7 @@ mod tests {
     fn lookup_counts_hits_and_misses() {
         let (hits, misses) = (Counter::new(), Counter::new());
         let cache = ResultCache::new(hits.clone(), misses.clone());
-        let k = key("d", 42, "{\"mode\":\"exact\"}");
+        let k = key("d", 42, "{\"epsilon\":0}");
         assert!(cache.lookup(&k).is_none());
         cache.store(k.clone(), run());
         let got = cache.lookup(&k).unwrap();

@@ -21,7 +21,7 @@ pub struct HttpResponse {
     pub status: u16,
     /// Header `(name, value)` pairs, names lowercased.
     pub headers: Vec<(String, String)>,
-    /// The body, chunked transfer coding already decoded.
+    /// The body ([`request`] refuses a chunked one).
     pub body: String,
 }
 
@@ -40,7 +40,9 @@ impl HttpResponse {
     }
 }
 
-/// Sends one request and reads the full response (blocking).
+/// Sends one request and reads the full response (blocking). A chunked
+/// response is an error: `GET /jobs/{id}/events` is read with
+/// [`EventStream`].
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -76,63 +78,51 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("no header terminator in response"))?;
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
+/// Reads a response's status line and headers up to the blank line that
+/// ends them, leaving `reader` at the first body byte. Returns the
+/// response, its body still empty, and whether the body is chunked.
+fn read_head(reader: &mut impl BufRead) -> std::io::Result<(HttpResponse, bool)> {
+    let mut next_line = || -> std::io::Result<String> {
+        let mut line = String::new();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(bad("connection closed in response head"));
+        }
+        line.truncate(line.trim_end().len());
+        Ok(line)
+    };
+    let status = next_line()?
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("malformed status line"))?;
-    let mut headers = Vec::new();
-    for line in lines {
+    let mut response = HttpResponse {
+        status,
+        headers: Vec::new(),
+        body: String::new(),
+    };
+    loop {
+        let line = next_line()?;
+        if line.is_empty() {
+            let coding = response.header("transfer-encoding");
+            let chunked = coding.is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
+            return Ok((response, chunked));
+        }
         if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_lowercase(), value.trim().to_string()));
+            let header = (name.trim().to_lowercase(), value.trim().to_string());
+            response.headers.push(header);
         }
     }
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let payload = &raw[head_end + 4..];
-    let body_bytes = if chunked {
-        decode_chunked(payload)?
-    } else {
-        payload.to_vec()
-    };
-    let body = String::from_utf8(body_bytes).map_err(|_| bad("response body not UTF-8"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
 }
 
-fn decode_chunked(mut payload: &[u8]) -> std::io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = payload
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| bad("truncated chunk size line"))?;
-        let size_text = std::str::from_utf8(&payload[..line_end])
-            .map_err(|_| bad("chunk size not UTF-8"))?
-            .trim();
-        let size = usize::from_str_radix(size_text, 16).map_err(|_| bad("invalid chunk size"))?;
-        payload = &payload[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if payload.len() < size + 2 {
-            return Err(bad("truncated chunk data"));
-        }
-        out.extend_from_slice(&payload[..size]);
-        payload = &payload[size + 2..];
+/// A buffered response. A chunked body is refused: the server streams
+/// only `GET /jobs/{id}/events` that way, and [`EventStream`] reads it.
+fn parse_response(mut raw: &[u8]) -> std::io::Result<HttpResponse> {
+    let (mut response, chunked) = read_head(&mut raw)?;
+    if chunked {
+        return Err(bad("chunked response: read it with EventStream"));
     }
+    response.body = String::from_utf8(raw.to_vec()).map_err(|_| bad("response body not UTF-8"))?;
+    Ok(response)
 }
 
 /// An open streaming NDJSON response, decoded incrementally.
@@ -140,8 +130,9 @@ fn decode_chunked(mut payload: &[u8]) -> std::io::Result<Vec<u8>> {
 /// Yields one JSON line at a time as the server emits it, so callers can
 /// react to early events (e.g. cancel a job after its first
 /// `level_complete`) while the stream is still live.
-pub struct EventStream {
-    reader: BufReader<TcpStream>,
+pub struct EventStream<R = BufReader<TcpStream>> {
+    /// The chunked body, after the response head.
+    reader: R,
     /// Bytes of the current chunk still to be consumed.
     remaining: usize,
     /// Decoded bytes not yet emitted as a complete line.
@@ -157,35 +148,13 @@ impl EventStream {
         stream.set_read_timeout(Some(Duration::from_secs(60)))?;
         send_request(&mut stream, addr, "GET", path, None)?;
         let mut reader = BufReader::new(stream);
-        // Read the head line by line (BufReader keeps any body prefix).
-        let mut status = 0u16;
-        let mut chunked = false;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(bad("connection closed in response head"));
-            }
-            let line = line.trim_end();
-            if status == 0 {
-                status = line
-                    .split_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("malformed status line"))?;
-            } else if line.is_empty() {
-                break;
-            } else if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("transfer-encoding")
-                    && value.trim().eq_ignore_ascii_case("chunked")
-                {
-                    chunked = true;
-                }
-            }
-        }
-        if status != 200 {
+        // BufReader keeps any body prefix read with the head.
+        let (head, chunked) = read_head(&mut reader)?;
+        if head.status != 200 {
             return Err(std::io::Error::other(format!(
-                "event stream returned {status} {}",
-                status_text(status)
+                "event stream returned {} {}",
+                head.status,
+                status_text(head.status)
             )));
         }
         if !chunked {
@@ -198,7 +167,9 @@ impl EventStream {
             done: false,
         })
     }
+}
 
+impl<R: BufRead> EventStream<R> {
     /// The next NDJSON line (without its terminator), or `None` once the
     /// stream has ended.
     pub fn next_line(&mut self) -> std::io::Result<Option<String>> {
@@ -253,8 +224,7 @@ impl EventStream {
         let mut take = vec![0u8; self.remaining.min(4096)];
         let n = self.reader.read(&mut take)?;
         if n == 0 {
-            self.done = true;
-            return Ok(());
+            return Err(bad("truncated chunk data"));
         }
         self.line_buf.extend_from_slice(&take[..n]);
         self.remaining -= n;
@@ -271,12 +241,30 @@ impl EventStream {
 mod tests {
     use super::*;
 
+    /// The lines [`EventStream`] decodes from a chunked body.
+    fn decode(body: &[u8]) -> std::io::Result<Vec<String>> {
+        let mut stream = EventStream {
+            reader: body,
+            remaining: 0,
+            line_buf: Vec::new(),
+            done: false,
+        };
+        stream.collect_lines()
+    }
+
     #[test]
     fn decodes_chunked_payloads() {
-        let body = decode_chunked(b"4\r\nabcd\r\na\r\n0123456789\r\n0\r\n\r\n").unwrap();
-        assert_eq!(body, b"abcd0123456789");
-        assert!(decode_chunked(b"zz\r\n").is_err());
-        assert!(decode_chunked(b"5\r\nab").is_err());
+        let lines = decode(b"5\r\nab\ncd\r\n3\r\nef\n\r\n0\r\n\r\n").unwrap();
+        assert_eq!(lines, vec!["ab", "cdef"]);
+        let body = decode(b"4\r\nabcd\r\na\r\n0123456789\r\n0\r\n\r\n").unwrap();
+        assert_eq!(body, vec!["abcd0123456789"]);
+        for (bad, needle) in [
+            (&b"zz\r\n"[..], "invalid chunk size"),
+            (&b"5\r\nab"[..], "truncated chunk data"),
+        ] {
+            let err = decode(bad).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]
@@ -288,12 +276,13 @@ mod tests {
         assert_eq!(r.header("content-type"), Some("application/json"));
         assert_eq!(r.body, "{}");
         assert!(r.json().is_ok());
+        assert!(parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n").is_err());
     }
 
     #[test]
-    fn parses_chunked_responses() {
+    fn refuses_chunked_responses() {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.body, "abc");
+        let err = parse_response(raw).unwrap_err();
+        assert!(err.to_string().contains("EventStream"), "{err}");
     }
 }

@@ -59,7 +59,7 @@ impl JobStatus {
 /// `DiscoveryBuilder` on its side of the spawn.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    epsilon: Option<f64>,
+    epsilon: f64,
     strategy: AocStrategy,
     max_level: Option<usize>,
     timeout_ms: Option<u64>,
@@ -85,7 +85,6 @@ impl JobSpec {
             .as_object()
             .ok_or_else(|| "`config` must be a JSON object".to_string())?;
         const KNOWN: &[&str] = &[
-            "mode",
             "epsilon",
             "strategy",
             "max_level",
@@ -105,15 +104,9 @@ impl JobSpec {
             }
         }
 
-        let mode = match config.get("mode") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| "`mode` must be \"exact\" or \"approximate\"".to_string())?,
-            ),
-        };
+        // A missing `epsilon` is exact discovery, the threshold 0.
         let epsilon = match config.get("epsilon") {
-            None => None,
+            None => 0.0,
             Some(v) => {
                 let e = v
                     .as_f64()
@@ -121,24 +114,7 @@ impl JobSpec {
                 if !(0.0..=1.0).contains(&e) {
                     return Err(format!("`epsilon`: {e} is not within [0, 1]"));
                 }
-                // `-0` is the threshold 0: one canonical form, one cache
-                // entry, and the config echoes `0`.
-                Some(if e == 0.0 { 0.0 } else { e })
-            }
-        };
-        let epsilon = match mode {
-            Some("exact") => {
-                if epsilon.is_some() {
-                    return Err("`epsilon` is meaningless with \"mode\":\"exact\"".to_string());
-                }
-                None
-            }
-            Some("approximate") => Some(epsilon.unwrap_or(0.1)),
-            None => epsilon, // mode inferred: approximate iff epsilon given
-            Some(other) => {
-                return Err(format!(
-                    "unknown mode `{other}` (\"exact\" or \"approximate\")"
-                ))
+                e
             }
         };
 
@@ -165,9 +141,15 @@ impl JobSpec {
                 AocStrategy::from_name(name)?
             }
         };
-        if epsilon.is_none() && config.get("strategy").is_some() {
-            return Err("`strategy` is meaningless in exact mode".to_string());
-        }
+        // `-0` is the threshold 0, and at a budget of 0 both validators are
+        // the same exact check: every spelling of the ε = 0 run has one
+        // canonical form, one cache entry, and echoes `"epsilon":0` with
+        // the optimal strategy.
+        let (epsilon, strategy) = if epsilon == 0.0 {
+            (0.0, AocStrategy::Optimal)
+        } else {
+            (epsilon, strategy)
+        };
         let max_level = uint("max_level")?.map(|v| v as usize);
         if max_level == Some(0) {
             return Err("`max_level` must be at least 1".to_string());
@@ -249,17 +231,13 @@ impl JobSpec {
     /// defaults resolved, columns as sorted indices. Two requests mean the
     /// same run iff their canonical forms are byte-equal — this is the
     /// config half of the result-cache key. The strategy is part of the
-    /// form, so optimal and iterative runs never share a cache entry.
+    /// form, so optimal and iterative runs at ε > 0 never share a cache
+    /// entry.
     pub fn canonical(&self) -> String {
         let mut obj = JsonObject::new();
-        match self.epsilon {
-            None => obj.str("mode", "exact").null("epsilon").null("strategy"),
-            Some(e) => obj
-                .str("mode", "approximate")
-                .num_f64("epsilon", e)
-                .str("strategy", self.strategy.name()),
-        };
-        obj.opt_u64("max_level", self.max_level.map(|v| v as u64))
+        obj.num_f64("epsilon", self.epsilon)
+            .str("strategy", self.strategy.name())
+            .opt_u64("max_level", self.max_level.map(|v| v as u64))
             .opt_u64("timeout_ms", self.timeout_ms)
             .opt_u64("top_k", self.top_k.map(|v| v as u64))
             .num_u64("threads", self.threads as u64);
@@ -281,10 +259,9 @@ impl JobSpec {
     /// Builds the discovery builder this spec encodes (called on the
     /// runner thread; `DiscoveryBuilder` itself is not `Send`).
     fn to_builder(&self, cancel: CancelToken) -> DiscoveryBuilder {
-        let mut b = DiscoveryBuilder::new();
-        if let Some(e) = self.epsilon {
-            b = b.approximate(e).strategy(self.strategy);
-        }
+        let mut b = DiscoveryBuilder::new()
+            .approximate(self.epsilon)
+            .strategy(self.strategy);
         if let Some(level) = self.max_level {
             b = b.max_level(level);
         }
@@ -867,19 +844,18 @@ mod tests {
         let spec = parse_spec(r#"{"epsilon":0.15,"threads":2}"#, &d).unwrap();
         assert_eq!(
             spec.canonical(),
-            "{\"mode\":\"approximate\",\"epsilon\":0.15,\"strategy\":\"optimal\",\
+            "{\"epsilon\":0.15,\"strategy\":\"optimal\",\
              \"max_level\":null,\"timeout_ms\":null,\"top_k\":null,\"threads\":2,\
              \"columns\":null,\"level_delay_ms\":0,\"trace\":false}"
         );
         // Key order and equivalent spellings don't change the canonical form.
-        let same = parse_spec(
-            r#"{"threads":2,"strategy":"optimal","mode":"approximate","epsilon":0.15}"#,
-            &d,
-        )
-        .unwrap();
+        let same = parse_spec(r#"{"threads":2,"strategy":"optimal","epsilon":0.15}"#, &d).unwrap();
         assert_eq!(spec.canonical(), same.canonical());
-        let exact = parse_spec("{}", &d).unwrap();
-        assert!(exact.canonical().contains("\"mode\":\"exact\""));
+        // A missing `epsilon` is ε = 0, where the strategy is optimal.
+        let exact = parse_spec(r#"{"strategy":"iterative"}"#, &d).unwrap();
+        assert!(exact
+            .canonical()
+            .starts_with("{\"epsilon\":0,\"strategy\":\"optimal\","));
     }
 
     #[test]
@@ -899,10 +875,7 @@ mod tests {
             r#"{"epsilon":1.5}"#,
             r#"{"epsilon":-0.5}"#,
             r#"{"epsilon":"high"}"#,
-            r#"{"mode":"exact","epsilon":0.1}"#,
-            r#"{"mode":"sorta"}"#,
             r#"{"strategy":"fast"}"#,
-            r#"{"mode":"exact","strategy":"optimal"}"#,
             r#"{"max_level":0}"#,
             r#"{"columns":[]}"#,
             r#"{"columns":["nope"]}"#,
@@ -916,9 +889,10 @@ mod tests {
         ] {
             assert!(parse_spec(bad, &d).is_err(), "{bad} should be rejected");
         }
-        // The removed sampling strategy and its stride fail through the
-        // generic unknown-name errors; a `top_k` of 0, which would admit
-        // a job that ends with no dependency, fails like a `max_level` of 0.
+        // The removed sampling strategy and its stride, and the removed
+        // `mode` (exact discovery is ε = 0), fail through the generic
+        // unknown-name errors; a `top_k` of 0, which would admit a job
+        // that ends with no dependency, fails like a `max_level` of 0.
         for (bad, needle) in [
             (r#"{"top_k":0}"#, "`top_k` must be at least 1"),
             (r#"{"epsilon":0.1,"strategy":"hybrid"}"#, "unknown strategy"),
@@ -926,6 +900,7 @@ mod tests {
                 r#"{"epsilon":0.1,"sample_stride":8}"#,
                 "unknown config field",
             ),
+            ("{\"mode\":\"exact\"}", "unknown config field `mode`"),
         ] {
             let err = parse_spec(bad, &d).unwrap_err();
             assert!(err.contains(needle), "{bad}: {err}");
@@ -957,20 +932,33 @@ mod tests {
         manager.shutdown();
     }
 
-    /// `-0` is the threshold 0: after a finished `{"epsilon":0}` job, a
-    /// `{"epsilon":-0}` job is answered from its cache entry, and its
-    /// config echoes `"epsilon":0`.
+    /// Every spelling of the ε = 0 run is one run: after a finished `{}`
+    /// job, `{"epsilon":0}`, `{"epsilon":-0}` and an ε = 0 job that names
+    /// the iterative strategy are answered from its cache entry, and all
+    /// four echo the same config, `"epsilon":0` with the optimal strategy.
     #[test]
     fn a_negative_zero_epsilon_is_epsilon_zero() {
         let d = employee_dataset();
         let manager = new_manager(2);
-        let zero = parse_spec(r#"{"epsilon":0}"#, &d).unwrap();
-        manager.submit(d.clone(), zero).unwrap().wait_done();
-        let negative = parse_spec(r#"{"epsilon":-0}"#, &d).unwrap();
-        let job = manager.submit(d.clone(), negative).unwrap();
-        assert!(job.cached);
-        let description = job.describe();
-        assert!(description.contains("\"epsilon\":0,"), "{description}");
+        let first = manager.submit(d.clone(), parse_spec("{}", &d).unwrap());
+        let first = first.unwrap();
+        first.wait_done();
+        assert!(!first.cached);
+        for spelling in [
+            r#"{"epsilon":0}"#,
+            r#"{"epsilon":-0}"#,
+            r#"{"epsilon":0,"strategy":"iterative"}"#,
+        ] {
+            let job = manager.submit(d.clone(), parse_spec(spelling, &d).unwrap());
+            let job = job.unwrap();
+            assert!(job.cached, "{spelling}");
+            assert_eq!(job.config, first.config, "{spelling}");
+        }
+        assert!(first
+            .config
+            .starts_with("{\"epsilon\":0,\"strategy\":\"optimal\","));
+        assert_eq!(manager.metrics.jobs_executed.get(), 1);
+        assert_eq!(manager.metrics.cache_hits.get(), 3);
         manager.shutdown();
     }
 

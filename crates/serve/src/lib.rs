@@ -33,12 +33,13 @@
 //! | `DELETE /jobs/{id}` | cooperative cancel; the job finishes with partial results flagged `stopped_early` |
 //! | `POST /shutdown` | stop accepting, cancel running jobs, exit cleanly |
 //!
-//! Job `config` fields (all optional): `mode` (`"exact"`/`"approximate"`),
-//! `epsilon`, `strategy` (`"optimal"`/`"iterative"`), `max_level`,
-//! `timeout_ms`, `top_k`, `threads`, `columns` (names or indices),
-//! `level_delay_ms` (pacing/debug), `trace` (record a span trace served
-//! by `GET /jobs/{id}/trace`; traced configs cache separately). Unknown
-//! fields are 400s.
+//! Job `config` fields (all optional): `epsilon` (default 0, exact
+//! discovery), `strategy` (`"optimal"`/`"iterative"`; at ε = 0 both are
+//! the same exact check, so the job runs and caches as `"optimal"`),
+//! `max_level`, `timeout_ms`, `top_k`, `threads`, `columns` (names or
+//! indices), `level_delay_ms` (pacing/debug), `trace` (record a span trace
+//! served by `GET /jobs/{id}/trace`; traced configs cache separately).
+//! Unknown fields are 400s.
 //!
 //! ## Embedding
 //!

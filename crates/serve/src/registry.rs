@@ -81,15 +81,19 @@ impl Registry {
     /// each field parsed on its own, no column type inferred), which must
     /// be a regular file of at most 1 GiB with at most [`MAX_ATTRS`]
     /// columns, the widest table discovery takes.
-    /// Errors are user-facing strings for 4xx responses.
-    pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, String> {
+    /// Errors are a 4xx status and its user-facing message: 409 for a
+    /// taken name, 429 for a full registry, else 400.
+    pub fn register_csv(&self, name: &str, path: &str) -> Result<Arc<Dataset>, (u16, String)> {
         self.admit(name)?;
-        let table =
-            read_regular_file(path, MAX_CSV_BYTES).map_err(|e| format!("reading `{path}`: {e}"))?;
+        let table = read_regular_file(path, MAX_CSV_BYTES)
+            .map_err(|e| (400, format!("reading `{path}`: {e}")))?;
         if table.n_cols() > MAX_ATTRS {
-            return Err(format!(
-                "`{path}` has {} columns; discovery takes at most {MAX_ATTRS}",
-                table.n_cols()
+            return Err((
+                400,
+                format!(
+                    "`{path}` has {} columns; discovery takes at most {MAX_ATTRS}",
+                    table.n_cols()
+                ),
             ));
         }
         let columns: Vec<String> = table
@@ -103,14 +107,16 @@ impl Registry {
     }
 
     /// Registers a synthesized dataset (`flight` / `ncvoter` via
-    /// `aod-datagen`, or the paper's `employee` running example).
+    /// `aod-datagen`, or the paper's `employee` running example). Errors
+    /// are a 4xx status and its user-facing message: 409 for a taken name,
+    /// 429 for a full registry, else 400.
     pub fn register_generated(
         &self,
         name: &str,
         kind: &str,
         rows: usize,
         seed: u64,
-    ) -> Result<Arc<Dataset>, String> {
+    ) -> Result<Arc<Dataset>, (u16, String)> {
         self.admit(name)?;
         let (ranked, columns) = match kind {
             "flight" => {
@@ -134,8 +140,9 @@ impl Registry {
                 (RankedTable::from_table(&table), columns)
             }
             other => {
-                return Err(format!(
-                    "unknown generated dataset `{other}` (flight|ncvoter|employee)"
+                return Err((
+                    400,
+                    format!("unknown generated dataset `{other}` (flight|ncvoter|employee)"),
                 ))
             }
         };
@@ -150,8 +157,8 @@ impl Registry {
     /// Refuses, before any table is loaded, a registration that would be
     /// refused anyway; `insert` checks again under the lock, for
     /// concurrent registrations.
-    fn admit(&self, name: &str) -> Result<(), String> {
-        validate_name(name)?;
+    fn admit(&self, name: &str) -> Result<(), (u16, String)> {
+        validate_name(name).map_err(|message| (400, message))?;
         vacancy(&lock_or_recover(&self.inner), name)
     }
 
@@ -161,7 +168,7 @@ impl Registry {
         ranked: RankedTable,
         columns: Vec<String>,
         source: String,
-    ) -> Result<Arc<Dataset>, String> {
+    ) -> Result<Arc<Dataset>, (u16, String)> {
         let fingerprint = ranked.fingerprint();
         let dataset = Arc::new(Dataset {
             name: name.to_string(),
@@ -234,14 +241,16 @@ fn read_regular_file(path: &str, limit: u64) -> Result<Table, TableError> {
     read_str(&text, &CsvOptions::default())
 }
 
-/// Whether `map` has room for a dataset called `name`.
-fn vacancy(map: &HashMap<String, Arc<Dataset>>, name: &str) -> Result<(), String> {
+/// Whether `map` has room for a dataset called `name`: 409 when the name
+/// is taken, 429 when the registry is full.
+fn vacancy(map: &HashMap<String, Arc<Dataset>>, name: &str) -> Result<(), (u16, String)> {
     if map.contains_key(name) {
-        return Err(format!("dataset `{name}` is already registered"));
+        return Err((409, format!("dataset `{name}` is already registered")));
     }
     if map.len() >= MAX_DATASETS {
-        return Err(format!(
-            "registry is full ({MAX_DATASETS} datasets); deregister one first"
+        return Err((
+            429,
+            format!("registry is full ({MAX_DATASETS} datasets); deregister one first"),
         ));
     }
     Ok(())
@@ -299,9 +308,10 @@ mod tests {
             r.register_generated(&format!("d{i}"), "employee", 0, 0)
                 .unwrap();
         }
-        let err = r
+        let (status, err) = r
             .register_generated("one-more", "employee", 0, 0)
             .unwrap_err();
+        assert_eq!(status, 429);
         assert!(err.contains("registry is full"), "{err}");
         // Removing a dataset frees its slot.
         assert!(r.remove("d0").is_some());
@@ -333,7 +343,8 @@ mod tests {
         let row = vec!["1"; MAX_ATTRS + 6].join(",");
         std::fs::write(&path, format!("{}\n{row}\n{row}\n", header.join(","))).unwrap();
         let r = Registry::new();
-        let err = r.register_csv("wide", path.to_str().unwrap()).unwrap_err();
+        let (status, err) = r.register_csv("wide", path.to_str().unwrap()).unwrap_err();
+        assert_eq!(status, 400);
         assert!(
             err.contains("has 70 columns; discovery takes at most 64"),
             "{err}"
@@ -347,7 +358,8 @@ mod tests {
     fn only_regular_files_are_read() {
         let r = Registry::new();
         for path in ["/dev/zero", "/"] {
-            let err = r.register_csv("z", path).unwrap_err();
+            let (status, err) = r.register_csv("z", path).unwrap_err();
+            assert_eq!(status, 400);
             assert!(err.contains("not a regular file"), "{path}: {err}");
         }
         assert!(r.is_empty());
@@ -388,7 +400,8 @@ mod tests {
         let r = Registry::new();
         r.register_generated("t", "employee", 0, 0).unwrap();
         // The path does not exist: reading it first would answer 400.
-        let err = r.register_csv("t", "/nonexistent/x.csv").unwrap_err();
+        let (status, err) = r.register_csv("t", "/nonexistent/x.csv").unwrap_err();
+        assert_eq!(status, 409);
         assert!(err.contains("already registered"), "{err}");
     }
 
@@ -399,12 +412,14 @@ mod tests {
             r.register_generated(&format!("d{i}"), "employee", 0, 0)
                 .unwrap();
         }
-        let err = r.register_csv("more", "/nonexistent/x.csv").unwrap_err();
+        let (status, err) = r.register_csv("more", "/nonexistent/x.csv").unwrap_err();
+        assert_eq!(status, 429);
         assert!(err.contains("registry is full"), "{err}");
         // Nor is a table generated for it.
-        let err = r
+        let (status, err) = r
             .register_generated("more", "flight", 1_000_000, 1)
             .unwrap_err();
+        assert_eq!(status, 429);
         assert!(err.contains("registry is full"), "{err}");
     }
 

@@ -135,7 +135,8 @@ impl Server {
     /// Pre-registers a CSV dataset before serving (the CLI's positional
     /// arguments).
     pub fn register_csv(&self, name: &str, path: &str) -> Result<(), String> {
-        self.ctx.registry.register_csv(name, path).map(|_| ())
+        let registered = self.ctx.registry.register_csv(name, path);
+        registered.map(drop).map_err(|(_, message)| message)
     }
 
     /// Serves until shutdown is requested, then joins every worker and
@@ -419,7 +420,7 @@ fn post_datasets(
     let registered = match (body.get("csv"), body.get("generate")) {
         (Some(csv), None) => match csv.as_str() {
             Some(path) => ctx.registry.register_csv(name, path),
-            None => Err("`csv` must be a file-path string".to_string()),
+            None => Err((400, "`csv` must be a file-path string".to_string())),
         },
         (None, Some(generate)) => {
             let kind = generate.get("dataset").and_then(|v| v.as_str());
@@ -442,18 +443,17 @@ fn post_datasets(
                 Some(kind) => ctx
                     .registry
                     .register_generated(name, kind, rows as usize, seed),
-                None => Err("`generate` needs a `dataset` field".to_string()),
+                None => Err((400, "`generate` needs a `dataset` field".to_string())),
             }
         }
-        _ => Err("provide exactly one of `csv` or `generate`".to_string()),
+        _ => Err((
+            400,
+            "provide exactly one of `csv` or `generate`".to_string(),
+        )),
     };
     match registered {
         Ok(dataset) => write_json(stream, 201, &dataset.to_json()),
-        Err(msg) if msg.contains("already registered") => {
-            write_json(stream, 409, &error_json(&msg))
-        }
-        Err(msg) if msg.contains("registry is full") => write_json(stream, 429, &error_json(&msg)),
-        Err(msg) => write_json(stream, 400, &error_json(&msg)),
+        Err((status, msg)) => write_json(stream, status, &error_json(&msg)),
     }
 }
 

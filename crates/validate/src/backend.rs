@@ -136,44 +136,20 @@ pub trait OcValidatorBackend: Send {
     }
 }
 
-/// **Algorithm 2** — the LNDS-based validator with provably minimal
-/// removal sets, `O(m log m)` per class.
-#[derive(Debug, Default)]
-pub struct OptimalOcBackend {
-    validator: OcValidator,
-}
-
-impl OcValidatorBackend for OptimalOcBackend {
-    fn name(&self) -> &'static str {
-        "optimal"
-    }
-
-    fn min_removal(
-        &mut self,
-        ctx: &Partition,
-        a_ranks: &[u32],
-        b_ranks: &[u32],
-        limit: usize,
-    ) -> Option<usize> {
-        self.validator
-            .min_removal_optimal(ctx, a_ranks, b_ranks, limit)
-    }
-
-    fn fork(&self) -> Box<dyn OcValidatorBackend> {
-        Box::new(OptimalOcBackend::default())
-    }
-}
-
-/// **Algorithm 1** — the iterative PVLDB'17 baseline,
+/// The built-in backend: one [`OcValidator`] run as the configured
+/// [`AocStrategy`] — **Algorithm 2**, the LNDS-based validator with
+/// provably minimal removal sets in `O(m log m)` per class, or
+/// **Algorithm 1**, the iterative PVLDB'17 baseline in
 /// `O(m log m + ε m²)`, possibly overestimating.
-#[derive(Debug, Default)]
-pub struct IterativeOcBackend {
+#[derive(Debug)]
+struct StrategyBackend {
+    strategy: AocStrategy,
     validator: OcValidator,
 }
 
-impl OcValidatorBackend for IterativeOcBackend {
+impl OcValidatorBackend for StrategyBackend {
     fn name(&self) -> &'static str {
-        "iterative"
+        self.strategy.name()
     }
 
     fn min_removal(
@@ -183,21 +159,24 @@ impl OcValidatorBackend for IterativeOcBackend {
         b_ranks: &[u32],
         limit: usize,
     ) -> Option<usize> {
-        self.validator
-            .min_removal_iterative(ctx, a_ranks, b_ranks, limit)
+        let v = &mut self.validator;
+        match self.strategy {
+            AocStrategy::Optimal => v.min_removal_optimal(ctx, a_ranks, b_ranks, limit),
+            AocStrategy::Iterative => v.min_removal_iterative(ctx, a_ranks, b_ranks, limit),
+        }
     }
 
     fn fork(&self) -> Box<dyn OcValidatorBackend> {
-        Box::new(IterativeOcBackend::default())
+        strategy_backend(self.strategy)
     }
 }
 
 /// The backend implementing a configured [`AocStrategy`].
 pub fn strategy_backend(strategy: AocStrategy) -> Box<dyn OcValidatorBackend> {
-    match strategy {
-        AocStrategy::Optimal => Box::new(OptimalOcBackend::default()),
-        AocStrategy::Iterative => Box::new(IterativeOcBackend::default()),
-    }
+    Box::new(StrategyBackend {
+        strategy,
+        validator: OcValidator::new(),
+    })
 }
 
 #[cfg(test)]

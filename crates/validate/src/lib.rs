@@ -8,7 +8,8 @@
 //!   and **Algorithm 1** (the iterative PVLDB'17 baseline, quadratic and
 //!   non-minimal), plus the descending-tie-break variant for canonical ODs.
 //! * [`OcValidatorBackend`] — the pluggable strategy-object form of
-//!   Algorithms 2 and 1 ([`strategy_backend`]); the `aod-core` discovery
+//!   Algorithms 2 and 1 ([`strategy_backend`] builds the backend of either
+//!   [`AocStrategy`]); the `aod-core` discovery
 //!   engine dispatches through this trait, so custom backends drop in
 //!   without touching the driver. Exact discovery runs them with a
 //!   removal budget of 0, where Algorithm 2's bounded kernel stops at the
@@ -56,9 +57,7 @@ mod od;
 mod ofd;
 mod swap;
 
-pub use backend::{
-    strategy_backend, IterativeOcBackend, OcValidatorBackend, OptimalOcBackend, SampleVerdict,
-};
+pub use backend::{strategy_backend, OcValidatorBackend, SampleVerdict};
 pub use brute::{
     brute_disjoint_swaps, brute_min_removal_oc, brute_min_removal_od, brute_min_removal_pairs,
     ViolationKind, MAX_BRUTE_CLASS,

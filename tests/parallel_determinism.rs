@@ -54,9 +54,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Four workers, one worker: same events, same dependencies, same
-    /// counters — across the full ε × strategy acceptance matrix.
+    /// counters — across the full ε × strategy acceptance matrix. At
+    /// ε = 0 both validators are the same exact check, so the iterative
+    /// run also repeats the optimal one.
     #[test]
     fn four_threads_bit_identical_to_one(table in small_table()) {
+        let mut exact = None;
         for config in configs() {
             let (seq_events, seq) = run_collect(&table, config, 1);
             let (par_events, par) = run_collect(&table, config, 4);
@@ -71,6 +74,13 @@ proptest! {
             // The thread knob is the *only* visible difference.
             prop_assert_eq!(par.stats.threads_used, 4);
             prop_assert_eq!(seq.stats.threads_used, 1);
+            if config.0 == 0.0 {
+                let run = (seq_events, seq.ocs, seq.ofds, seq.stats.per_level);
+                match &exact {
+                    None => exact = Some(run),
+                    Some(optimal) => prop_assert_eq!(&run, optimal, "config {:?}", &config),
+                }
+            }
         }
     }
 

@@ -221,6 +221,30 @@ fn delete_cancels_mid_run_with_partial_results() {
     handle.join();
 }
 
+/// `POST /datasets` answers a refused registration with the status the
+/// registry gives it, whatever the request's text holds: a missing file
+/// whose path reads "already registered" is a 400, and a taken name is a
+/// 409 before any file is read.
+#[test]
+fn dataset_refusals_carry_their_status() {
+    let handle = start_server();
+    let addr = handle.addr();
+    register_employee(addr, "emp");
+    let post = |body: &str| request(addr, "POST", "/datasets", Some(body)).unwrap();
+    let missing = post(r#"{"name":"x","csv":"/no/such/already registered.csv"}"#);
+    assert_eq!(missing.status, 400, "{}", missing.body);
+    assert!(
+        missing.body.contains("reading `/no/such/"),
+        "{}",
+        missing.body
+    );
+    let taken = post(r#"{"name":"emp","csv":"/no/such/plain.csv"}"#);
+    assert_eq!(taken.status, 409, "{}", taken.body);
+    assert!(taken.body.contains("already registered"), "{}", taken.body);
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn malformed_bodies_are_400s() {
     let handle = start_server();
@@ -353,7 +377,7 @@ fn identical_requests_hit_the_result_cache() {
 
     // Equivalent spelling (different key order, explicit defaults) of the
     // same canonical config: must be a cache hit, not a re-run.
-    let respelled = r#"{"dataset":"emp","config":{"max_level":3,"threads":1,"strategy":"optimal","mode":"approximate","epsilon":0.15}}"#;
+    let respelled = r#"{"dataset":"emp","config":{"max_level":3,"threads":1,"strategy":"optimal","epsilon":0.15}}"#;
     let r = request(addr, "POST", "/jobs", Some(respelled)).unwrap();
     assert_eq!(r.status, 201, "{}", r.body);
     let v = r.json().unwrap();
